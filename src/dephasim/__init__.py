@@ -31,6 +31,7 @@ from .dephasing import (
     blocks_from_propagators,
     coherence,
     equal_superposition,
+    evolve_factor,
     joint_state,
     normalized_coherence,
     propagators_at,
@@ -58,6 +59,7 @@ from .errors import (
     NonFiniteError,
     NotHermitianError,
     NotHermitianGenerator,
+    NotNormalizedError,
     NotPSDError,
     NotQubit,
     ParseError,
@@ -81,15 +83,15 @@ from .fock import (
     thermal_state,
 )
 from .linalg import (
-    HermitianEigen,
-    expm,
     fidelity,
     fidelity_given_sqrt,
-    hermitian_eig,
+    fidelity_of_factors,
     negativity,
     partial_transpose,
+    psd_factor,
     sqrtm_psd,
     trace_distance,
+    trace_distance_of_factors,
 )
 from .presets import PRESET_NAMES, preset_config
 from .qubit_boson import (
@@ -98,7 +100,6 @@ from .qubit_boson import (
     analytic_propagator_piece,
     branch_generator,
     build_schedule,
-    phase1_coherence_oracle,
 )
 from .sweep import (
     CSV_HEADER,

@@ -19,7 +19,9 @@ the pointer amplitudes c_i plus the environment blocks
     R_ij(t) = w_i(t) R(0) w_j(t)^dag,
 
 from which the full density matrix, reduced coherences and entanglement
-quantities are assembled on demand.
+quantities are assembled on demand. With R(0) = A A^dag factored (A is d x r),
+every block is R_ij = Y_i Y_j^dag with Y_i = w_i A, and evolve_factor steps
+the d x r factors without forming any d x d propagator.
 
 Schedules are immutable after construction and may be shared across workers;
 the memoized per-segment eigensystems and prefix products are computed on
@@ -51,6 +53,7 @@ __all__ = [
     "equal_superposition",
     "validate_schedule",
     "propagators_at",
+    "evolve_factor",
     "blocks_from_propagators",
     "blocks_at",
     "joint_state",
@@ -159,6 +162,11 @@ def _eig_expm(w: np.ndarray, u: np.ndarray, tau: float) -> np.ndarray:
     return (u * np.exp(-1j * w * tau)) @ dagger(u)
 
 
+def _eig_phase(w: np.ndarray, u: np.ndarray, tau: float, b: np.ndarray) -> np.ndarray:
+    """exp(-i V tau) U b for b already in the eigenbasis of V = U diag(w) U^dag."""
+    return u @ (np.exp(-1j * w * tau)[:, None] * b)
+
+
 @dataclass(frozen=True)
 class ScheduleDiagnostics:
     """Structural report from validate_schedule."""
@@ -242,6 +250,30 @@ def propagators_at(schedule: SegmentSchedule, t: float) -> ConditionalPropagator
         _eig_expm(wk, uk, tau) @ prefix[i] for i, (wk, uk) in enumerate(systems)
     )
     return ConditionalPropagatorSet(t=t, w=w)
+
+
+def evolve_factor(schedule: SegmentSchedule, a: np.ndarray, times):
+    """Yield (w_0(t) A, ..., w_{N-1}(t) A) for each t in times; A is d x r.
+
+    U_ki^dag w_i(start of segment k) A is cached per segment and pointer for
+    the life of the generator, so a time costs one d x d by d x r product
+    per pointer.
+    """
+    if not schedule.segments:
+        raise EmptySchedule("schedule has no segments")
+    if a.shape[0] != schedule.env_dim:
+        raise DimensionMismatch(f"factor has {a.shape[0]} rows, expected {schedule.env_dim}")
+    rotated = []  # rotated[k][i] = U_ki^dag w_i(start of k) A
+    current = [a] * schedule.system_dim
+    for seg, systems in zip(schedule.segments, schedule._eigensystems):
+        rotated.append([dagger(u) @ y for (_, u), y in zip(systems, current)])
+        current = [
+            _eig_phase(w, u, seg.duration, b) for (w, u), b in zip(systems, rotated[-1])
+        ]
+    for t in times:
+        k, tau = _locate(schedule, t)
+        systems = schedule._eigensystems[k]
+        yield tuple(_eig_phase(w, u, tau, b) for (w, u), b in zip(systems, rotated[k]))
 
 
 @dataclass(frozen=True, eq=False)

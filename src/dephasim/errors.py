@@ -13,6 +13,10 @@ class NotPSDError(DephasimError):
     """Matrix has an eigenvalue below the allowed negative clamp window."""
 
 
+class NotNormalizedError(DephasimError, ValueError):
+    """A density matrix does not have unit trace within tolerance."""
+
+
 class NonFiniteError(DephasimError):
     """Matrix contains NaN or Inf entries."""
 

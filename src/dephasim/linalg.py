@@ -8,31 +8,29 @@ paths. All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     NonFiniteError,
     NotHermitianError,
+    NotNormalizedError,
     NotPSDError,
 )
 
 __all__ = [
-    "HermitianEigen",
     "dagger",
     "frobenius",
     "as_operator",
     "hermiticity_residual",
     "require_hermitian",
-    "hermitian_eig",
-    "expm",
+    "psd_factor",
     "sqrtm_psd",
+    "fidelity_of_factors",
     "fidelity",
     "fidelity_given_sqrt",
+    "trace_distance_of_factors",
     "trace_distance",
     "partial_transpose",
     "negativity",
@@ -73,35 +71,34 @@ def require_hermitian(m, tol: float = 1e-9, what: str = "matrix") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition M = U diag(w) U^dag, eigenvalues ascending, U unitary."""
+def _psd_eigh(m, clamp: float, herm_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of a Hermitian M with no eigenvalue below -clamp.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ dagger(self.eigenvectors)
-
-
-def hermitian_eig(m, *, herm_tol: float = 1e-9) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises NotHermitianError when the input fails the Hermiticity check and
-    ConvergenceFailure when the underlying LAPACK iteration does not converge.
+    Raises NotHermitianError, NotPSDError, or ConvergenceFailure when LAPACK
+    does not converge.
     """
     arr = require_hermitian(m, herm_tol)
     try:
         w, u = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigh did not converge: {exc}") from exc
-    return HermitianEigen(w, u)
+    if w[0] < -clamp:
+        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{clamp:.1e}")
+    return w, u
 
 
-def expm(m) -> np.ndarray:
-    """Matrix exponential e^M for a general square matrix."""
-    arr = as_operator(m)
-    return scipy.linalg.expm(arr)
+RANK_CUT = 1e-15  # psd_factor drops eigenvalues at or below this times the largest
+
+
+def psd_factor(m, *, clamp: float = 1e-10, herm_tol: float = 1e-9) -> np.ndarray:
+    """A = V_r sqrt(p_r) (d x r) with A A^dag = M for a Hermitian PSD M, from one eigh.
+
+    Keeps the eigenpairs above RANK_CUT times the largest eigenvalue;
+    eigenvalues below -clamp raise NotPSDError.
+    """
+    w, u = _psd_eigh(m, clamp, herm_tol)
+    keep = w > RANK_CUT * w[-1]
+    return u[:, keep] * np.sqrt(w[keep])
 
 
 def sqrtm_psd(m, *, clamp: float = 1e-10, herm_tol: float = 1e-9) -> np.ndarray:
@@ -110,11 +107,8 @@ def sqrtm_psd(m, *, clamp: float = 1e-10, herm_tol: float = 1e-9) -> np.ndarray:
     Eigenvalues in [-clamp, 0) are treated as roundoff and clamped to zero;
     anything below -clamp raises NotPSDError.
     """
-    eig = hermitian_eig(m, herm_tol=herm_tol)
-    w = eig.eigenvalues
-    if w[0] < -clamp:
-        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{clamp:.1e}")
-    s = (eig.eigenvectors * np.sqrt(np.clip(w, 0.0, None))) @ dagger(eig.eigenvectors)
+    w, u = _psd_eigh(m, clamp, herm_tol)
+    s = (u * np.sqrt(np.clip(w, 0.0, None))) @ dagger(u)
     return (s + dagger(s)) / 2
 
 
@@ -129,11 +123,19 @@ def fidelity_given_sqrt(sqrt_rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
 
 
+def fidelity_of_factors(a: np.ndarray, b: np.ndarray) -> float:
+    """Fidelity of a a^dag and b b^dag: (sum of singular values of a^dag b)^2.
+
+    An r1 x r2 SVD, with no square roots of roundoff-level eigenvalues.
+    """
+    return float(np.sum(np.linalg.svd(dagger(a) @ b, compute_uv=False)) ** 2)
+
+
 def fidelity(rho1, rho2, *, trace_tol: float = 1e-8, psd_clamp: float = 1e-10) -> float:
     """Uhlmann fidelity F(rho1, rho2) = [Tr sqrt(sqrt(rho1) rho2 sqrt(rho1))]^2.
 
     Both inputs must be Hermitian, PSD within the clamp window, and have unit
-    trace within trace_tol.
+    trace within trace_tol. Evaluated as fidelity_of_factors of their psd_factor.
     """
     r1 = require_hermitian(rho1, what="rho1")
     r2 = require_hermitian(rho2, what="rho2")
@@ -142,12 +144,25 @@ def fidelity(rho1, rho2, *, trace_tol: float = 1e-8, psd_clamp: float = 1e-10) -
     for name, r in (("rho1", r1), ("rho2", r2)):
         tr = float(np.trace(r).real)
         if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"{name} has trace {tr!r}, expected 1 within {trace_tol}")
-    w2 = np.linalg.eigvalsh(r2)
-    if w2[0] < -psd_clamp:
-        raise NotPSDError(f"rho2 has eigenvalue {w2[0]:.3e} below -{psd_clamp:.1e}")
-    s = sqrtm_psd(r1, clamp=psd_clamp)
-    return fidelity_given_sqrt(s, r2)
+            raise NotNormalizedError(f"{name} has trace {tr!r}, expected 1 within {trace_tol}")
+    return fidelity_of_factors(
+        psd_factor(r1, clamp=psd_clamp), psd_factor(r2, clamp=psd_clamp)
+    )
+
+
+def trace_distance_of_factors(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace distance (1/2)||a a^dag - b b^dag||_1 of factored states.
+
+    When r1 + r2 < d, a and b are replaced by the column blocks of R in the
+    reduced QR [a | b] = Q R, which leaves the spectrum of the difference
+    unchanged and shrinks the eigenproblem to (r1 + r2) x (r1 + r2).
+    """
+    r1 = a.shape[1]
+    if r1 + b.shape[1] < a.shape[0]:
+        r = np.linalg.qr(np.hstack((a, b)), mode="r")
+        a, b = r[:, :r1], r[:, r1:]
+    w = np.linalg.eigvalsh(a @ dagger(a) - b @ dagger(b))
+    return float(0.5 * np.sum(np.abs(w)))
 
 
 def trace_distance(rho1, rho2, *, herm_tol: float = 1e-9) -> float:

@@ -39,7 +39,6 @@ __all__ = [
     "build_schedule",
     "branch_generator",
     "analytic_propagator_piece",
-    "phase1_coherence_oracle",
 ]
 
 
@@ -130,19 +129,3 @@ def analytic_propagator_piece(
     if exact_phase:
         piece = piece * np.exp(1j * sign * abs(alpha) ** 2 * t / beta)
     return piece
-
-
-def phase1_coherence_oracle(theta: float, t: float) -> float:
-    """Normalized qubit coherence for an undriven interval and a thermal mode.
-
-    With alpha = 0 the conditional propagators are counter-rotating number
-    phases, so |Tr(e^{-2 i n t} rho_th)| sums a geometric series:
-    (1 - q)/|1 - q e^{-2 i t}| with q = e^{-1/theta} (hbar = beta = 1).
-    Zero temperature gives 1 for all t.
-    """
-    if theta < 0:
-        raise ValueError(f"temperature must be >= 0, got {theta}")
-    if theta == 0:
-        return 1.0
-    q = math.exp(-1.0 / theta)
-    return float(abs((1.0 - q) / (1.0 - q * np.exp(-2j * t))))

@@ -5,12 +5,14 @@ and the initial environment, build the uniform time grid (always including
 segment switch times so sharp features are never aliased), then evaluate the
 entanglement measure, coherence and criterion residuals point by point.
 
-Per-point evaluation avoids redundant factorizations by conjugating into the
-initial-environment frame: with u_ij = w_i^dag w_j both the trace distance
-and the fidelity between conditional states R_ii, R_jj equal those between
-R(0) and u_ij R(0) u_ij^dag, so the PSD square root of R(0) is computed once
-per sweep. These identities are exact unitary invariances and are asserted
-against the direct block computation in the test suite.
+Per-point evaluation works on factors: R(0) = A A^dag is factored once per
+sweep (A is d x r, r the numerical rank of R(0)) and evolve_factor yields
+Y_i(t) = w_i(t) A, so R_ij = Y_i Y_j^dag. The coherence is |vdot(Y_1, Y_0)|,
+the fidelity an r x r SVD of Y_0^dag Y_1 and each trace distance an
+eigensolve of dimension at most 2r. Only the type-2 commutators (N >= 3) and
+the negativity need the d x d propagators; when either is on, Y_i = w_i A is
+taken from them instead. The identities are exact and are asserted against
+the direct block computation in the test suite.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ from .dephasing import (
     SegmentSchedule,
     blocks_from_propagators,
     equal_superposition,
+    evolve_factor,
     joint_state,
     propagators_at,
     validate_schedule,
 )
-from .entanglement import measure_from_fidelity
-from .errors import CutoffCapExceeded, ValidationError
+from .entanglement import measure_from_fidelity, type2_residuals
+from .errors import CutoffCapExceeded, NonFiniteError, ValidationError
 from .fock import (
     CUTOFF_LADDER,
     EnvDensity,
@@ -52,7 +55,9 @@ from .fock import (
     suggest_cutoff,
     thermal_state,
 )
-from .linalg import dagger, fidelity_given_sqrt, frobenius, negativity, sqrtm_psd
+from .linalg import fidelity_of_factors, negativity, psd_factor, trace_distance_of_factors
+# Unused here, but perfbench/spans.py wraps these names in this module.
+from .linalg import fidelity_given_sqrt, sqrtm_psd  # noqa: F401
 from .qubit_boson import QubitBosonParams, build_schedule
 
 __all__ = [
@@ -183,81 +188,38 @@ def _time_grid(cfg: RunConfig, schedule: SegmentSchedule) -> np.ndarray:
     return np.unique(np.concatenate([base, interior])) if interior else base
 
 
-class _PointEvaluator:
-    """Per-time-point quantities in the initial-environment frame."""
+def _points(run: _ResolvedRun, flags, times):
+    """(t, (w_i(t) A)_i, propagators or None) per time, with R(0) = A A^dag."""
+    a = psd_factor(run.env0.matrix)
+    if flags.negativity or (flags.type2 and run.schedule.system_dim >= 3):
+        # the d x d propagators are built anyway; w_i A is one product each
+        props = (propagators_at(run.schedule, t) for t in times)
+        return ((p.t, tuple(w @ a for w in p.w), p) for p in props)
+    return ((t, ys, None) for t, ys in zip(times, evolve_factor(run.schedule, a, times)))
 
-    def __init__(self, run: _ResolvedRun, cfg: RunConfig):
-        self.run = run
-        self.flags = cfg.outputs
-        self.rho0 = run.env0.matrix
-        n = run.schedule.system_dim
-        c = run.amplitudes
-        self.is_qubit = n == 2
-        self.want_measure = self.flags.entanglement and self.is_qubit
-        self.want_coherence = self.flags.coherence and n >= 2 and c[0] * c[1] != 0
-        self.sqrt_rho0 = sqrtm_psd(self.rho0) if self.want_measure else None
 
-    def row(self, t: float, t_reported: float) -> SweepRow:
-        run = self.run
-        props = propagators_at(run.schedule, t)
-        n = props.system_dim
-        rho0 = self.rho0
-
-        conjugated = {}  # (i, j) -> u_ij rho0 u_ij^dag
-        u01 = None
-        type1_max = None
-        if self.flags.type1 or self.want_measure or self.want_coherence:
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            if not self.flags.type1:
-                pairs = [(0, 1)]
-            residuals = []
-            for i, j in pairs:
-                u = dagger(props.w[i]) @ props.w[j]
-                if (i, j) == (0, 1):
-                    u01 = u
-                b = u @ rho0 @ dagger(u)
-                conjugated[(i, j)] = b
-                if self.flags.type1:
-                    vals = np.linalg.eigvalsh(rho0 - b)
-                    residuals.append(0.5 * float(np.sum(np.abs(vals))))
-            if self.flags.type1:
-                type1_max = max(residuals)
-
-        measure = None
-        if self.want_measure:
-            f = fidelity_given_sqrt(self.sqrt_rho0, conjugated[(0, 1)])
-            measure = measure_from_fidelity(run.amplitudes, f)
-
-        coherence_norm = None
-        if self.want_coherence:
-            # |Tr R_01| = |Tr(rho0 u_01^dag)|
-            coherence_norm = float(abs(np.vdot(u01, rho0)))
-
-        type2_max = None
-        if self.flags.type2:
-            type2_max = 0.0
-            if n >= 3:
-                w0d = dagger(props.w[0])
-                products = [props.w[i] @ w0d for i in range(1, n)]
-                for a in range(len(products)):
-                    for b_ in range(a + 1, len(products)):
-                        comm = products[a] @ products[b_] - products[b_] @ products[a]
-                        type2_max = max(type2_max, frobenius(comm))
-
-        neg = None
-        if self.flags.negativity:
-            blocks = blocks_from_propagators(props, run.env0, run.amplitudes)
-            neg = negativity(joint_state(blocks), n, run.env0.dim)
-
-        return SweepRow(
-            t=t_reported,
-            entanglement=measure,
-            coherence_norm=coherence_norm,
-            type1_max=type1_max,
-            type2_max=type2_max,
-            negativity=neg,
-            cutoff=run.cutoff_used,
+def _row(run: _ResolvedRun, flags, t: float, t_reported: float, ys, props) -> SweepRow:
+    """One grid point from the evolved factors ys[i] = w_i(t) A of R(0) = A A^dag."""
+    if not all(np.isfinite(m).all() for m in (props.w if props else ys)):
+        raise NonFiniteError(f"evolved state is not finite at t = {t!r}")
+    n, c = len(ys), run.amplitudes
+    measure = coherence_norm = type1_max = neg = None
+    if flags.entanglement and n == 2:
+        measure = measure_from_fidelity(c, fidelity_of_factors(ys[0], ys[1]))
+    if flags.coherence and n >= 2 and c[0] * c[1] != 0:
+        # |Tr R_01| = |Tr(Y_0 Y_1^dag)|
+        coherence_norm = float(abs(np.vdot(ys[1], ys[0])))
+    if flags.type1:
+        type1_max = max(
+            trace_distance_of_factors(ys[i], ys[j]) for i in range(n) for j in range(i + 1, n)
         )
+    type2_max = 0.0 if flags.type2 else None  # qubits have no second-type conditions
+    if flags.type2 and n >= 3:
+        type2_max = max(r.residual for r in type2_residuals(props))
+    if flags.negativity:
+        blocks = blocks_from_propagators(props, run.env0, c)
+        neg = negativity(joint_state(blocks), n, run.env0.dim)
+    return SweepRow(t_reported, measure, coherence_norm, type1_max, type2_max, neg, run.cutoff_used)
 
 
 def run_sweep(cfg: RunConfig, *, cutoff_override: int | None = None) -> list[SweepRow]:
@@ -268,10 +230,10 @@ def run_sweep(cfg: RunConfig, *, cutoff_override: int | None = None) -> list[Swe
     by time.t_start. Output is deterministic for a fixed configuration.
     """
     run = _resolve(cfg, cutoff_override=cutoff_override)
-    times = _time_grid(cfg, run.schedule)
-    evaluator = _PointEvaluator(run, cfg)
+    times = [float(t) for t in _time_grid(cfg, run.schedule)]
     t0 = cfg.time.t_start
-    return [evaluator.row(float(t), float(t) + t0) for t in times]
+    points = _points(run, cfg.outputs, times)
+    return [_row(run, cfg.outputs, t, t + t0, ys, props) for t, ys, props in points]
 
 
 def _format_value(value: float | None) -> str:

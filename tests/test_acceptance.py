@@ -36,11 +36,11 @@ from dephasim.fock import (
     fock_state,
     thermal_state,
 )
-from dephasim.linalg import dagger, expm, fidelity, frobenius, negativity
+from dephasim.linalg import dagger, fidelity, frobenius, negativity
 from dephasim.presets import PRESET_NAMES, preset_config
 from dephasim.qubit_boson import analytic_propagator_piece, branch_generator, build_schedule, QubitBosonParams
 from dephasim.sweep import emit_csv, convergence_report, run_sweep
-from util import PAULI_X, PAULI_Z, random_density
+from util import PAULI_X, PAULI_Z, expm, random_density
 
 EQUAL = equal_superposition(2)
 

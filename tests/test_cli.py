@@ -59,6 +59,37 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
 
 
+    @pytest.mark.parametrize("outputs", [{}, {"negativity": True}])
+    def test_non_finite_evolution_is_numerical_failure(self, tmp_path, capsys, outputs):
+        # phases of 1e200 x 1e300 overflow; this used to write NaN rows and exit 0.
+        # Negativity takes the propagator path, the default outputs the factor path.
+        big = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        schedule = {
+            "system_dim": 2,
+            "env_dim": 2,
+            "segments": [{"duration": 1e300, "generators": [big, zero]}],
+        }
+        env = {"matrix": [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]}
+        (tmp_path / "s.json").write_text(json.dumps(schedule))
+        (tmp_path / "env.json").write_text(json.dumps(env))
+        cfg = {
+            "model": {"schedule_file": "s.json"},
+            "initial_env": {"matrix_file": "env.json"},
+            "time": {"t_max": 1e300, "steps": 3},
+            "cutoff": 2,
+            "outputs": outputs,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o.csv"
+        with pytest.warns(RuntimeWarning):
+            code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPresetCommand:
     def test_preset_runs(self, tmp_path):
         out = tmp_path / "fig2e.csv"

@@ -10,6 +10,7 @@ from dephasim.dephasing import (
     blocks_from_propagators,
     coherence,
     equal_superposition,
+    evolve_factor,
     joint_state,
     normalized_coherence,
     propagators_at,
@@ -23,8 +24,8 @@ from dephasim.errors import (
     ZeroInitialCoherence,
 )
 from dephasim.fock import FockSpace, env_from_matrix, thermal_state
-from dephasim.linalg import dagger, expm, frobenius, trace_distance
-from util import PAULI_X, PAULI_Z, random_density, random_hermitian, random_pure_density
+from dephasim.linalg import dagger, frobenius, trace_distance
+from util import PAULI_X, PAULI_Z, expm, random_density, random_hermitian, random_pure_density
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -142,6 +143,32 @@ class TestPropagators:
         props = propagators_at(s, frac * s.total_duration)
         for w in props.w:
             assert frobenius(dagger(w) @ w - np.eye(4)) <= 1e-9
+
+
+class TestEvolveFactor:
+    @given(seed=seeds, rank=st.integers(1, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_propagators(self, seed, rank):
+        rng = np.random.default_rng(seed)
+        sched = make_schedule(rng, n_sys=3, env_dim=5, n_segments=3)
+        a = rng.normal(size=(5, rank)) + 1j * rng.normal(size=(5, rank))
+        bounds = sched.boundaries
+        times = [0.0, *bounds[1:], *rng.uniform(0.0, bounds[-1], size=4)]
+        for t, ys in zip(times, evolve_factor(sched, a, times)):
+            props = propagators_at(sched, t)
+            assert len(ys) == 3
+            for w, y in zip(props.w, ys):
+                assert frobenius(y - w @ a) <= 1e-12 * max(1.0, frobenius(a))
+
+    def test_dimension_mismatch(self):
+        sched = make_schedule(np.random.default_rng(0), env_dim=4)
+        with pytest.raises(DimensionMismatch):
+            next(evolve_factor(sched, np.ones((3, 1), dtype=complex), [0.0]))
+
+    def test_out_of_range(self):
+        sched = make_schedule(np.random.default_rng(0), durations=[1.0, 1.0])
+        with pytest.raises(TimeOutOfRange):
+            list(evolve_factor(sched, np.ones((4, 1), dtype=complex), [1.0, 2.5]))
 
 
 class TestBlocks:

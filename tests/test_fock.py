@@ -21,7 +21,8 @@ from dephasim.fock import (
     suggest_cutoff,
     thermal_state,
 )
-from dephasim.linalg import dagger, expm, fidelity, frobenius
+from dephasim.linalg import dagger, fidelity, frobenius
+from util import expm
 
 seeds = st.integers(0, 2**32 - 1)
 

@@ -4,29 +4,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dephasim.errors import (
+    DephasimError,
     DimensionMismatch,
     NonFiniteError,
     NotHermitianError,
+    NotNormalizedError,
     NotPSDError,
 )
-from dephasim.fock import FockSpace, coherent_state, fock_state
+from dephasim.fock import FockSpace, coherent_amplitudes, coherent_state, fock_state, thermal_state
 from dephasim.linalg import (
     dagger,
-    expm,
     fidelity,
     fidelity_given_sqrt,
+    fidelity_of_factors,
     frobenius,
-    hermitian_eig,
     negativity,
     partial_transpose,
+    psd_factor,
     sqrtm_psd,
     trace_distance,
+    trace_distance_of_factors,
 )
 from util import (
     PAULI_X,
+    expm,
+    hermitian_eig,
+    random_complex,
     random_density,
     random_hermitian,
     random_pure_density,
+    random_unitary,
 )
 
 seeds = st.integers(0, 2**32 - 1)
@@ -161,6 +168,67 @@ class TestFidelity:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             fidelity(np.eye(2), np.eye(2) / 2)
+
+    def test_unnormalized_is_package_error(self):
+        with pytest.raises(NotNormalizedError) as err:
+            fidelity(np.eye(2) / 2, np.eye(2))
+        assert isinstance(err.value, DephasimError)
+        assert isinstance(err.value, ValueError)
+
+    def test_pure_self_fidelity_exact(self):
+        # eigvalsh of sqrt(rho) rho sqrt(rho) left 1 + 2.5e-8 here
+        psi = coherent_state(0.5 * np.exp(0.25j * np.pi), FockSpace(64)).matrix
+        assert abs(fidelity(psi, psi) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    def test_pure_vs_mixed_is_expectation(self, theta):
+        space = FockSpace(64)
+        amps = coherent_amplitudes(0.4 - 0.3j, space)
+        sigma = thermal_state(theta, space).matrix
+        expected = float(np.vdot(amps, sigma @ amps).real)
+        psi = np.outer(amps, amps.conj())
+        assert abs(fidelity(psi, sigma) - expected) <= 1e-14
+        assert abs(fidelity(sigma, psi) - expected) <= 1e-14
+
+
+class TestFactors:
+    def test_factor_reconstructs(self):
+        rho = random_density(np.random.default_rng(4), 7)
+        a = psd_factor(rho)
+        assert a.shape == (7, 7)
+        assert frobenius(a @ dagger(a) - rho) <= 1e-14
+
+    def test_rank_cut(self):
+        # thermal populations e^{-2n}: 18 of the 64 lie above 1e-15 of the largest
+        assert psd_factor(thermal_state(0.5, FockSpace(64)).matrix).shape == (64, 18)
+        assert psd_factor(random_pure_density(np.random.default_rng(1), 9)).shape == (9, 1)
+
+    def test_factor_rejects_negative(self):
+        with pytest.raises(NotPSDError):
+            psd_factor(np.diag([1.0, -1e-6]))
+
+    @given(seed=seeds, dim=st.integers(2, 10))
+    @settings(max_examples=25, deadline=None)
+    def test_fidelity_of_factors_is_unitarily_invariant(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        rho1, rho2 = random_density(rng, dim), random_density(rng, dim)
+        u = random_unitary(rng, dim)
+        a, b = psd_factor(rho1), psd_factor(rho2)
+        assert abs(fidelity_of_factors(u @ a, u @ b) - fidelity_of_factors(a, b)) <= 1e-12
+        assert abs(fidelity_of_factors(a, b) - fidelity_given_sqrt(sqrtm_psd(rho1), rho2)) <= 1e-12
+
+    @given(seed=seeds, rank=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_reduced_trace_distance(self, seed, rank):
+        # 2 rank < 12: the QR-reduced eigenproblem; rank 6 and up: the direct one
+        rng = np.random.default_rng(seed)
+        for r in (rank, rank + 5):
+            a = random_complex(rng, (12, r))
+            b = random_complex(rng, (12, r))
+            a /= np.linalg.norm(a)
+            b /= np.linalg.norm(b)
+            direct = trace_distance(a @ dagger(a), b @ dagger(b))
+            assert abs(trace_distance_of_factors(a, b) - direct) <= 1e-13
 
 
 class TestTraceDistance:

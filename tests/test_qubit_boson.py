@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from dephasim.dephasing import blocks_at, equal_superposition, normalized_coherence, propagators_at
 from dephasim.entanglement import qee_measure, type1_residuals
 from dephasim.fock import FockSpace, coherent_state, displacement_safe_dim, thermal_state
-from dephasim.linalg import dagger, expm, frobenius
+from dephasim.linalg import dagger, frobenius
 from dephasim.qubit_boson import (
     AlphaSegment,
     QubitBosonParams,
     analytic_propagator_piece,
     branch_generator,
     build_schedule,
-    phase1_coherence_oracle,
 )
+from util import expm, phase1_coherence_oracle
 
 EQUAL = equal_superposition(2)
 ALPHA_FIG = (1 + 1j) / 2

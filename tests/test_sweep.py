@@ -1,16 +1,24 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
-from dephasim.config import config_from_dict
-from dephasim.dephasing import blocks_at, equal_superposition, normalized_coherence
-from dephasim.entanglement import qee_measure, type1_residuals
+from dephasim.config import config_from_dict, load_schedule_file
+from dephasim.dephasing import (
+    blocks_at,
+    equal_superposition,
+    normalized_coherence,
+    propagators_at,
+)
+from dephasim.entanglement import qee_measure, type1_residuals, type2_residuals
 from dephasim.errors import CutoffCapExceeded, ValidationError
-from dephasim.fock import FockSpace, thermal_state
+from dephasim.fock import FockSpace, env_from_matrix, thermal_state
+from dephasim.linalg import fidelity, psd_factor, trace_distance
 from dephasim.presets import preset_config
 from dephasim.qubit_boson import QubitBosonParams, build_schedule
 from dephasim.sweep import CSV_HEADER, convergence_report, emit_csv, run_sweep
+from util import random_density, random_hermitian
 
 EQUAL = equal_superposition(2)
 
@@ -119,6 +127,82 @@ class TestRunSweep:
             if row.t < 2.0:
                 assert row.entanglement <= 1e-10
                 assert abs(row.coherence_norm - 1.0) <= 1e-10
+
+
+def as_pairs(m):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
+def assert_rows_match_blocks(rows, schedule, env, c, e_tol=1e-12):
+    # every column against the direct d x d block pipeline
+    for row in rows:
+        blocks = blocks_at(schedule, env, c, row.t)
+        r = blocks.blocks
+        n = len(c)
+        t1 = max(trace_distance(r[i, i], r[j, j]) for i in range(n) for j in range(i + 1, n))
+        assert abs(row.type1_max - t1) <= 1e-12, row.t
+        assert abs(row.coherence_norm - normalized_coherence(blocks, 0, 1)) <= 1e-12, row.t
+        if n == 2:
+            f = fidelity(r[0, 0], r[1, 1])
+            assert abs(row.entanglement - 4 * abs(c[0] * c[1]) ** 2 * (1 - f)) <= e_tol, row.t
+        else:
+            assert row.entanglement is None
+            t2 = max(x.residual for x in type2_residuals(propagators_at(schedule, row.t)))
+            assert abs(row.type2_max - t2) <= 1e-12, row.t
+
+
+class TestFactorKernel:
+    def test_pure_state_identity_on_fig3a(self):
+        # pure R(0): E = 4|c0 c1|^2 (1 - coh^2) exactly; the eigvalsh route missed by 3.2e-8
+        rows = run_sweep(config_from_dict(preset_config("fig3a")))
+        assert len(rows) == 601
+        for row in rows:
+            assert abs(row.entanglement - (1.0 - row.coherence_norm**2)) <= 1e-12, row.t
+
+    def test_rank_deficient_thermal_matches_blocks(self):
+        # rank 18 of 64: the trace distance runs on the QR-reduced 36 x 36 problem.
+        # E gets 5e-12: at t = 6 fidelity() on the formed 64 x 64 blocks is
+        # 1.3e-12 off a 40-digit evaluation (its eigh noise reaches F through
+        # square roots), the factor kernel 5.2e-13 (the rank cut).
+        cfg = preset_config("fig2b")
+        cfg["time"]["steps"] = 13
+        cfg["amplitudes"] = [[0.6, 0.0], [0.0, 0.8]]
+        cfg = config_from_dict(cfg)
+        env = thermal_state(0.5, FockSpace(64))
+        assert psd_factor(env.matrix).shape[1] == 18
+        schedule = build_schedule(
+            QubitBosonParams(beta=1.0, segments=cfg.model.segments, cutoff=64)
+        )
+        rows = run_sweep(cfg)
+        assert_rows_match_blocks(rows, schedule, env, np.array([0.6, 0.8j]), e_tol=5e-12)
+
+    def test_full_rank_qutrit_matches_blocks(self, tmp_path):
+        # full-rank R(0): 2r >= d, the trace distance uses the d x d difference
+        rng = np.random.default_rng(21)
+        d = 5
+        doc = {
+            "system_dim": 3,
+            "env_dim": d,
+            "segments": [
+                {"duration": dur, "generators": [as_pairs(random_hermitian(rng, d)) for _ in range(3)]}
+                for dur in (0.7, 1.1)
+            ],
+        }
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        rho = random_density(rng, d)
+        (tmp_path / "env.json").write_text(json.dumps({"matrix": as_pairs(rho)}))
+        cfg = config_from_dict(
+            {
+                "model": {"schedule_file": str(tmp_path / "s.json")},
+                "initial_env": {"matrix_file": str(tmp_path / "env.json")},
+                "time": {"t_max": 1.8, "steps": 10},
+                "cutoff": d,
+            }
+        )
+        env = env_from_matrix(rho)
+        assert psd_factor(env.matrix).shape[1] == d
+        schedule = load_schedule_file(tmp_path / "s.json")
+        assert_rows_match_blocks(run_sweep(cfg), schedule, env, equal_superposition(3))
 
 
 class TestGenericSchedule:
