@@ -87,7 +87,6 @@ class OutputFlags:
 
 @dataclass(frozen=True)
 class Tolerances:
-    verdict: float = 1e-8
     cutoff_tail: float = 1e-12
 
 
@@ -323,15 +322,13 @@ def _parse_tolerances(obj) -> Tolerances:
     if obj is None:
         return Tolerances()
     _expect_mapping(obj, "tolerances")
-    _reject_unknown(obj, "tolerances", {"verdict", "cutoff_tail"})
-    values = {}
-    for key in ("verdict", "cutoff_tail"):
-        if key in obj:
-            v = _number(obj[key], f"tolerances.{key}")
-            if v <= 0:
-                raise ValidationError(f"tolerances.{key}", "must be > 0")
-            values[key] = v
-    return Tolerances(**values)
+    _reject_unknown(obj, "tolerances", {"cutoff_tail"})
+    if "cutoff_tail" not in obj:
+        return Tolerances()
+    v = _number(obj["cutoff_tail"], "tolerances.cutoff_tail")
+    if v <= 0:
+        raise ValidationError("tolerances.cutoff_tail", "must be > 0")
+    return Tolerances(cutoff_tail=v)
 
 
 def load_schedule_file(path: str) -> SegmentSchedule:

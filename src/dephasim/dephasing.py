@@ -23,9 +23,10 @@ quantities are assembled on demand. With R(0) = A A^dag factored (A is d x r),
 every block is R_ij = Y_i Y_j^dag with Y_i = w_i A, and evolve_factor steps
 the d x r factors without forming any d x d propagator.
 
-Schedules are immutable after construction and may be shared across workers;
-the memoized per-segment eigensystems and prefix products are computed on
-first use.
+evolve_factor is the only routine that steps through the segments;
+propagators_at is that routine with A = I. Schedules are immutable after
+construction and may be shared across workers; the memoized per-segment
+eigensystems are computed on first use.
 """
 
 from __future__ import annotations
@@ -141,26 +142,6 @@ class SegmentSchedule:
             systems.append(pairs)
         return systems
 
-    @cached_property
-    def _prefix(self):
-        """prefix[k][i] = product of the full-segment propagators before segment k."""
-        dim = self.env_dim
-        current = [np.eye(dim, dtype=complex) for _ in range(self.system_dim)]
-        prefixes = [tuple(current)]
-        for k in range(len(self.segments)):
-            tau = self.segments[k].duration
-            current = [
-                _eig_expm(w, u, tau) @ current[i]
-                for i, (w, u) in enumerate(self._eigensystems[k])
-            ]
-            prefixes.append(tuple(current))
-        return prefixes
-
-
-def _eig_expm(w: np.ndarray, u: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-i V tau) from the eigendecomposition V = U diag(w) U^dag."""
-    return (u * np.exp(-1j * w * tau)) @ dagger(u)
-
 
 def _eig_phase(w: np.ndarray, u: np.ndarray, tau: float, b: np.ndarray) -> np.ndarray:
     """exp(-i V tau) U b for b already in the eigenbasis of V = U diag(w) U^dag."""
@@ -197,7 +178,8 @@ def validate_schedule(schedule: SegmentSchedule, *, herm_tol: float = 1e-9) -> S
         ]
     )
     worst = np.unravel_index(np.argmax(residuals), residuals.shape)
-    if residuals[worst] > herm_tol:
+    # not "> herm_tol": a NaN residual (inf/inf past ~1e154) must fail too
+    if not residuals[worst] <= herm_tol:
         raise NotHermitianGenerator(
             f"generator {worst[1]} of segment {worst[0]} has relative "
             f"anti-Hermitian residual {residuals[worst]:.3e}"
@@ -238,42 +220,42 @@ def _locate(schedule: SegmentSchedule, t: float) -> tuple[int, float]:
 
 
 def propagators_at(schedule: SegmentSchedule, t: float) -> ConditionalPropagatorSet:
-    """Conditional propagators w_i(t), ordered right-to-left earliest-first."""
-    if not schedule.segments:
-        raise EmptySchedule("schedule has no segments")
-    k, tau = _locate(schedule, t)
-    prefix = schedule._prefix[k]
-    if tau == 0.0:
-        return ConditionalPropagatorSet(t=t, w=tuple(prefix))
-    systems = schedule._eigensystems[k]
-    w = tuple(
-        _eig_expm(wk, uk, tau) @ prefix[i] for i, (wk, uk) in enumerate(systems)
-    )
-    return ConditionalPropagatorSet(t=t, w=w)
+    """Conditional propagators w_i(t), ordered right-to-left earliest-first.
+
+    This is evolve_factor with A = I; a sweep over many times should step its
+    factor through evolve_factor once instead of calling this per time.
+    """
+    eye = np.eye(schedule.env_dim, dtype=complex)
+    return ConditionalPropagatorSet(t=t, w=next(evolve_factor(schedule, eye, [t])))
 
 
 def evolve_factor(schedule: SegmentSchedule, a: np.ndarray, times):
     """Yield (w_0(t) A, ..., w_{N-1}(t) A) for each t in times; A is d x r.
 
-    U_ki^dag w_i(start of segment k) A is cached per segment and pointer for
-    the life of the generator, so a time costs one d x d by d x r product
-    per pointer.
+    This is the only routine that steps through the segments. U_ki^dag
+    w_i(start of segment k) A is cached per segment and pointer for the life
+    of the generator, filled only up to the latest segment a time has needed,
+    so a time costs one d x d by d x r product per pointer.
     """
     if not schedule.segments:
         raise EmptySchedule("schedule has no segments")
     if a.shape[0] != schedule.env_dim:
         raise DimensionMismatch(f"factor has {a.shape[0]} rows, expected {schedule.env_dim}")
+    systems = schedule._eigensystems
     rotated = []  # rotated[k][i] = U_ki^dag w_i(start of k) A
-    current = [a] * schedule.system_dim
-    for seg, systems in zip(schedule.segments, schedule._eigensystems):
-        rotated.append([dagger(u) @ y for (_, u), y in zip(systems, current)])
-        current = [
-            _eig_phase(w, u, seg.duration, b) for (w, u), b in zip(systems, rotated[-1])
-        ]
     for t in times:
         k, tau = _locate(schedule, t)
-        systems = schedule._eigensystems[k]
-        yield tuple(_eig_phase(w, u, tau, b) for (w, u), b in zip(systems, rotated[k]))
+        while len(rotated) <= k:
+            m = len(rotated)
+            if m == 0:
+                start = [a] * schedule.system_dim
+            else:  # w_i(start of m) A: step across the whole of segment m - 1
+                duration = schedule.segments[m - 1].duration
+                start = [
+                    _eig_phase(w, u, duration, b) for (w, u), b in zip(systems[m - 1], rotated[-1])
+                ]
+            rotated.append([dagger(u) @ y for (_, u), y in zip(systems[m], start)])
+        yield tuple(_eig_phase(w, u, tau, b) for (w, u), b in zip(systems[k], rotated[k]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,9 +10,10 @@ sweep (A is d x r, r the numerical rank of R(0)) and evolve_factor yields
 Y_i(t) = w_i(t) A, so R_ij = Y_i Y_j^dag. The coherence is |vdot(Y_1, Y_0)|,
 the fidelity an r x r SVD of Y_0^dag Y_1 and each trace distance an
 eigensolve of dimension at most 2r. Only the type-2 commutators (N >= 3) and
-the negativity need the d x d propagators; when either is on, Y_i = w_i A is
-taken from them instead. The identities are exact and are asserted against
-the direct block computation in the test suite.
+the negativity need the d x d propagators w_i; when either is on, the same
+evolve_factor call steps the identity instead of A and Y_i = w_i A is taken
+from its output. The identities are exact and are asserted against the
+direct block computation in the test suite.
 """
 
 from __future__ import annotations
@@ -29,18 +30,17 @@ from .config import (
     MatrixFileEnv,
     QubitBosonModel,
     RunConfig,
-    ScheduleFileModel,
     ThermalEnv,
     load_matrix_file,
     load_schedule_file,
 )
 from .dephasing import (
+    ConditionalPropagatorSet,
     SegmentSchedule,
     blocks_from_propagators,
     equal_superposition,
     evolve_factor,
     joint_state,
-    propagators_at,
     validate_schedule,
 )
 from .entanglement import measure_from_fidelity, type2_residuals
@@ -49,6 +49,7 @@ from .fock import (
     CUTOFF_LADDER,
     EnvDensity,
     FockSpace,
+    _warn_if_beyond_reach,
     coherent_state,
     env_from_matrix,
     fock_state,
@@ -57,6 +58,7 @@ from .fock import (
 )
 from .linalg import fidelity_of_factors, negativity, psd_factor, trace_distance_of_factors
 # Unused here, but perfbench/spans.py wraps these names in this module.
+from .dephasing import propagators_at  # noqa: F401
 from .linalg import fidelity_given_sqrt, sqrtm_psd  # noqa: F401
 from .qubit_boson import QubitBosonParams, build_schedule
 
@@ -94,23 +96,28 @@ class _ResolvedRun:
 
 
 def _resolve_cutoff(cfg: RunConfig) -> int:
-    if cfg.cutoff != AUTO_CUTOFF:
-        return int(cfg.cutoff)
+    """Cutoff of a qubit_boson run; an explicit one is checked against the drive's reach."""
     env = cfg.initial_env
     model = cfg.model
-    if isinstance(model, ScheduleFileModel):
-        raise ValidationError(
-            "cutoff", "'auto' requires the qubit_boson model; give an explicit cutoff"
-        )
     max_disp = 2.0 * max(abs(s.alpha) for s in model.segments) / abs(model.beta)
-    kwargs = {"max_displacement": max_disp, "tol": cfg.tolerances.cutoff_tail}
+    coherent_amp = abs(env.zeta) if isinstance(env, CoherentEnv) else 0.0
+    if cfg.cutoff != AUTO_CUTOFF:
+        cutoff = int(cfg.cutoff)
+        # the reach rule of suggest_cutoff; past it E reads a truncation artefact
+        _warn_if_beyond_reach(
+            coherent_amp + max_disp, FockSpace(cutoff), "drive displacement reach"
+        )
+        return cutoff
+    kwargs = {
+        "max_displacement": max_disp,
+        "coherent_amp": coherent_amp,
+        "tol": cfg.tolerances.cutoff_tail,
+    }
     if isinstance(env, ThermalEnv):
         kwargs["theta"] = env.theta
-    elif isinstance(env, CoherentEnv):
-        kwargs["coherent_amp"] = abs(env.zeta)
     elif isinstance(env, FockEnv):
         kwargs["fock_level"] = env.n
-    else:
+    elif not isinstance(env, CoherentEnv):
         raise ValidationError(
             "cutoff", "'auto' cannot be used with a matrix-file environment"
         )
@@ -191,11 +198,14 @@ def _time_grid(cfg: RunConfig, schedule: SegmentSchedule) -> np.ndarray:
 def _points(run: _ResolvedRun, flags, times):
     """(t, (w_i(t) A)_i, propagators or None) per time, with R(0) = A A^dag."""
     a = psd_factor(run.env0.matrix)
-    if flags.negativity or (flags.type2 and run.schedule.system_dim >= 3):
-        # the d x d propagators are built anyway; w_i A is one product each
-        props = (propagators_at(run.schedule, t) for t in times)
-        return ((p.t, tuple(w @ a for w in p.w), p) for p in props)
-    return ((t, ys, None) for t, ys in zip(times, evolve_factor(run.schedule, a, times)))
+    # type-2 (N >= 3) and the negativity need w_i itself: step the identity instead of A
+    needs_w = flags.negativity or (flags.type2 and run.schedule.system_dim >= 3)
+    stepped = np.eye(run.env0.dim, dtype=complex) if needs_w else a
+    for t, out in zip(times, evolve_factor(run.schedule, stepped, times)):
+        if needs_w:
+            yield t, tuple(w @ a for w in out), ConditionalPropagatorSet(t=t, w=out)
+        else:
+            yield t, out, None
 
 
 def _row(run: _ResolvedRun, flags, t: float, t_reported: float, ys, props) -> SweepRow:

@@ -45,7 +45,6 @@ class TestParseConfig:
         assert cfg.amplitudes == (complex(r), complex(r))
         assert cfg.outputs.negativity is False
         assert cfg.outputs.entanglement is True
-        assert cfg.tolerances.verdict == 1e-8
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ParseError) as err:
@@ -83,6 +82,14 @@ class TestParseConfig:
         obj["model"]["qubit_boson"]["segments"][0]["color"] = "red"
         with pytest.raises(ValidationError):
             config_from_dict(obj)
+
+    def test_verdict_tolerance_rejected(self):
+        # not a config key: separability_verdict takes its own tol argument
+        obj = json.loads(FIG2D_JSON)
+        obj["tolerances"] = {"verdict": 1e-8}
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(obj)
+        assert "verdict" in str(err.value)
 
     def test_negative_duration_rejected(self):
         obj = json.loads(FIG2D_JSON)

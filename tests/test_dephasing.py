@@ -63,6 +63,23 @@ class TestValidateSchedule:
         with pytest.raises(NotHermitianGenerator):
             validate_schedule(s)
 
+    def test_overflowing_residual_rejected(self):
+        # residual and norm both overflow to inf, so the relative residual is NaN
+        huge = np.array([[0, 1e200], [0, 0]], dtype=complex)
+        s = SegmentSchedule(
+            system_dim=2, env_dim=2, segments=(Segment(duration=1.0, generators=(huge, huge)),)
+        )
+        with pytest.raises(NotHermitianGenerator), np.errstate(over="ignore"):
+            validate_schedule(s)
+
+    def test_huge_hermitian_generator_passes(self):
+        huge = 1e200 * PAULI_X
+        s = SegmentSchedule(
+            system_dim=2, env_dim=2, segments=(Segment(duration=1.0, generators=(huge, huge)),)
+        )
+        with np.errstate(over="ignore"):
+            assert validate_schedule(s).max_residual == 0.0  # 0/inf
+
     def test_empty_schedule(self):
         s = SegmentSchedule(system_dim=2, env_dim=4, segments=())
         with pytest.raises(EmptySchedule):
@@ -159,6 +176,29 @@ class TestEvolveFactor:
             assert len(ys) == 3
             for w, y in zip(props.w, ys):
                 assert frobenius(y - w @ a) <= 1e-12 * max(1.0, frobenius(a))
+
+    @given(seed=seeds, rank=st.integers(1, 5))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_segment_exponentials(self, seed, rank):
+        # independent oracle: the chronological product of expm per segment
+        rng = np.random.default_rng(seed)
+        sched = make_schedule(rng, n_sys=3, env_dim=5, n_segments=3)
+        a = rng.normal(size=(5, rank)) + 1j * rng.normal(size=(5, rank))
+        bounds = sched.boundaries
+        times, oracle = [], []
+        start = [a] * 3
+        for k, seg in enumerate(sched.segments):
+            for tau in (0.0, seg.duration / 2):
+                times.append(bounds[k] + tau)
+                oracle.append([expm(-1j * g * tau) @ y for g, y in zip(seg.generators, start)])
+            start = [expm(-1j * g * seg.duration) @ y for g, y in zip(seg.generators, start)]
+        times.append(bounds[-1])
+        oracle.append(start)
+        got = list(evolve_factor(sched, a, times))
+        assert len(got) == len(times)
+        for ys, refs in zip(got, oracle):
+            for y, ref in zip(ys, refs):
+                assert frobenius(y - ref) <= 1e-12 * max(1.0, frobenius(a))
 
     def test_dimension_mismatch(self):
         sched = make_schedule(np.random.default_rng(0), env_dim=4)

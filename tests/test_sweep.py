@@ -1,5 +1,8 @@
+import importlib.util
 import io
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from dephasim.entanglement import qee_measure, type1_residuals, type2_residuals
 from dephasim.errors import CutoffCapExceeded, ValidationError
 from dephasim.fock import FockSpace, env_from_matrix, thermal_state
 from dephasim.linalg import fidelity, psd_factor, trace_distance
-from dephasim.presets import preset_config
+from dephasim.presets import PRESET_NAMES, preset_config
 from dephasim.qubit_boson import QubitBosonParams, build_schedule
 from dephasim.sweep import CSV_HEADER, convergence_report, emit_csv, run_sweep
 from util import random_density, random_hermitian
@@ -176,6 +179,21 @@ class TestFactorKernel:
         rows = run_sweep(cfg)
         assert_rows_match_blocks(rows, schedule, env, np.array([0.6, 0.8j]), e_tol=5e-12)
 
+    def test_propagator_path_matches_factor_path(self):
+        # negativity on steps the identity and takes Y_i = w_i A; off steps A itself
+        cfg = preset_config("fig2b")
+        cfg["time"]["steps"] = 13
+        cfg["cutoff"] = 32
+        off = run_sweep(config_from_dict(cfg))
+        cfg["outputs"] = {"negativity": True}
+        on = run_sweep(config_from_dict(cfg))
+        assert [r.t for r in on] == [r.t for r in off]
+        assert all(r.negativity is not None for r in on)
+        for a, b in zip(off, on):
+            assert abs(a.entanglement - b.entanglement) <= 1e-13, a.t
+            assert abs(a.coherence_norm - b.coherence_norm) <= 1e-13, a.t
+            assert abs(a.type1_max - b.type1_max) <= 1e-13, a.t
+
     def test_full_rank_qutrit_matches_blocks(self, tmp_path):
         # full-rank R(0): 2r >= d, the trace distance uses the d x d difference
         rng = np.random.default_rng(21)
@@ -203,6 +221,37 @@ class TestFactorKernel:
         assert psd_factor(env.matrix).shape[1] == d
         schedule = load_schedule_file(tmp_path / "s.json")
         assert_rows_match_blocks(run_sweep(cfg), schedule, env, equal_superposition(3))
+
+
+class TestCutoffReach:
+    def test_explicit_cutoff_below_drive_reach_warns(self):
+        # reach (2 * 30)^2 = 3600 against cutoff/4 = 4: E would read a truncation artefact
+        cfg = preset_config("fig2d")
+        cfg["model"]["qubit_boson"]["segments"][1]["alpha"] = [30.0, 0.0]
+        cfg["time"]["steps"] = 3
+        cfg["cutoff"] = 16
+        with pytest.warns(UserWarning, match="drive displacement reach"):
+            run_sweep(config_from_dict(cfg))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_silent(self, name):
+        cfg = preset_config(name)
+        cfg["time"]["steps"] = 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_sweep(config_from_dict(cfg))
+
+
+def test_perfbench_span_targets_exist():
+    # perfbench/spans.py wraps these names where dephasim imported them;
+    # one that is gone crashes `perfbench/run.py --trace 1`
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.WRAPPED
+    for module, attr in spans.WRAPPED:
+        assert hasattr(module, attr), (module.__name__, attr)
 
 
 class TestGenericSchedule:
