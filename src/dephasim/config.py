@@ -2,14 +2,16 @@
 
 A run is described by a single UTF-8 JSON document. Complex numbers appear as
 two-element [re, im] arrays. Unknown keys are rejected everywhere so typos
-fail loudly. See README for the full schema and examples.
+fail loudly, and so are the NaN and Infinity that Python's json accepts.
+Every section is checked by one walker, _fields, from a table of
+{key: (convert, default)}. See README for the full schema and examples.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -122,45 +124,130 @@ def parse_config(text: bytes | str, *, base_dir: str | Path | None = None) -> Ru
 
 def config_from_dict(obj, *, base_dir: str | Path | None = None) -> RunConfig:
     """Validate an already-decoded configuration object."""
-    _expect_mapping(obj, "config")
-    _reject_unknown(
-        obj,
-        "config",
-        {"model", "initial_env", "amplitudes", "time", "cutoff", "outputs", "tolerances"},
+
+    def file_path(value, path: str) -> str:
+        if not isinstance(value, str) or not value:
+            raise ValidationError(path, f"expected a file path string, got {value!r}")
+        p = Path(value)
+        if base_dir is not None and not p.is_absolute():
+            p = Path(base_dir) / p
+        return str(p)
+
+    def amplitudes(value, path: str) -> tuple[complex, ...] | None:
+        qubit_boson = "qubit_boson" in obj["model"]  # model is validated before this key
+        if value is None:
+            # a schedule file's dimension is known only once it is loaded, at run time
+            return (complex(1.0 / math.sqrt(2.0)),) * 2 if qubit_boson else None
+        amps = _AMPLITUDE_LIST(value, path)
+        norm_sq = sum(abs(a) ** 2 for a in amps)
+        if not abs(norm_sq - 1.0) <= 1e-10:
+            raise ValidationError(path, f"|c|^2 = {norm_sq!r}, expected 1 within 1e-10")
+        if qubit_boson and len(amps) != 2:
+            raise ValidationError(path, "qubit_boson model requires exactly 2 amplitudes")
+        return amps
+
+    model = _one_of(
+        qubit_boson=_record(QubitBosonModel, _QUBIT_BOSON),
+        schedule_file=lambda v, p: ScheduleFileModel(file_path(v, p)),
     )
-    model = _parse_model(_require(obj, "model", "config"), base_dir)
-    env = _parse_env(_require(obj, "initial_env", "config"), base_dir)
-    grid = _parse_time(_require(obj, "time", "config"))
-    cutoff = _parse_cutoff(obj.get("cutoff", AUTO_CUTOFF))
-    amplitudes = _parse_amplitudes(obj.get("amplitudes"), model)
-    outputs = _parse_outputs(obj.get("outputs"))
-    tolerances = _parse_tolerances(obj.get("tolerances"))
-    return RunConfig(
-        model=model,
-        initial_env=env,
-        time=grid,
-        cutoff=cutoff,
-        amplitudes=amplitudes,
-        outputs=outputs,
-        tolerances=tolerances,
+    env = _one_of(
+        thermal=_record(ThermalEnv, {"theta": (_NONNEGATIVE, _REQUIRED)}),
+        coherent=lambda v, p: CoherentEnv(complex(*_fields(v, p, _COHERENT).values())),
+        fock=_record(FockEnv, {"n": (_check(_integer, lambda n: n >= 0, ">= 0"), _REQUIRED)}),
+        matrix_file=lambda v, p: MatrixFileEnv(file_path(v, p)),
     )
+    spec = {
+        "model": (model, _REQUIRED),
+        "initial_env": (env, _REQUIRED),
+        "time": (_record(TimeGrid, _TIME), _REQUIRED),
+        "cutoff": (_cutoff, AUTO_CUTOFF),
+        "amplitudes": (amplitudes, None),
+        "outputs": (_record_or_null(OutputFlags, _bool), None),
+        "tolerances": (_record_or_null(Tolerances, _POSITIVE), None),
+    }
+    return RunConfig(**_fields(obj, "config", spec))
 
 
-def _expect_mapping(obj, path: str) -> None:
+_REQUIRED = object()  # spec default of a key that must be present
+
+
+def _fields(obj, path: str, spec: dict) -> dict:
+    """Check a JSON object against spec = {key: (convert, default)}.
+
+    Unknown keys are rejected. Keys are converted in spec order, so the first
+    error reported is stable; an absent key takes its default, which is
+    converted like a given value, unless the default is _REQUIRED.
+    convert(value, field_path) returns the checked value or raises
+    ValidationError. Keys of the top-level "config" are named without prefix.
+    """
     if not isinstance(obj, dict):
         raise ValidationError(path, f"expected an object, got {type(obj).__name__}")
-
-
-def _reject_unknown(obj: dict, path: str, allowed: set[str]) -> None:
-    unknown = set(obj) - allowed
+    unknown = obj.keys() - spec.keys()
     if unknown:
         raise ValidationError(path, f"unknown keys: {sorted(unknown)}")
+    out = {}
+    for key, (convert, default) in spec.items():
+        key_path = key if path == "config" else f"{path}.{key}"
+        value = obj.get(key, default)
+        if value is _REQUIRED:
+            raise ValidationError(key_path, "missing")
+        out[key] = convert(value, key_path)
+    return out
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ValidationError(f"{path}.{key}" if path != "config" else key, "missing")
-    return obj[key]
+def _record(cls, spec: dict):
+    return lambda value, path: cls(**_fields(value, path, spec))
+
+
+def _record_or_null(cls, convert):
+    """A dataclass of defaulted fields, each checked by convert; null means all defaults."""
+    spec = {f.name: (convert, f.default) for f in fields(cls)}
+    return lambda value, path: cls(**_fields({} if value is None else value, path, spec))
+
+
+def _one_of(**variants):
+    """An object with exactly one of the variant keys, converted by that variant."""
+    names = "/".join(variants)
+
+    def convert(value, path: str):
+        _fields(value, path, dict.fromkeys(variants, (_keep, None)))
+        present = [k for k in variants if k in value]
+        if len(present) != 1:
+            raise ValidationError(path, f"exactly one of {names} required")
+        return variants[present[0]](value[present[0]], f"{path}.{present[0]}")
+
+    return convert
+
+
+def _list(item, ok=bool, expected: str = "a nonempty array"):
+    """A JSON array passing ok(), its items converted with [i] paths."""
+
+    def convert(value, path: str) -> tuple:
+        if not isinstance(value, list) or not ok(value):
+            raise ValidationError(path, f"expected {expected}")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return convert
+
+
+def _check(convert, ok, bound: str):
+    def checked(value, path: str):
+        value = convert(value, path)
+        if not ok(value):
+            raise ValidationError(path, f"must be {bound}")
+        return value
+
+    return checked
+
+
+def _keep(value, path: str):
+    return value
+
+
+def _bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(path, f"expected a boolean, got {value!r}")
+    return value
 
 
 def _number(value, path: str) -> float:
@@ -178,157 +265,48 @@ def _integer(value, path: str) -> int:
 
 
 def _complex_pair(value, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValidationError(path, f"expected [re, im], got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    return complex(_number(value[0], path), _number(value[1], path))
 
 
-def _resolve(path_value, path: str, base_dir) -> str:
-    if not isinstance(path_value, str) or not path_value:
-        raise ValidationError(path, f"expected a file path string, got {path_value!r}")
-    p = Path(path_value)
-    if base_dir is not None and not p.is_absolute():
-        p = Path(base_dir) / p
-    return str(p)
+def _cutoff(value, path: str) -> int | str:
+    return AUTO_CUTOFF if value == AUTO_CUTOFF else _CUTOFF_INT(value, path)
 
 
-def _parse_model(obj, base_dir) -> QubitBosonModel | ScheduleFileModel:
-    _expect_mapping(obj, "model")
-    _reject_unknown(obj, "model", {"qubit_boson", "schedule_file"})
-    variants = [k for k in ("qubit_boson", "schedule_file") if k in obj]
-    if len(variants) != 1:
-        raise ValidationError("model", "exactly one of qubit_boson/schedule_file required")
-    if variants[0] == "schedule_file":
-        return ScheduleFileModel(path=_resolve(obj["schedule_file"], "model.schedule_file", base_dir))
-    spec = obj["qubit_boson"]
-    _expect_mapping(spec, "model.qubit_boson")
-    _reject_unknown(spec, "model.qubit_boson", {"beta", "segments"})
-    beta = _number(_require(spec, "beta", "model.qubit_boson"), "model.qubit_boson.beta")
-    if beta == 0:
-        raise ValidationError("model.qubit_boson.beta", "must be nonzero")
-    raw_segments = _require(spec, "segments", "model.qubit_boson")
-    if not isinstance(raw_segments, list) or not raw_segments:
-        raise ValidationError("model.qubit_boson.segments", "expected a nonempty array")
-    segments = []
-    for idx, seg in enumerate(raw_segments):
-        path = f"model.qubit_boson.segments[{idx}]"
-        _expect_mapping(seg, path)
-        _reject_unknown(seg, path, {"duration", "alpha", "gamma"})
-        duration = _number(_require(seg, "duration", path), f"{path}.duration")
-        if duration <= 0:
-            raise ValidationError(f"{path}.duration", "must be > 0")
-        alpha = _complex_pair(_require(seg, "alpha", path), f"{path}.alpha")
-        gamma = _number(seg.get("gamma", 0.0), f"{path}.gamma")
-        segments.append(AlphaSegment(duration=duration, alpha=alpha, gamma=gamma))
-    return QubitBosonModel(beta=beta, segments=tuple(segments))
+_POSITIVE = _check(_number, lambda v: v > 0, "> 0")
+_NONNEGATIVE = _check(_number, lambda v: v >= 0, ">= 0")
+_AT_LEAST_2 = _check(_integer, lambda v: v >= 2, ">= 2")
+_CUTOFF_INT = _check(_integer, lambda v: v >= 2, ">= 2 (or the string 'auto')")
+_AMPLITUDE_LIST = _list(
+    _complex_pair, lambda v: len(v) >= 2, "an array of at least 2 [re, im] pairs"
+)
+_ALPHA_SEGMENT = {
+    "duration": (_POSITIVE, _REQUIRED),
+    "alpha": (_complex_pair, _REQUIRED),
+    "gamma": (_number, 0.0),
+}
+_QUBIT_BOSON = {
+    "beta": (_check(_number, lambda v: v != 0, "nonzero"), _REQUIRED),
+    "segments": (_list(_record(AlphaSegment, _ALPHA_SEGMENT)), _REQUIRED),
+}
+_COHERENT = {"re": (_number, _REQUIRED), "im": (_number, 0.0)}
+_TIME = {
+    "t_max": (_POSITIVE, _REQUIRED),
+    "steps": (_AT_LEAST_2, DEFAULT_STEPS),
+    "t_start": (_number, 0.0),
+}
 
 
-def _parse_env(obj, base_dir):
-    _expect_mapping(obj, "initial_env")
-    _reject_unknown(obj, "initial_env", {"thermal", "coherent", "fock", "matrix_file"})
-    variants = [k for k in ("thermal", "coherent", "fock", "matrix_file") if k in obj]
-    if len(variants) != 1:
-        raise ValidationError(
-            "initial_env", "exactly one of thermal/coherent/fock/matrix_file required"
-        )
-    kind = variants[0]
-    if kind == "thermal":
-        spec = obj["thermal"]
-        _expect_mapping(spec, "initial_env.thermal")
-        _reject_unknown(spec, "initial_env.thermal", {"theta"})
-        theta = _number(_require(spec, "theta", "initial_env.thermal"), "initial_env.thermal.theta")
-        if theta < 0:
-            raise ValidationError("initial_env.thermal.theta", "must be >= 0")
-        return ThermalEnv(theta=theta)
-    if kind == "coherent":
-        spec = obj["coherent"]
-        _expect_mapping(spec, "initial_env.coherent")
-        _reject_unknown(spec, "initial_env.coherent", {"re", "im"})
-        re = _number(_require(spec, "re", "initial_env.coherent"), "initial_env.coherent.re")
-        im = _number(spec.get("im", 0.0), "initial_env.coherent.im")
-        return CoherentEnv(zeta=complex(re, im))
-    if kind == "fock":
-        spec = obj["fock"]
-        _expect_mapping(spec, "initial_env.fock")
-        _reject_unknown(spec, "initial_env.fock", {"n"})
-        n = _integer(_require(spec, "n", "initial_env.fock"), "initial_env.fock.n")
-        if n < 0:
-            raise ValidationError("initial_env.fock.n", "must be >= 0")
-        return FockEnv(n=n)
-    return MatrixFileEnv(path=_resolve(obj["matrix_file"], "initial_env.matrix_file", base_dir))
-
-
-def _parse_time(obj) -> TimeGrid:
-    _expect_mapping(obj, "time")
-    _reject_unknown(obj, "time", {"t_max", "steps", "t_start"})
-    t_max = _number(_require(obj, "t_max", "time"), "time.t_max")
-    if t_max <= 0:
-        raise ValidationError("time.t_max", "must be > 0")
-    steps = _integer(obj.get("steps", DEFAULT_STEPS), "time.steps")
-    if steps < 2:
-        raise ValidationError("time.steps", "must be >= 2")
-    t_start = _number(obj.get("t_start", 0.0), "time.t_start")
-    return TimeGrid(t_max=t_max, steps=steps, t_start=t_start)
-
-
-def _parse_cutoff(value) -> int | str:
-    if value == AUTO_CUTOFF:
-        return AUTO_CUTOFF
-    cutoff = _integer(value, "cutoff")
-    if cutoff < 2:
-        raise ValidationError("cutoff", "must be >= 2 (or the string 'auto')")
-    return cutoff
-
-
-def _parse_amplitudes(value, model) -> tuple[complex, ...] | None:
-    if value is None:
-        if isinstance(model, QubitBosonModel):
-            r = 1.0 / math.sqrt(2.0)
-            return (complex(r), complex(r))
-        return None  # filled from the loaded schedule's dimension at run time
-    if not isinstance(value, list) or len(value) < 2:
-        raise ValidationError("amplitudes", "expected an array of at least 2 [re, im] pairs")
-    amps = tuple(
-        _complex_pair(entry, f"amplitudes[{idx}]") for idx, entry in enumerate(value)
-    )
-    norm_sq = sum(abs(a) ** 2 for a in amps)
-    if abs(norm_sq - 1.0) > 1e-10:
-        raise ValidationError("amplitudes", f"|c|^2 = {norm_sq!r}, expected 1 within 1e-10")
-    if isinstance(model, QubitBosonModel) and len(amps) != 2:
-        raise ValidationError("amplitudes", "qubit_boson model requires exactly 2 amplitudes")
-    return amps
-
-
-def _parse_outputs(obj) -> OutputFlags:
-    if obj is None:
-        return OutputFlags()
-    _expect_mapping(obj, "outputs")
-    allowed = {"entanglement", "coherence", "type1", "type2", "negativity"}
-    _reject_unknown(obj, "outputs", allowed)
-    values = {}
-    for key in allowed:
-        if key in obj:
-            if not isinstance(obj[key], bool):
-                raise ValidationError(f"outputs.{key}", f"expected a boolean, got {obj[key]!r}")
-            values[key] = obj[key]
-    return OutputFlags(**values)
-
-
-def _parse_tolerances(obj) -> Tolerances:
-    if obj is None:
-        return Tolerances()
-    _expect_mapping(obj, "tolerances")
-    _reject_unknown(obj, "tolerances", {"cutoff_tail"})
-    if "cutoff_tail" not in obj:
-        return Tolerances()
-    v = _number(obj["cutoff_tail"], "tolerances.cutoff_tail")
-    if v <= 0:
-        raise ValidationError("tolerances.cutoff_tail", "must be > 0")
-    return Tolerances(cutoff_tail=v)
+def _read_json(path: str, field: str):
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except OSError as exc:
+        raise ValidationError(field, f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(field, f"{path} is not valid UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(field, f"{path} is not valid JSON: {exc}") from exc
 
 
 def load_schedule_file(path: str) -> SegmentSchedule:
@@ -338,60 +316,28 @@ def load_schedule_file(path: str) -> SegmentSchedule:
              "segments": [{"duration": x, "generators": [matrix, ...]}, ...]}
     where each matrix is a nested array of [re, im] pairs.
     """
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError("model.schedule_file", f"cannot read {path}: {exc}") from exc
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            "model.schedule_file", f"{path} is not valid JSON: {exc}"
-        ) from exc
-    _expect_mapping(obj, "schedule")
-    _reject_unknown(obj, "schedule", {"system_dim", "env_dim", "segments"})
-    n = _integer(_require(obj, "system_dim", "schedule"), "schedule.system_dim")
-    d = _integer(_require(obj, "env_dim", "schedule"), "schedule.env_dim")
-    if n < 2:
-        raise ValidationError("schedule.system_dim", "must be >= 2")
-    if d < 2:
-        raise ValidationError("schedule.env_dim", "must be >= 2")
-    raw_segments = _require(obj, "segments", "schedule")
-    if not isinstance(raw_segments, list) or not raw_segments:
-        raise ValidationError("schedule.segments", "expected a nonempty array")
-    segments = []
-    for idx, seg in enumerate(raw_segments):
-        path_ = f"schedule.segments[{idx}]"
-        _expect_mapping(seg, path_)
-        _reject_unknown(seg, path_, {"duration", "generators"})
-        duration = _number(_require(seg, "duration", path_), f"{path_}.duration")
-        if duration <= 0:
-            raise ValidationError(f"{path_}.duration", "must be > 0")
-        gens = _require(seg, "generators", path_)
-        if not isinstance(gens, list) or len(gens) != n:
-            raise ValidationError(f"{path_}.generators", f"expected {n} matrices")
-        matrices = tuple(
-            parse_complex_matrix(g, f"{path_}.generators[{i}]", d) for i, g in enumerate(gens)
-        )
-        segments.append(Segment(duration=duration, generators=matrices))
-    return SegmentSchedule(system_dim=n, env_dim=d, segments=tuple(segments))
+    # both dimensions are type-checked before either is bounded, and the segments
+    # are read last; an absent "segments" is rejected there as None
+    spec = {"system_dim": (_integer, _REQUIRED), "env_dim": (_integer, _REQUIRED)}
+    doc = _fields(
+        _read_json(path, "model.schedule_file"), "schedule", {**spec, "segments": (_keep, None)}
+    )
+    n = _AT_LEAST_2(doc["system_dim"], "schedule.system_dim")
+    d = _AT_LEAST_2(doc["env_dim"], "schedule.env_dim")
+    generators = _list(
+        lambda g, p: parse_complex_matrix(g, p, d), lambda v: len(v) == n, f"{n} matrices"
+    )
+    segment = _record(
+        Segment, {"duration": (_POSITIVE, _REQUIRED), "generators": (generators, _REQUIRED)}
+    )
+    segments = _list(segment)(doc["segments"], "schedule.segments")
+    return SegmentSchedule(system_dim=n, env_dim=d, segments=segments)
 
 
 def load_matrix_file(path: str) -> np.ndarray:
     """Load a density matrix document: {"matrix": [[[re, im], ...], ...]}."""
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError("initial_env.matrix_file", f"cannot read {path}: {exc}") from exc
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            "initial_env.matrix_file", f"{path} is not valid JSON: {exc}"
-        ) from exc
-    _expect_mapping(obj, "matrix document")
-    _reject_unknown(obj, "matrix document", {"matrix"})
-    return parse_complex_matrix(_require(obj, "matrix", "matrix document"), "matrix")
+    spec = {"matrix": (lambda v, _: parse_complex_matrix(v, "matrix"), _REQUIRED)}
+    return _fields(_read_json(path, "initial_env.matrix_file"), "matrix document", spec)["matrix"]
 
 
 def parse_complex_matrix(value, path: str, expected_dim: int | None = None) -> np.ndarray:

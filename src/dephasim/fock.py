@@ -9,6 +9,8 @@ truncation is recorded on the state as ``truncated_mass``.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,6 +36,7 @@ __all__ = [
 ]
 
 CUTOFF_LADDER = (16, 32, 64, 128, 256, 512)
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 @dataclass(frozen=True)
@@ -218,13 +221,34 @@ def displacement_safe_dim(lam: complex, space: FockSpace) -> int:
     return max(0, space.dim - halo)
 
 
+def _beyond_reach(reach_sq: float, dim: int) -> bool:
+    """The reach rule |z|^2 <= dim/4, with a relative slack of 1e-12 for roundoff.
+
+    The preset drive |alpha/beta| = 1/sqrt(2) gives (2|alpha/beta|)^2 =
+    2.0000000000000004 for dim/4 = 2, which the rule means to accept.
+    """
+    return reach_sq > dim / 4 * (1 + 1e-12)
+
+
 def _warn_if_beyond_reach(amp: float, space: FockSpace, what: str) -> None:
-    if amp**2 > space.dim / 4:
+    if _beyond_reach(amp**2, space.dim):
         warnings.warn(
             f"{what} |z|^2 = {amp ** 2:.3g} exceeds cutoff/4 = {space.dim / 4:.3g}; "
             "truncation errors may be significant",
-            stacklevel=3,
+            stacklevel=_caller_outside_package(),
         )
+
+
+def _caller_outside_package() -> int:
+    """warnings.warn stacklevel of the first frame outside this package.
+
+    The warning then points at the user's call (coherent_state, run_sweep,
+    convergence_report, ...) however deep inside the package it was raised.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def suggest_cutoff(
@@ -247,7 +271,7 @@ def suggest_cutoff(
     for m in CUTOFF_LADDER:
         if theta > 0 and math.exp(-m / theta) >= tol:
             continue
-        if reach > m / 4:
+        if _beyond_reach(reach, m):
             continue
         if fock_level + 1 > m // 2:
             continue

@@ -89,6 +89,50 @@ class TestRunCommand:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            ('"amplitudes": [[NaN, 0], [0.7071067811865476, 0]]', "amplitudes[0]"),
+            ('"amplitudes": [[0.6, 0], [Infinity, 0]]', "amplitudes[1]"),
+        ],
+    )
+    def test_non_finite_amplitudes_rejected(self, tmp_path, capsys, edit, field):
+        # Python's json reads NaN/Infinity; a NaN amplitude used to pass the norm
+        # check and write nan in every entanglement cell with exit 0
+        text = write_config(tmp_path).read_text()
+        path = tmp_path / "nan.json"
+        path.write_text(text[:-1] + ", " + edit + "}")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert field in capsys.readouterr().err
+
+    def test_non_finite_alpha_rejected(self, tmp_path, capsys):
+        # used to exit 2 as a numerical failure
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["model"]["qubit_boson"]["segments"][0]["alpha"] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "model.qubit_boson.segments[0].alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, field", [("model", "model.schedule_file"), ("initial_env", "initial_env.matrix_file")]
+    )
+    def test_non_utf8_document_is_validation_error(self, tmp_path, capsys, key, field):
+        (tmp_path / "doc.json").write_bytes(b'{"matrix": "\xff"}')
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg[key] = {field.split(".")[1]: "doc.json"}
+        if key == "initial_env":
+            cfg["cutoff"] = 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert field in err
+        assert "UTF-8" in err
+
 
 class TestPresetCommand:
     def test_preset_runs(self, tmp_path):

@@ -10,6 +10,8 @@ from dephasim.config import (
     QubitBosonModel,
     ThermalEnv,
     config_from_dict,
+    load_matrix_file,
+    load_schedule_file,
     parse_config,
 )
 from dephasim.errors import ParseError, ValidationError
@@ -139,6 +141,228 @@ class TestParseConfig:
         assert cfg.outputs.negativity is True
         assert cfg.outputs.type2 is False
         assert cfg.outputs.entanglement is True
+
+
+_DROP = object()
+SEG = ("model", "qubit_boson", "segments")
+ZERO2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+SCHEDULE = {
+    "system_dim": 2,
+    "env_dim": 2,
+    "segments": [{"duration": 1.0, "generators": [ZERO2, ZERO2]}],
+}
+MATRIX = {"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+
+
+def edited(doc, *edits):
+    """Deep copy of doc with each (key path, value) applied; _DROP deletes the key."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in edits:
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+# (edits to FIG2D_JSON, expected ValidationError.field): one row per key of every
+# section for missing, wrong type, out of range and unknown keys, plus rows with two
+# faults that pin which key is checked first
+CONFIG_REJECTIONS = [
+    ([((), [])], "config"),
+    ([(("extra",), 1)], "config"),
+    ([(("model",), _DROP)], "model"),
+    ([(("model",), [])], "model"),
+    ([(("model",), {})], "model"),
+    ([(("model",), {"qubit_boson": {}, "schedule_file": "s.json"})], "model"),
+    ([(("model", "color"), 1)], "model"),
+    ([(("model", "qubit_boson"), 3)], "model.qubit_boson"),
+    ([(("model", "qubit_boson", "color"), 1)], "model.qubit_boson"),
+    ([(("model", "qubit_boson", "beta"), _DROP)], "model.qubit_boson.beta"),
+    ([(("model", "qubit_boson", "beta"), "1")], "model.qubit_boson.beta"),
+    ([(("model", "qubit_boson", "beta"), True)], "model.qubit_boson.beta"),
+    ([(("model", "qubit_boson", "beta"), 0)], "model.qubit_boson.beta"),
+    ([(("model", "qubit_boson", "beta"), None)], "model.qubit_boson.beta"),
+    ([(SEG, _DROP)], "model.qubit_boson.segments"),
+    ([(SEG, [])], "model.qubit_boson.segments"),
+    ([(SEG, {})], "model.qubit_boson.segments"),
+    ([(SEG + (0,), 5)], "model.qubit_boson.segments[0]"),
+    ([(SEG + (1, "color"), "red")], "model.qubit_boson.segments[1]"),
+    ([(SEG + (0, "duration"), _DROP)], "model.qubit_boson.segments[0].duration"),
+    ([(SEG + (2, "duration"), 0.0)], "model.qubit_boson.segments[2].duration"),
+    ([(SEG + (0, "duration"), "2")], "model.qubit_boson.segments[0].duration"),
+    ([(SEG + (1, "alpha"), _DROP)], "model.qubit_boson.segments[1].alpha"),
+    ([(SEG + (1, "alpha"), [0.5])], "model.qubit_boson.segments[1].alpha"),
+    ([(SEG + (1, "alpha"), [True, 0.0])], "model.qubit_boson.segments[1].alpha"),
+    ([(SEG + (1, "alpha"), 0.5)], "model.qubit_boson.segments[1].alpha"),
+    ([(SEG + (1, "gamma"), "g")], "model.qubit_boson.segments[1].gamma"),
+    ([(SEG + (1, "gamma"), None)], "model.qubit_boson.segments[1].gamma"),
+    ([(("model",), {"schedule_file": ""})], "model.schedule_file"),
+    ([(("model",), {"schedule_file": 3})], "model.schedule_file"),
+    ([(("initial_env",), _DROP)], "initial_env"),
+    ([(("initial_env",), 1)], "initial_env"),
+    ([(("initial_env",), {})], "initial_env"),
+    ([(("initial_env",), {"vacuum": {}})], "initial_env"),
+    ([(("initial_env",), {"thermal": {"theta": 1.0}, "fock": {"n": 0}})], "initial_env"),
+    ([(("initial_env", "thermal"), [])], "initial_env.thermal"),
+    ([(("initial_env", "thermal", "color"), 1)], "initial_env.thermal"),
+    ([(("initial_env", "thermal", "theta"), _DROP)], "initial_env.thermal.theta"),
+    ([(("initial_env", "thermal", "theta"), -0.5)], "initial_env.thermal.theta"),
+    ([(("initial_env", "thermal", "theta"), "2")], "initial_env.thermal.theta"),
+    ([(("initial_env",), {"coherent": {"im": 0.1}})], "initial_env.coherent.re"),
+    ([(("initial_env",), {"coherent": {"re": "x"}})], "initial_env.coherent.re"),
+    ([(("initial_env",), {"coherent": {"re": 0.5, "im": [0]}})], "initial_env.coherent.im"),
+    ([(("initial_env",), {"coherent": {"re": 0.5, "z": 0}})], "initial_env.coherent"),
+    ([(("initial_env",), {"coherent": 0.5})], "initial_env.coherent"),
+    ([(("initial_env",), {"fock": {}})], "initial_env.fock.n"),
+    ([(("initial_env",), {"fock": {"n": -1}})], "initial_env.fock.n"),
+    ([(("initial_env",), {"fock": {"n": 1.0}})], "initial_env.fock.n"),
+    ([(("initial_env",), {"fock": {"n": 1, "m": 2}})], "initial_env.fock"),
+    ([(("initial_env",), {"matrix_file": 7})], "initial_env.matrix_file"),
+    ([(("initial_env",), {"matrix_file": ""})], "initial_env.matrix_file"),
+    ([(("time",), _DROP)], "time"),
+    ([(("time",), 5)], "time"),
+    ([(("time", "color"), 1)], "time"),
+    ([(("time", "t_max"), _DROP)], "time.t_max"),
+    ([(("time", "t_max"), 0.0)], "time.t_max"),
+    ([(("time", "t_max"), None)], "time.t_max"),
+    ([(("time", "steps"), 1)], "time.steps"),
+    ([(("time", "steps"), 2.5)], "time.steps"),
+    ([(("time", "steps"), None)], "time.steps"),
+    ([(("time", "t_start"), "0")], "time.t_start"),
+    ([(("cutoff",), "tiny")], "cutoff"),
+    ([(("cutoff",), 1)], "cutoff"),
+    ([(("cutoff",), 16.0)], "cutoff"),
+    ([(("cutoff",), None)], "cutoff"),
+    ([(("amplitudes",), "x")], "amplitudes"),
+    ([(("amplitudes",), [[1.0, 0.0]])], "amplitudes"),
+    ([(("amplitudes",), [[1.0, 0.0], [0.0]])], "amplitudes[1]"),
+    ([(("amplitudes",), [[1.0, 0.0], [0.0, "0"]])], "amplitudes[1]"),
+    ([(("amplitudes",), [[1.0, 0.0], [1.0, 0.0]])], "amplitudes"),
+    ([(("amplitudes",), [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]])], "amplitudes"),
+    ([(("outputs",), 1)], "outputs"),
+    ([(("outputs",), {"color": True})], "outputs"),
+    ([(("outputs",), {"entanglement": 1})], "outputs.entanglement"),
+    ([(("outputs",), {"coherence": "yes"})], "outputs.coherence"),
+    ([(("outputs",), {"type1": None})], "outputs.type1"),
+    ([(("outputs",), {"type2": 0})], "outputs.type2"),
+    ([(("outputs",), {"negativity": "true"})], "outputs.negativity"),
+    ([(("tolerances",), [])], "tolerances"),
+    ([(("tolerances",), {"verdict": 1e-8})], "tolerances"),
+    ([(("tolerances",), {"cutoff_tail": 0.0})], "tolerances.cutoff_tail"),
+    ([(("tolerances",), {"cutoff_tail": "1e-12"})], "tolerances.cutoff_tail"),
+    ([(("tolerances",), {"cutoff_tail": None})], "tolerances.cutoff_tail"),
+    # two faults: the key evaluated first is reported
+    ([(("extra",), 1), (("model",), _DROP)], "config"),
+    ([(("time",), _DROP), (("model", "qubit_boson", "beta"), 0)], "model.qubit_boson.beta"),
+    ([(("time",), _DROP), (("initial_env",), {})], "initial_env"),
+    ([(("cutoff",), 1), (("time", "steps"), 1)], "time.steps"),
+    ([(("amplitudes",), "x"), (("cutoff",), 1)], "cutoff"),
+    ([(("amplitudes",), [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]]), (("outputs",), 1)], "amplitudes"),
+    ([(("outputs",), 1), (("tolerances",), 1)], "outputs"),
+    (
+        [(SEG + (0, "alpha"), 1), (SEG + (0, "duration"), 0.0)],
+        "model.qubit_boson.segments[0].duration",
+    ),
+    ([(SEG + (0, "gamma"), "g"), (SEG + (1, "alpha"), 1)], "model.qubit_boson.segments[0].gamma"),
+    ([(("time", "t_start"), "0"), (("time", "steps"), 1)], "time.steps"),
+]
+
+# (edits to SCHEDULE, expected field)
+SCHEDULE_REJECTIONS = [
+    ([((), [])], "schedule"),
+    ([(("color",), 1)], "schedule"),
+    ([(("system_dim",), _DROP)], "schedule.system_dim"),
+    ([(("system_dim",), 2.0)], "schedule.system_dim"),
+    ([(("system_dim",), 1)], "schedule.system_dim"),
+    ([(("env_dim",), _DROP)], "schedule.env_dim"),
+    ([(("env_dim",), "2")], "schedule.env_dim"),
+    ([(("env_dim",), 1)], "schedule.env_dim"),
+    ([(("segments",), _DROP)], "schedule.segments"),
+    ([(("segments",), [])], "schedule.segments"),
+    ([(("segments", 0), [])], "schedule.segments[0]"),
+    ([(("segments", 0, "color"), 1)], "schedule.segments[0]"),
+    ([(("segments", 0, "duration"), _DROP)], "schedule.segments[0].duration"),
+    ([(("segments", 0, "duration"), -1.0)], "schedule.segments[0].duration"),
+    ([(("segments", 0, "generators"), _DROP)], "schedule.segments[0].generators"),
+    ([(("segments", 0, "generators"), [ZERO2])], "schedule.segments[0].generators"),
+    ([(("segments", 0, "generators", 1), [])], "schedule.segments[0].generators[1]"),
+    ([(("segments", 0, "generators", 1), [[[0.0, 0.0]]])], "schedule.segments[0].generators[1]"),
+    (
+        [(("segments", 0, "generators", 1, 1), [[0.0, 0.0]])],
+        "schedule.segments[0].generators[1][1]",
+    ),
+    ([(("segments", 0, "generators", 0, 1, 0), [0.0])], "schedule.segments[0].generators[0][1][0]"),
+    ([(("segments", 0, "generators", 0, 0, 1), "0")], "schedule.segments[0].generators[0][0][1]"),
+    ([(("env_dim",), 1), (("segments",), _DROP)], "schedule.env_dim"),
+    (
+        [(("segments", 0, "generators"), [ZERO2]), (("segments", 0, "duration"), 0)],
+        "schedule.segments[0].duration",
+    ),
+    ([(("system_dim",), 1), (("env_dim",), "2")], "schedule.env_dim"),
+    ([(("system_dim",), 1), (("segments",), _DROP)], "schedule.system_dim"),
+]
+
+MATRIX_REJECTIONS = [
+    ([((), [])], "matrix document"),
+    ([(("color",), 1)], "matrix document"),
+    ([(("matrix",), _DROP)], "matrix document.matrix"),
+    ([(("matrix",), [])], "matrix"),
+    ([(("matrix", 0), [[1.0, 0.0]])], "matrix[0]"),
+    ([(("matrix", 1, 0), [0.0, 0.0, 0.0])], "matrix[1][0]"),
+    ([(("matrix", 1, 1), [None, 0.0])], "matrix[1][1]"),
+]
+
+
+class TestValidationFields:
+    """Every rejection names the offending field."""
+
+    @pytest.mark.parametrize("edits, field", CONFIG_REJECTIONS)
+    def test_config(self, edits, field):
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(edited(json.loads(FIG2D_JSON), *edits))
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("edits, field", SCHEDULE_REJECTIONS)
+    def test_schedule_document(self, tmp_path, edits, field):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(edited(SCHEDULE, *edits)))
+        with pytest.raises(ValidationError) as err:
+            load_schedule_file(str(path))
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("edits, field", MATRIX_REJECTIONS)
+    def test_matrix_document(self, tmp_path, edits, field):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(edited(MATRIX, *edits)))
+        with pytest.raises(ValidationError) as err:
+            load_matrix_file(str(path))
+        assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [(("amplitudes",), None), (("outputs",), None), (("tolerances",), None)],
+            [(("outputs",), {}), (("tolerances",), {})],
+        ],
+    )
+    def test_null_or_empty_sections_take_defaults(self, edits):
+        assert config_from_dict(edited(json.loads(FIG2D_JSON), *edits)) == parse_config(
+            FIG2D_JSON
+        )
+
+    def test_valid_documents_load(self, tmp_path):
+        (tmp_path / "s.json").write_text(json.dumps(SCHEDULE))
+        (tmp_path / "m.json").write_text(json.dumps(MATRIX))
+        schedule = load_schedule_file(str(tmp_path / "s.json"))
+        assert (schedule.system_dim, schedule.env_dim, len(schedule.segments)) == (2, 2, 1)
+        assert load_matrix_file(str(tmp_path / "m.json"))[0, 0] == 1.0
 
 
 class TestPresets:

@@ -208,3 +208,9 @@ class TestSuggestCutoff:
     def test_displacement_reach(self):
         m = suggest_cutoff(theta=0.0, coherent_amp=1.0, max_displacement=2.0)
         assert (1.0 + 2.0) ** 2 <= m / 4
+
+    def test_reach_boundary_within_roundoff(self):
+        # one ulp above 2 squares to 4 + 1.8e-15, on the cutoff-16 rung up to
+        # roundoff; a relative excess of 1e-9 is a real one and moves up the ladder
+        assert suggest_cutoff(max_displacement=math.nextafter(2.0, 3.0)) == 16
+        assert suggest_cutoff(max_displacement=2.0 * math.sqrt(1 + 1e-9)) == 32

@@ -230,7 +230,28 @@ class TestCutoffReach:
         cfg["model"]["qubit_boson"]["segments"][1]["alpha"] = [30.0, 0.0]
         cfg["time"]["steps"] = 3
         cfg["cutoff"] = 16
-        with pytest.warns(UserWarning, match="drive displacement reach"):
+        with pytest.warns(UserWarning, match="drive displacement reach") as record:
+            run_sweep(config_from_dict(cfg))
+        # the warning points at the caller of run_sweep, not inside the package
+        assert [w.filename for w in record] == [__file__]
+
+    def test_convergence_report_warning_points_at_caller(self):
+        cfg = preset_config("fig2d")
+        cfg["model"]["qubit_boson"]["segments"][1]["alpha"] = [30.0, 0.0]
+        cfg["time"]["steps"] = 3
+        cfg["cutoff"] = 16
+        with pytest.warns(UserWarning, match="drive displacement reach") as record:
+            convergence_report(config_from_dict(cfg))
+        assert [w.filename for w in record] == [__file__]
+
+    def test_reach_at_cutoff_boundary_is_silent(self):
+        # the preset drive reaches (2|alpha|/beta)^2 = 2.0000000000000004 = cutoff/4
+        # up to roundoff at cutoff 8
+        cfg = preset_config("fig2d")
+        cfg["time"]["steps"] = 3
+        cfg["cutoff"] = 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             run_sweep(config_from_dict(cfg))
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
