@@ -29,20 +29,16 @@ from .dephasing import (
     SegmentSchedule,
     blocks_at,
     blocks_from_propagators,
-    coherence,
     equal_superposition,
     evolve_factor,
     joint_state,
-    normalized_coherence,
     propagators_at,
     validate_schedule,
 )
 from .entanglement import (
-    EntanglementReport,
     SeparabilityVerdict,
     Type1Residual,
     Type2Residual,
-    build_report,
     measure_from_fidelity,
     qee_measure,
     separability_verdict,
@@ -56,6 +52,7 @@ from .errors import (
     DephasimError,
     DimensionMismatch,
     EmptySchedule,
+    InvalidArgument,
     NonFiniteError,
     NotHermitianError,
     NotHermitianGenerator,
@@ -65,7 +62,6 @@ from .errors import (
     ParseError,
     TimeOutOfRange,
     ValidationError,
-    ZeroInitialCoherence,
 )
 from .fock import (
     EnvDensity,
@@ -73,9 +69,6 @@ from .fock import (
     annihilation,
     coherent_amplitudes,
     coherent_state,
-    creation,
-    displacement,
-    displacement_safe_dim,
     env_from_matrix,
     fock_state,
     number_op,
@@ -97,7 +90,6 @@ from .presets import PRESET_NAMES, preset_config
 from .qubit_boson import (
     AlphaSegment,
     QubitBosonParams,
-    analytic_propagator_piece,
     branch_generator,
     build_schedule,
 )

@@ -39,9 +39,10 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptySchedule,
+    InvalidArgument,
     NotHermitianGenerator,
+    NotNormalizedError,
     TimeOutOfRange,
-    ZeroInitialCoherence,
 )
 from .linalg import dagger, frobenius, hermiticity_residual
 
@@ -58,8 +59,6 @@ __all__ = [
     "blocks_from_propagators",
     "blocks_at",
     "joint_state",
-    "coherence",
-    "normalized_coherence",
 ]
 
 _BOUNDARY_SNAP = 1e-12
@@ -79,16 +78,16 @@ class Segment:
 
     def __post_init__(self):
         if not self.duration > 0:
-            raise ValueError(f"segment duration must be > 0, got {self.duration}")
+            raise InvalidArgument(f"segment duration must be > 0, got {self.duration}")
         gens = []
         for g in self.generators:
             arr = np.ascontiguousarray(g, dtype=complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"generator has shape {arr.shape}, expected square")
+                raise InvalidArgument(f"generator has shape {arr.shape}, expected square")
             arr.setflags(write=False)
             gens.append(arr)
         if not gens:
-            raise ValueError("segment needs at least one generator")
+            raise InvalidArgument("segment needs at least one generator")
         if len({g.shape for g in gens}) != 1:
             raise DimensionMismatch("generators within a segment differ in dimension")
         object.__setattr__(self, "generators", tuple(gens))
@@ -284,7 +283,7 @@ def _check_amplitudes(c, n: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"{arr.size} pointer amplitudes, expected {n}")
     norm_sq = float(np.sum(np.abs(arr) ** 2))
     if abs(norm_sq - 1.0) > 1e-10:
-        raise ValueError(f"pointer amplitudes have |c|^2 = {norm_sq!r}, expected 1")
+        raise NotNormalizedError(f"pointer amplitudes have |c|^2 = {norm_sq!r}, expected 1")
     return arr
 
 
@@ -330,27 +329,3 @@ def joint_state(blocks: JointStateBlocks) -> np.ndarray:
                 c[i] * c[j].conjugate()
             ) * blocks.blocks[i, j]
     return out
-
-
-def coherence(blocks: JointStateBlocks, i: int, j: int) -> complex:
-    """Reduced system matrix element rho_ij(t) = c_i c_j* Tr R_ij(t)."""
-    if i == j:
-        raise ValueError("coherence is defined for off-diagonal elements (i != j)")
-    c = blocks.c
-    return complex(c[i] * c[j].conjugate() * np.trace(blocks.blocks[i, j]))
-
-
-def normalized_coherence(blocks: JointStateBlocks, i: int, j: int) -> float:
-    """|rho_ij(t)| / |rho_ij(0)|.
-
-    Because Tr R_ij(0) = 1, the initial coherence is c_i c_j*, so the ratio
-    reduces to |Tr R_ij(t)|. Undefined when c_i c_j = 0.
-    """
-    if i == j:
-        raise ValueError("coherence is defined for off-diagonal elements (i != j)")
-    c = blocks.c
-    if c[i] * c[j] == 0:
-        raise ZeroInitialCoherence(
-            f"initial coherence c_{i} c_{j}* vanishes; normalization undefined"
-        )
-    return float(abs(np.trace(blocks.blocks[i, j])))

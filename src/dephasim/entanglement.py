@@ -21,21 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import ConditionalPropagatorSet, JointStateBlocks, joint_state
+from .dephasing import ConditionalPropagatorSet, JointStateBlocks
 from .errors import DimensionMismatch, NotQubit
-from .linalg import dagger, fidelity, frobenius, negativity, trace_distance
+from .linalg import dagger, fidelity, frobenius, trace_distance
 
 __all__ = [
     "Type1Residual",
     "Type2Residual",
     "SeparabilityVerdict",
-    "EntanglementReport",
     "qee_measure",
     "measure_from_fidelity",
     "type1_residuals",
     "type2_residuals",
     "separability_verdict",
-    "build_report",
 ]
 
 
@@ -166,55 +164,3 @@ def separability_verdict(
         return SeparabilityVerdict(entangled=False)
     worst = max(violations, key=lambda r: r.residual)
     return SeparabilityVerdict(entangled=True, witness=worst)
-
-
-@dataclass(frozen=True)
-class EntanglementReport:
-    """Entanglement-related quantities at a single time point.
-
-    ``entanglement`` is the qubit measure and is None for system dimension
-    other than 2; ``coherence_norm`` is |rho_01(t)|/|rho_01(0)| and is None
-    when the initial coherence vanishes.
-    """
-
-    t: float
-    entanglement: float | None
-    type1: tuple[Type1Residual, ...]
-    type2: tuple[Type2Residual, ...]
-    coherence_norm: float | None
-    negativity: float | None = None
-
-    @property
-    def max_type1(self) -> float:
-        return max((r.residual for r in self.type1), default=0.0)
-
-    @property
-    def max_type2(self) -> float:
-        return max((r.residual for r in self.type2), default=0.0)
-
-
-def build_report(
-    blocks: JointStateBlocks,
-    props: ConditionalPropagatorSet,
-    *,
-    include_negativity: bool = False,
-) -> EntanglementReport:
-    """Assemble the per-time report from the factored state."""
-    n = blocks.system_dim
-    measure = None
-    if n == 2:
-        measure = qee_measure(blocks.c, blocks.blocks[0, 0], blocks.blocks[1, 1])
-    coh = None
-    if n >= 2 and blocks.c[0] * blocks.c[1] != 0:
-        coh = float(abs(np.trace(blocks.blocks[0, 1])))
-    neg = None
-    if include_negativity:
-        neg = negativity(joint_state(blocks), n, blocks.env_dim)
-    return EntanglementReport(
-        t=props.t,
-        entanglement=measure,
-        type1=tuple(type1_residuals(blocks)),
-        type2=tuple(type2_residuals(props)),
-        coherence_norm=coh,
-        negativity=neg,
-    )

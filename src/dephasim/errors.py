@@ -14,7 +14,11 @@ class NotPSDError(DephasimError):
 
 
 class NotNormalizedError(DephasimError, ValueError):
-    """A density matrix does not have unit trace within tolerance."""
+    """A density matrix or amplitude vector is not normalized within tolerance."""
+
+
+class InvalidArgument(DephasimError, ValueError):
+    """A constructor or function argument is out of its allowed range."""
 
 
 class NonFiniteError(DephasimError):
@@ -43,10 +47,6 @@ class EmptySchedule(DephasimError):
 
 class TimeOutOfRange(DephasimError):
     """Query time lies outside the total duration of the schedule."""
-
-
-class ZeroInitialCoherence(DephasimError):
-    """Normalized coherence is undefined because the initial coherence vanishes."""
 
 
 class CutoffCapExceeded(DephasimError):

@@ -16,22 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffCapExceeded
-from .linalg import dagger, require_hermitian
+from .errors import CutoffCapExceeded, InvalidArgument, NotNormalizedError
+from .linalg import require_hermitian
 
 __all__ = [
     "FockSpace",
     "EnvDensity",
     "annihilation",
-    "creation",
     "number_op",
     "fock_state",
     "thermal_state",
     "coherent_amplitudes",
     "coherent_state",
     "env_from_matrix",
-    "displacement",
-    "displacement_safe_dim",
     "suggest_cutoff",
 ]
 
@@ -47,7 +44,7 @@ class FockSpace:
 
     def __post_init__(self):
         if not isinstance(self.cutoff, int) or self.cutoff < 2:
-            raise ValueError(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
+            raise InvalidArgument(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
 
     @property
     def dim(self) -> int:
@@ -69,14 +66,14 @@ class EnvDensity:
     def __post_init__(self):
         arr = require_hermitian(self.matrix, what="environment state")
         if arr.shape != (self.space.dim, self.space.dim):
-            raise ValueError(
+            raise InvalidArgument(
                 f"state has shape {arr.shape}, expected {(self.space.dim,) * 2}"
             )
         tr = float(np.trace(arr).real)
         if abs(tr - 1.0) > 1e-8:
-            raise ValueError(f"state has trace {tr!r}, expected 1 within 1e-8")
+            raise NotNormalizedError(f"state has trace {tr!r}, expected 1 within 1e-8")
         if np.linalg.eigvalsh(arr)[0] < -1e-10:
-            raise ValueError("state has an eigenvalue below -1e-10")
+            raise InvalidArgument("state has an eigenvalue below -1e-10")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
@@ -91,11 +88,6 @@ def annihilation(space: FockSpace) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, space.dim, dtype=float)), k=1).astype(complex)
 
 
-def creation(space: FockSpace) -> np.ndarray:
-    """Creation operator, conjugate transpose of annihilation."""
-    return dagger(annihilation(space))
-
-
 def number_op(space: FockSpace) -> np.ndarray:
     """Number operator diag(0, 1, ..., cutoff-1)."""
     return np.diag(np.arange(space.dim, dtype=float)).astype(complex)
@@ -104,7 +96,7 @@ def number_op(space: FockSpace) -> np.ndarray:
 def fock_state(n: int, space: FockSpace) -> EnvDensity:
     """Pure number state |n><n|."""
     if not 0 <= n < space.dim:
-        raise ValueError(f"level {n} outside the truncated basis 0..{space.dim - 1}")
+        raise InvalidArgument(f"level {n} outside the truncated basis 0..{space.dim - 1}")
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     mat[n, n] = 1.0
     return EnvDensity(space, mat)
@@ -117,7 +109,7 @@ def thermal_state(theta: float, space: FockSpace) -> EnvDensity:
     truncated basis. theta = 0 returns the exact vacuum.
     """
     if theta < 0:
-        raise ValueError(f"temperature must be >= 0, got {theta}")
+        raise InvalidArgument(f"temperature must be >= 0, got {theta}")
     if theta == 0:
         return fock_state(0, space)
     q = math.exp(-1.0 / theta)
@@ -134,7 +126,7 @@ def coherent_amplitudes(zeta: complex, space: FockSpace) -> np.ndarray:
     # amp[n] = e^{-|z|^2/2} z^n / sqrt(n!), built multiplicatively to avoid factorials
     steps = np.ones(space.dim, dtype=complex)
     steps[1:] = zeta / np.sqrt(n[1:].astype(float))
-    amps = math.exp(-abs(zeta) ** 2 / 2) * np.cumprod(steps)
+    amps = math.exp(-abs(zeta) * abs(zeta) / 2) * np.cumprod(steps)
     norm = np.linalg.norm(amps)
     return amps / norm
 
@@ -148,7 +140,7 @@ def coherent_state(zeta: complex, space: FockSpace) -> EnvDensity:
 
 def _untruncated_overlap(zeta: complex, space: FockSpace) -> float:
     """Probability mass of |zeta> inside the truncated basis."""
-    x = abs(zeta) ** 2
+    x = abs(zeta) * abs(zeta)  # not ** 2, which raises OverflowError past ~1e154
     if x == 0.0:
         return 1.0
     terms = np.cumprod(np.concatenate(([1.0], x / np.arange(1, space.dim, dtype=float))))
@@ -159,81 +151,24 @@ def env_from_matrix(matrix: np.ndarray, *, truncated_mass: float = 0.0) -> EnvDe
     """Wrap an explicit density matrix, inferring the space from its dimension."""
     arr = np.asarray(matrix, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        raise InvalidArgument(f"expected a square matrix, got shape {arr.shape}")
     return EnvDensity(FockSpace(arr.shape[0]), arr, truncated_mass=truncated_mass)
 
 
-def displacement(lam: complex, space: FockSpace) -> np.ndarray:
-    """Displacement operator exp(lam a^dag - lam* a) in the number basis.
-
-    Matrix elements come from the associated-Laguerre closed form, evaluated
-    with a scaled two-term recurrence so no factorial is ever formed. The
-    result is the corner of the untruncated unitary: it is unitary to
-    truncation accuracy on the lower block (see displacement_safe_dim) but not
-    at the corner itself.
-    """
-    _warn_if_beyond_reach(abs(lam), space, "displacement amplitude")
-    lower = _displacement_lower(lam, space.dim)
-    upper = _displacement_lower(-lam, space.dim)
-    return np.tril(lower) + np.triu(dagger(upper), k=1)
-
-
-def _displacement_lower(lam: complex, dim: int) -> np.ndarray:
-    """Entries <n+k|D(lam)|n> for all k >= 0.
-
-    With x = |lam|^2, the column-n entry on diagonal k is
-        e^{-x/2} * (lam^k / sqrt(k!)) * G_n^{(k)}(x),
-    where G_n^{(k)} = sqrt(n!/(n+k)!) L_n^{(k)} absorbs the amplitude ratio
-    into the Laguerre recurrence to keep every intermediate O(e^{x/2}).
-    """
-    x = abs(lam) ** 2
-    k = np.arange(dim, dtype=float)
-    damp = math.exp(-x / 2)
-    # lam^k / sqrt(k!) along the diagonal index
-    pk_steps = np.ones(dim, dtype=complex)
-    pk_steps[1:] = lam / np.sqrt(k[1:])
-    pk = np.cumprod(pk_steps)
-
-    out = np.zeros((dim, dim), dtype=complex)
-    g_prev = np.zeros(dim)
-    g_cur = np.ones(dim)
-    rows = np.arange(dim)
-    for n in range(dim):
-        live = rows[: dim - n]
-        out[live + n, n] = damp * pk[: dim - n] * g_cur[: dim - n]
-        scale = np.sqrt((n + 1.0) / (n + 1.0 + k)) / (n + 1.0)
-        g_next = scale * ((2 * n + k + 1.0 - x) * g_cur - np.sqrt(n * (n + k)) * g_prev)
-        g_prev, g_cur = g_cur, g_next
-    return out
-
-
-def displacement_safe_dim(lam: complex, space: FockSpace) -> int:
-    """Size of the lower block on which the truncated displacement is reliable.
-
-    Cutting the basis at M corrupts a boundary layer below the corner: level
-    n couples upward with strength |lam| sqrt(n), so the layer is roughly
-    2|lam| sqrt(M) levels deep, beyond which the corruption decays
-    superexponentially. The extra constant buys ~1e-9 Frobenius agreement for
-    operator identities with two displacement factors (measured directly; see
-    the displacement round-trip tests).
-    """
-    halo = math.ceil(2 * abs(lam) * math.sqrt(space.dim)) + 12
-    return max(0, space.dim - halo)
-
-
-def _beyond_reach(reach_sq: float, dim: int) -> bool:
+def _beyond_reach(reach: float, dim: int) -> bool:
     """The reach rule |z|^2 <= dim/4, with a relative slack of 1e-12 for roundoff.
 
     The preset drive |alpha/beta| = 1/sqrt(2) gives (2|alpha/beta|)^2 =
-    2.0000000000000004 for dim/4 = 2, which the rule means to accept.
+    2.0000000000000004 for dim/4 = 2, which the rule means to accept. The
+    square is a float product, which overflows to inf where ** would raise.
     """
-    return reach_sq > dim / 4 * (1 + 1e-12)
+    return reach * reach > dim / 4 * (1 + 1e-12)
 
 
 def _warn_if_beyond_reach(amp: float, space: FockSpace, what: str) -> None:
-    if _beyond_reach(amp**2, space.dim):
+    if _beyond_reach(amp, space.dim):
         warnings.warn(
-            f"{what} |z|^2 = {amp ** 2:.3g} exceeds cutoff/4 = {space.dim / 4:.3g}; "
+            f"{what} |z|^2 = {amp * amp:.3g} exceeds cutoff/4 = {space.dim / 4:.3g}; "
             "truncation errors may be significant",
             stacklevel=_caller_outside_package(),
         )
@@ -266,8 +201,8 @@ def suggest_cutoff(
     initial number state sits in the lower half of the basis.
     """
     if tol <= 0:
-        raise ValueError("tol must be positive")
-    reach = (abs(coherent_amp) + abs(max_displacement)) ** 2
+        raise InvalidArgument("tol must be positive")
+    reach = abs(coherent_amp) + abs(max_displacement)
     for m in CUTOFF_LADDER:
         if theta > 0 and math.exp(-m / theta) >= tol:
             continue
@@ -278,5 +213,5 @@ def suggest_cutoff(
         return m
     raise CutoffCapExceeded(
         f"no cutoff <= {CUTOFF_LADDER[-1]} satisfies tail tolerance {tol} and "
-        f"displacement reach {reach:.3g}"
+        f"displacement reach {reach * reach:.3g}"
     )

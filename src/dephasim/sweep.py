@@ -27,7 +27,6 @@ from .config import (
     AUTO_CUTOFF,
     CoherentEnv,
     FockEnv,
-    MatrixFileEnv,
     QubitBosonModel,
     RunConfig,
     ThermalEnv,
@@ -44,7 +43,13 @@ from .dephasing import (
     validate_schedule,
 )
 from .entanglement import measure_from_fidelity, type2_residuals
-from .errors import CutoffCapExceeded, NonFiniteError, ValidationError
+from .errors import (
+    CutoffCapExceeded,
+    InvalidArgument,
+    NonFiniteError,
+    NotHermitianGenerator,
+    ValidationError,
+)
 from .fock import (
     CUTOFF_LADDER,
     EnvDensity,
@@ -155,6 +160,7 @@ def _resolve(cfg: RunConfig, *, cutoff_override: int | None = None) -> _Resolved
             beta=cfg.model.beta, segments=cfg.model.segments, cutoff=cutoff
         )
         schedule = build_schedule(params)
+        validate_schedule(schedule)
     else:
         if cutoff_override is not None:
             raise ValidationError("cutoff", "cannot override the cutoff of a schedule file")
@@ -165,7 +171,10 @@ def _resolve(cfg: RunConfig, *, cutoff_override: int | None = None) -> _Resolved
                 "cutoff",
                 f"schedule file fixes the environment dimension to {cutoff}",
             )
-    validate_schedule(schedule)
+        try:
+            validate_schedule(schedule)
+        except NotHermitianGenerator as exc:
+            raise ValidationError("model.schedule_file", str(exc)) from exc
     env0 = _build_environment(cfg, cutoff)
 
     if cfg.amplitudes is None:
@@ -260,7 +269,7 @@ def emit_csv(rows: list[SweepRow], destination) -> int:
     a path or a binary file object.
     """
     if not rows:
-        raise ValueError("no rows to emit")
+        raise InvalidArgument("no rows to emit")
     lines = [CSV_HEADER]
     for row in rows:
         lines.append(

@@ -20,7 +20,6 @@ from dephasim.dephasing import (
     blocks_at,
     equal_superposition,
     joint_state,
-    normalized_coherence,
     propagators_at,
 )
 from dephasim.entanglement import (
@@ -31,16 +30,23 @@ from dephasim.entanglement import (
 from dephasim.fock import (
     FockSpace,
     coherent_state,
-    displacement_safe_dim,
     env_from_matrix,
     fock_state,
     thermal_state,
 )
 from dephasim.linalg import dagger, fidelity, frobenius, negativity
 from dephasim.presets import PRESET_NAMES, preset_config
-from dephasim.qubit_boson import analytic_propagator_piece, branch_generator, build_schedule, QubitBosonParams
+from dephasim.qubit_boson import branch_generator, build_schedule, QubitBosonParams
 from dephasim.sweep import emit_csv, convergence_report, run_sweep
-from util import PAULI_X, PAULI_Z, expm, random_density
+from util import (
+    PAULI_X,
+    PAULI_Z,
+    analytic_propagator_piece,
+    displacement_safe_dim,
+    expm,
+    normalized_coherence,
+    random_density,
+)
 
 EQUAL = equal_superposition(2)
 

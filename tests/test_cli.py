@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -132,6 +133,50 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert field in err
         assert "UTF-8" in err
+
+    def test_non_hermitian_schedule_generator_is_validation_error(self, tmp_path, capsys):
+        # used to exit 2: NotHermitianGenerator was not mapped to the document's field
+        raising = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        schedule = {
+            "system_dim": 2,
+            "env_dim": 2,
+            "segments": [{"duration": 1.0, "generators": [raising, zero]}],
+        }
+        (tmp_path / "s.json").write_text(json.dumps(schedule))
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["model"] = {"schedule_file": "s.json"}
+        cfg["cutoff"] = 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "model.schedule_file" in err
+        assert "anti-Hermitian" in err
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            ({"alpha": 1e300, "cutoff": 2}, 0),  # runs, with the reach warning
+            ({"alpha": 1e300, "cutoff": "auto"}, 2),  # no rung holds the reach
+            ({"coherent": 1e300, "cutoff": 4}, 2),  # the amplitudes are not finite
+        ],
+    )
+    def test_huge_finite_amplitude_does_not_raise(self, tmp_path, edit, expected):
+        # squaring 1e300 with ** raised OverflowError out of main
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["cutoff"] = edit["cutoff"]
+        if "alpha" in edit:
+            cfg["model"]["qubit_boson"]["segments"][0]["alpha"] = [edit["alpha"], 0.0]
+        else:
+            cfg["initial_env"] = {"coherent": {"re": edit["coherent"], "im": 0.0}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == expected
 
 
 class TestPresetCommand:

@@ -8,11 +8,9 @@ from dephasim.dephasing import (
     SegmentSchedule,
     blocks_at,
     blocks_from_propagators,
-    coherence,
     equal_superposition,
     evolve_factor,
     joint_state,
-    normalized_coherence,
     propagators_at,
     validate_schedule,
 )
@@ -21,11 +19,18 @@ from dephasim.errors import (
     EmptySchedule,
     NotHermitianGenerator,
     TimeOutOfRange,
-    ZeroInitialCoherence,
 )
 from dephasim.fock import FockSpace, env_from_matrix, thermal_state
 from dephasim.linalg import dagger, frobenius, trace_distance
-from util import PAULI_X, PAULI_Z, expm, random_density, random_hermitian, random_pure_density
+from util import (
+    PAULI_X,
+    PAULI_Z,
+    expm,
+    normalized_coherence,
+    random_density,
+    random_hermitian,
+    random_pure_density,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -384,22 +389,7 @@ class TestCoherence:
         rng = np.random.default_rng(16)
         s = make_schedule(rng)
         blocks = blocks_at(s, qubit_env(rng), equal_superposition(2), 0.0)
-        assert abs(coherence(blocks, 0, 1) - 0.5) <= 1e-12
         assert abs(normalized_coherence(blocks, 0, 1) - 1.0) <= 1e-12
-
-    def test_zero_initial_coherence(self):
-        rng = np.random.default_rng(17)
-        s = make_schedule(rng)
-        blocks = blocks_at(s, qubit_env(rng), np.array([1.0, 0.0]), 0.2)
-        with pytest.raises(ZeroInitialCoherence):
-            normalized_coherence(blocks, 0, 1)
-
-    def test_diagonal_request_rejected(self):
-        rng = np.random.default_rng(18)
-        s = make_schedule(rng)
-        blocks = blocks_at(s, qubit_env(rng), equal_superposition(2), 0.2)
-        with pytest.raises(ValueError):
-            coherence(blocks, 1, 1)
 
 
 def test_equal_superposition_normalized():

@@ -15,7 +15,6 @@ from dephasim.dephasing import (
     propagators_at,
 )
 from dephasim.entanglement import (
-    build_report,
     measure_from_fidelity,
     qee_measure,
     separability_verdict,
@@ -247,20 +246,6 @@ class TestVerdict:
 
 
 class TestReport:
-    def test_report_fields(self):
-        rng = np.random.default_rng(10)
-        s = mixed_env_unitary_schedule()
-        env = env_from_matrix(random_density(rng, 2))
-        blocks = blocks_at(s, env, equal_superposition(3), 1.0)
-        props = propagators_at(s, 1.0)
-        report = build_report(blocks, props, include_negativity=True)
-        assert report.entanglement is None  # not a qubit
-        assert report.t == 1.0
-        assert len(report.type1) == 3
-        assert len(report.type2) == 1
-        assert report.negativity is not None
-        assert report.max_type2 > 0
-
     def test_measure_criterion_faithfulness_on_sweep(self):
         # qubit case: measure above threshold exactly when a first-type
         # residual is above its threshold, checked pointwise on a coarse sweep

@@ -12,9 +12,6 @@ from dephasim.fock import (
     annihilation,
     coherent_amplitudes,
     coherent_state,
-    creation,
-    displacement,
-    displacement_safe_dim,
     env_from_matrix,
     fock_state,
     number_op,
@@ -22,7 +19,7 @@ from dephasim.fock import (
     thermal_state,
 )
 from dephasim.linalg import dagger, fidelity, frobenius
-from util import expm
+from util import creation, displacement, displacement_safe_dim, expm
 
 seeds = st.integers(0, 2**32 - 1)
 

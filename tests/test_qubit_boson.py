@@ -5,18 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dephasim.dephasing import blocks_at, equal_superposition, normalized_coherence, propagators_at
+from dephasim.dephasing import blocks_at, equal_superposition, propagators_at
 from dephasim.entanglement import qee_measure, type1_residuals
-from dephasim.fock import FockSpace, coherent_state, displacement_safe_dim, thermal_state
+from dephasim.fock import FockSpace, coherent_state, thermal_state
 from dephasim.linalg import dagger, frobenius
 from dephasim.qubit_boson import (
     AlphaSegment,
     QubitBosonParams,
-    analytic_propagator_piece,
     branch_generator,
     build_schedule,
 )
-from util import expm, phase1_coherence_oracle
+from util import (
+    analytic_propagator_piece,
+    displacement_safe_dim,
+    expm,
+    normalized_coherence,
+    phase1_coherence_oracle,
+)
 
 EQUAL = equal_superposition(2)
 ALPHA_FIG = (1 + 1j) / 2
@@ -257,7 +262,3 @@ class TestParamsValidation:
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ValueError):
             AlphaSegment(duration=-1.0, alpha=0.0)
-
-    def test_max_alpha_over_beta(self):
-        p = stepped_params()
-        assert abs(p.max_alpha_over_beta - abs(ALPHA_FIG)) <= 1e-15

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import importlib.util
 import io
 import json
@@ -11,7 +13,6 @@ from dephasim.config import config_from_dict, load_schedule_file
 from dephasim.dephasing import (
     blocks_at,
     equal_superposition,
-    normalized_coherence,
     propagators_at,
 )
 from dephasim.entanglement import qee_measure, type1_residuals, type2_residuals
@@ -21,7 +22,7 @@ from dephasim.linalg import fidelity, psd_factor, trace_distance
 from dephasim.presets import PRESET_NAMES, preset_config
 from dephasim.qubit_boson import QubitBosonParams, build_schedule
 from dephasim.sweep import CSV_HEADER, convergence_report, emit_csv, run_sweep
-from util import random_density, random_hermitian
+from util import normalized_coherence, random_density, random_hermitian
 
 EQUAL = equal_superposition(2)
 
@@ -266,13 +267,26 @@ class TestCutoffReach:
 def test_perfbench_span_targets_exist():
     # perfbench/spans.py wraps these names where dephasim imported them;
     # one that is gone crashes `perfbench/run.py --trace 1`
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    path = perfbench / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     assert spans.WRAPPED
     for module, attr in spans.WRAPPED:
         assert hasattr(module, attr), (module.__name__, attr)
+    # a name that bench.py or checks.py imports from dephasim and that is gone
+    # crashes the benchmark before any metric prints
+    imported = [
+        (node.module, alias.name)
+        for name in ("bench.py", "checks.py")
+        for node in ast.walk(ast.parse((perfbench / name).read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dephasim")
+        for alias in node.names
+    ]
+    assert len(imported) >= 10
+    for module, attr in imported:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
 
 
 class TestGenericSchedule:

@@ -7,6 +7,7 @@ import numpy as np
 import scipy.linalg
 
 from dephasim.errors import ConvergenceFailure
+from dephasim.fock import FockSpace, annihilation
 from dephasim.linalg import as_operator, dagger, require_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -80,3 +81,108 @@ def phase1_coherence_oracle(theta: float, t: float) -> float:
         return 1.0
     q = math.exp(-1.0 / theta)
     return float(abs((1.0 - q) / (1.0 - q * np.exp(-2j * t))))
+
+
+def normalized_coherence(blocks, i: int, j: int) -> float:
+    """|rho_ij(t)| / |rho_ij(0)| = |Tr R_ij(t)|, since Tr R_ij(0) = 1, from formed blocks."""
+    return float(abs(np.trace(blocks.blocks[i, j])))
+
+
+def creation(space: FockSpace) -> np.ndarray:
+    """Creation operator, conjugate transpose of annihilation."""
+    return dagger(annihilation(space))
+
+
+def displacement(lam: complex, space: FockSpace) -> np.ndarray:
+    """Displacement operator exp(lam a^dag - lam* a) in the number basis.
+
+    Matrix elements come from the associated-Laguerre closed form, evaluated
+    with a scaled two-term recurrence so no factorial is ever formed. The
+    result is the corner of the untruncated unitary: it is unitary to
+    truncation accuracy on the lower block (see displacement_safe_dim) but not
+    at the corner itself.
+    """
+    lower = _displacement_lower(lam, space.dim)
+    upper = _displacement_lower(-lam, space.dim)
+    return np.tril(lower) + np.triu(dagger(upper), k=1)
+
+
+def _displacement_lower(lam: complex, dim: int) -> np.ndarray:
+    """Entries <n+k|D(lam)|n> for all k >= 0.
+
+    With x = |lam|^2, the column-n entry on diagonal k is
+        e^{-x/2} * (lam^k / sqrt(k!)) * G_n^{(k)}(x),
+    where G_n^{(k)} = sqrt(n!/(n+k)!) L_n^{(k)} absorbs the amplitude ratio
+    into the Laguerre recurrence to keep every intermediate O(e^{x/2}).
+    """
+    x = abs(lam) ** 2
+    k = np.arange(dim, dtype=float)
+    damp = math.exp(-x / 2)
+    # lam^k / sqrt(k!) along the diagonal index
+    pk_steps = np.ones(dim, dtype=complex)
+    pk_steps[1:] = lam / np.sqrt(k[1:])
+    pk = np.cumprod(pk_steps)
+
+    out = np.zeros((dim, dim), dtype=complex)
+    g_prev = np.zeros(dim)
+    g_cur = np.ones(dim)
+    rows = np.arange(dim)
+    for n in range(dim):
+        live = rows[: dim - n]
+        out[live + n, n] = damp * pk[: dim - n] * g_cur[: dim - n]
+        scale = np.sqrt((n + 1.0) / (n + 1.0 + k)) / (n + 1.0)
+        g_next = scale * ((2 * n + k + 1.0 - x) * g_cur - np.sqrt(n * (n + k)) * g_prev)
+        g_prev, g_cur = g_cur, g_next
+    return out
+
+
+def displacement_safe_dim(lam: complex, space: FockSpace) -> int:
+    """Size of the lower block on which the truncated displacement is reliable.
+
+    Cutting the basis at M corrupts a boundary layer below the corner: level
+    n couples upward with strength |lam| sqrt(n), so the layer is roughly
+    2|lam| sqrt(M) levels deep, beyond which the corruption decays
+    superexponentially. The extra constant buys ~1e-9 Frobenius agreement for
+    operator identities with two displacement factors (measured directly; see
+    the displacement round-trip tests).
+    """
+    halo = math.ceil(2 * abs(lam) * math.sqrt(space.dim)) + 12
+    return max(0, space.dim - halo)
+
+
+def analytic_propagator_piece(
+    alpha: complex,
+    beta: float,
+    t: float,
+    branch: int,
+    space: FockSpace,
+    *,
+    exact_phase: bool = False,
+) -> np.ndarray:
+    """Closed-form propagator exp(-i V_branch t) of one constant-alpha qubit-boson segment.
+
+    A displacement whose amplitude circulates with the free mode rotation, a
+    scalar phase, and the bare rotation:
+
+        w_branch(t) = e^{i chi} D(lam(t)) e^{i phi(t)} e^{-/+ i beta n t},
+        lam(t) = (alpha/beta)(e^{-/+ i beta t} - 1),
+        phi(t) = -/+ (|alpha|^2/beta^2) sin(beta t).
+
+    The scalar chi = +/- |alpha|^2 t / beta comes from completing the square
+    in the generator and cancels from every plotted quantity; it is included
+    only with ``exact_phase=True``. Reliable on the lower block of the space
+    away from the truncation corner.
+    """
+    if beta == 0:
+        raise ValueError("beta must be nonzero")
+    sign = 1.0 if branch == 0 else -1.0
+    levels = np.arange(space.dim)
+    rotation = np.exp(-1j * sign * beta * levels * t)
+    if alpha == 0:
+        return np.diag(rotation)
+    lam = (alpha / beta) * (np.exp(-1j * sign * beta * t) - 1.0)
+    phi = -sign * (abs(alpha) ** 2 / beta**2) * math.sin(beta * t)
+    piece = np.exp(1j * phi) * displacement(lam, space) * rotation[np.newaxis, :]
+    if exact_phase:
+        piece = piece * np.exp(1j * sign * abs(alpha) ** 2 * t / beta)
+    return piece
