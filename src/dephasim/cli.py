@@ -60,12 +60,15 @@ def _load_config(path: str):
     return parse_config(text, base_dir=cfg_path.parent)
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+def _write_sweep(cfg, out: str) -> int:
     rows = run_sweep(cfg)
-    written = emit_csv(rows, args.out)
-    print(f"wrote {len(rows)} rows ({written} bytes) to {args.out}")
+    written = emit_csv(rows, out)
+    print(f"wrote {len(rows)} rows ({written} bytes) to {out}")
     return 0
+
+
+def _cmd_run(args) -> int:
+    return _write_sweep(_load_config(args.config), args.out)
 
 
 def _cmd_preset(args) -> int:
@@ -73,17 +76,11 @@ def _cmd_preset(args) -> int:
         cfg_dict = preset_config(args.name)
     except KeyError as exc:
         raise ConfigError(str(exc.args[0])) from exc
-    cfg = config_from_dict(cfg_dict)
-    rows = run_sweep(cfg)
-    written = emit_csv(rows, args.out)
-    print(f"wrote {len(rows)} rows ({written} bytes) to {args.out}")
-    return 0
+    return _write_sweep(config_from_dict(cfg_dict), args.out)
 
 
 def _cmd_converge(args) -> int:
-    cfg = _load_config(args.config)
-    report = convergence_report(cfg)
-    print(report.render())
+    print(convergence_report(_load_config(args.config)).render())
     return 0
 
 

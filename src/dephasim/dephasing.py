@@ -10,8 +10,8 @@ time inside segment k is
 
 with hbar = 1, d_m the segment durations and tau the elapsed time inside
 segment k. Segment exponentials are evaluated through the eigendecomposition
-of each (Hermitian) generator, which is exact for constant segments and keeps
-every propagator unitary to roundoff.
+V = U diag(w) U^dag of each (Hermitian) generator, which is exact for
+constant segments and keeps every propagator unitary to roundoff.
 
 The joint state never needs to be formed during evolution: it is carried as
 the pointer amplitudes c_i plus the environment blocks
@@ -20,13 +20,13 @@ the pointer amplitudes c_i plus the environment blocks
 
 from which the full density matrix, reduced coherences and entanglement
 quantities are assembled on demand. With R(0) = A A^dag factored (A is d x r),
-every block is R_ij = Y_i Y_j^dag with Y_i = w_i A, and evolve_factor steps
-the d x r factors without forming any d x d propagator.
+every block is R_ij = Y_i Y_j^dag with Y_i = w_i A.
 
-evolve_factor is the only routine that steps through the segments;
-propagators_at is that routine with A = I. Schedules are immutable after
-construction and may be shared across workers; the memoized per-segment
-eigensystems are computed on first use.
+segment_chunks is the only routine that steps through the segments: with
+B_i = U_ki^dag w_i(start of k) A, formed once per segment k, a chunk of its
+times is evaluated as Y_i = U_ki exp(-i w_ki tau) B_i in one stack.
+Schedules are immutable and may be shared across workers; the eigensystems
+are computed on first use.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     EmptySchedule,
     InvalidArgument,
@@ -55,6 +56,7 @@ __all__ = [
     "equal_superposition",
     "validate_schedule",
     "propagators_at",
+    "segment_chunks",
     "evolve_factor",
     "blocks_from_propagators",
     "blocks_at",
@@ -62,6 +64,7 @@ __all__ = [
 ]
 
 _BOUNDARY_SNAP = 1e-12
+CHUNK_BYTES = 1 << 18  # all pointers' stacks of one segment_chunks chunk
 
 
 def equal_superposition(n: int) -> np.ndarray:
@@ -131,20 +134,29 @@ class SegmentSchedule:
 
     @cached_property
     def _eigensystems(self):
-        """Per segment, per pointer: (eigenvalues, eigenvectors) of each generator."""
+        """Per segment, per pointer: (eigenvalues, eigenvectors) of each generator.
+
+        Minus generator 0 (both qubit-boson branches) reuses (-w, u), the same u.
+        """
         systems = []
-        for seg in self.segments:
-            pairs = []
-            for g in seg.generators:
-                w, u = np.linalg.eigh((g + dagger(g)) / 2)
-                pairs.append((w, u))
-            systems.append(pairs)
+        try:
+            for seg in self.segments:
+                g0, *rest = seg.generators
+                w0, u0 = np.linalg.eigh((g0 + dagger(g0)) / 2)
+                systems.append([(w0, u0)] + [
+                    (-w0, u0) if np.array_equal(g, -g0) else np.linalg.eigh((g + dagger(g)) / 2)
+                    for g in rest
+                ])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(
+                f"eigh of a generator of segment {len(systems)} did not converge: {exc}"
+            ) from exc
         return systems
 
 
-def _eig_phase(w: np.ndarray, u: np.ndarray, tau: float, b: np.ndarray) -> np.ndarray:
-    """exp(-i V tau) U b for b already in the eigenbasis of V = U diag(w) U^dag."""
-    return u @ (np.exp(-1j * w * tau)[:, None] * b)
+def _phased(w: np.ndarray, tau: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (T, d, r) stack of exp(-i diag(w) tau) b over the times tau."""
+    return np.exp(-1j * w * tau[:, None])[:, :, None] * b
 
 
 @dataclass(frozen=True)
@@ -202,59 +214,77 @@ class ConditionalPropagatorSet:
         return len(self.w)
 
 
-def _locate(schedule: SegmentSchedule, t: float) -> tuple[int, float]:
-    """Segment index containing t and the elapsed time inside it."""
+def _locate(schedule: SegmentSchedule, times) -> tuple[np.ndarray, np.ndarray]:
+    """Segment index of each time and the elapsed time inside it."""
+    t = np.asarray(times, dtype=float).reshape(-1)
     bounds = schedule.boundaries
     total = bounds[-1]
     snap = _BOUNDARY_SNAP * max(1.0, total)
-    if t < -snap or t > total + snap:
-        raise TimeOutOfRange(f"t = {t} outside the schedule range [0, {total}]")
-    t = min(max(t, 0.0), total)
-    k = int(np.searchsorted(bounds, t, side="right") - 1)
-    k = min(k, len(schedule.segments) - 1)
+    outside = ~((t >= -snap) & (t <= total + snap))  # NaN is outside too
+    if outside.any():
+        raise TimeOutOfRange(f"t = {t[outside][0]} outside the schedule range [0, {total}]")
+    t = np.clip(t, 0.0, total)
+    k = np.minimum(np.searchsorted(bounds, t, side="right") - 1, len(schedule.segments) - 1)
     tau = t - bounds[k]
-    if tau < snap:
-        tau = 0.0
+    tau[tau < snap] = 0.0
     return k, tau
 
 
 def propagators_at(schedule: SegmentSchedule, t: float) -> ConditionalPropagatorSet:
-    """Conditional propagators w_i(t), ordered right-to-left earliest-first.
-
-    This is evolve_factor with A = I; a sweep over many times should step its
-    factor through evolve_factor once instead of calling this per time.
-    """
+    """Conditional propagators w_i(t): evolve_factor with A = I at one time."""
     eye = np.eye(schedule.env_dim, dtype=complex)
     return ConditionalPropagatorSet(t=t, w=next(evolve_factor(schedule, eye, [t])))
 
 
-def evolve_factor(schedule: SegmentSchedule, a: np.ndarray, times):
-    """Yield (w_0(t) A, ..., w_{N-1}(t) A) for each t in times; A is d x r.
+def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bool = False):
+    """Yield (index of the first time, stacks) for each chunk of times, in order.
 
-    This is the only routine that steps through the segments. U_ki^dag
-    w_i(start of segment k) A is cached per segment and pointer for the life
-    of the generator, filled only up to the latest segment a time has needed,
-    so a time costs one d x d by d x r product per pointer.
+    A chunk is a run of times inside one segment holding at most CHUNK_BYTES
+    of stacks: stacks[i] is the (T, d, r) stack of w_i(t) A. With frame=True
+    it is V^dag w_i A for V = U_k0 exp(-i w_k0 tau), one unitary for all
+    pointers, which keeps Gram matrices and spectra: stacks[0] is B_0, a
+    pointer sharing the eigenvectors of pointer 0 costs only the phase
+    exp(-i (w_i - w_0) tau), any other the fixed frame M_i = U_k0^dag U_ki.
     """
     if not schedule.segments:
         raise EmptySchedule("schedule has no segments")
     if a.shape[0] != schedule.env_dim:
         raise DimensionMismatch(f"factor has {a.shape[0]} rows, expected {schedule.env_dim}")
+    ks, taus = _locate(schedule, times)
     systems = schedule._eigensystems
-    rotated = []  # rotated[k][i] = U_ki^dag w_i(start of k) A
-    for t in times:
-        k, tau = _locate(schedule, t)
+    chunk = max(1, CHUNK_BYTES // (16 * a.size * schedule.system_dim))
+    rotated = []  # rotated[k][i] = B_i of segment k = U_ki^dag w_i(start of k) A
+
+    def factors(k: int, tau: np.ndarray) -> list[np.ndarray]:
+        return [u @ _phased(w, tau, b) for (w, u), b in zip(systems[k], rotated[k])]
+
+    starts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()  # of each run of equal k
+    for lo, hi in zip(starts, [*starts[1:], len(ks)]):
+        k = int(ks[lo])
         while len(rotated) <= k:
             m = len(rotated)
-            if m == 0:
-                start = [a] * schedule.system_dim
-            else:  # w_i(start of m) A: step across the whole of segment m - 1
-                duration = schedule.segments[m - 1].duration
-                start = [
-                    _eig_phase(w, u, duration, b) for (w, u), b in zip(systems[m - 1], rotated[-1])
-                ]
+            start = [a] * schedule.system_dim
+            if m:  # w_i(start of m) A: the factors at the end of segment m - 1
+                end = np.array([schedule.segments[m - 1].duration])
+                start = [y[0] for y in factors(m - 1, end)]
             rotated.append([dagger(u) @ y for (_, u), y in zip(systems[m], start)])
-        yield tuple(_eig_phase(w, u, tau, b) for (w, u), b in zip(systems[k], rotated[k]))
+        w0, u0 = systems[k][0]
+        frames = [None if u is u0 else dagger(u0) @ u for _, u in systems[k][1:]] if frame else ()
+        for first in range(lo, hi, chunk):
+            tau = taus[first : min(first + chunk, hi)]
+            if not frame:
+                yield first, factors(k, tau)
+                continue
+            yield first, [np.broadcast_to(rotated[k][0], (len(tau), *a.shape))] + [
+                _phased(w - w0, tau, b) if m is None else _phased(-w0, tau, m @ _phased(w, tau, b))
+                for (w, _), b, m in zip(systems[k][1:], rotated[k][1:], frames)
+            ]
+
+
+def evolve_factor(schedule: SegmentSchedule, a: np.ndarray, times):
+    """Yield (w_0(t) A, ..., w_{N-1}(t) A) for each t in times; A is d x r."""
+    for _, stacks in segment_chunks(schedule, a, times):
+        yield from zip(*stacks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,11 +351,5 @@ def blocks_at(schedule: SegmentSchedule, env0, c, t: float) -> JointStateBlocks:
 def joint_state(blocks: JointStateBlocks) -> np.ndarray:
     """Assemble the full system-environment density matrix from its blocks."""
     n, d = blocks.system_dim, blocks.env_dim
-    c = blocks.c
-    out = np.empty((n * d, n * d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = (
-                c[i] * c[j].conjugate()
-            ) * blocks.blocks[i, j]
-    return out
+    weighted = np.outer(blocks.c, blocks.c.conj())[:, :, None, None] * blocks.blocks
+    return weighted.transpose(0, 2, 1, 3).reshape(n * d, n * d)

@@ -37,13 +37,15 @@ __all__ = [
 ]
 
 
-def measure_from_fidelity(c, f: float) -> float:
-    """4|c_0|^2|c_1|^2 (1 - F), clamped to [0, 1] to absorb ~1e-12 roundoff."""
+def measure_from_fidelity(c, f):
+    """4|c_0|^2|c_1|^2 (1 - F), clamped to [0, 1] to absorb ~1e-12 roundoff.
+
+    f is one fidelity, or an array of them for an array of measures.
+    """
     amps = np.asarray(c, dtype=complex).reshape(-1)
     if amps.size != 2:
         raise NotQubit(f"measure requires 2 pointer amplitudes, got {amps.size}")
-    raw = 4.0 * abs(amps[0]) ** 2 * abs(amps[1]) ** 2 * (1.0 - f)
-    return float(min(max(raw, 0.0), 1.0))
+    return np.clip(4.0 * abs(amps[0]) ** 2 * abs(amps[1]) ** 2 * (1.0 - np.asarray(f)), 0.0, 1.0)
 
 
 def qee_measure(c, rho00, rho11) -> float:
@@ -55,9 +57,7 @@ def qee_measure(c, rho00, rho11) -> float:
     r0 = np.asarray(rho00, dtype=complex)
     r1 = np.asarray(rho11, dtype=complex)
     if r0.shape != r1.shape:
-        raise DimensionMismatch(
-            f"conditional states differ in shape: {r0.shape} vs {r1.shape}"
-        )
+        raise DimensionMismatch(f"conditional states differ in shape: {r0.shape} vs {r1.shape}")
     return measure_from_fidelity(c, fidelity(r0, r1))
 
 
@@ -126,9 +126,7 @@ def type2_residuals(props: ConditionalPropagatorSet) -> list[Type2Residual]:
     for a in range(len(products)):
         for b in range(a + 1, len(products)):
             comm = products[a] @ products[b] - products[b] @ products[a]
-            out.append(
-                Type2Residual(i=a + 1, j=0, k=b + 1, l=0, residual=frobenius(comm))
-            )
+            out.append(Type2Residual(i=a + 1, j=0, k=b + 1, l=0, residual=frobenius(comm)))
     return out
 
 

@@ -38,8 +38,8 @@ __all__ = [
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(m, -1, -2).conj()
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -123,12 +123,13 @@ def fidelity_given_sqrt(sqrt_rho1: np.ndarray, rho2: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
 
 
-def fidelity_of_factors(a: np.ndarray, b: np.ndarray) -> float:
+def fidelity_of_factors(a: np.ndarray, b: np.ndarray):
     """Fidelity of a a^dag and b b^dag: (sum of singular values of a^dag b)^2.
 
-    An r1 x r2 SVD, with no square roots of roundoff-level eigenvalues.
+    An r1 x r2 SVD, with no square roots of roundoff-level eigenvalues. For
+    (T, d, r) stacks of factors it returns the T fidelities as an array.
     """
-    return float(np.sum(np.linalg.svd(dagger(a) @ b, compute_uv=False)) ** 2)
+    return np.sum(np.linalg.svd(dagger(a) @ b, compute_uv=False), axis=-1) ** 2
 
 
 def fidelity(rho1, rho2, *, trace_tol: float = 1e-8, psd_clamp: float = 1e-10) -> float:
@@ -145,24 +146,22 @@ def fidelity(rho1, rho2, *, trace_tol: float = 1e-8, psd_clamp: float = 1e-10) -
         tr = float(np.trace(r).real)
         if abs(tr - 1.0) > trace_tol:
             raise NotNormalizedError(f"{name} has trace {tr!r}, expected 1 within {trace_tol}")
-    return fidelity_of_factors(
-        psd_factor(r1, clamp=psd_clamp), psd_factor(r2, clamp=psd_clamp)
-    )
+    return fidelity_of_factors(psd_factor(r1, clamp=psd_clamp), psd_factor(r2, clamp=psd_clamp))
 
 
-def trace_distance_of_factors(a: np.ndarray, b: np.ndarray) -> float:
+def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
     """Trace distance (1/2)||a a^dag - b b^dag||_1 of factored states.
 
     When r1 + r2 < d, a and b are replaced by the column blocks of R in the
     reduced QR [a | b] = Q R, which leaves the spectrum of the difference
-    unchanged and shrinks the eigenproblem to (r1 + r2) x (r1 + r2).
+    unchanged and shrinks the eigenproblem to (r1 + r2) x (r1 + r2). For
+    (T, d, r) stacks of factors it returns the T distances as an array.
     """
-    r1 = a.shape[1]
-    if r1 + b.shape[1] < a.shape[0]:
-        r = np.linalg.qr(np.hstack((a, b)), mode="r")
-        a, b = r[:, :r1], r[:, r1:]
-    w = np.linalg.eigvalsh(a @ dagger(a) - b @ dagger(b))
-    return float(0.5 * np.sum(np.abs(w)))
+    r1 = a.shape[-1]
+    if r1 + b.shape[-1] < a.shape[-2]:
+        r = np.linalg.qr(np.concatenate((a, b), axis=-1), mode="r")
+        a, b = r[..., :r1], r[..., r1:]
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a @ dagger(a) - b @ dagger(b))), axis=-1)
 
 
 def trace_distance(rho1, rho2, *, herm_tol: float = 1e-9) -> float:

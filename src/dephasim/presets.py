@@ -41,13 +41,9 @@ def _stepped_thermal(theta: float) -> dict:
 
 
 def _constant(alpha: list[float], theta: float, t_max: float, steps: int, t_start: float) -> dict:
+    segments = [{"duration": t_max, "alpha": list(alpha)}]
     return {
-        "model": {
-            "qubit_boson": {
-                "beta": 1.0,
-                "segments": [{"duration": t_max, "alpha": list(alpha)}],
-            }
-        },
+        "model": {"qubit_boson": {"beta": 1.0, "segments": segments}},
         "initial_env": {"thermal": {"theta": theta}},
         "time": {"t_max": t_max, "steps": steps, "t_start": t_start},
         "cutoff": _CUTOFF,

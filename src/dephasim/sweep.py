@@ -3,17 +3,17 @@
 run_sweep drives the whole pipeline for one configuration: resolve the model
 and the initial environment, build the uniform time grid (always including
 segment switch times so sharp features are never aliased), then evaluate the
-entanglement measure, coherence and criterion residuals point by point.
+entanglement measure, coherence and criterion residuals on it.
 
-Per-point evaluation works on factors: R(0) = A A^dag is factored once per
-sweep (A is d x r, r the numerical rank of R(0)) and evolve_factor yields
-Y_i(t) = w_i(t) A, so R_ij = Y_i Y_j^dag. The coherence is |vdot(Y_1, Y_0)|,
-the fidelity an r x r SVD of Y_0^dag Y_1 and each trace distance an
-eigensolve of dimension at most 2r. Only the type-2 commutators (N >= 3) and
-the negativity need the d x d propagators w_i; when either is on, the same
-evolve_factor call steps the identity instead of A and Y_i = w_i A is taken
-from its output. The identities are exact and are asserted against the
-direct block computation in the test suite.
+R(0) = A A^dag is factored once (A is d x r, r its numerical rank), and
+segment_chunks yields each chunk of a segment's grid points as (T, d, r)
+stacks of Y_i = w_i A, in a frame shared by the pointers. Batched numpy
+calls give the coherence |Tr(Y_0^dag Y_1)|, the fidelity from r x r SVDs of
+Y_0^dag Y_1 and each trace distance from a QR of [Y_i | Y_j] and an
+eigensolve of dimension at most 2r. The type-2 commutators (N >= 3) and the
+negativity need the propagators: then the identity is stepped instead of A,
+a chunk's w_i are formed in one batch, Y_i = w_i A, and those two
+quantities are evaluated point by point.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .dephasing import (
     SegmentSchedule,
     blocks_from_propagators,
     equal_superposition,
-    evolve_factor,
     joint_state,
+    segment_chunks,
     validate_schedule,
 )
 from .entanglement import measure_from_fidelity, type2_residuals
@@ -123,9 +123,7 @@ def _resolve_cutoff(cfg: RunConfig) -> int:
     elif isinstance(env, FockEnv):
         kwargs["fock_level"] = env.n
     elif not isinstance(env, CoherentEnv):
-        raise ValidationError(
-            "cutoff", "'auto' cannot be used with a matrix-file environment"
-        )
+        raise ValidationError("cutoff", "'auto' cannot be used with a matrix-file environment")
     return suggest_cutoff(**kwargs)
 
 
@@ -156,9 +154,7 @@ def _build_environment(cfg: RunConfig, cutoff: int) -> EnvDensity:
 def _resolve(cfg: RunConfig, *, cutoff_override: int | None = None) -> _ResolvedRun:
     if isinstance(cfg.model, QubitBosonModel):
         cutoff = cutoff_override if cutoff_override is not None else _resolve_cutoff(cfg)
-        params = QubitBosonParams(
-            beta=cfg.model.beta, segments=cfg.model.segments, cutoff=cutoff
-        )
+        params = QubitBosonParams(beta=cfg.model.beta, segments=cfg.model.segments, cutoff=cutoff)
         schedule = build_schedule(params)
         validate_schedule(schedule)
     else:
@@ -193,9 +189,7 @@ def _time_grid(cfg: RunConfig, schedule: SegmentSchedule) -> np.ndarray:
     t_max = cfg.time.t_max
     total = schedule.total_duration
     if t_max > total + 1e-9:
-        raise ValidationError(
-            "time.t_max", f"exceeds the total schedule duration {total!r}"
-        )
+        raise ValidationError("time.t_max", f"exceeds the total schedule duration {total!r}")
     base = np.linspace(0.0, t_max, cfg.time.steps)
     interior = [b for b in schedule.boundaries[1:-1] if 0.0 < b < t_max]
     snap = 1e-12 * max(1.0, t_max)
@@ -204,41 +198,46 @@ def _time_grid(cfg: RunConfig, schedule: SegmentSchedule) -> np.ndarray:
     return np.unique(np.concatenate([base, interior])) if interior else base
 
 
-def _points(run: _ResolvedRun, flags, times):
-    """(t, (w_i(t) A)_i, propagators or None) per time, with R(0) = A A^dag."""
+def _rows(run: _ResolvedRun, flags, times: list[float], t0: float):
+    """The sweep rows, from one stacked evaluation per chunk of each segment's times."""
+    n, c, dim = run.schedule.system_dim, run.amplitudes, run.env0.dim
     a = psd_factor(run.env0.matrix)
     # type-2 (N >= 3) and the negativity need w_i itself: step the identity instead of A
-    needs_w = flags.negativity or (flags.type2 and run.schedule.system_dim >= 3)
-    stepped = np.eye(run.env0.dim, dtype=complex) if needs_w else a
-    for t, out in zip(times, evolve_factor(run.schedule, stepped, times)):
+    needs_w = flags.negativity or (flags.type2 and n >= 3)
+    stepped = np.eye(dim, dtype=complex) if needs_w else a
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows = []
+    for first, stacks in segment_chunks(run.schedule, stepped, times, frame=not needs_w):
+        ts = times[first : first + len(stacks[0])]
+        finite = np.logical_and.reduce([np.isfinite(s).all(axis=(1, 2)) for s in stacks])
+        if not finite.all():
+            raise NonFiniteError(f"evolved state is not finite at t = {ts[np.argmin(finite)]!r}")
+        ys = [s @ a for s in stacks] if needs_w else stacks
+        measure = coherence_norm = type1_max = type2_max = neg = [None] * len(ts)
+        if flags.entanglement and n == 2:
+            measure = measure_from_fidelity(c, fidelity_of_factors(ys[0], ys[1])).tolist()
+        if flags.coherence and n >= 2 and c[0] * c[1] != 0:
+            # |Tr R_01| = |Tr(Y_0 Y_1^dag)|
+            coherence_norm = np.abs(np.sum(ys[1].conj() * ys[0], axis=(1, 2))).tolist()
+        if flags.type1:
+            distances = [trace_distance_of_factors(ys[i], ys[j]) for i, j in pairs]
+            type1_max = np.max(distances, axis=0).tolist()
+        if flags.type2:  # qubits have no second-type conditions
+            type2_max = [0.0] * len(ts)
         if needs_w:
-            yield t, tuple(w @ a for w in out), ConditionalPropagatorSet(t=t, w=out)
-        else:
-            yield t, out, None
-
-
-def _row(run: _ResolvedRun, flags, t: float, t_reported: float, ys, props) -> SweepRow:
-    """One grid point from the evolved factors ys[i] = w_i(t) A of R(0) = A A^dag."""
-    if not all(np.isfinite(m).all() for m in (props.w if props else ys)):
-        raise NonFiniteError(f"evolved state is not finite at t = {t!r}")
-    n, c = len(ys), run.amplitudes
-    measure = coherence_norm = type1_max = neg = None
-    if flags.entanglement and n == 2:
-        measure = measure_from_fidelity(c, fidelity_of_factors(ys[0], ys[1]))
-    if flags.coherence and n >= 2 and c[0] * c[1] != 0:
-        # |Tr R_01| = |Tr(Y_0 Y_1^dag)|
-        coherence_norm = float(abs(np.vdot(ys[1], ys[0])))
-    if flags.type1:
-        type1_max = max(
-            trace_distance_of_factors(ys[i], ys[j]) for i in range(n) for j in range(i + 1, n)
-        )
-    type2_max = 0.0 if flags.type2 else None  # qubits have no second-type conditions
-    if flags.type2 and n >= 3:
-        type2_max = max(r.residual for r in type2_residuals(props))
-    if flags.negativity:
-        blocks = blocks_from_propagators(props, run.env0, c)
-        neg = negativity(joint_state(blocks), n, run.env0.dim)
-    return SweepRow(t_reported, measure, coherence_norm, type1_max, type2_max, neg, run.cutoff_used)
+            props = [ConditionalPropagatorSet(t=t, w=w) for t, w in zip(ts, zip(*stacks))]
+            if flags.type2 and n >= 3:
+                type2_max = [max(r.residual for r in type2_residuals(p)) for p in props]
+            if flags.negativity:
+                neg = [
+                    negativity(joint_state(blocks_from_propagators(p, run.env0, c)), n, dim)
+                    for p in props
+                ]
+        rows += [
+            SweepRow(t + t0, *values, run.cutoff_used)
+            for t, *values in zip(ts, measure, coherence_norm, type1_max, type2_max, neg)
+        ]
+    return rows
 
 
 def run_sweep(cfg: RunConfig, *, cutoff_override: int | None = None) -> list[SweepRow]:
@@ -250,15 +249,11 @@ def run_sweep(cfg: RunConfig, *, cutoff_override: int | None = None) -> list[Swe
     """
     run = _resolve(cfg, cutoff_override=cutoff_override)
     times = [float(t) for t in _time_grid(cfg, run.schedule)]
-    t0 = cfg.time.t_start
-    points = _points(run, cfg.outputs, times)
-    return [_row(run, cfg.outputs, t, t + t0, ys, props) for t, ys, props in points]
+    return _rows(run, cfg.outputs, times, cfg.time.t_start)
 
 
 def _format_value(value: float | None) -> str:
-    if value is None:
-        return ""
-    return format(value, ".12g")
+    return "" if value is None else format(value, ".12g")
 
 
 def emit_csv(rows: list[SweepRow], destination) -> int:
@@ -271,20 +266,9 @@ def emit_csv(rows: list[SweepRow], destination) -> int:
     if not rows:
         raise InvalidArgument("no rows to emit")
     lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    _format_value(row.t),
-                    _format_value(row.entanglement),
-                    _format_value(row.coherence_norm),
-                    _format_value(row.type1_max),
-                    _format_value(row.type2_max),
-                    _format_value(row.negativity),
-                    str(row.cutoff),
-                )
-            )
-        )
+    for r in rows:
+        values = (r.t, r.entanglement, r.coherence_norm, r.type1_max, r.type2_max, r.negativity)
+        lines.append(",".join([*map(_format_value, values), str(r.cutoff)]))
     data = ("\n".join(lines) + "\n").encode("ascii")
     if hasattr(destination, "write"):
         destination.write(data)
@@ -302,28 +286,27 @@ class ConvergenceReport:
     max_abs_d_entanglement: float
     max_abs_d_coherence: float
     points: int
+    t_max_d_entanglement: float  # reported time of the worst |dE|, the first if tied
+    t_max_d_coherence: float
 
     def render(self) -> str:
-        return "\n".join(
-            (
-                f"cutoff        : {self.cutoff} vs {self.doubled_cutoff}",
-                f"grid points   : {self.points}",
-                f"max |dE|      : {self.max_abs_d_entanglement:.3e}",
-                f"max |dcoh|    : {self.max_abs_d_coherence:.3e}",
-            )
-        )
+        return "\n".join([
+            f"cutoff        : {self.cutoff} vs {self.doubled_cutoff}",
+            f"grid points   : {self.points}",
+            f"max |dE|      : {self.max_abs_d_entanglement:.3e}"
+            f" at t = {self.t_max_d_entanglement:g}",
+            f"max |dcoh|    : {self.max_abs_d_coherence:.3e} at t = {self.t_max_d_coherence:g}",
+        ])
 
 
 def convergence_report(cfg: RunConfig) -> ConvergenceReport:
     """Run the sweep at the configured cutoff and at twice the cutoff.
 
     Reports the largest pointwise change of the entanglement measure and of
-    the normalized coherence over the grid.
+    the normalized coherence over the grid, and the time where each occurs.
     """
     if not isinstance(cfg.model, QubitBosonModel):
-        raise ValidationError(
-            "model", "convergence reports require the qubit_boson model"
-        )
+        raise ValidationError("model", "convergence reports require the qubit_boson model")
     if not (cfg.outputs.entanglement and cfg.outputs.coherence):
         raise ValidationError(
             "outputs", "convergence reports need entanglement and coherence enabled"
@@ -331,22 +314,24 @@ def convergence_report(cfg: RunConfig) -> ConvergenceReport:
     cutoff = _resolve_cutoff(cfg)
     doubled = 2 * cutoff
     if doubled > CUTOFF_LADDER[-1]:
-        raise CutoffCapExceeded(
-            f"doubling cutoff {cutoff} exceeds the cap {CUTOFF_LADDER[-1]}"
-        )
+        raise CutoffCapExceeded(f"doubling cutoff {cutoff} exceeds the cap {CUTOFF_LADDER[-1]}")
     rows_lo = run_sweep(cfg, cutoff_override=cutoff)
     rows_hi = run_sweep(cfg, cutoff_override=doubled)
-    d_ent = 0.0
-    d_coh = 0.0
-    for lo, hi in zip(rows_lo, rows_hi):
-        if lo.entanglement is not None and hi.entanglement is not None:
-            d_ent = max(d_ent, abs(lo.entanglement - hi.entanglement))
-        if lo.coherence_norm is not None and hi.coherence_norm is not None:
-            d_coh = max(d_coh, abs(lo.coherence_norm - hi.coherence_norm))
+
+    def worst(column: str) -> tuple[float, float]:
+        """Largest |change| of a column (0 where not computed) and the first t it occurs."""
+        lo, hi = ([getattr(row, column) for row in rows] for rows in (rows_lo, rows_hi))
+        change = np.nan_to_num(np.abs(np.array(lo, dtype=float) - np.array(hi, dtype=float)))
+        return float(change.max()), rows_lo[int(np.argmax(change))].t
+
+    d_ent, t_ent = worst("entanglement")
+    d_coh, t_coh = worst("coherence_norm")
     return ConvergenceReport(
         cutoff=cutoff,
         doubled_cutoff=doubled,
         max_abs_d_entanglement=d_ent,
         max_abs_d_coherence=d_coh,
         points=len(rows_lo),
+        t_max_d_entanglement=t_ent,
+        t_max_d_coherence=t_coh,
     )

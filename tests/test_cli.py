@@ -178,6 +178,21 @@ class TestRunCommand:
             code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
         assert code == expected
 
+    def test_eigh_failure_is_numerical_failure(self, tmp_path, capsys):
+        # (g + g^dag) / 2 overflows to inf at alpha 1e308 and eigh does not
+        # converge: a numerical failure with exit 2, not a traceback
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["model"]["qubit_boson"]["segments"][0]["alpha"] = [1e308, 0.0]
+        cfg["cutoff"] = 4
+        cfg["initial_env"] = {"thermal": {"theta": 0.5}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "did not converge" in capsys.readouterr().err
+
 
 class TestPresetCommand:
     def test_preset_runs(self, tmp_path):

@@ -215,6 +215,16 @@ class TestEvolveFactor:
         with pytest.raises(TimeOutOfRange):
             list(evolve_factor(sched, np.ones((4, 1), dtype=complex), [1.0, 2.5]))
 
+    def test_nan_time_is_out_of_range(self):
+        # a NaN time is rejected, not evolved into NaN factors
+        sched = make_schedule(np.random.default_rng(0), durations=[1.0, 1.0])
+        with pytest.raises(TimeOutOfRange):
+            list(evolve_factor(sched, np.ones((4, 1), dtype=complex), [float("nan")]))
+
+    def test_no_times(self):
+        sched = make_schedule(np.random.default_rng(0))
+        assert list(evolve_factor(sched, np.ones((4, 1), dtype=complex), [])) == []
+
 
 class TestBlocks:
     def test_initial_blocks_equal_initial_state(self):

@@ -9,20 +9,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dephasim import dephasing
 from dephasim.config import config_from_dict, load_schedule_file
 from dephasim.dephasing import (
     blocks_at,
     equal_superposition,
     propagators_at,
+    segment_chunks,
 )
 from dephasim.entanglement import qee_measure, type1_residuals, type2_residuals
 from dephasim.errors import CutoffCapExceeded, ValidationError
 from dephasim.fock import FockSpace, env_from_matrix, thermal_state
-from dephasim.linalg import fidelity, psd_factor, trace_distance
+from dephasim.linalg import fidelity, negativity, psd_factor, trace_distance
 from dephasim.presets import PRESET_NAMES, preset_config
 from dephasim.qubit_boson import QubitBosonParams, build_schedule
 from dephasim.sweep import CSV_HEADER, convergence_report, emit_csv, run_sweep
-from util import normalized_coherence, random_density, random_hermitian
+from util import expm, normalized_coherence, random_density, random_hermitian
 
 EQUAL = equal_superposition(2)
 
@@ -222,6 +224,111 @@ class TestFactorKernel:
         assert psd_factor(env.matrix).shape[1] == d
         schedule = load_schedule_file(tmp_path / "s.json")
         assert_rows_match_blocks(run_sweep(cfg), schedule, env, equal_superposition(3))
+
+
+def kernel_case(name, tmp_path):
+    """(config, schedule, R(0), amplitudes) of one path through segment_chunks.
+
+    qubit_boson: pointer 1 reuses the eigenvectors of pointer 0 (M = I), thermal
+    R(0) of rank 9 < d/2, so type-1 is QR-reduced. unrelated: a 2-pointer
+    schedule file with independent random generators (M != I) and a rank-2 R(0).
+    negativity: 3 pointers and the negativity, so the kernel forms w_i itself.
+    Every grid has segment boundaries that fall off the uniform grid.
+    """
+    c = np.array([0.6, 0.8j])
+    if name == "qubit_boson":
+        cfg = preset_config("fig2b")
+        cfg["model"]["qubit_boson"]["segments"] = [
+            {"duration": 0.7, "alpha": [0.0, 0.0]},
+            {"duration": 1.1, "alpha": [0.5, 0.5]},
+            {"duration": 0.5, "alpha": [0.0, -0.3]},
+        ]
+        cfg.update(cutoff=16, time={"t_max": 2.3, "steps": 7}, amplitudes=[[0.6, 0], [0, 0.8]])
+        cfg = config_from_dict(cfg)
+        schedule = build_schedule(
+            QubitBosonParams(beta=1.0, segments=cfg.model.segments, cutoff=16)
+        )
+        return cfg, schedule, thermal_state(0.5, FockSpace(16)).matrix, c
+    rng = np.random.default_rng(8)
+    n, d = (2, 6) if name == "unrelated" else (3, 5)
+    doc = {
+        "system_dim": n,
+        "env_dim": d,
+        "segments": [
+            {"duration": dur, "generators": [as_pairs(random_hermitian(rng, d)) for _ in range(n)]}
+            for dur in (0.7, 1.1)
+        ],
+    }
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    g = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    (tmp_path / "env.json").write_text(json.dumps({"matrix": as_pairs(rho)}))
+    cfg = {
+        "model": {"schedule_file": str(tmp_path / "s.json")},
+        "initial_env": {"matrix_file": str(tmp_path / "env.json")},
+        "time": {"t_max": 1.8, "steps": 7},
+        "cutoff": d,
+    }
+    if name == "unrelated":
+        cfg["amplitudes"] = [[0.6, 0], [0, 0.8]]
+    else:
+        c = equal_superposition(3)
+        cfg["outputs"] = {"negativity": True}
+    return config_from_dict(cfg), load_schedule_file(tmp_path / "s.json"), rho, c
+
+
+def oracle_blocks(schedule, rho, t):
+    """R_ij(t) from the chronological product of expm over the segments."""
+    ws = []
+    for i in range(schedule.system_dim):
+        w = np.eye(schedule.env_dim, dtype=complex)
+        for start, seg in zip(schedule.boundaries, schedule.segments):
+            w = expm(-1j * seg.generators[i] * min(max(t - start, 0.0), seg.duration)) @ w
+        ws.append(w)
+    return np.array([[wi @ rho @ wj.conj().T for wj in ws] for wi in ws])
+
+
+class TestSegmentKernel:
+    @pytest.mark.parametrize("name", ["qubit_boson", "unrelated", "negativity"])
+    def test_chunk_budget_leaves_rows_unchanged(self, name, tmp_path, monkeypatch):
+        cfg, schedule, _, _ = kernel_case(name, tmp_path)
+        runs, chunks = [], []
+        for budget in (1, 1 << 40):  # one point per chunk, then one chunk per segment
+            monkeypatch.setattr(dephasing, "CHUNK_BYTES", budget)
+            runs.append(run_sweep(cfg))
+            times = [row.t for row in runs[-1]]
+            eye = np.eye(schedule.env_dim, dtype=complex)
+            chunks.append(len(list(segment_chunks(schedule, eye, times))))
+        assert chunks == [len(runs[0]), len(schedule.segments)]
+        for a, b in zip(*runs):
+            assert a.t == b.t
+            for field in ("entanglement", "coherence_norm", "type1_max", "type2_max", "negativity"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert (x is None) == (y is None), (field, a.t)
+                assert x is None or abs(x - y) <= 1e-14, (field, a.t, x - y)
+
+    @pytest.mark.parametrize("name", ["qubit_boson", "unrelated", "negativity"])
+    def test_boundaries_and_origin_match_expm_oracle(self, name, tmp_path):
+        cfg, schedule, rho, c = kernel_case(name, tmp_path)
+        shared = [u is s[0][1] for s in schedule._eigensystems for _, u in s[1:]]
+        assert all(shared) if name == "qubit_boson" else not any(shared)
+        rows = {row.t: row for row in run_sweep(cfg)}
+        n = len(c)
+        assert set(schedule.boundaries) <= set(rows)  # t = 0, every switch and the end
+        for t in schedule.boundaries:
+            row, r = rows[t], oracle_blocks(schedule, rho, t)
+            blocks = blocks_at(schedule, env_from_matrix(rho), c, t)
+            assert np.abs(blocks.blocks - r).max() <= 1e-13, t
+            t1 = max(trace_distance(r[i, i], r[j, j]) for i in range(n) for j in range(i + 1, n))
+            assert abs(row.type1_max - t1) <= 1e-13, t
+            assert abs(row.coherence_norm - abs(np.trace(r[0, 1]))) <= 1e-13, t
+            if n == 2:
+                e = 4 * abs(c[0] * c[1]) ** 2 * (1 - fidelity(r[0, 0], r[1, 1]))
+                assert abs(row.entanglement - e) <= 1e-12, t
+            else:
+                weighted = [[c[i] * c[j].conjugate() * r[i, j] for j in range(n)] for i in range(n)]
+                sigma = np.block(weighted)
+                assert abs(row.negativity - negativity(sigma, n, schedule.env_dim)) <= 1e-12, t
 
 
 class TestCutoffReach:
@@ -458,6 +565,17 @@ class TestConvergence:
         )
         with pytest.raises(ValidationError):
             convergence_report(cfg)
+
+    def test_reports_where_the_worst_changes_are(self):
+        # the criterion-10 run: fig2d at cutoff 32 against 64
+        cfg_dict = preset_config("fig2d")
+        cfg_dict["cutoff"] = 32
+        report = convergence_report(config_from_dict(cfg_dict))
+        assert report.t_max_d_entanglement == 6.0
+        assert report.t_max_d_coherence == pytest.approx(5.69, abs=1e-12)
+        text = report.render()
+        assert f"max |dE|      : {report.max_abs_d_entanglement:.3e} at t = 6\n" in text
+        assert text.endswith(f"max |dcoh|    : {report.max_abs_d_coherence:.3e} at t = 5.69")
 
     def test_render(self):
         cfg_dict = preset_config("fig2e")
