@@ -43,6 +43,7 @@ from .entanglement import (
     qee_measure,
     separability_verdict,
     type1_residuals,
+    type2_norms,
     type2_residuals,
 )
 from .errors import (
@@ -80,6 +81,7 @@ from .linalg import (
     fidelity_given_sqrt,
     fidelity_of_factors,
     negativity,
+    negativity_of_factors,
     partial_transpose,
     psd_factor,
     sqrtm_psd,

@@ -7,7 +7,9 @@ the factored representation:
   type 1: all conditional environment states agree, R_ii(t) = R_jj(t);
   type 2: the products w_i w_j^dag all commute pairwise (absent for qubits).
 
-Violation of any one condition certifies entanglement. For a qubit the single
+Only pointers with c_i != 0 enter the joint state, so the conditions run over
+those alone; a set with no condition left reads as satisfied. Violation of
+any one condition certifies entanglement. For a qubit the single
 type-1 condition is also quantified by the measure
 
     E(t) = 4 |c_0|^2 |c_1|^2 (1 - F(R_00, R_11)),
@@ -18,12 +20,13 @@ which vanishes exactly on separable states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .dephasing import ConditionalPropagatorSet, JointStateBlocks
 from .errors import DimensionMismatch, NotQubit
-from .linalg import dagger, fidelity, frobenius, trace_distance
+from .linalg import dagger, fidelity, trace_distance
 
 __all__ = [
     "Type1Residual",
@@ -31,7 +34,9 @@ __all__ = [
     "SeparabilityVerdict",
     "qee_measure",
     "measure_from_fidelity",
+    "supported_pointers",
     "type1_residuals",
+    "type2_norms",
     "type2_residuals",
     "separability_verdict",
 ]
@@ -40,12 +45,14 @@ __all__ = [
 def measure_from_fidelity(c, f):
     """4|c_0|^2|c_1|^2 (1 - F), clamped to [0, 1] to absorb ~1e-12 roundoff.
 
-    f is one fidelity, or an array of them for an array of measures.
+    f is one fidelity, or an array of them for an array of measures. A zero
+    prefactor times F - 1 > 0 is -0.0, which the clamp keeps; it returns +0.0.
     """
     amps = np.asarray(c, dtype=complex).reshape(-1)
     if amps.size != 2:
         raise NotQubit(f"measure requires 2 pointer amplitudes, got {amps.size}")
-    return np.clip(4.0 * abs(amps[0]) ** 2 * abs(amps[1]) ** 2 * (1.0 - np.asarray(f)), 0.0, 1.0)
+    prefactor = 4.0 * abs(amps[0]) ** 2 * abs(amps[1]) ** 2
+    return np.clip(prefactor * (1.0 - np.asarray(f)), 0.0, 1.0) + 0.0
 
 
 def qee_measure(c, rho00, rho11) -> float:
@@ -65,8 +72,8 @@ def qee_measure(c, rho00, rho11) -> float:
 class Type1Residual:
     """Trace distance between conditional states R_ii and R_jj.
 
-    The pairs (0, j) form the independent set; the remaining pairs are implied
-    by them and flagged as derived.
+    The pairs (r, j), r the first pointer with c_r != 0, form the independent
+    set; the remaining pairs are implied by them and flagged as derived.
     """
 
     i: int
@@ -95,19 +102,49 @@ class Type2Residual:
         )
 
 
-def type1_residuals(blocks: JointStateBlocks) -> list[Type1Residual]:
-    """Pairwise distances between conditional environment states.
+def supported_pointers(c) -> list[int]:
+    """Indices i with c_i != 0, the pointers the separability criteria test."""
+    return [i for i, ci in enumerate(c) if ci != 0]
 
-    Zero residuals on every pair mean the first-type separability conditions
-    hold at this time.
+
+def type1_residuals(blocks: JointStateBlocks) -> list[Type1Residual]:
+    """Pairwise distances between the conditional states of pointers with c_i != 0.
+
+    Zero residuals on every pair (or no pair at all) mean the first-type
+    separability conditions hold at this time.
     """
-    n = blocks.system_dim
+    on = supported_pointers(blocks.c)
     out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = trace_distance(blocks.blocks[i, i], blocks.blocks[j, j])
-            out.append(Type1Residual(i=i, j=j, residual=d, independent=(i == 0)))
+    for i, j in combinations(on, 2):
+        d = trace_distance(blocks.blocks[i, i], blocks.blocks[j, j])
+        out.append(Type1Residual(i=i, j=j, residual=d, independent=(i == on[0])))
     return out
+
+
+def type2_norms(w, pointers) -> dict[tuple[int, int], np.ndarray]:
+    """{(a, b): ||[P_a, P_b]||_F} with P_a = w_a w_r^dag and r = pointers[0].
+
+    The pairs a < b of pointers[1:] are the independent second-type
+    conditions among the listed pointers; fewer than three pointers have
+    none. w is indexed by pointer, each w_i a d x d propagator or a (T, d, d)
+    stack of them, also in any common frame V^dag w_i, which leaves every
+    norm unchanged.
+    """
+    if len(pointers) < 3:
+        return {}
+    ref_dag = dagger(w[pointers[0]])
+    p = {a: w[a] @ ref_dag for a in pointers[1:]}
+    return {
+        (a, b): np.linalg.norm(p[a] @ p[b] - p[b] @ p[a], axis=(-2, -1))
+        for a, b in combinations(pointers[1:], 2)
+    }
+
+
+def _type2_residuals(w, pointers) -> list[Type2Residual]:
+    return [
+        Type2Residual(i=a, j=pointers[0], k=b, l=pointers[0], residual=float(norm))
+        for (a, b), norm in type2_norms(w, pointers).items()
+    ]
 
 
 def type2_residuals(props: ConditionalPropagatorSet) -> list[Type2Residual]:
@@ -117,17 +154,7 @@ def type2_residuals(props: ConditionalPropagatorSet) -> list[Type2Residual]:
     1 <= i < j <= N-1, matching the (N-1)(N-2)/2 count; for a qubit the list
     is empty because conditions of this type do not exist.
     """
-    n = props.system_dim
-    if n < 3:
-        return []
-    w0d = dagger(props.w[0])
-    products = [props.w[i] @ w0d for i in range(1, n)]
-    out = []
-    for a in range(len(products)):
-        for b in range(a + 1, len(products)):
-            comm = products[a] @ products[b] - products[b] @ products[a]
-            out.append(Type2Residual(i=a + 1, j=0, k=b + 1, l=0, residual=frobenius(comm)))
-    return out
+    return _type2_residuals(props.w, range(props.system_dim))
 
 
 @dataclass(frozen=True)
@@ -151,13 +178,13 @@ def separability_verdict(
     """Entangled iff any criterion residual exceeds tol.
 
     Valid only for states evolved from a product initial state with a pure
-    system state (the iff direction fails otherwise). The witness is the
-    largest violating residual.
+    system state (the iff direction fails otherwise). Both criteria run over
+    the pointers with c_i != 0; type-2 takes the first of them as its
+    reference. The witness is the largest violating residual.
     """
-    violations: list[Type1Residual | Type2Residual] = [
-        r for r in type1_residuals(blocks) if r.residual > tol
-    ]
-    violations += [r for r in type2_residuals(props) if r.residual > tol]
+    residuals = type1_residuals(blocks)
+    residuals += _type2_residuals(props.w, supported_pointers(blocks.c))
+    violations = [r for r in residuals if r.residual > tol]
     if not violations:
         return SeparabilityVerdict(entangled=False)
     worst = max(violations, key=lambda r: r.residual)

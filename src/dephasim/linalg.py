@@ -33,6 +33,7 @@ __all__ = [
     "trace_distance_of_factors",
     "trace_distance",
     "partial_transpose",
+    "negativity_of_factors",
     "negativity",
 ]
 
@@ -187,13 +188,40 @@ def partial_transpose(sigma, dim_sys: int, dim_env: int) -> np.ndarray:
     return blocks.transpose(2, 1, 0, 3).reshape(n, n)
 
 
+def _negative_sum(pt: np.ndarray):
+    """Sum of |negative eigenvalues| of a Hermitian matrix or stack; +0.0 if there are none."""
+    w = np.linalg.eigvalsh(pt)
+    return np.sum(np.maximum(-w, 0.0), axis=-1) + 0.0  # -0.0 + 0.0 is +0.0
+
+
+def negativity_of_factors(z: np.ndarray, dim_sys: int):
+    """Negativity of sigma = Z Z^dag for Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}] (N d x r).
+
+    The partial transpose over the system has blocks PT_ab = Z_b Z_a^dag.
+    When N r < d, each Z_i is replaced by its column block of R in the
+    reduced QR [Z_0 | ... | Z_{N-1}] = Q R, a common isometry that leaves the
+    nonzero spectrum of the partial transpose unchanged and shrinks the
+    eigenproblem from N d to N (N r). For (T, N d, r) stacks it returns the T
+    negativities as an array.
+    """
+    r = z.shape[-1]
+    d = z.shape[-2] // dim_sys
+    if dim_sys * r < d:
+        r_blocks = np.linalg.qr(np.concatenate(np.split(z, dim_sys, axis=-2), axis=-1), mode="r")
+        z = np.concatenate(np.split(r_blocks, dim_sys, axis=-1), axis=-2)
+        d = dim_sys * r
+    blocks = (z @ dagger(z)).reshape(*z.shape[:-2], dim_sys, d, dim_sys, d)
+    m = dim_sys * d
+    return _negative_sum(np.swapaxes(blocks, -4, -2).reshape(*z.shape[:-2], m, m))
+
+
 def negativity(sigma, dim_sys: int, dim_env: int, *, herm_tol: float = 1e-9) -> float:
     """Sum of |negative eigenvalues| of the partial transpose over the system.
 
     A positive value certifies entanglement across the system/environment cut;
-    zero is inconclusive (PPT misses bound entanglement).
+    zero (always +0.0) is inconclusive (PPT misses bound entanglement). This
+    validates a formed joint state; sweeps call negativity_of_factors.
     """
     pt = partial_transpose(sigma, dim_sys, dim_env)
     require_hermitian(sigma, herm_tol, what="sigma")
-    w = np.linalg.eigvalsh(pt)
-    return float(-np.sum(w[w < 0.0]))
+    return float(_negative_sum(pt))

@@ -7,18 +7,22 @@ entanglement measure, coherence and criterion residuals on it.
 
 R(0) = A A^dag is factored once (A is d x r, r its numerical rank), and
 segment_chunks yields each chunk of a segment's grid points as (T, d, r)
-stacks of Y_i = w_i A, in a frame shared by the pointers. Batched numpy
-calls give the coherence |Tr(Y_0^dag Y_1)|, the fidelity from r x r SVDs of
-Y_0^dag Y_1 and each trace distance from a QR of [Y_i | Y_j] and an
-eigensolve of dimension at most 2r. The type-2 commutators (N >= 3) and the
-negativity need the propagators: then the identity is stepped instead of A,
-a chunk's w_i are formed in one batch, Y_i = w_i A, and those two
-quantities are evaluated point by point.
+stacks of V^dag Y_i, Y_i = w_i A, in a frame V shared by the pointers, which
+no output sees. Batched numpy calls give the coherence |Tr(Y_0^dag Y_1)|,
+the fidelity from r x r SVDs of Y_0^dag Y_1, each trace distance from a QR
+of [Y_i | Y_j] and an eigensolve of dimension at most 2r, and the negativity
+from the partial transposes of Z Z^dag, Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}],
+of dimension at most N (N r), in runs that hold at most CHUNK_BYTES. The
+type-2 commutator norms of P_a = w_a w_r^dag need the propagators: when
+they are on (N >= 3), the identity is stepped instead of A and
+Y_i = (V^dag w_i) A. The criteria and the negativity run over the pointers
+with c_i != 0 only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -33,16 +37,9 @@ from .config import (
     load_matrix_file,
     load_schedule_file,
 )
-from .dephasing import (
-    ConditionalPropagatorSet,
-    SegmentSchedule,
-    blocks_from_propagators,
-    equal_superposition,
-    joint_state,
-    segment_chunks,
-    validate_schedule,
-)
-from .entanglement import measure_from_fidelity, type2_residuals
+from . import dephasing
+from .dephasing import SegmentSchedule, equal_superposition, segment_chunks, validate_schedule
+from .entanglement import measure_from_fidelity, supported_pointers, type2_norms
 from .errors import (
     CutoffCapExceeded,
     InvalidArgument,
@@ -61,10 +58,15 @@ from .fock import (
     suggest_cutoff,
     thermal_state,
 )
-from .linalg import fidelity_of_factors, negativity, psd_factor, trace_distance_of_factors
+from .linalg import (
+    fidelity_of_factors,
+    negativity_of_factors,
+    psd_factor,
+    trace_distance_of_factors,
+)
 # Unused here, but perfbench/spans.py wraps these names in this module.
-from .dephasing import propagators_at  # noqa: F401
-from .linalg import fidelity_given_sqrt, sqrtm_psd  # noqa: F401
+from .dephasing import blocks_from_propagators, joint_state, propagators_at  # noqa: F401
+from .linalg import fidelity_given_sqrt, negativity, sqrtm_psd  # noqa: F401
 from .qubit_boson import QubitBosonParams, build_schedule
 
 __all__ = [
@@ -202,37 +204,42 @@ def _rows(run: _ResolvedRun, flags, times: list[float], t0: float):
     """The sweep rows, from one stacked evaluation per chunk of each segment's times."""
     n, c, dim = run.schedule.system_dim, run.amplitudes, run.env0.dim
     a = psd_factor(run.env0.matrix)
-    # type-2 (N >= 3) and the negativity need w_i itself: step the identity instead of A
-    needs_w = flags.negativity or (flags.type2 and n >= 3)
-    stepped = np.eye(dim, dtype=complex) if needs_w else a
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    on = supported_pointers(c)  # the criteria and the negativity skip pointers with c_i = 0
+    pairs = list(combinations(on, 2))
+    # the type-2 products w_a w_r^dag need w_i itself: step the identity instead of A
+    type2 = flags.type2 and len(on) >= 3
+    stepped = np.eye(dim, dtype=complex) if type2 else a
+    # negativity_of_factors takes pt_step points per call, so that their partial
+    # transposes, N (N r) square after its QR, stay within the chunk budget too
+    pt_dim = len(on) * min(dim, len(on) * a.shape[1])
+    pt_step = max(1, dephasing.CHUNK_BYTES // (16 * pt_dim**2))
     rows = []
-    for first, stacks in segment_chunks(run.schedule, stepped, times, frame=not needs_w):
+    # every output is invariant under the frame V shared by the pointers
+    for first, stacks in segment_chunks(run.schedule, stepped, times, frame=True):
         ts = times[first : first + len(stacks[0])]
         finite = np.logical_and.reduce([np.isfinite(s).all(axis=(1, 2)) for s in stacks])
         if not finite.all():
             raise NonFiniteError(f"evolved state is not finite at t = {ts[np.argmin(finite)]!r}")
-        ys = [s @ a for s in stacks] if needs_w else stacks
+        ys = [s @ a for s in stacks] if type2 else stacks
         measure = coherence_norm = type1_max = type2_max = neg = [None] * len(ts)
         if flags.entanglement and n == 2:
             measure = measure_from_fidelity(c, fidelity_of_factors(ys[0], ys[1])).tolist()
         if flags.coherence and n >= 2 and c[0] * c[1] != 0:
             # |Tr R_01| = |Tr(Y_0 Y_1^dag)|
             coherence_norm = np.abs(np.sum(ys[1].conj() * ys[0], axis=(1, 2))).tolist()
+        # a criterion with no condition left (no pair, fewer than 3 pointers for type-2) reads 0
         if flags.type1:
             distances = [trace_distance_of_factors(ys[i], ys[j]) for i, j in pairs]
-            type1_max = np.max(distances, axis=0).tolist()
-        if flags.type2:  # qubits have no second-type conditions
-            type2_max = [0.0] * len(ts)
-        if needs_w:
-            props = [ConditionalPropagatorSet(t=t, w=w) for t, w in zip(ts, zip(*stacks))]
-            if flags.type2 and n >= 3:
-                type2_max = [max(r.residual for r in type2_residuals(p)) for p in props]
-            if flags.negativity:
-                neg = [
-                    negativity(joint_state(blocks_from_propagators(p, run.env0, c)), n, dim)
-                    for p in props
-                ]
+            type1_max = np.max(distances, axis=0).tolist() if pairs else [0.0] * len(ts)
+        if flags.type2:
+            norms = list(type2_norms(stacks, on).values())
+            type2_max = np.max(norms, axis=0).tolist() if norms else [0.0] * len(ts)
+        if flags.negativity:
+            z = np.concatenate([c[i] * ys[i] for i in on], axis=1)
+            neg = np.concatenate([
+                negativity_of_factors(z[k : k + pt_step], len(on))
+                for k in range(0, len(ts), pt_step)
+            ]).tolist()
         rows += [
             SweepRow(t + t0, *values, run.cutoff_used)
             for t, *values in zip(ts, measure, coherence_norm, type1_max, type2_max, neg)

@@ -230,6 +230,24 @@ class TestVerdict:
         # cross-check with the independent entanglement witness
         assert negativity(joint_state(blocks), 3, 2) > 1e-3
 
+    def test_zero_amplitude_pointer_is_skipped(self):
+        # c_0 = 0: the pairs and the type-2 reference start at pointer 1, and the
+        # residuals keep naming the original pointers
+        rng = np.random.default_rng(12)
+        props = ConditionalPropagatorSet(t=1.0, w=tuple(random_unitary(rng, 3) for _ in range(4)))
+        env = env_from_matrix(np.eye(3, dtype=complex) / 3)
+        blocks = blocks_from_propagators(props, env, np.array([0, 1, 1, 1]) / np.sqrt(3))
+        residuals = type1_residuals(blocks)
+        assert [(r.i, r.j, r.independent) for r in residuals] == [
+            (1, 2, True), (1, 3, True), (2, 3, False)
+        ]
+        verdict = separability_verdict(blocks, props, tol=1e-8)
+        w = props.w
+        p2, p3 = w[2] @ w[1].conj().T, w[3] @ w[1].conj().T
+        witness = verdict.witness
+        assert (witness.i, witness.j, witness.k, witness.l) == (2, 1, 3, 1)
+        assert abs(witness.residual - np.linalg.norm(p2 @ p3 - p3 @ p2)) <= 1e-12
+
     def test_negativity_implies_entangled_verdict(self):
         cfg = config_from_dict(preset_config("fig2d"))
         from dephasim.qubit_boson import QubitBosonParams, build_schedule

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -14,13 +15,25 @@ from dephasim.config import config_from_dict, load_schedule_file
 from dephasim.dephasing import (
     blocks_at,
     equal_superposition,
+    joint_state,
     propagators_at,
     segment_chunks,
 )
-from dephasim.entanglement import qee_measure, type1_residuals, type2_residuals
+from dephasim.entanglement import (
+    qee_measure,
+    separability_verdict,
+    type1_residuals,
+    type2_residuals,
+)
 from dephasim.errors import CutoffCapExceeded, ValidationError
-from dephasim.fock import FockSpace, env_from_matrix, thermal_state
-from dephasim.linalg import fidelity, negativity, psd_factor, trace_distance
+from dephasim.fock import FockSpace, coherent_state, env_from_matrix, thermal_state
+from dephasim.linalg import (
+    fidelity,
+    negativity,
+    negativity_of_factors,
+    psd_factor,
+    trace_distance,
+)
 from dephasim.presets import PRESET_NAMES, preset_config
 from dephasim.qubit_boson import QubitBosonParams, build_schedule
 from dephasim.sweep import CSV_HEADER, convergence_report, emit_csv, run_sweep
@@ -182,20 +195,18 @@ class TestFactorKernel:
         rows = run_sweep(cfg)
         assert_rows_match_blocks(rows, schedule, env, np.array([0.6, 0.8j]), e_tol=5e-12)
 
-    def test_propagator_path_matches_factor_path(self):
-        # negativity on steps the identity and takes Y_i = w_i A; off steps A itself
-        cfg = preset_config("fig2b")
-        cfg["time"]["steps"] = 13
-        cfg["cutoff"] = 32
-        off = run_sweep(config_from_dict(cfg))
-        cfg["outputs"] = {"negativity": True}
-        on = run_sweep(config_from_dict(cfg))
+    def test_propagator_path_matches_factor_path(self, tmp_path):
+        # type-2 on (N >= 3) steps the identity and takes Y_i = w_i A; off steps A itself
+        cfg, _, _, _ = kernel_case("negativity", tmp_path)
+        on = run_sweep(cfg)
+        off = run_sweep(dataclasses.replace(cfg, outputs=dataclasses.replace(cfg.outputs, type2=False)))
         assert [r.t for r in on] == [r.t for r in off]
-        assert all(r.negativity is not None for r in on)
+        assert max(r.type2_max for r in on) > 1e-3
+        assert all(r.type2_max is None for r in off)
         for a, b in zip(off, on):
-            assert abs(a.entanglement - b.entanglement) <= 1e-13, a.t
             assert abs(a.coherence_norm - b.coherence_norm) <= 1e-13, a.t
             assert abs(a.type1_max - b.type1_max) <= 1e-13, a.t
+            assert abs(a.negativity - b.negativity) <= 1e-13, a.t
 
     def test_full_rank_qutrit_matches_blocks(self, tmp_path):
         # full-rank R(0): 2r >= d, the trace distance uses the d x d difference
@@ -331,6 +342,96 @@ class TestSegmentKernel:
                 assert abs(row.negativity - negativity(sigma, n, schedule.env_dim)) <= 1e-12, t
 
 
+def factor_and_oracle(schedule, rho, c, t):
+    """Z = [c_0 w_0 A; ...; c_{N-1} w_{N-1} A] at t, and negativity of the formed joint state."""
+    a = psd_factor(rho)
+    z = np.concatenate([ci * w @ a for ci, w in zip(c, propagators_at(schedule, t).w)])
+    sigma = joint_state(blocks_at(schedule, env_from_matrix(rho), c, t))
+    return z, negativity(sigma, len(c), schedule.env_dim)
+
+
+class TestNegativityOfFactors:
+    def test_full_span_matches_formed_state(self, tmp_path):
+        # N r = 6 >= d = 5: no QR reduction, the 15 x 15 partial transpose itself
+        _, schedule, rho, c = kernel_case("negativity", tmp_path)
+        assert len(c) * psd_factor(rho).shape[1] >= schedule.env_dim
+        zs, refs = zip(*(factor_and_oracle(schedule, rho, c, t) for t in np.linspace(0, 1.8, 7)))
+        single = np.array([negativity_of_factors(z, 3) for z in zs])
+        assert np.abs(single - refs).max() <= 1e-12
+        assert max(refs) > 1e-3
+        stacked = negativity_of_factors(np.array(zs), 3)
+        assert stacked.shape == (7,)
+        assert np.abs(stacked - single).max() <= 1e-14
+
+    def test_partial_transposes_split_within_a_chunk(self, tmp_path, monkeypatch):
+        # 15 x 15 partial transposes: a budget of two of them gives chunks of
+        # 6 points (3 pointers' 5 x 5 stacks) evaluated in runs of 2
+        cfg, _, _, _ = kernel_case("negativity", tmp_path)
+        whole = run_sweep(cfg)
+        monkeypatch.setattr(dephasing, "CHUNK_BYTES", 2 * 16 * 15**2)
+        split = run_sweep(cfg)
+        assert [r.t for r in split] == [r.t for r in whole]
+        for a, b in zip(whole, split):
+            assert abs(a.negativity - b.negativity) <= 1e-14, a.t
+
+    def test_rank_one_qubit_is_qr_reduced(self, monkeypatch):
+        # coherent R(0) at cutoff 16: rank 1, so a 4 x 4 eigensolve replaces the 32 x 32 one
+        cfg = preset_config("fig3a")
+        cfg.update(cutoff=16, outputs={"negativity": True})
+        cfg["time"]["steps"] = 13
+        cfg = config_from_dict(cfg)
+        env = cfg.initial_env
+        rho = coherent_state(complex(env.zeta), FockSpace(16)).matrix
+        assert psd_factor(rho).shape[1] == 1
+        schedule = build_schedule(
+            QubitBosonParams(beta=1.0, segments=cfg.model.segments, cutoff=16)
+        )
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(m):
+            sizes.append(m.shape[-1])
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        rows = run_sweep(cfg)
+        assert 4 in sizes and 2 * 16 not in sizes  # the partial transpose eigensolves
+        monkeypatch.undo()
+        for row in rows:
+            z, ref = factor_and_oracle(schedule, rho, EQUAL, row.t)
+            assert abs(negativity_of_factors(z, 2) - ref) <= 1e-12, row.t
+            assert abs(row.negativity - ref) <= 1e-12, row.t
+        assert max(row.negativity for row in rows) > 1e-3
+
+
+class TestZeroAmplitudePointers:
+    def test_product_state_reads_separable(self):
+        # |0> (x) R(t) is a product state: no criterion may count pointer 1
+        cfg = preset_config("fig2d")
+        cfg.update(cutoff=16, amplitudes=[[1, 0], [0, 0]], outputs={"negativity": True})
+        cfg["time"]["steps"] = 7
+        cfg = config_from_dict(cfg)
+        rows = run_sweep(cfg)
+        for row in rows:
+            assert (row.entanglement, row.type1_max, row.type2_max) == (0.0, 0.0, 0.0), row.t
+            assert row.negativity == 0.0, row.t
+        # the full fig2e grid reads F a little above 1, so E is 0 times a negative number
+        fig2e = preset_config("fig2e")
+        fig2e.update(cutoff=16, amplitudes=[[1, 0], [0, 0]])
+        for sweep in (rows, run_sweep(config_from_dict(fig2e))):
+            buf = io.BytesIO()
+            emit_csv(sweep, buf)
+            lines = buf.getvalue().decode().splitlines()[1:]
+            assert "-0" not in [field for line in lines for field in line.split(",")]
+        schedule = build_schedule(
+            QubitBosonParams(beta=1.0, segments=cfg.model.segments, cutoff=16)
+        )
+        blocks = blocks_at(schedule, thermal_state(2.0, FockSpace(16)), [1, 0], 6.0)
+        assert type1_residuals(blocks) == []
+        verdict = separability_verdict(blocks, propagators_at(schedule, 6.0))
+        assert verdict.describe() == "separable"
+
+
 class TestCutoffReach:
     def test_explicit_cutoff_below_drive_reach_warns(self):
         # reach (2 * 30)^2 = 3600 against cutoff/4 = 4: E would read a truncation artefact
@@ -428,6 +529,25 @@ class TestGenericSchedule:
         assert all(r.type1_max <= 1e-12 for r in rows)  # fully mixed environment
         assert max(r.type2_max for r in rows) > 1.0  # but second-type conditions break
         assert all(r.cutoff == 2 for r in rows)
+
+    def test_zero_amplitude_pointer_drops_its_conditions(self, tmp_path):
+        # without pointer 0 only one pair is left: type-2 is vacuous, the mixed
+        # environment keeps type-1 at 0, and the state is separable
+        schedule_path, env_path = self.make_files(tmp_path)
+        h = 0.5**0.5
+        cfg = config_from_dict(
+            {
+                "model": {"schedule_file": str(schedule_path)},
+                "initial_env": {"matrix_file": str(env_path)},
+                "time": {"t_max": 2.0, "steps": 9},
+                "cutoff": 2,
+                "amplitudes": [[0, 0], [h, 0], [h, 0]],
+                "outputs": {"negativity": True},
+            }
+        )
+        for row in run_sweep(cfg):
+            assert row.type2_max == 0.0 and row.coherence_norm is None, row.t
+            assert row.type1_max <= 1e-12 and row.negativity <= 1e-12, row.t
 
     def test_cutoff_must_match_schedule(self, tmp_path):
         schedule_path, env_path = self.make_files(tmp_path)
