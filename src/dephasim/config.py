@@ -18,6 +18,7 @@ import numpy as np
 
 from .dephasing import Segment, SegmentSchedule
 from .errors import ParseError, ValidationError
+from .linalg import NORM_TOL
 from .qubit_boson import AlphaSegment
 
 __all__ = [
@@ -140,8 +141,8 @@ def config_from_dict(obj, *, base_dir: str | Path | None = None) -> RunConfig:
             return (complex(1.0 / math.sqrt(2.0)),) * 2 if qubit_boson else None
         amps = _AMPLITUDE_LIST(value, path)
         norm_sq = sum(abs(a) ** 2 for a in amps)
-        if not abs(norm_sq - 1.0) <= 1e-10:
-            raise ValidationError(path, f"|c|^2 = {norm_sq!r}, expected 1 within 1e-10")
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            raise ValidationError(path, f"|c|^2 = {norm_sq!r}, expected 1 within {NORM_TOL}")
         if qubit_boson and len(amps) != 2:
             raise ValidationError(path, "qubit_boson model requires exactly 2 amplitudes")
         return amps

@@ -9,16 +9,16 @@ class NotHermitianError(DephasimError):
     """Input matrix is not Hermitian within tolerance."""
 
 
-class NotPSDError(DephasimError):
-    """Matrix has an eigenvalue below the allowed negative clamp window."""
-
-
 class NotNormalizedError(DephasimError, ValueError):
     """A density matrix or amplitude vector is not normalized within tolerance."""
 
 
 class InvalidArgument(DephasimError, ValueError):
     """A constructor or function argument is out of its allowed range."""
+
+
+class NotPSDError(InvalidArgument):
+    """Matrix has an eigenvalue below the allowed negative clamp window."""
 
 
 class NonFiniteError(DephasimError):

@@ -58,57 +58,61 @@ def as_operator(m) -> np.ndarray:
     return arr
 
 
+RANK_CUT = 1e-15  # psd_factor drops eigenvalues at or below this times the largest
+HERM_TOL = 1e-9  # largest hermiticity_residual of a matrix taken as Hermitian
+PSD_CLAMP = 1e-10  # eigenvalues in [-PSD_CLAMP, 0) are roundoff; lower ones are not PSD
+TRACE_TOL = 1e-8  # largest |Tr rho - 1| of a density matrix taken as normalized
+NORM_TOL = 1e-10  # largest ||c|^2 - 1| of pointer amplitudes taken as normalized
+
+
 def hermiticity_residual(m: np.ndarray) -> float:
-    """Frobenius norm of the anti-Hermitian part residual ||M - M^dag||_F."""
-    return frobenius(m - dagger(m))
+    """Relative residual ||M - M^dag||_F / max(1, ||M||_F); NaN if both norms overflow."""
+    return frobenius(m - dagger(m)) / max(1.0, frobenius(m))
 
 
-def require_hermitian(m, tol: float = 1e-9, what: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity relative to max(1, ||M||_F) and return the array."""
+def require_hermitian(m, *, what: str = "matrix") -> np.ndarray:
+    """Validate that hermiticity_residual is at most HERM_TOL and return the array."""
     arr = as_operator(m)
     res = hermiticity_residual(arr)
-    if res > tol * max(1.0, frobenius(arr)):
+    if not res <= HERM_TOL:  # not "> HERM_TOL": a NaN residual must fail too
         raise NotHermitianError(f"{what} is not Hermitian (residual {res:.3e})")
     return arr
 
 
-def _psd_eigh(m, clamp: float, herm_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of a Hermitian M with no eigenvalue below -clamp.
+def _psd_eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of a Hermitian M with no eigenvalue below -PSD_CLAMP.
 
     Raises NotHermitianError, NotPSDError, or ConvergenceFailure when LAPACK
     does not converge.
     """
-    arr = require_hermitian(m, herm_tol)
+    arr = require_hermitian(m)
     try:
         w, u = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigh did not converge: {exc}") from exc
-    if w[0] < -clamp:
-        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{clamp:.1e}")
+    if w[0] < -PSD_CLAMP:
+        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{PSD_CLAMP:.1e}")
     return w, u
 
 
-RANK_CUT = 1e-15  # psd_factor drops eigenvalues at or below this times the largest
-
-
-def psd_factor(m, *, clamp: float = 1e-10, herm_tol: float = 1e-9) -> np.ndarray:
+def psd_factor(m) -> np.ndarray:
     """A = V_r sqrt(p_r) (d x r) with A A^dag = M for a Hermitian PSD M, from one eigh.
 
     Keeps the eigenpairs above RANK_CUT times the largest eigenvalue;
-    eigenvalues below -clamp raise NotPSDError.
+    eigenvalues below -PSD_CLAMP raise NotPSDError.
     """
-    w, u = _psd_eigh(m, clamp, herm_tol)
+    w, u = _psd_eigh(m)
     keep = w > RANK_CUT * w[-1]
     return u[:, keep] * np.sqrt(w[keep])
 
 
-def sqrtm_psd(m, *, clamp: float = 1e-10, herm_tol: float = 1e-9) -> np.ndarray:
+def sqrtm_psd(m) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition.
 
-    Eigenvalues in [-clamp, 0) are treated as roundoff and clamped to zero;
-    anything below -clamp raises NotPSDError.
+    Eigenvalues in [-PSD_CLAMP, 0) are treated as roundoff and clamped to
+    zero; anything below -PSD_CLAMP raises NotPSDError.
     """
-    w, u = _psd_eigh(m, clamp, herm_tol)
+    w, u = _psd_eigh(m)
     s = (u * np.sqrt(np.clip(w, 0.0, None))) @ dagger(u)
     return (s + dagger(s)) / 2
 
@@ -133,11 +137,11 @@ def fidelity_of_factors(a: np.ndarray, b: np.ndarray):
     return np.sum(np.linalg.svd(dagger(a) @ b, compute_uv=False), axis=-1) ** 2
 
 
-def fidelity(rho1, rho2, *, trace_tol: float = 1e-8, psd_clamp: float = 1e-10) -> float:
+def fidelity(rho1, rho2) -> float:
     """Uhlmann fidelity F(rho1, rho2) = [Tr sqrt(sqrt(rho1) rho2 sqrt(rho1))]^2.
 
-    Both inputs must be Hermitian, PSD within the clamp window, and have unit
-    trace within trace_tol. Evaluated as fidelity_of_factors of their psd_factor.
+    Both inputs must be Hermitian, PSD within PSD_CLAMP, and have unit trace
+    within TRACE_TOL. Evaluated as fidelity_of_factors of their psd_factor.
     """
     r1 = require_hermitian(rho1, what="rho1")
     r2 = require_hermitian(rho2, what="rho2")
@@ -145,9 +149,9 @@ def fidelity(rho1, rho2, *, trace_tol: float = 1e-8, psd_clamp: float = 1e-10) -
         raise DimensionMismatch(f"state dimensions differ: {r1.shape} vs {r2.shape}")
     for name, r in (("rho1", r1), ("rho2", r2)):
         tr = float(np.trace(r).real)
-        if abs(tr - 1.0) > trace_tol:
-            raise NotNormalizedError(f"{name} has trace {tr!r}, expected 1 within {trace_tol}")
-    return fidelity_of_factors(psd_factor(r1, clamp=psd_clamp), psd_factor(r2, clamp=psd_clamp))
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise NotNormalizedError(f"{name} has trace {tr!r}, expected 1 within {TRACE_TOL}")
+    return fidelity_of_factors(psd_factor(r1), psd_factor(r2))
 
 
 def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
@@ -165,10 +169,10 @@ def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a @ dagger(a) - b @ dagger(b))), axis=-1)
 
 
-def trace_distance(rho1, rho2, *, herm_tol: float = 1e-9) -> float:
+def trace_distance(rho1, rho2) -> float:
     """Trace distance (1/2)||rho1 - rho2||_1 via eigenvalues of the difference."""
-    r1 = require_hermitian(rho1, herm_tol, what="rho1")
-    r2 = require_hermitian(rho2, herm_tol, what="rho2")
+    r1 = require_hermitian(rho1, what="rho1")
+    r2 = require_hermitian(rho2, what="rho2")
     if r1.shape != r2.shape:
         raise DimensionMismatch(f"state dimensions differ: {r1.shape} vs {r2.shape}")
     w = np.linalg.eigvalsh(r1 - r2)
@@ -215,7 +219,7 @@ def negativity_of_factors(z: np.ndarray, dim_sys: int):
     return _negative_sum(np.swapaxes(blocks, -4, -2).reshape(*z.shape[:-2], m, m))
 
 
-def negativity(sigma, dim_sys: int, dim_env: int, *, herm_tol: float = 1e-9) -> float:
+def negativity(sigma, dim_sys: int, dim_env: int) -> float:
     """Sum of |negative eigenvalues| of the partial transpose over the system.
 
     A positive value certifies entanglement across the system/environment cut;
@@ -223,5 +227,5 @@ def negativity(sigma, dim_sys: int, dim_env: int, *, herm_tol: float = 1e-9) -> 
     validates a formed joint state; sweeps call negativity_of_factors.
     """
     pt = partial_transpose(sigma, dim_sys, dim_env)
-    require_hermitian(sigma, herm_tol, what="sigma")
+    require_hermitian(sigma, what="sigma")
     return float(_negative_sum(pt))

@@ -5,7 +5,7 @@ and the initial environment, build the uniform time grid (always including
 segment switch times so sharp features are never aliased), then evaluate the
 entanglement measure, coherence and criterion residuals on it.
 
-R(0) = A A^dag is factored once (A is d x r, r its numerical rank), and
+R(0) = A A^dag is factored once, by EnvDensity (A is d x r, r its rank), and
 segment_chunks yields each chunk of a segment's grid points as (T, d, r)
 stacks of V^dag Y_i, Y_i = w_i A, in a frame V shared by the pointers, which
 no output sees. Batched numpy calls give the coherence |Tr(Y_0^dag Y_1)|,
@@ -58,12 +58,7 @@ from .fock import (
     suggest_cutoff,
     thermal_state,
 )
-from .linalg import (
-    fidelity_of_factors,
-    negativity_of_factors,
-    psd_factor,
-    trace_distance_of_factors,
-)
+from .linalg import fidelity_of_factors, negativity_of_factors, trace_distance_of_factors
 # Unused here, but perfbench/spans.py wraps these names in this module.
 from .dephasing import blocks_from_propagators, joint_state, propagators_at  # noqa: F401
 from .linalg import fidelity_given_sqrt, negativity, sqrtm_psd  # noqa: F401
@@ -190,11 +185,11 @@ def _resolve(cfg: RunConfig, *, cutoff_override: int | None = None) -> _Resolved
 def _time_grid(cfg: RunConfig, schedule: SegmentSchedule) -> np.ndarray:
     t_max = cfg.time.t_max
     total = schedule.total_duration
-    if t_max > total + 1e-9:
+    snap = dephasing._BOUNDARY_SNAP * max(1.0, total)  # the slack _locate allows
+    if t_max > total + snap:
         raise ValidationError("time.t_max", f"exceeds the total schedule duration {total!r}")
     base = np.linspace(0.0, t_max, cfg.time.steps)
     interior = [b for b in schedule.boundaries[1:-1] if 0.0 < b < t_max]
-    snap = 1e-12 * max(1.0, t_max)
     for b in interior:
         base[np.abs(base - b) <= snap] = b
     return np.unique(np.concatenate([base, interior])) if interior else base
@@ -203,7 +198,7 @@ def _time_grid(cfg: RunConfig, schedule: SegmentSchedule) -> np.ndarray:
 def _rows(run: _ResolvedRun, flags, times: list[float], t0: float):
     """The sweep rows, from one stacked evaluation per chunk of each segment's times."""
     n, c, dim = run.schedule.system_dim, run.amplitudes, run.env0.dim
-    a = psd_factor(run.env0.matrix)
+    a = run.env0.factor
     on = supported_pointers(c)  # the criteria and the negativity skip pointers with c_i = 0
     pairs = list(combinations(on, 2))
     # the type-2 products w_a w_r^dag need w_i itself: step the identity instead of A

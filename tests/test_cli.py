@@ -60,6 +60,29 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
 
 
+    def test_overflowing_non_hermitian_matrix_is_validation_error(self, tmp_path, capsys):
+        # the Hermiticity residual inf / inf is NaN; it used to pass, and the sweep
+        # ran on the lower triangle, diag(1, 0), and exited 0
+        env = {"matrix": [[[1.0, 0.0], [1e200, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+        (tmp_path / "env.json").write_text(json.dumps(env))
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["cutoff"] = 2
+        cfg["initial_env"] = {"matrix_file": "env.json"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "initial_env.matrix_file" in err
+        assert "not Hermitian (residual nan)" in err
+        assert not out.exists()
+
+    def test_t_max_a_hair_past_the_schedule_is_validation_error(self, tmp_path, capsys):
+        # the grid allowed 1e-9 past the end but the time lookup only 6e-12: exit 2
+        path = write_config(tmp_path, time={"t_max": 6.0000000005, "steps": 9})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        assert "time.t_max" in capsys.readouterr().err
+
     @pytest.mark.parametrize("outputs", [{}, {"negativity": True}])
     def test_non_finite_evolution_is_numerical_failure(self, tmp_path, capsys, outputs):
         # phases of 1e200 x 1e300 overflow; this used to write NaN rows and exit 0.

@@ -18,6 +18,7 @@ from dephasim.errors import (
     DimensionMismatch,
     EmptySchedule,
     NotHermitianGenerator,
+    NotNormalizedError,
     TimeOutOfRange,
 )
 from dephasim.fock import FockSpace, env_from_matrix, thermal_state
@@ -284,6 +285,12 @@ class TestBlocks:
         env = qubit_env(rng)
         blocks = blocks_at(s, env, np.array([1.0, 0.0]), 0.4)
         assert abs(np.trace(blocks.blocks[1, 1]).real - 1.0) <= 1e-8
+
+    def test_nan_amplitude_rejected(self):
+        # |c|^2 = NaN used to pass the norm check the config already applied
+        rng = np.random.default_rng(12)
+        with pytest.raises(NotNormalizedError):
+            blocks_at(make_schedule(rng), qubit_env(rng), [np.nan, 1.0], 0.4)
 
 
 class TestJointState:

@@ -11,7 +11,14 @@ from dephasim.errors import (
     NotNormalizedError,
     NotPSDError,
 )
-from dephasim.fock import FockSpace, coherent_amplitudes, coherent_state, fock_state, thermal_state
+from dephasim.fock import (
+    FockSpace,
+    coherent_amplitudes,
+    coherent_state,
+    env_from_matrix,
+    fock_state,
+    thermal_state,
+)
 from dephasim.linalg import (
     dagger,
     fidelity,
@@ -21,6 +28,7 @@ from dephasim.linalg import (
     negativity,
     partial_transpose,
     psd_factor,
+    require_hermitian,
     sqrtm_psd,
     trace_distance,
     trace_distance_of_factors,
@@ -61,6 +69,24 @@ class TestHermitianEig:
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(NotHermitianError):
             hermitian_eig(m)
+
+
+# ||M - M^dag||_F / ||M||_F overflows to inf / inf = NaN, which used to pass as
+# Hermitian; eigh then read the lower triangle, diag(1, 0)
+OVERFLOWING = np.array([[1.0, 1e200], [0.0, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        require_hermitian,
+        env_from_matrix,
+        lambda m: trace_distance(m, np.diag([1.0, 0.0])),
+    ],
+)
+def test_overflowing_residual_is_not_hermitian(call):
+    with pytest.raises(NotHermitianError):
+        call(OVERFLOWING)
 
 
 class TestExpm:

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -128,6 +129,35 @@ class TestRunSweep:
         with pytest.raises(ValidationError) as err:
             run_sweep(config_from_dict(cfg_dict))
         assert err.value.field == "time.t_max"
+
+    def test_t_max_held_to_the_time_lookup_slack(self):
+        # the grid allowed 1e-9 past the end, the time lookup only 1e-12 of the
+        # duration: 5e-10 past it was a TimeOutOfRange, a numerical failure
+        cfg_dict = preset_config("fig2e")
+        cfg_dict["time"] = {"t_max": 6.0 + 5e-13, "steps": 5}
+        cfg_dict["cutoff"] = 8
+        assert len(run_sweep(config_from_dict(cfg_dict))) == 5
+        cfg_dict["time"]["t_max"] = 6.0000000005
+        with pytest.raises(ValidationError) as err:
+            run_sweep(config_from_dict(cfg_dict))
+        assert err.value.field == "time.t_max"
+
+    def test_initial_state_is_eigensolved_once(self, monkeypatch):
+        # EnvDensity's factor is its PSD check and the sweep's factor
+        cfg = preset_config("fig2d")
+        cfg["time"]["steps"] = 5
+        cfg["cutoff"] = 32
+        rho0 = thermal_state(2.0, FockSpace(32)).matrix
+        on_rho0 = []
+        for name in ("eigh", "eigvalsh"):
+
+            def counted(m, *args, _solve=getattr(np.linalg, name), **kwargs):
+                on_rho0.append(np.array_equal(m, rho0))
+                return _solve(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        run_sweep(config_from_dict(cfg))
+        assert sum(on_rho0) == 1
 
     def test_auto_cutoff_resolution(self):
         cfg_dict = preset_config("fig2d")
@@ -575,7 +605,27 @@ class TestGenericSchedule:
             run_sweep(cfg)
 
 
+# sha256 of each preset's CSV; a deliberate roundoff change updates these
+PRESET_SHA256 = {
+    "fig2a": "f2d987133172069fab237f90d78aaf2da4faac7aa030957a50386bb9807d8add",
+    "fig2b": "4ea7e167b31c341658110a254b60b7d3e9dba974464eddf80e004e6e3baeeb0b",
+    "fig2c": "eedd48b4b88b881d7c8cfaa33059f5d0eb947b1e52a3962fce46b2920c781dd4",
+    "fig2d": "7967c25fb5c99669e1d73332450a0cae3a7f770292ad54341c3b90b21702d9a0",
+    "fig2e": "b91accbea6e281a97233b2e542b5eeda9eeebd4e4aa4441ffecc496d44c1a60c",
+    "fig2f": "18e9d814ccfb04cec5e0f40f41ff17d1120e300d86b9a81075bd70e2bfd89b50",
+    "fig3a": "368dce6c4f1764e54a76ee8f8423afaee926864805d976d9be694139092fb908",
+    "fig3b": "42d36e3483a472946bee99a378593f3ccb60e9bda1c86431a68cb1e8e78e3ed7",
+    "fig3c": "eca02a28003a0ffc66ac2ca2d95f9ed443001578c2ba62fedec5053a99b463c2",
+}
+
+
 class TestEmitCsv:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_bytes_are_pinned(self, name):
+        buf = io.BytesIO()
+        emit_csv(run_sweep(config_from_dict(preset_config(name))), buf)
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == PRESET_SHA256[name]
+
     def test_header_and_line_count(self):
         rows = run_sweep(small_fig2d(steps=3, cutoff=8))[:3]
         buf = io.BytesIO()

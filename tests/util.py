@@ -57,9 +57,9 @@ class HermitianEigen:
         return (self.eigenvectors * self.eigenvalues) @ dagger(self.eigenvectors)
 
 
-def hermitian_eig(m, *, herm_tol: float = 1e-9) -> HermitianEigen:
+def hermitian_eig(m) -> HermitianEigen:
     """Validated eigendecomposition of a Hermitian matrix."""
-    arr = require_hermitian(m, herm_tol)
+    arr = require_hermitian(m)
     try:
         w, u = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
