@@ -22,9 +22,7 @@ from .config import (
     parse_config,
 )
 from .dephasing import (
-    ConditionalPropagatorSet,
     JointStateBlocks,
-    ScheduleDiagnostics,
     Segment,
     SegmentSchedule,
     blocks_at,

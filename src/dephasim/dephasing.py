@@ -50,8 +50,6 @@ from .linalg import HERM_TOL, NORM_TOL, dagger, hermiticity_residual
 __all__ = [
     "Segment",
     "SegmentSchedule",
-    "ScheduleDiagnostics",
-    "ConditionalPropagatorSet",
     "JointStateBlocks",
     "equal_superposition",
     "validate_schedule",
@@ -159,26 +157,13 @@ def _phased(w: np.ndarray, tau: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(-1j * w * tau[:, None])[:, :, None] * b
 
 
-@dataclass(frozen=True)
-class ScheduleDiagnostics:
-    """Structural report from validate_schedule."""
-
-    segment_count: int
-    total_duration: float
-    hermiticity_residuals: np.ndarray  # (segments, system_dim)
-
-    @property
-    def max_residual(self) -> float:
-        return float(self.hermiticity_residuals.max())
-
-
-def validate_schedule(schedule: SegmentSchedule) -> ScheduleDiagnostics:
-    """Check the pure-dephasing form of a schedule.
+def validate_schedule(schedule: SegmentSchedule) -> np.ndarray:
+    """Check the pure-dephasing form of a schedule; return its (segments, N) residuals.
 
     The factorized structure (fixed pointer basis, generators acting only on
     the environment) holds by construction; what remains to verify is that
     every generator is Hermitian, so that each conditional propagator is
-    unitary.
+    unitary. Entry [k, i] is hermiticity_residual of generator i of segment k.
     """
     if not schedule.segments:
         raise EmptySchedule("schedule has no segments")
@@ -191,23 +176,7 @@ def validate_schedule(schedule: SegmentSchedule) -> ScheduleDiagnostics:
             f"generator {worst[1]} of segment {worst[0]} has relative "
             f"anti-Hermitian residual {residuals[worst]:.3e}"
         )
-    return ScheduleDiagnostics(
-        segment_count=len(schedule.segments),
-        total_duration=schedule.total_duration,
-        hermiticity_residuals=residuals,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionalPropagatorSet:
-    """The environment unitaries w_i(t), one per pointer state, at one time."""
-
-    t: float
-    w: tuple[np.ndarray, ...]
-
-    @property
-    def system_dim(self) -> int:
-        return len(self.w)
+    return residuals
 
 
 def _locate(schedule: SegmentSchedule, times) -> tuple[np.ndarray, np.ndarray]:
@@ -226,10 +195,9 @@ def _locate(schedule: SegmentSchedule, times) -> tuple[np.ndarray, np.ndarray]:
     return k, tau
 
 
-def propagators_at(schedule: SegmentSchedule, t: float) -> ConditionalPropagatorSet:
-    """Conditional propagators w_i(t): evolve_factor with A = I at one time."""
-    eye = np.eye(schedule.env_dim, dtype=complex)
-    return ConditionalPropagatorSet(t=t, w=next(evolve_factor(schedule, eye, [t])))
+def propagators_at(schedule: SegmentSchedule, t: float) -> tuple[np.ndarray, ...]:
+    """Conditional propagators (w_0(t), ..., w_{N-1}(t)): evolve_factor with A = I."""
+    return next(evolve_factor(schedule, np.eye(schedule.env_dim, dtype=complex), [t]))
 
 
 def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bool = False):
@@ -313,22 +281,22 @@ def _check_amplitudes(c, n: int | None = None) -> np.ndarray:
     return arr
 
 
-def blocks_from_propagators(props: ConditionalPropagatorSet, env0, c) -> JointStateBlocks:
-    """Blocks R_ij = w_i R(0) w_j^dag from precomputed propagators."""
-    n = props.system_dim
+def blocks_from_propagators(w, env0, c) -> JointStateBlocks:
+    """Blocks R_ij = w_i R(0) w_j^dag from the propagators w = (w_0, ..., w_{N-1})."""
+    n = len(w)
     amps = _check_amplitudes(c, n)
     rho0 = env0.matrix
-    if rho0.shape != props.w[0].shape:
+    if rho0.shape != w[0].shape:
         raise DimensionMismatch(
             f"environment state dimension {rho0.shape[0]} does not match "
-            f"propagator dimension {props.w[0].shape[0]}"
+            f"propagator dimension {w[0].shape[0]}"
         )
-    half = [wi @ rho0 for wi in props.w]
+    half = [wi @ rho0 for wi in w]
     dim = rho0.shape[0]
     blocks = np.empty((n, n, dim, dim), dtype=complex)
     for i in range(n):
         for j in range(i, n):
-            blocks[i, j] = half[i] @ dagger(props.w[j])
+            blocks[i, j] = half[i] @ dagger(w[j])
             if j > i:
                 blocks[j, i] = dagger(blocks[i, j])
     return JointStateBlocks(c=amps, blocks=blocks)
@@ -336,11 +304,6 @@ def blocks_from_propagators(props: ConditionalPropagatorSet, env0, c) -> JointSt
 
 def blocks_at(schedule: SegmentSchedule, env0, c, t: float) -> JointStateBlocks:
     """Joint-state blocks at time t for a product initial state."""
-    if env0.dim != schedule.env_dim:
-        raise DimensionMismatch(
-            f"environment state dimension {env0.dim} does not match schedule "
-            f"dimension {schedule.env_dim}"
-        )
     return blocks_from_propagators(propagators_at(schedule, t), env0, c)
 
 

@@ -24,8 +24,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .dephasing import ConditionalPropagatorSet, JointStateBlocks
-from .errors import DimensionMismatch, NotQubit
+from .dephasing import JointStateBlocks
+from .errors import NotQubit
 from .linalg import dagger, fidelity, trace_distance
 
 __all__ = [
@@ -61,11 +61,7 @@ def qee_measure(c, rho00, rho11) -> float:
     Zero exactly when the two conditional environment states coincide, and
     bounded by the initial-coherence prefactor 4|c_0|^2|c_1|^2.
     """
-    r0 = np.asarray(rho00, dtype=complex)
-    r1 = np.asarray(rho11, dtype=complex)
-    if r0.shape != r1.shape:
-        raise DimensionMismatch(f"conditional states differ in shape: {r0.shape} vs {r1.shape}")
-    return measure_from_fidelity(c, fidelity(r0, r1))
+    return measure_from_fidelity(c, fidelity(rho00, rho11))
 
 
 @dataclass(frozen=True)
@@ -147,14 +143,15 @@ def _type2_residuals(w, pointers) -> list[Type2Residual]:
     ]
 
 
-def type2_residuals(props: ConditionalPropagatorSet) -> list[Type2Residual]:
+def type2_residuals(w) -> list[Type2Residual]:
     """Commutator norms over the independent second-type conditions.
 
-    The independent set pairs w_i w_0^dag against w_j w_0^dag for
-    1 <= i < j <= N-1, matching the (N-1)(N-2)/2 count; for a qubit the list
-    is empty because conditions of this type do not exist.
+    w = (w_0, ..., w_{N-1}) are the propagators at one time. The independent
+    set pairs w_i w_0^dag against w_j w_0^dag for 1 <= i < j <= N-1, matching
+    the (N-1)(N-2)/2 count; for a qubit the list is empty because conditions
+    of this type do not exist.
     """
-    return _type2_residuals(props.w, range(props.system_dim))
+    return _type2_residuals(w, range(len(w)))
 
 
 @dataclass(frozen=True)
@@ -170,12 +167,8 @@ class SeparabilityVerdict:
         return f"entangled via {self.witness.describe()}"
 
 
-def separability_verdict(
-    blocks: JointStateBlocks,
-    props: ConditionalPropagatorSet,
-    tol: float = 1e-8,
-) -> SeparabilityVerdict:
-    """Entangled iff any criterion residual exceeds tol.
+def separability_verdict(blocks: JointStateBlocks, w, tol: float = 1e-8) -> SeparabilityVerdict:
+    """Entangled iff any criterion residual exceeds tol; w are the propagators at that time.
 
     Valid only for states evolved from a product initial state with a pure
     system state (the iff direction fails otherwise). Both criteria run over
@@ -183,7 +176,7 @@ def separability_verdict(
     reference. The witness is the largest violating residual.
     """
     residuals = type1_residuals(blocks)
-    residuals += _type2_residuals(props.w, supported_pointers(blocks.c))
+    residuals += _type2_residuals(w, supported_pointers(blocks.c))
     violations = [r for r in residuals if r.residual > tol]
     if not violations:
         return SeparabilityVerdict(entangled=False)

@@ -67,7 +67,8 @@ NORM_TOL = 1e-10  # largest ||c|^2 - 1| of pointer amplitudes taken as normalize
 
 def hermiticity_residual(m: np.ndarray) -> float:
     """Relative residual ||M - M^dag||_F / max(1, ||M||_F); NaN if both norms overflow."""
-    return frobenius(m - dagger(m)) / max(1.0, frobenius(m))
+    with np.errstate(over="ignore"):  # an overflow gives a NaN residual, which callers reject
+        return frobenius(m - dagger(m)) / max(1.0, frobenius(m))
 
 
 def require_hermitian(m, *, what: str = "matrix") -> np.ndarray:

@@ -148,15 +148,14 @@ def _build_environment(cfg: RunConfig, cutoff: int) -> EnvDensity:
         raise ValidationError("initial_env.matrix_file", str(exc)) from exc
 
 
-def _resolve(cfg: RunConfig, *, cutoff_override: int | None = None) -> _ResolvedRun:
+def _resolve(cfg: RunConfig, cutoff: int | None) -> _ResolvedRun:
+    """The run's inputs; a qubit_boson model runs at cutoff, or at its resolved one if None."""
     if isinstance(cfg.model, QubitBosonModel):
-        cutoff = cutoff_override if cutoff_override is not None else _resolve_cutoff(cfg)
+        cutoff = _resolve_cutoff(cfg) if cutoff is None else cutoff
         params = QubitBosonParams(beta=cfg.model.beta, segments=cfg.model.segments, cutoff=cutoff)
         schedule = build_schedule(params)
         validate_schedule(schedule)
     else:
-        if cutoff_override is not None:
-            raise ValidationError("cutoff", "cannot override the cutoff of a schedule file")
         schedule = load_schedule_file(cfg.model.path)
         cutoff = schedule.env_dim
         if cfg.cutoff != AUTO_CUTOFF and int(cfg.cutoff) != cutoff:
@@ -242,14 +241,18 @@ def _rows(run: _ResolvedRun, flags, times: list[float], t0: float):
     return rows
 
 
-def run_sweep(cfg: RunConfig, *, cutoff_override: int | None = None) -> list[SweepRow]:
+def run_sweep(cfg: RunConfig) -> list[SweepRow]:
     """Evaluate the configured quantities on the time grid.
 
     Times are uniform on [0, t_max] with segment boundaries inserted as extra
     sample points when they fall off-grid. The reported time column is offset
     by time.t_start. Output is deterministic for a fixed configuration.
     """
-    run = _resolve(cfg, cutoff_override=cutoff_override)
+    return _sweep(cfg, None)
+
+
+def _sweep(cfg: RunConfig, cutoff: int | None) -> list[SweepRow]:
+    run = _resolve(cfg, cutoff)
     times = [float(t) for t in _time_grid(cfg, run.schedule)]
     return _rows(run, cfg.outputs, times, cfg.time.t_start)
 
@@ -317,8 +320,8 @@ def convergence_report(cfg: RunConfig) -> ConvergenceReport:
     doubled = 2 * cutoff
     if doubled > CUTOFF_LADDER[-1]:
         raise CutoffCapExceeded(f"doubling cutoff {cutoff} exceeds the cap {CUTOFF_LADDER[-1]}")
-    rows_lo = run_sweep(cfg, cutoff_override=cutoff)
-    rows_hi = run_sweep(cfg, cutoff_override=doubled)
+    rows_lo = _sweep(cfg, cutoff)
+    rows_hi = _sweep(cfg, doubled)
 
     def worst(column: str) -> tuple[float, float]:
         """Largest |change| of a column (0 where not computed) and the first t it occurs."""

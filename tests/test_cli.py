@@ -178,6 +178,26 @@ class TestRunCommand:
         assert "model.schedule_file" in err
         assert "anti-Hermitian" in err
 
+    def test_amplitude_count_not_matching_schedule_file_is_validation_error(
+        self, tmp_path, capsys
+    ):
+        zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        schedule = {
+            "system_dim": 3,
+            "env_dim": 2,
+            "segments": [{"duration": 1.0, "generators": [zero, zero, zero]}],
+        }
+        (tmp_path / "s.json").write_text(json.dumps(schedule))
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["model"] = {"schedule_file": "s.json"}
+        cfg["cutoff"] = 2
+        cfg["amplitudes"] = [[0.6, 0.0], [0.8, 0.0]]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "amplitudes: 2 amplitudes for a system of dimension 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "edit, expected",
         [

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dephasim.config import config_from_dict
 from dephasim.dephasing import (
-    ConditionalPropagatorSet,
     Segment,
     SegmentSchedule,
     blocks_at,
@@ -149,7 +148,7 @@ class TestType1Residuals:
         assert all(r.residual <= 1e-12 for r in type1_residuals(blocks))
 
     def test_orthogonal_conditional_states(self):
-        props = ConditionalPropagatorSet(t=1.0, w=(np.eye(2, dtype=complex), PAULI_X))
+        props = (np.eye(2, dtype=complex), PAULI_X)
         env = env_from_matrix(np.diag([1.0, 0.0]).astype(complex))
         blocks = blocks_from_propagators(props, env, EQUAL)
         (res,) = type1_residuals(blocks)
@@ -168,13 +167,11 @@ class TestType1Residuals:
 
 class TestType2Residuals:
     def test_qubit_has_none(self):
-        props = ConditionalPropagatorSet(t=0.5, w=(np.eye(2, dtype=complex), PAULI_X))
+        props = (np.eye(2, dtype=complex), PAULI_X)
         assert type2_residuals(props) == []
 
     def test_pauli_pair_commutator(self):
-        props = ConditionalPropagatorSet(
-            t=1.0, w=(np.eye(2, dtype=complex), PAULI_X, PAULI_Z)
-        )
+        props = (np.eye(2, dtype=complex), PAULI_X, PAULI_Z)
         (res,) = type2_residuals(props)
         # ||[X, Z]||_F = ||2 i Y||_F = 2 sqrt(2)
         assert abs(res.residual - 2.0 * np.sqrt(2.0)) <= 1e-12
@@ -182,13 +179,13 @@ class TestType2Residuals:
 
     def test_commuting_unitaries_give_zero(self):
         diag = [np.diag(np.exp(1j * np.random.default_rng(7).normal(size=3))) for _ in range(4)]
-        props = ConditionalPropagatorSet(t=1.0, w=tuple(diag))
+        props = tuple(diag)
         assert all(r.residual <= 1e-12 for r in type2_residuals(props))
 
     def test_independent_count(self):
         rng = np.random.default_rng(8)
         n = 5
-        props = ConditionalPropagatorSet(t=1.0, w=tuple(random_unitary(rng, 3) for _ in range(n)))
+        props = tuple(random_unitary(rng, 3) for _ in range(n))
         assert len(type2_residuals(props)) == (n - 1) * (n - 2) // 2
 
 
@@ -234,7 +231,7 @@ class TestVerdict:
         # c_0 = 0: the pairs and the type-2 reference start at pointer 1, and the
         # residuals keep naming the original pointers
         rng = np.random.default_rng(12)
-        props = ConditionalPropagatorSet(t=1.0, w=tuple(random_unitary(rng, 3) for _ in range(4)))
+        props = tuple(random_unitary(rng, 3) for _ in range(4))
         env = env_from_matrix(np.eye(3, dtype=complex) / 3)
         blocks = blocks_from_propagators(props, env, np.array([0, 1, 1, 1]) / np.sqrt(3))
         residuals = type1_residuals(blocks)
@@ -242,7 +239,7 @@ class TestVerdict:
             (1, 2, True), (1, 3, True), (2, 3, False)
         ]
         verdict = separability_verdict(blocks, props, tol=1e-8)
-        w = props.w
+        w = props
         p2, p3 = w[2] @ w[1].conj().T, w[3] @ w[1].conj().T
         witness = verdict.witness
         assert (witness.i, witness.j, witness.k, witness.l) == (2, 1, 3, 1)

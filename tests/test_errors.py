@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dephasim.dephasing import ConditionalPropagatorSet, Segment, blocks_from_propagators
+from dephasim.dephasing import Segment, blocks_from_propagators
 from dephasim.errors import DephasimError, InvalidArgument, NotNormalizedError
 from dephasim.fock import (
     EnvDensity,
@@ -42,9 +42,7 @@ CALL_SITES = {
     "suggest_cutoff tol": (InvalidArgument, lambda: suggest_cutoff(tol=0.0)),
     "pointer amplitude norm": (
         NotNormalizedError,
-        lambda: blocks_from_propagators(
-            ConditionalPropagatorSet(0.0, (EYE2, EYE2)), env_from_matrix(EYE2 / 2), [1.0, 1.0]
-        ),
+        lambda: blocks_from_propagators((EYE2, EYE2), env_from_matrix(EYE2 / 2), [1.0, 1.0]),
     ),
     "emit_csv rows": (InvalidArgument, lambda: emit_csv([], None)),
 }

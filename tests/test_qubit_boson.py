@@ -76,7 +76,7 @@ class TestBuildSchedule:
             cutoff=16,
         )
         props = propagators_at(build_schedule(params), t)
-        assert frobenius(props.w[0] - dagger(props.w[1])) <= 1e-10
+        assert frobenius(props[0] - dagger(props[1])) <= 1e-10
 
     def test_conjugate_branch_relation_under_stepped_drive(self):
         # with non-commuting steps the adjoint relation survives only through
@@ -85,9 +85,9 @@ class TestBuildSchedule:
         # (verified against fine-step chronological products)
         s = build_schedule(stepped_params(cutoff=16))
         early = propagators_at(s, 1.5)
-        assert frobenius(early.w[0] - dagger(early.w[1])) <= 1e-10
+        assert frobenius(early[0] - dagger(early[1])) <= 1e-10
         late = propagators_at(s, 5.0)
-        assert frobenius(late.w[0] - dagger(late.w[1])) > 1e-2
+        assert frobenius(late[0] - dagger(late[1])) > 1e-2
 
     def test_branch_product_scalar_at_matched_undriven_tails(self):
         # w_0 w_1 collapses to a scalar phase when the undriven intervals
@@ -96,12 +96,12 @@ class TestBuildSchedule:
         s = build_schedule(stepped_params(cutoff=16, gamma=0.4))
         for t in (0.5, 1.9, 6.0):
             props = propagators_at(s, t)
-            prod = props.w[0] @ props.w[1]
+            prod = props[0] @ props[1]
             scale = prod[0, 0]
             assert abs(abs(scale) - 1.0) <= 1e-10
             assert frobenius(prod - scale * np.eye(16)) <= 1e-9
         mid = propagators_at(s, 5.0)
-        prod = mid.w[0] @ mid.w[1]
+        prod = mid[0] @ mid[1]
         assert frobenius(prod - prod[0, 0] * np.eye(16)) > 1e-2
 
 
@@ -164,7 +164,7 @@ class TestAnalyticPiece:
                 @ analytic_propagator_piece(ALPHA_FIG, 1.0, 2.0, branch, space, exact_phase=True)
                 @ analytic_propagator_piece(0.0, 1.0, 2.0, branch, space, exact_phase=True)
             )
-            engine = propagators_at(s, t).w[branch]
+            engine = propagators_at(s, t)[branch]
             lam = ALPHA_FIG * 2.0  # largest displacement reach of the middle phase
             k = displacement_safe_dim(lam, space)
             assert frobenius((composed - engine)[:k, :k]) <= 1e-8

@@ -375,7 +375,7 @@ class TestSegmentKernel:
 def factor_and_oracle(schedule, rho, c, t):
     """Z = [c_0 w_0 A; ...; c_{N-1} w_{N-1} A] at t, and negativity of the formed joint state."""
     a = psd_factor(rho)
-    z = np.concatenate([ci * w @ a for ci, w in zip(c, propagators_at(schedule, t).w)])
+    z = np.concatenate([ci * w @ a for ci, w in zip(c, propagators_at(schedule, t))])
     sigma = joint_state(blocks_at(schedule, env_from_matrix(rho), c, t))
     return z, negativity(sigma, len(c), schedule.env_dim)
 
@@ -591,6 +591,24 @@ class TestGenericSchedule:
         )
         with pytest.raises(ValidationError):
             run_sweep(cfg)
+
+    def test_amplitude_count_must_match_schedule(self, tmp_path):
+        # the config alone cannot know the schedule file's system_dim
+        schedule_path, env_path = self.make_files(tmp_path)
+        h = 0.5**0.5
+        cfg = config_from_dict(
+            {
+                "model": {"schedule_file": str(schedule_path)},
+                "initial_env": {"matrix_file": str(env_path)},
+                "time": {"t_max": 1.0, "steps": 3},
+                "cutoff": 2,
+                "amplitudes": [[h, 0], [h, 0]],
+            }
+        )
+        with pytest.raises(ValidationError) as err:
+            run_sweep(cfg)
+        assert err.value.field == "amplitudes"
+        assert err.value.reason == "2 amplitudes for a system of dimension 3"
 
     def test_missing_schedule_file(self, tmp_path):
         cfg = config_from_dict(
