@@ -11,7 +11,8 @@ time inside segment k is
 with hbar = 1, d_m the segment durations and tau the elapsed time inside
 segment k. Segment exponentials are evaluated through the eigendecomposition
 V = U diag(w) U^dag of each (Hermitian) generator, which is exact for
-constant segments and keeps every propagator unitary to roundoff.
+constant segments and keeps every propagator unitary to roundoff; a
+diagonal generator is read off its diagonal, with no eigensolve.
 
 The joint state never needs to be formed during evolution: it is carried as
 the pointer amplitudes c_i plus the environment blocks
@@ -45,7 +46,7 @@ from .errors import (
     NotNormalizedError,
     TimeOutOfRange,
 )
-from .linalg import HERM_TOL, NORM_TOL, dagger, hermiticity_residual
+from .linalg import HERM_TOL, NORM_TOL, dagger, eigh, hermiticity_residual
 
 __all__ = [
     "Segment",
@@ -135,14 +136,15 @@ class SegmentSchedule:
         """Per segment, per pointer: (eigenvalues, eigenvectors) of each generator.
 
         Minus generator 0 (both qubit-boson branches) reuses (-w, u), the same u.
+        linalg.eigh reads a diagonal generator (an undriven step) off its diagonal.
         """
         systems = []
         try:
             for seg in self.segments:
                 g0, *rest = seg.generators
-                w0, u0 = np.linalg.eigh((g0 + dagger(g0)) / 2)
+                w0, u0 = eigh((g0 + dagger(g0)) / 2)
                 systems.append([(w0, u0)] + [
-                    (-w0, u0) if np.array_equal(g, -g0) else np.linalg.eigh((g + dagger(g)) / 2)
+                    (-w0, u0) if np.array_equal(g, -g0) else eigh((g + dagger(g)) / 2)
                     for g in rest
                 ])
         except np.linalg.LinAlgError as exc:

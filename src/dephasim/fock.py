@@ -58,7 +58,7 @@ class EnvDensity:
     ``truncated_mass`` is the probability mass that the cutoff removed from
     the untruncated state before renormalization (zero when exact).
     ``factor`` is the d x r psd_factor A of the matrix (A A^dag = matrix);
-    the eigensolve that forms it is also the PSD check.
+    its eigh (a diagonal read-off for thermal and Fock states) is the PSD check.
     """
 
     space: FockSpace

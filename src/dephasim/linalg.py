@@ -25,6 +25,7 @@ __all__ = [
     "as_operator",
     "hermiticity_residual",
     "require_hermitian",
+    "eigh",
     "psd_factor",
     "sqrtm_psd",
     "fidelity_of_factors",
@@ -80,6 +81,17 @@ def require_hermitian(m, *, what: str = "matrix") -> np.ndarray:
     return arr
 
 
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(m) of a Hermitian m; an exactly diagonal m is read off its diagonal."""
+    diag = np.diagonal(m)
+    if np.count_nonzero(m) != np.count_nonzero(diag):
+        return np.linalg.eigh(m)
+    order = np.argsort(diag.real, kind="stable")  # LAPACK too reads only the real diagonal
+    u = np.zeros(m.shape, dtype=m.dtype)
+    u[order, np.arange(len(order))] = 1  # column j is e_order[j]
+    return diag.real[order], u
+
+
 def _psd_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenpairs of a Hermitian M with no eigenvalue below -PSD_CLAMP.
 
@@ -88,7 +100,7 @@ def _psd_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     """
     arr = require_hermitian(m)
     try:
-        w, u = np.linalg.eigh(arr)
+        w, u = eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigh did not converge: {exc}") from exc
     if w[0] < -PSD_CLAMP:
@@ -100,7 +112,8 @@ def psd_factor(m) -> np.ndarray:
     """A = V_r sqrt(p_r) (d x r) with A A^dag = M for a Hermitian PSD M, from one eigh.
 
     Keeps the eigenpairs above RANK_CUT times the largest eigenvalue;
-    eigenvalues below -PSD_CLAMP raise NotPSDError.
+    eigenvalues below -PSD_CLAMP raise NotPSDError. A diagonal M costs no
+    eigensolve: eigh reads it off its diagonal.
     """
     w, u = _psd_eigh(m)
     keep = w > RANK_CUT * w[-1]

@@ -22,8 +22,7 @@ import numpy as np
 
 from .dephasing import Segment, SegmentSchedule
 from .errors import InvalidArgument
-from .fock import FockSpace, annihilation, number_op
-from .linalg import dagger
+from .fock import FockSpace
 
 __all__ = [
     "AlphaSegment",
@@ -68,9 +67,10 @@ def branch_generator(
     """Environment generator V_branch = +/- (alpha a^dag + alpha* a + beta n + gamma)."""
     if branch not in (0, 1):
         raise InvalidArgument(f"branch must be 0 or 1, got {branch}")
-    a = annihilation(space)
-    base = alpha * dagger(a) + np.conj(alpha) * a + beta * number_op(space)
-    base += gamma * np.eye(space.dim)
+    n = np.arange(space.dim)
+    base = np.diag((beta * n + gamma).astype(complex))
+    base[n[1:], n[:-1]] = alpha * np.sqrt(n[1:])
+    base[n[:-1], n[1:]] = np.conj(alpha) * np.sqrt(n[1:])
     return base if branch == 0 else -base
 
 

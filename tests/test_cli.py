@@ -4,6 +4,7 @@ import warnings
 import pytest
 
 from dephasim.cli import main
+from dephasim.linalg import HERM_TOL
 from dephasim.presets import preset_config
 from dephasim.sweep import CSV_HEADER
 
@@ -75,6 +76,24 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "initial_env.matrix_file" in err
         assert "not Hermitian (residual nan)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "d0, d1, message",
+        [
+            ([1.1, 0.0], [-0.1, 0.0], "matrix has eigenvalue -1.000e-01 below"),
+            ([float("nan"), 0.0], [1.0, 0.0], "must be finite, got nan"),
+            ([1.0, 2 * HERM_TOL], [0.0, 0.0], "environment state is not Hermitian"),
+        ],
+    )
+    def test_diagonal_matrix_is_still_checked(self, tmp_path, capsys, d0, d1, message):
+        # a diagonal R(0) is read off its diagonal, with no eigensolve
+        env = {"matrix": [[d0, [0.0, 0.0]], [[0.0, 0.0], d1]]}
+        (tmp_path / "env.json").write_text(json.dumps(env))
+        path = write_config(tmp_path, cutoff=2, initial_env={"matrix_file": "env.json"})
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_t_max_a_hair_past_the_schedule_is_validation_error(self, tmp_path, capsys):

@@ -20,7 +20,9 @@ from dephasim.fock import (
     thermal_state,
 )
 from dephasim.linalg import (
+    RANK_CUT,
     dagger,
+    eigh,
     fidelity,
     fidelity_given_sqrt,
     fidelity_of_factors,
@@ -33,6 +35,7 @@ from dephasim.linalg import (
     trace_distance,
     trace_distance_of_factors,
 )
+from dephasim.qubit_boson import branch_generator
 from util import (
     PAULI_X,
     expm,
@@ -215,6 +218,49 @@ class TestFidelity:
         psi = np.outer(amps, amps.conj())
         assert abs(fidelity(psi, sigma) - expected) <= 1e-14
         assert abs(fidelity(sigma, psi) - expected) <= 1e-14
+
+
+def hermitian_part(m):
+    return (m + dagger(m)) / 2
+
+
+DIAGONAL_STATES = [
+    *(thermal_state(2.0, FockSpace(d)).matrix for d in (8, 64, 256)),
+    *(fock_state(n, FockSpace(16)).matrix for n in (0, 5, 15)),  # the zeros are tied
+]
+DIAGONAL_GENERATORS = [
+    hermitian_part(branch_generator(0, 1.0, 0.0, FockSpace(64), 0)),
+    hermitian_part(branch_generator(0, -1.0, 0.0, FockSpace(64), 0)),  # descending diagonal
+    hermitian_part(branch_generator(0, 1.0, 0.25, FockSpace(64), 1)),
+]
+
+
+class TestDiagonalEigh:
+    """eigh reads a diagonal matrix off its diagonal, bit for bit as np.linalg.eigh."""
+
+    @pytest.mark.parametrize("m", DIAGONAL_STATES + DIAGONAL_GENERATORS)
+    def test_eigh_matches_lapack(self, m, monkeypatch):
+        w_ref, u_ref = np.linalg.eigh(m)
+        monkeypatch.setattr(np.linalg, "eigh", None)  # the read-off makes no eigensolve
+        w, u = eigh(m)
+        assert w.tobytes() == w_ref.tobytes()
+        assert u.tobytes() == u_ref.tobytes()
+
+    @pytest.mark.parametrize("m", DIAGONAL_STATES)
+    def test_psd_factor_matches_lapack(self, m, monkeypatch):
+        w_ref, u_ref = np.linalg.eigh(m)
+        keep = w_ref > RANK_CUT * w_ref[-1]
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        assert psd_factor(m).tobytes() == (u_ref[:, keep] * np.sqrt(w_ref[keep])).tobytes()
+
+    def test_tiny_off_diagonal_entry_takes_the_dense_path(self, monkeypatch):
+        m = thermal_state(2.0, FockSpace(8)).matrix.copy()
+        m[3, 0] = 1e-300
+        calls = []
+        solve = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or solve(a))
+        eigh(m)
+        assert len(calls) == 1
 
 
 class TestFactors:

@@ -36,7 +36,7 @@ from dephasim.linalg import (
     trace_distance,
 )
 from dephasim.presets import PRESET_NAMES, preset_config
-from dephasim.qubit_boson import QubitBosonParams, build_schedule
+from dephasim.qubit_boson import QubitBosonParams, branch_generator, build_schedule
 from dephasim.sweep import CSV_HEADER, convergence_report, emit_csv, run_sweep
 from util import expm, normalized_coherence, random_density, random_hermitian
 
@@ -143,11 +143,13 @@ class TestRunSweep:
         assert err.value.field == "time.t_max"
 
     def test_initial_state_is_eigensolved_once(self, monkeypatch):
-        # EnvDensity's factor is its PSD check and the sweep's factor
-        cfg = preset_config("fig2d")
+        # EnvDensity's factor is its PSD check and the sweep's factor; a coherent
+        # R(0) is dense, so that check is a real eigensolve
+        cfg = preset_config("fig3a")
         cfg["time"]["steps"] = 5
         cfg["cutoff"] = 32
-        rho0 = thermal_state(2.0, FockSpace(32)).matrix
+        zeta = cfg["initial_env"]["coherent"]
+        rho0 = coherent_state(complex(zeta["re"], zeta["im"]), FockSpace(32)).matrix
         on_rho0 = []
         for name in ("eigh", "eigvalsh"):
 
@@ -158,6 +160,19 @@ class TestRunSweep:
             monkeypatch.setattr(np.linalg, name, counted)
         run_sweep(config_from_dict(cfg))
         assert sum(on_rho0) == 1
+
+    @pytest.mark.parametrize("name, solves", [("fig2d", 1), ("fig2e", 0)])
+    def test_only_the_driven_generator_is_eigensolved(self, monkeypatch, name, solves):
+        # the thermal R(0) and the undriven generators are diagonal: read off, not solved
+        cfg = preset_config(name)
+        cfg["time"]["steps"] = 5
+        cfg["cutoff"] = 32
+        solved, solve = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(m) or solve(m))
+        run_sweep(config_from_dict(cfg))
+        assert len(solved) == solves
+        driven = branch_generator(0.5 + 0.5j, 1.0, 0.0, FockSpace(32), 0)  # alpha = (1+i)/2
+        assert all(np.array_equal(m, (driven + driven.conj().T) / 2) for m in solved)
 
     def test_auto_cutoff_resolution(self):
         cfg_dict = preset_config("fig2d")
