@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,8 @@ def parse_config(text: bytes | str, *, base_dir: str | Path | None = None) -> Ru
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(str(exc)) from exc
     return config_from_dict(obj, base_dir=base_dir)
 
 
@@ -254,9 +257,13 @@ def _bool(value, path: str) -> bool:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(path, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ValidationError(path, f"must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _integer(value, path: str) -> int:
@@ -306,7 +313,7 @@ def _read_json(path: str, field: str):
         raise ValidationError(field, f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(field, f"{path} is not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ValidationError(field, f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -347,6 +354,9 @@ def parse_complex_matrix(value, path: str, expected_dim: int | None = None) -> n
     dim = len(value)
     if expected_dim is not None and dim != expected_dim:
         raise ValidationError(path, f"matrix has {dim} rows, expected {expected_dim}")
+    pairs = _numeric_pairs(value, dim)
+    if pairs is not None:
+        return pairs.view(complex)[..., 0]
     out = np.empty((dim, dim), dtype=complex)
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != dim:
@@ -354,3 +364,21 @@ def parse_complex_matrix(value, path: str, expected_dim: int | None = None) -> n
         for j, entry in enumerate(row):
             out[i, j] = _complex_pair(entry, f"{path}[{i}][{j}]")
     return out
+
+
+def _numeric_pairs(value: list, dim: int):
+    """The (dim, dim, 2) floats of rows of [re, im] pairs of finite JSON numbers.
+
+    None sends the matrix to the entry-by-entry walker, whose messages name
+    the offending entry; any JSON matrix the walker rejects gives None here.
+    """
+    if not all(type(row) is list for row in value):
+        return None
+    try:
+        pairs = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if pairs.shape != (dim, dim, 2) or not np.isfinite(pairs).all():
+        return None
+    numbers = chain.from_iterable(chain.from_iterable(value))
+    return pairs if set(map(type, numbers)) <= {int, float} else None

@@ -42,6 +42,7 @@ from .errors import (
     DimensionMismatch,
     EmptySchedule,
     InvalidArgument,
+    NonFiniteError,
     NotHermitianGenerator,
     NotNormalizedError,
     TimeOutOfRange,
@@ -169,11 +170,22 @@ def validate_schedule(schedule: SegmentSchedule) -> np.ndarray:
     """
     if not schedule.segments:
         raise EmptySchedule("schedule has no segments")
-    residuals = np.array(
-        [[hermiticity_residual(g) for g in seg.generators] for seg in schedule.segments]
-    )
-    worst = np.unravel_index(np.argmax(residuals), residuals.shape)
+    rows = []
+    for seg in schedule.segments:
+        g0, *rest = seg.generators
+        r0 = hermiticity_residual(g0)  # that of -g0 too, bit for bit
+        rows.append(
+            [r0] + [r0 if np.array_equal(g, -g0) else hermiticity_residual(g) for g in rest]
+        )
+    residuals = np.array(rows)
+    worst = np.unravel_index(np.argmax(residuals), residuals.shape)  # the first NaN if any
     if not residuals[worst] <= HERM_TOL:  # a NaN residual must fail too
+        bad = np.argwhere(~np.isfinite(schedule.segments[worst[0]].generators[worst[1]]))
+        if len(bad):
+            raise NonFiniteError(
+                f"generator {worst[1]} of segment {worst[0]} has {len(bad)} non-finite "
+                f"entries, the first at {tuple(bad[0].tolist())}"
+            )
         raise NotHermitianGenerator(
             f"generator {worst[1]} of segment {worst[0]} has relative "
             f"anti-Hermitian residual {residuals[worst]:.3e}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CutoffCapExceeded, InvalidArgument, NotNormalizedError
-from .linalg import TRACE_TOL, psd_factor, require_hermitian
+from .linalg import TRACE_TOL, _factor, require_hermitian
 
 __all__ = [
     "FockSpace",
@@ -75,7 +75,7 @@ class EnvDensity:
         tr = float(np.trace(arr).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise NotNormalizedError(f"state has trace {tr!r}, expected 1 within {TRACE_TOL}")
-        for name, value in (("matrix", arr.copy()), ("factor", psd_factor(arr))):
+        for name, value in (("matrix", arr.copy()), ("factor", _factor(arr))):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 

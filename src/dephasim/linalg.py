@@ -67,8 +67,11 @@ NORM_TOL = 1e-10  # largest ||c|^2 - 1| of pointer amplitudes taken as normalize
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
-    """Relative residual ||M - M^dag||_F / max(1, ||M||_F); NaN if both norms overflow."""
-    with np.errstate(over="ignore"):  # an overflow gives a NaN residual, which callers reject
+    """Relative residual ||M - M^dag||_F / max(1, ||M||_F).
+
+    NaN, which callers reject, if both norms overflow or an entry is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
         return frobenius(m - dagger(m)) / max(1.0, frobenius(m))
 
 
@@ -92,13 +95,11 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag.real[order], u
 
 
-def _psd_eigh(m) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of a Hermitian M with no eigenvalue below -PSD_CLAMP.
+def _psd_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of a require_hermitian array with none below -PSD_CLAMP.
 
-    Raises NotHermitianError, NotPSDError, or ConvergenceFailure when LAPACK
-    does not converge.
+    Raises NotPSDError, or ConvergenceFailure when LAPACK does not converge.
     """
-    arr = require_hermitian(m)
     try:
         w, u = eigh(arr)
     except np.linalg.LinAlgError as exc:
@@ -115,7 +116,12 @@ def psd_factor(m) -> np.ndarray:
     eigenvalues below -PSD_CLAMP raise NotPSDError. A diagonal M costs no
     eigensolve: eigh reads it off its diagonal.
     """
-    w, u = _psd_eigh(m)
+    return _factor(require_hermitian(m))
+
+
+def _factor(arr: np.ndarray) -> np.ndarray:
+    """psd_factor of an array that already passed require_hermitian."""
+    w, u = _psd_eigh(arr)
     keep = w > RANK_CUT * w[-1]
     return u[:, keep] * np.sqrt(w[keep])
 
@@ -126,7 +132,7 @@ def sqrtm_psd(m) -> np.ndarray:
     Eigenvalues in [-PSD_CLAMP, 0) are treated as roundoff and clamped to
     zero; anything below -PSD_CLAMP raises NotPSDError.
     """
-    w, u = _psd_eigh(m)
+    w, u = _psd_eigh(require_hermitian(m))
     s = (u * np.sqrt(np.clip(w, 0.0, None))) @ dagger(u)
     return (s + dagger(s)) / 2
 
@@ -145,10 +151,14 @@ def fidelity_given_sqrt(sqrt_rho1: np.ndarray, rho2: np.ndarray) -> float:
 def fidelity_of_factors(a: np.ndarray, b: np.ndarray):
     """Fidelity of a a^dag and b b^dag: (sum of singular values of a^dag b)^2.
 
-    An r1 x r2 SVD, with no square roots of roundoff-level eigenvalues. For
-    (T, d, r) stacks of factors it returns the T fidelities as an array.
+    An r1 x r2 SVD (none if r1 or r2 is 1), with no square roots of
+    roundoff-level eigenvalues. For (T, d, r) stacks of factors it returns
+    the T fidelities as an array.
     """
-    return np.sum(np.linalg.svd(dagger(a) @ b, compute_uv=False), axis=-1) ** 2
+    m = dagger(a) @ b
+    if 1 in m.shape[-2:]:  # a row or column: its 2-norm is its one singular value
+        return np.sum(np.abs(m) ** 2, axis=(-2, -1))
+    return np.sum(np.linalg.svd(m, compute_uv=False), axis=-1) ** 2
 
 
 def fidelity(rho1, rho2) -> float:
@@ -165,7 +175,7 @@ def fidelity(rho1, rho2) -> float:
         tr = float(np.trace(r).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise NotNormalizedError(f"{name} has trace {tr!r}, expected 1 within {TRACE_TOL}")
-    return fidelity_of_factors(psd_factor(r1), psd_factor(r2))
+    return fidelity_of_factors(_factor(r1), _factor(r2))
 
 
 def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):

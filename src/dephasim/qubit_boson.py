@@ -68,9 +68,10 @@ def branch_generator(
     if branch not in (0, 1):
         raise InvalidArgument(f"branch must be 0 or 1, got {branch}")
     n = np.arange(space.dim)
-    base = np.diag((beta * n + gamma).astype(complex))
-    base[n[1:], n[:-1]] = alpha * np.sqrt(n[1:])
-    base[n[:-1], n[1:]] = np.conj(alpha) * np.sqrt(n[1:])
+    with np.errstate(over="ignore"):  # validate_schedule names an overflowed entry
+        base = np.diag((beta * n + gamma).astype(complex))
+        base[n[1:], n[:-1]] = alpha * np.sqrt(n[1:])
+        base[n[:-1], n[1:]] = np.conj(alpha) * np.sqrt(n[1:])
     return base if branch == 0 else -base
 
 

@@ -255,6 +255,51 @@ class TestRunCommand:
         assert code == 2
         assert "did not converge" in capsys.readouterr().err
 
+    def test_overflowing_generator_is_named(self, tmp_path, capsys):
+        # beta n is inf for n >= 2: this printed two RuntimeWarnings and blamed
+        # an anti-Hermitian residual of nan
+        cfg = preset_config("fig2a")
+        cfg["model"]["qubit_boson"]["beta"] = 1e308
+        cfg["cutoff"] = 4
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert (code, caught) == (2, [])
+        assert capsys.readouterr().err == (
+            "numerical failure: generator 0 of segment 0 has 2 non-finite entries,"
+            " the first at (2, 2)\n"
+        )
+
+    def test_integer_past_the_float_range_is_validation_error(self, tmp_path, capsys):
+        # math.isfinite raised OverflowError out of main
+        text = json.dumps(preset_config("fig2a")).replace('"beta": 1.0', '"beta": 1' + "0" * 400)
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: model.qubit_boson.beta: must be finite, got 1000"
+        )
+
+    @pytest.mark.parametrize("document", [False, True])
+    def test_integer_past_the_digit_limit_is_validation_error(self, tmp_path, capsys, document):
+        # json.loads raised a plain ValueError out of main
+        huge = "1" + "0" * 5000
+        if document:
+            (tmp_path / "env.json").write_text('{"matrix": [[[' + huge + ", 0]]]}")
+            text = json.dumps({**preset_config("fig2e"), "initial_env": {"matrix_file": "env.json"}})
+        else:
+            text = json.dumps(preset_config("fig2e")).replace('"beta": 1.0', '"beta": ' + huge)
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Exceeds the limit (4300 digits)" in err
+        assert ("initial_env.matrix_file" in err) is document
+
 
 class TestPresetCommand:
     def test_preset_runs(self, tmp_path):

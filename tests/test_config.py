@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dephasim import config
 from dephasim.config import (
     AUTO_CUTOFF,
     CoherentEnv,
@@ -12,6 +15,7 @@ from dephasim.config import (
     config_from_dict,
     load_matrix_file,
     load_schedule_file,
+    parse_complex_matrix,
     parse_config,
 )
 from dephasim.errors import ParseError, ValidationError
@@ -363,6 +367,49 @@ class TestValidationFields:
         schedule = load_schedule_file(str(tmp_path / "s.json"))
         assert (schedule.system_dim, schedule.env_dim, len(schedule.segments)) == (2, 2, 1)
         assert load_matrix_file(str(tmp_path / "m.json"))[0, 0] == 1.0
+
+
+_NUMBERS = st.integers(-(10**20), 10**20) | st.floats(allow_nan=False, allow_infinity=False)
+ONE = [1.0, 0.0]
+ZERO = [0.0, 0.0]
+
+# 2 x 2 matrices that leave the array fast path, each with the walker's message
+WALKER_MESSAGES = [
+    ([[[True, 0.0], ZERO], [ZERO, ONE]], "m[0][0]: expected a number, got True"),
+    ([[ONE, [0.0, "0"]], [ZERO, ONE]], "m[0][1]: expected a number, got '0'"),
+    ([(ONE, ZERO), (ZERO, ONE)], "m[0]: expected a row of 2 entries"),
+    ([[ONE, ZERO], [ZERO]], "m[1]: expected a row of 2 entries"),
+    ([[ONE, ZERO], [ZERO, [1.0, 0.0, 0.0]]], "m[1][1]: expected [re, im], got [1.0, 0.0, 0.0]"),
+    ([[ONE, ZERO], [[0.0, math.nan], ONE]], "m[1][0]: must be finite, got nan"),
+    ([[ONE, ZERO], [ZERO, [-math.inf, 0.0]]], "m[1][1]: must be finite, got -inf"),
+    ([[[10**400, 0], ZERO], [ZERO, ONE]], f"m[0][0]: must be finite, got {10**400!r}"),
+]
+
+
+class TestComplexMatrix:
+    @given(
+        matrix=st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.lists(st.lists(_NUMBERS, min_size=2, max_size=2), min_size=d, max_size=d),
+                min_size=d,
+                max_size=d,
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_array_path_matches_the_walker(self, matrix):
+        # JSON rows of finite numbers never reach the per-entry walker, and give its values
+        expected = np.array([[complex(float(re), float(im)) for re, im in row] for row in matrix])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(config, "_complex_pair", None)
+            got = parse_complex_matrix(matrix, "m", len(matrix))
+        assert got.dtype == complex and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("matrix, message", WALKER_MESSAGES)
+    def test_walker_messages(self, matrix, message):
+        with pytest.raises(ValidationError) as err:
+            parse_complex_matrix(matrix, "m", 2)
+        assert str(err.value) == message
 
 
 class TestPresets:

@@ -14,20 +14,23 @@ from dephasim.dephasing import (
     propagators_at,
     validate_schedule,
 )
+from dephasim import dephasing
 from dephasim.errors import (
     DimensionMismatch,
     EmptySchedule,
+    NonFiniteError,
     NotHermitianGenerator,
     NotNormalizedError,
     TimeOutOfRange,
 )
 from dephasim.fock import FockSpace, env_from_matrix, thermal_state
-from dephasim.linalg import dagger, frobenius, trace_distance
+from dephasim.linalg import dagger, frobenius, hermiticity_residual, trace_distance
 from util import (
     PAULI_X,
     PAULI_Z,
     expm,
     normalized_coherence,
+    random_complex,
     random_density,
     random_hermitian,
     random_pure_density,
@@ -85,6 +88,41 @@ class TestValidateSchedule:
         )
         with np.errstate(over="ignore"):
             assert validate_schedule(s).max() == 0.0  # 0/inf
+
+    def test_negated_generator_reuses_the_residual(self, monkeypatch):
+        # the residual of -g0 is that of g0 bit for bit, so it is computed once
+        rng = np.random.default_rng(3)
+        segments = []
+        for _ in range(2):
+            g0 = random_hermitian(rng, 4) + 1e-12 * random_complex(rng, (4, 4))
+            g2 = random_hermitian(rng, 4) + 1e-11 * random_complex(rng, (4, 4))
+            segments.append(Segment(duration=1.0, generators=(g0, -g0, g2)))
+        s = SegmentSchedule(system_dim=3, env_dim=4, segments=tuple(segments))
+        expected = np.array([[hermiticity_residual(g) for g in seg.generators] for seg in segments])
+        calls = []
+        monkeypatch.setattr(
+            dephasing, "hermiticity_residual", lambda g: calls.append(g) or hermiticity_residual(g)
+        )
+        got = validate_schedule(s)
+        assert got.tobytes() == expected.tobytes() and expected.min() > 0
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_generator_is_named(self, bad):
+        g = np.diag([0.0, 1.0, bad, bad]).astype(complex)
+        s = SegmentSchedule(
+            system_dim=2,
+            env_dim=4,
+            segments=(
+                Segment(duration=1.0, generators=(np.eye(4), -np.eye(4))),
+                Segment(duration=1.0, generators=(g, -g)),
+            ),
+        )
+        with pytest.raises(NonFiniteError) as err:
+            validate_schedule(s)
+        assert str(err.value) == (
+            "generator 0 of segment 1 has 2 non-finite entries, the first at (2, 2)"
+        )
 
     def test_empty_schedule(self):
         s = SegmentSchedule(system_dim=2, env_dim=4, segments=())

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dephasim.errors import CutoffCapExceeded
+from dephasim import linalg
+from dephasim.errors import CutoffCapExceeded, NotHermitianError
 from dephasim.fock import (
     EnvDensity,
     FockSpace,
@@ -174,6 +175,16 @@ class TestEnvDensity:
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
             EnvDensity(FockSpace(2), np.eye(2, dtype=complex))
+
+    def test_hermiticity_checked_once(self, monkeypatch):
+        calls = []
+        check = linalg.hermiticity_residual
+        monkeypatch.setattr(linalg, "hermiticity_residual", lambda m: calls.append(m) or check(m))
+        env_from_matrix(np.diag([0.5, 0.5]).astype(complex))
+        assert len(calls) == 1
+        with pytest.raises(NotHermitianError) as err:
+            env_from_matrix(np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))
+        assert str(err.value) == "environment state is not Hermitian (residual 1.414e-01)"
 
     def test_from_matrix_infers_space(self):
         state = env_from_matrix(np.diag([0.5, 0.5]).astype(complex))

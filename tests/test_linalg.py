@@ -289,6 +289,27 @@ class TestFactors:
         assert abs(fidelity_of_factors(u @ a, u @ b) - fidelity_of_factors(a, b)) <= 1e-12
         assert abs(fidelity_of_factors(a, b) - fidelity_given_sqrt(sqrtm_psd(rho1), rho2)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "z", [0.75, -3.0, 1e-150j, (3 + 4j) * 2.0**-40, (5 - 12j) * 2.0**500]
+    )
+    def test_one_by_one_fidelity_is_the_svd_exactly(self, z, monkeypatch):
+        # with both |z| exact (real or Pythagorean entries) the two paths agree bit for bit
+        a, b = np.array([[1.0 + 0j], [0.0]]), np.array([[np.conj(z)], [2.0]])
+        svd = np.sum(np.linalg.svd(dagger(a) @ b, compute_uv=False)) ** 2
+        monkeypatch.setattr(np.linalg, "svd", None)  # the one-column path makes no SVD
+        assert fidelity_of_factors(a, b) == svd == abs(z) ** 2
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 7), (2, 1), (7, 1)])
+    def test_one_column_fidelity_matches_the_svd(self, shape):
+        # F = sum |a^dag b|^2 against the SVD path on (T, d, r) stacks; a 1 x 1 has
+        # its |z| from hypot here and from LAPACK's dlapy3 there, which differ by a
+        # few ulp (at most 4 eps relative over 1e5 random draws)
+        rng = np.random.default_rng(sum(shape))
+        a = random_complex(rng, (200, 9, shape[0])) * 10.0 ** rng.uniform(-3, 3, (200, 1, 1))
+        b = random_complex(rng, (200, 9, shape[1]))
+        svd = np.sum(np.linalg.svd(dagger(a) @ b, compute_uv=False), axis=-1) ** 2
+        assert np.max(np.abs(fidelity_of_factors(a, b) - svd) / svd) <= 1e-15
+
     @given(seed=seeds, rank=st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
     def test_reduced_trace_distance(self, seed, rank):

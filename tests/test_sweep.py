@@ -5,11 +5,14 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dephasim import dephasing
 from dephasim.config import config_from_dict, load_schedule_file
@@ -37,7 +40,7 @@ from dephasim.linalg import (
 )
 from dephasim.presets import PRESET_NAMES, preset_config
 from dephasim.qubit_boson import QubitBosonParams, branch_generator, build_schedule
-from dephasim.sweep import CSV_HEADER, convergence_report, emit_csv, run_sweep
+from dephasim.sweep import CSV_HEADER, SweepRow, convergence_report, emit_csv, run_sweep
 from util import expm, normalized_coherence, random_density, random_hermitian
 
 EQUAL = equal_superposition(2)
@@ -638,6 +641,9 @@ class TestGenericSchedule:
             run_sweep(cfg)
 
 
+_CELL = st.none() | st.floats(allow_subnormal=True) | st.sampled_from([-0.0, 1e308, 5e-324])
+CSV_ROWS = st.tuples(*[_CELL] * 6, st.integers(2, 512))
+
 # sha256 of each preset's CSV; a deliberate roundoff change updates these
 PRESET_SHA256 = {
     "fig2a": "f2d987133172069fab237f90d78aaf2da4faac7aa030957a50386bb9807d8add",
@@ -711,6 +717,38 @@ class TestEmitCsv:
         emit_csv(run_sweep(cfg), a)
         emit_csv(run_sweep(cfg), b)
         assert a.getvalue() == b.getvalue()
+
+    @given(rows=st.lists(CSV_ROWS, min_size=1, max_size=8))
+    @example(rows=[(0.0, None, 1.0, 0.0, 0.0, None, 64)])
+    @example(rows=[
+        (-0.0, 1e308, -1e308, 5e-324, 2.2250738585072014e-308, math.inf, 2),
+        (1.0, -math.inf, math.nan, None, -0.0, 1.23456789012345e-310, 512),
+        (6.0, 0.1, 1 / 3, 2.5e-16, 123456789012.5, 1e16, 64),
+    ])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_value_format(self, rows):
+        # the column-wise "%.12g" % v against the per-row format(v, ".12g") join
+        lines = [CSV_HEADER]
+        for row in rows:
+            cells = ["" if v is None else format(v, ".12g") for v in row[:6]]
+            lines.append(",".join([*cells, str(row[6])]))
+        buf = io.BytesIO()
+        written = emit_csv([SweepRow(*row) for row in rows], buf)
+        assert buf.getvalue() == ("\n".join(lines) + "\n").encode("ascii")
+        assert written == len(buf.getvalue())
+
+
+class TestSweepRow:
+    def test_fields_in_csv_order(self):
+        assert SweepRow._fields == tuple(CSV_HEADER.split(","))
+
+    def test_immutable_and_replaceable(self):
+        row = run_sweep(small_fig2d(steps=3, cutoff=8))[1]
+        with pytest.raises(AttributeError):
+            row.entanglement = 0.0
+        changed = row._replace(negativity=0.5)
+        assert changed.negativity == 0.5 and row.negativity is None
+        assert changed[:5] == row[:5] and changed.cutoff == row.cutoff == 8
 
 
 class TestConvergence:
