@@ -123,6 +123,8 @@ def parse_config(text: bytes | str, *, base_dir: str | Path | None = None) -> Ru
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise ParseError(str(exc)) from exc
+    except RecursionError as exc:
+        raise ParseError(f"config is nested too deeply: {exc}") from exc
     return config_from_dict(obj, base_dir=base_dir)
 
 
@@ -269,6 +271,7 @@ def _number(value, path: str) -> float:
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(path, f"expected an integer, got {value!r}")
+    _number(value, path)  # an integer past the float range is not finite
     return value
 
 
@@ -315,6 +318,8 @@ def _read_json(path: str, field: str):
         raise ValidationError(field, f"{path} is not valid UTF-8: {exc}") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ValidationError(field, f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(field, f"{path} is nested too deeply: {exc}") from exc
 
 
 def load_schedule_file(path: str) -> SegmentSchedule:

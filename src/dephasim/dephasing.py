@@ -25,7 +25,10 @@ every block is R_ij = Y_i Y_j^dag with Y_i = w_i A.
 
 segment_chunks is the only routine that steps through the segments: with
 B_i = U_ki^dag w_i(start of k) A, formed once per segment k, a chunk of its
-times is evaluated as Y_i = U_ki exp(-i w_ki tau) B_i in one stack.
+times is evaluated as Y_i = U_ki exp(-i w_ki tau) B_i in one stack. In the
+frame of pointer 0, when all pointers share its eigenvectors (every
+qubit-boson segment), the stacks are (T, d_k, r) over only the d_k rows that
+some B_i reaches.
 Schedules are immutable and may be shared across workers; the eigensystems
 are computed on first use.
 """
@@ -223,6 +226,10 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
     pointers, which keeps Gram matrices and spectra: stacks[0] is B_0, a
     pointer sharing the eigenvectors of pointer 0 costs only the phase
     exp(-i (w_i - w_0) tau), any other the fixed frame M_i = U_k0^dag U_ki.
+    When every pointer shares them, the stacks are (T, d_k, r) over the d_k
+    rows that some B_i reaches: a row that is zero in every B_i is zero in
+    every stack. A phase that is not finite on a dropped row still makes the
+    stacks NaN at that time, as it would if the row were kept.
     """
     if not schedule.segments:
         raise EmptySchedule("schedule has no segments")
@@ -248,14 +255,25 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
             rotated.append([dagger(u) @ y for (_, u), y in zip(systems[m], start)])
         w0, u0 = systems[k][0]
         frames = [None if u is u0 else dagger(u0) @ u for _, u in systems[k][1:]] if frame else ()
+        rows, spread = slice(None), None
+        if frame and all(m is None for m in frames):
+            reached = np.flatnonzero(np.concatenate(rotated[k], axis=1).any(axis=1))
+            if len(reached) < len(a):  # a row no B_i reaches stays zero in every stack
+                rows = reached
+                # a phase that is not finite on a dropped row still makes the stacks NaN
+                spread = max((np.abs(w - w0).max() for w, _ in systems[k][1:]), default=0.0)
+        b0, *cut = [b[rows] for b in rotated[k]]
         for first in range(lo, hi, chunk):
             tau = taus[first : min(first + chunk, hi)]
             if not frame:
                 yield first, factors(k, tau)
                 continue
-            yield first, [np.broadcast_to(rotated[k][0], (len(tau), *a.shape))] + [
-                _phased(w - w0, tau, b) if m is None else _phased(-w0, tau, m @ _phased(w, tau, b))
-                for (w, _), b, m in zip(systems[k][1:], rotated[k][1:], frames)
+            if spread is not None:
+                tau = np.where(np.isfinite(spread * tau), tau, np.nan)
+            yield first, [np.broadcast_to(b0, (len(tau), *b0.shape))] + [
+                _phased((w - w0)[rows], tau, b) if m is None
+                else _phased(-w0, tau, m @ _phased(w, tau, b))
+                for (w, _), b, m in zip(systems[k][1:], cut, frames)
             ]
 
 

@@ -283,6 +283,58 @@ class TestRunCommand:
             "error: model.qubit_boson.beta: must be finite, got 1000"
         )
 
+    @pytest.mark.parametrize("field", ["time.steps", "cutoff"])
+    def test_integer_field_past_the_float_range_is_validation_error(self, tmp_path, capsys, field):
+        # np.linspace raised ValueError, and the reach check OverflowError, out of main
+        cfg = json.loads(write_config(tmp_path).read_text())
+        *parents, key = field.split(".")
+        target = cfg[parents[0]] if parents else cfg
+        target[key] = int("1" + "0" * 400)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: must be finite, got 1000")
+
+    @pytest.mark.parametrize("document", ["config", "schedule"])
+    def test_nesting_past_the_recursion_limit_is_validation_error(
+        self, tmp_path, capsys, document
+    ):
+        # json.loads raised RecursionError out of main
+        deep = "[" * 100000
+        path = tmp_path / "cfg.json"
+        if document == "config":
+            path.write_text(deep)
+        else:
+            (tmp_path / "s.json").write_text(deep)
+            cfg = json.loads(write_config(tmp_path).read_text())
+            path.write_text(json.dumps({**cfg, "model": {"schedule_file": "s.json"}}))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err
+        assert ("model.schedule_file" in err) is (document == "schedule")
+
+    def test_overflowing_phase_on_rows_r0_never_reaches_fails_at_the_origin(
+        self, tmp_path, capsys
+    ):
+        # beta n overflows w_1 - w_0 only on levels far above the thermal R(0),
+        # rows the stacks do not carry; the run still fails at its first point
+        cfg = preset_config("fig2e")
+        assert cfg["model"]["qubit_boson"]["segments"][0]["alpha"] == [0.0, 0.0]
+        cfg["model"]["qubit_boson"]["beta"] = 1e306
+        cfg["initial_env"] = {"thermal": {"theta": 0.5}}
+        cfg["cutoff"] = 128
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: evolved state is not finite at t = 0.0\n"
+        )
+
     @pytest.mark.parametrize("document", [False, True])
     def test_integer_past_the_digit_limit_is_validation_error(self, tmp_path, capsys, document):
         # json.loads raised a plain ValueError out of main

@@ -336,14 +336,20 @@ def kernel_case(name, tmp_path):
     return config_from_dict(cfg), load_schedule_file(tmp_path / "s.json"), rho, c
 
 
-def oracle_blocks(schedule, rho, t):
-    """R_ij(t) from the chronological product of expm over the segments."""
+def oracle_propagators(schedule, t):
+    """w_i(t) as the chronological product of expm over the segments."""
     ws = []
     for i in range(schedule.system_dim):
         w = np.eye(schedule.env_dim, dtype=complex)
         for start, seg in zip(schedule.boundaries, schedule.segments):
             w = expm(-1j * seg.generators[i] * min(max(t - start, 0.0), seg.duration)) @ w
         ws.append(w)
+    return ws
+
+
+def oracle_blocks(schedule, rho, t):
+    """R_ij(t) from the chronological product of expm over the segments."""
+    ws = oracle_propagators(schedule, t)
     return np.array([[wi @ rho @ wj.conj().T for wj in ws] for wi in ws])
 
 
@@ -388,6 +394,100 @@ class TestSegmentKernel:
                 weighted = [[c[i] * c[j].conjugate() * r[i, j] for j in range(n)] for i in range(n)]
                 sigma = np.block(weighted)
                 assert abs(row.negativity - negativity(sigma, n, schedule.env_dim)) <= 1e-12, t
+
+
+def carried_rows(schedule, a, times):
+    """{t: number of rows of the frame stacks} over the times, per segment_chunks chunk."""
+    carried = {}
+    for first, stacks in segment_chunks(schedule, a, times, frame=True):
+        assert len({s.shape[1:] for s in stacks}) == 1
+        carried.update(dict.fromkeys(times[first : first + len(stacks[0])], stacks[0].shape[1]))
+    return carried
+
+
+def assert_rows_match_oracle(rows, schedule, rho, c, tol=1e-13):
+    """Every column of a 2-pointer sweep against Y_i = w_i A over all d rows.
+
+    w_i comes from oracle_propagators and A is the sweep's factor of R(0).
+    F is the SVD formula on the d-row factors: the fidelity of the formed
+    blocks carries 1e-12 of eigh noise at d = 128.
+    """
+    a = psd_factor(rho)
+    for row in rows:
+        ys = [w @ a for w in oracle_propagators(schedule, row.t)]
+        r = np.array([[yi @ yj.conj().T for yj in ys] for yi in ys])
+        f = np.sum(np.linalg.svd(ys[0].conj().T @ ys[1], compute_uv=False)) ** 2
+        assert abs(row.entanglement - 4 * abs(c[0] * c[1]) ** 2 * (1 - f)) <= tol, row.t
+        assert abs(row.coherence_norm - abs(np.trace(r[0, 1]))) <= tol, row.t
+        assert abs(row.type1_max - trace_distance(r[0, 0], r[1, 1])) <= tol, row.t
+        if row.negativity is not None:
+            sigma = np.block([[c[i] * c[j].conjugate() * r[i, j] for j in (0, 1)] for i in (0, 1)])
+            assert abs(row.negativity - negativity(sigma, 2, schedule.env_dim)) <= tol, row.t
+
+
+class TestRowSupport:
+    """Frame stacks carry only the rows some B_i reaches, when no pointer needs a frame M_i."""
+
+    def test_stepped_thermal_drops_rows_and_matches_oracle(self):
+        cfg = preset_config("fig2b")
+        cfg.update(cutoff=128, time={"t_max": 6.0, "steps": 7}, outputs={"negativity": True})
+        cfg = config_from_dict(cfg)
+        rho = thermal_state(0.5, FockSpace(128)).matrix
+        schedule = build_schedule(
+            QubitBosonParams(beta=1.0, segments=cfg.model.segments, cutoff=128)
+        )
+        rows = run_sweep(cfg)
+        carried = carried_rows(schedule, psd_factor(rho), [row.t for row in rows])
+        assert carried[1.0] == psd_factor(rho).shape[1] and carried[3.0] < 128
+        assert_rows_match_oracle(rows, schedule, rho, EQUAL)
+        assert max(row.negativity for row in rows) > 1e-3
+
+    def test_undriven_step_carries_the_rank_of_r0(self):
+        cfg = config_from_dict(preset_config("fig2b"))
+        a = thermal_state(0.5, FockSpace(64)).factor
+        schedule = build_schedule(
+            QubitBosonParams(beta=1.0, segments=cfg.model.segments, cutoff=64)
+        )
+        times = [row.t for row in run_sweep(cfg)]
+        carried = carried_rows(schedule, a, times)
+        assert {carried[t] for t in times if t < 2.0} == {a.shape[1]} == {18}
+
+    def test_rows_are_the_union_over_pointers_and_all_under_a_frame(self, tmp_path):
+        # R(0) = |0><0|. Segment 0: diagonal generators of opposite orders, so
+        # B_0 and B_1 reach rows 0 and 3 but M_1 != I: all 4 rows. Segment 1
+        # mixes pointer 1 only. Segment 2 is (D, -D): B_0 reaches one row, B_1
+        # every row, so a stack cut to the rows of B_0 alone would be wrong.
+        rng = np.random.default_rng(3)
+        d = 4
+        diag = [np.diag(v).astype(complex) for v in ([0, 1, 2, 3], [3, 2, 1, 0], [0, 0.5, -1, 2])]
+        shift = np.diag([1.0, -0.5, 0.25, 2.0]).astype(complex)
+        generators = [diag[:2], [diag[2], random_hermitian(rng, d)], [shift, -shift]]
+        doc = {
+            "system_dim": 2,
+            "env_dim": d,
+            "segments": [
+                {"duration": dur, "generators": [as_pairs(g) for g in gens]}
+                for dur, gens in zip((0.7, 0.9, 0.6), generators)
+            ],
+        }
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        rho = np.diag([1.0, 0, 0, 0]).astype(complex)
+        (tmp_path / "env.json").write_text(json.dumps({"matrix": as_pairs(rho)}))
+        cfg = config_from_dict(
+            {
+                "model": {"schedule_file": str(tmp_path / "s.json")},
+                "initial_env": {"matrix_file": str(tmp_path / "env.json")},
+                "time": {"t_max": 2.2, "steps": 12},
+                "cutoff": d,
+                "amplitudes": [[0.6, 0], [0, 0.8]],
+            }
+        )
+        schedule = load_schedule_file(tmp_path / "s.json")
+        rows = run_sweep(cfg)
+        carried = carried_rows(schedule, psd_factor(rho), [row.t for row in rows])
+        assert set(carried.values()) == {d}
+        assert_rows_match_oracle(rows, schedule, rho, np.array([0.6, 0.8j]))
+        assert max(row.type1_max for row in rows if row.t > 1.6) > 1e-2
 
 
 def factor_and_oracle(schedule, rho, c, t):
@@ -647,8 +747,8 @@ CSV_ROWS = st.tuples(*[_CELL] * 6, st.integers(2, 512))
 # sha256 of each preset's CSV; a deliberate roundoff change updates these
 PRESET_SHA256 = {
     "fig2a": "f2d987133172069fab237f90d78aaf2da4faac7aa030957a50386bb9807d8add",
-    "fig2b": "4ea7e167b31c341658110a254b60b7d3e9dba974464eddf80e004e6e3baeeb0b",
-    "fig2c": "eedd48b4b88b881d7c8cfaa33059f5d0eb947b1e52a3962fce46b2920c781dd4",
+    "fig2b": "b2c8e197e2d3032324d926c363065af6274caf8c38092377d73ffb5df4f8543f",
+    "fig2c": "46b5e1c60525774e5684ca2c2532c2f3e1ed4226c83aec6a3952fe6b3bb8ec40",
     "fig2d": "7967c25fb5c99669e1d73332450a0cae3a7f770292ad54341c3b90b21702d9a0",
     "fig2e": "b91accbea6e281a97233b2e542b5eeda9eeebd4e4aa4441ffecc496d44c1a60c",
     "fig2f": "18e9d814ccfb04cec5e0f40f41ff17d1120e300d86b9a81075bd70e2bfd89b50",
