@@ -8,16 +8,17 @@ entanglement measure, coherence and criterion residuals on it.
 R(0) = A A^dag is factored once, by EnvDensity (A is d x r, r its rank), and
 segment_chunks yields each chunk of a segment's grid points as (T, d_k, r)
 stacks of V^dag Y_i, Y_i = w_i A, in a frame V shared by the pointers, which
-no output sees. A row that is zero in every pointer's stack for the whole
-segment is left out, which no output sees either, so d_k <= d. Batched numpy
-calls give the coherence |Tr(Y_0^dag Y_1)|, the fidelity from r x r SVDs of
-Y_0^dag Y_1, each trace distance from a QR of [Y_i | Y_j] and an eigensolve
-of dimension at most 2r, and the negativity from the partial transposes of
-Z Z^dag, Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}], of dimension at most N (N r),
-in runs that hold at most CHUNK_BYTES. The type-2 commutator norms of
-P_a = w_a w_r^dag need the propagators: when they are on (N >= 3), the
-identity is stepped instead of A and Y_i = (V^dag w_i) A. The criteria and
-the negativity run over the pointers with c_i != 0 only.
+no output sees. The lightest rows, at most ROW_TAIL^2 of the segment's
+sum_i ||B_i||^2, are left out, which moves outputs by O(ROW_TAIL), so
+d_k <= d stops growing with the cutoff past the drive's reach (fig2b:
+18/43/51 rows). Batched numpy calls give the coherence |Tr(Y_0^dag Y_1)|,
+the fidelity from r x r SVDs of Y_0^dag Y_1, each trace distance from a QR
+of [Y_i | Y_j] and an eigensolve of dimension at most 2r, and the negativity
+from the partial transposes of Z Z^dag, Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}],
+of dimension at most N (N r), in runs that hold at most CHUNK_BYTES. The
+type-2 commutator norms of P_a = w_a w_r^dag need the propagators: when they
+are on (N >= 3), the identity is stepped instead of A and Y_i = (V^dag w_i) A.
+The criteria and the negativity run over the pointers with c_i != 0 only.
 """
 
 from __future__ import annotations
@@ -188,7 +189,10 @@ def _time_grid(cfg: RunConfig, schedule: SegmentSchedule) -> np.ndarray:
     snap = dephasing._BOUNDARY_SNAP * max(1.0, total)  # the slack _locate allows
     if t_max > total + snap:
         raise ValidationError("time.t_max", f"exceeds the total schedule duration {total!r}")
-    base = np.linspace(0.0, t_max, cfg.time.steps)
+    try:
+        base = np.linspace(0.0, t_max, cfg.time.steps)
+    except (ValueError, IndexError):  # numpy refuses a grid past its size limit
+        raise ValidationError("time.steps", "too many points for one array") from None
     interior = [b for b in schedule.boundaries[1:-1] if 0.0 < b < t_max]
     for b in interior:
         base[np.abs(base - b) <= snap] = b

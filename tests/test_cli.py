@@ -296,6 +296,18 @@ class TestRunCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {field}: must be finite, got 1000")
 
+    @pytest.mark.parametrize("steps", [10**300, 2**63], ids=["10**300", "2**63"])
+    def test_grid_past_numpy_size_limit_is_validation_error(self, tmp_path, capsys, steps):
+        # finite as a float, so "must be finite" passes it; np.linspace raised
+        # ValueError (10**300) or IndexError (2**63) out of main
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["time"]["steps"] = steps
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: time.steps: too many points for one array\n"
+
     @pytest.mark.parametrize("document", ["config", "schedule"])
     def test_nesting_past_the_recursion_limit_is_validation_error(
         self, tmp_path, capsys, document

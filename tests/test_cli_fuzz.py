@@ -19,7 +19,7 @@ from dephasim.cli import main
 
 R = 0.7071067811865476
 NON_FINITE = [math.nan, math.inf, -math.inf]
-JUNK = [None, True, "x", "", [], {}, [1.0], {"x": 1}, -1, 0, 2, 1e300, 10**400]
+JUNK = [None, True, "x", "", [], {}, [1.0], {"x": 1}, -1, 0, 2, 1e300, 10**300, 10**400]
 
 finite = st.floats(-2.0, 2.0)
 duration = st.floats(0.05, 2.0)

@@ -489,6 +489,57 @@ class TestRowSupport:
         assert_rows_match_oracle(rows, schedule, rho, np.array([0.6, 0.8j]))
         assert max(row.type1_max for row in rows if row.t > 1.6) > 1e-2
 
+    def test_tail_cut_moves_no_column_past_1e_15(self, monkeypatch):
+        # fig2d at cutoff 256: the displaced populations fall far below
+        # ROW_TAIL before row 256 but are not exactly zero there
+        cfg = preset_config("fig2d")
+        cfg.update(cutoff=256, time={"t_max": 6.0, "steps": 13}, outputs={"negativity": True})
+        cfg = config_from_dict(cfg)
+        schedule, a = thermal_case(cfg, 256)
+        tail = carried_rows(schedule, a, SEGMENT_MIDPOINTS)
+        tail_rows = run_sweep(cfg)
+        monkeypatch.setattr(dephasing, "ROW_TAIL", 0.0)  # drop exactly-zero rows only
+        exact = carried_rows(schedule, a, SEGMENT_MIDPOINTS)
+        exact_rows = run_sweep(cfg)
+        assert tail[1.0] == exact[1.0] and tail[3.0] < exact[3.0] and tail[5.0] < exact[5.0]
+        for x, y in zip(tail_rows, exact_rows, strict=True):
+            assert x.t == y.t
+            for field in ("entanglement", "coherence_norm", "type1_max", "negativity"):
+                diff = abs(getattr(x, field) - getattr(y, field))
+                assert diff <= 1e-15, (field, x.t, diff)
+
+    @pytest.mark.parametrize(
+        "name, cutoffs, carried",
+        [("fig2b", (64, 128, 256), [18, 43, 51]), ("fig2d", (128, 256), [70, 102, 115])],
+    )
+    def test_rows_carried_do_not_grow_past_the_reach(self, name, cutoffs, carried):
+        cfg = config_from_dict(preset_config(name))
+        for cutoff in cutoffs:
+            rows = carried_rows(*thermal_case(cfg, cutoff), SEGMENT_MIDPOINTS)
+            assert list(rows.values()) == carried, cutoff
+
+    @pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
+    def test_non_finite_weight_carries_every_row(self, bad):
+        # 1e200 gives finite B_i whose weight overflows to inf, which would let
+        # every row pass the cumulative tail test; inf and nan give NaN in B_i
+        schedule, a = thermal_case(config_from_dict(preset_config("fig2b")), 64)
+        assert list(carried_rows(schedule, a, SEGMENT_MIDPOINTS).values()) == [18, 43, 51]
+        a = a.copy()
+        a[0, 0] = bad
+        with np.errstate(all="ignore"):
+            carried = carried_rows(schedule, a, SEGMENT_MIDPOINTS)
+        assert list(carried.values()) == [64, 64, 64]
+
+
+SEGMENT_MIDPOINTS = [1.0, 3.0, 5.0]  # one time in each segment of the fig2 presets
+
+
+def thermal_case(cfg, cutoff):
+    """The schedule and the factor of R(0) of a thermal fig2 preset at a cutoff."""
+    a = thermal_state(cfg.initial_env.theta, FockSpace(cutoff)).factor
+    params = QubitBosonParams(beta=cfg.model.beta, segments=cfg.model.segments, cutoff=cutoff)
+    return build_schedule(params), a
+
 
 def factor_and_oracle(schedule, rho, c, t):
     """Z = [c_0 w_0 A; ...; c_{N-1} w_{N-1} A] at t, and negativity of the formed joint state."""
@@ -747,8 +798,8 @@ CSV_ROWS = st.tuples(*[_CELL] * 6, st.integers(2, 512))
 # sha256 of each preset's CSV; a deliberate roundoff change updates these
 PRESET_SHA256 = {
     "fig2a": "f2d987133172069fab237f90d78aaf2da4faac7aa030957a50386bb9807d8add",
-    "fig2b": "b2c8e197e2d3032324d926c363065af6274caf8c38092377d73ffb5df4f8543f",
-    "fig2c": "46b5e1c60525774e5684ca2c2532c2f3e1ed4226c83aec6a3952fe6b3bb8ec40",
+    "fig2b": "5d8f7b5a1ff5e3b512ea7ba5c562ed91dad1e4825719321df698a34a6966c273",
+    "fig2c": "c991def75a86835c4b902811c4d66c97709f83e2b3ad8544677a61e8451506f9",
     "fig2d": "7967c25fb5c99669e1d73332450a0cae3a7f770292ad54341c3b90b21702d9a0",
     "fig2e": "b91accbea6e281a97233b2e542b5eeda9eeebd4e4aa4441ffecc496d44c1a60c",
     "fig2f": "18e9d814ccfb04cec5e0f40f41ff17d1120e300d86b9a81075bd70e2bfd89b50",
