@@ -30,8 +30,9 @@ frame of pointer 0, when all pointers share its eigenvectors (every
 qubit-boson segment), the stacks are (T, d_k, r) over the d_k rows that
 hold weight: the lightest, at most ROW_TAIL^2 of sum_i ||B_i||^2, are cut,
 which moves outputs by O(ROW_TAIL); fig2d carries 70/102/115 at cutoff 256.
-Schedules are immutable and may be shared across workers; the eigensystems
-are computed on first use.
+A segment whose pointers do not share those eigenvectors takes the unframed
+stacks over all d rows. Schedules are immutable and may be shared across
+workers; the eigensystems are computed on first use.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ class SegmentSchedule:
 
     @property
     def total_duration(self) -> float:
-        return float(sum(seg.duration for seg in self.segments))
+        return float(self.boundaries[-1])
 
     @cached_property
     def boundaries(self) -> np.ndarray:
@@ -224,16 +225,17 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
 
     A chunk is a run of times inside one segment holding at most CHUNK_BYTES
     of stacks: stacks[i] is the (T, d, r) stack of w_i(t) A. With frame=True
-    it is V^dag w_i A for V = U_k0 exp(-i w_k0 tau), one unitary for all
-    pointers, which keeps Gram matrices and spectra: stacks[0] is B_0, a
-    pointer sharing the eigenvectors of pointer 0 costs only the phase
-    exp(-i (w_i - w_0) tau), any other the fixed frame M_i = U_k0^dag U_ki.
-    When every pointer shares them, the stacks are (T, d_k, r): the lightest
-    rows by sum_i ||B_i[k, :]||^2, constant over the segment, drop while they
-    hold at most ROW_TAIL^2 of the total (none if it is not finite), so
-    Y_i^dag Y_j moves by at most ROW_TAIL^2, and a a^dag - b b^dag and Z Z^dag
-    by about 2 ROW_TAIL in trace norm. A phase that is not finite on a dropped
-    row still makes the stacks NaN at that time, as if the row were kept.
+    it is V^dag w_i A for a unitary V shared by all pointers, which keeps
+    Gram matrices and spectra. In a segment whose pointers all share the
+    eigenvectors of pointer 0, V = U_k0 exp(-i w_k0 tau): stacks[0] is B_0,
+    the others cost only the phase exp(-i (w_i - w_0) tau), and the stacks
+    are (T, d_k, r): the lightest rows by sum_i ||B_i[k, :]||^2, constant
+    over the segment, drop while they hold at most ROW_TAIL^2 of the total
+    (none if it is not finite), so Y_i^dag Y_j moves by at most ROW_TAIL^2,
+    and a a^dag - b b^dag and Z Z^dag by about 2 ROW_TAIL in trace norm. A
+    phase that is not finite on a dropped row still makes the stacks NaN at
+    that time, as if the row were kept. Any other segment takes V = I, the
+    unframed stacks of frame=False.
     """
     if not schedule.segments:
         raise EmptySchedule("schedule has no segments")
@@ -257,29 +259,24 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
                 end = np.array([schedule.segments[m - 1].duration])
                 start = [y[0] for y in factors(m - 1, end)]
             rotated.append([dagger(u) @ y for (_, u), y in zip(systems[m], start)])
-        w0, u0 = systems[k][0]
-        frames = [None if u is u0 else dagger(u0) @ u for _, u in systems[k][1:]] if frame else ()
-        rows, spread = slice(None), None
-        if frame and all(m is None for m in frames):
-            weight = np.sum(np.abs(np.concatenate(rotated[k], axis=1)) ** 2, axis=1)
-            order, tail = np.argsort(weight), ROW_TAIL**2 * weight.sum()
-            light = np.count_nonzero(np.cumsum(weight[order]) <= tail) if np.isfinite(tail) else 0
-            if light:  # the lightest rows hold at most tail in all; none drop if it is not finite
-                rows = np.sort(order[light:])
-                # a phase that is not finite on a dropped row still makes the stacks NaN
-                spread = max((np.abs(w - w0).max() for w, _ in systems[k][1:]), default=0.0)
+        (w0, u0), *rest = systems[k]
+        if not (frame and all(u is u0 for _, u in rest)):  # no shared frame: V = I
+            for first in range(lo, hi, chunk):
+                yield first, factors(k, taus[first : min(first + chunk, hi)])
+            continue
+        weight = np.sum(np.abs(np.concatenate(rotated[k], axis=1)) ** 2, axis=1)
+        order, tail = np.argsort(weight), ROW_TAIL**2 * weight.sum()
+        # the lightest rows hold at most tail in all; none drop if it is not finite
+        light = np.count_nonzero(np.cumsum(weight[order]) <= tail) if np.isfinite(tail) else 0
+        rows = np.sort(order[light:])
         b0, *cut = [b[rows] for b in rotated[k]]
+        # a phase that is not finite on a dropped row still makes the stacks NaN
+        spread = max((np.abs(w - w0).max() for w, _ in rest), default=0.0)
         for first in range(lo, hi, chunk):
             tau = taus[first : min(first + chunk, hi)]
-            if not frame:
-                yield first, factors(k, tau)
-                continue
-            if spread is not None:
-                tau = np.where(np.isfinite(spread * tau), tau, np.nan)
+            tau = np.where(np.isfinite(spread * tau), tau, np.nan)
             yield first, [np.broadcast_to(b0, (len(tau), *b0.shape))] + [
-                _phased((w - w0)[rows], tau, b) if m is None
-                else _phased(-w0, tau, m @ _phased(w, tau, b))
-                for (w, _), b, m in zip(systems[k][1:], cut, frames)
+                _phased((w - w0)[rows], tau, b) for (w, _), b in zip(rest, cut)
             ]
 
 
@@ -309,20 +306,15 @@ class JointStateBlocks:
         return self.blocks.shape[-1]
 
 
-def _check_amplitudes(c, n: int | None = None) -> np.ndarray:
-    arr = np.asarray(c, dtype=complex).reshape(-1)
-    if n is not None and arr.size != n:
-        raise DimensionMismatch(f"{arr.size} pointer amplitudes, expected {n}")
-    norm_sq = float(np.sum(np.abs(arr) ** 2))
-    if not abs(norm_sq - 1.0) <= NORM_TOL:  # a NaN amplitude must fail too
-        raise NotNormalizedError(f"pointer amplitudes have |c|^2 = {norm_sq!r}, expected 1")
-    return arr
-
-
 def blocks_from_propagators(w, env0, c) -> JointStateBlocks:
     """Blocks R_ij = w_i R(0) w_j^dag from the propagators w = (w_0, ..., w_{N-1})."""
     n = len(w)
-    amps = _check_amplitudes(c, n)
+    amps = np.asarray(c, dtype=complex).reshape(-1)
+    if amps.size != n:
+        raise DimensionMismatch(f"{amps.size} pointer amplitudes, expected {n}")
+    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    if not abs(norm_sq - 1.0) <= NORM_TOL:  # a NaN amplitude must fail too
+        raise NotNormalizedError(f"pointer amplitudes have |c|^2 = {norm_sq!r}, expected 1")
     rho0 = env0.matrix
     if rho0.shape != w[0].shape:
         raise DimensionMismatch(

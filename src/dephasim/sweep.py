@@ -8,7 +8,8 @@ entanglement measure, coherence and criterion residuals on it.
 R(0) = A A^dag is factored once, by EnvDensity (A is d x r, r its rank), and
 segment_chunks yields each chunk of a segment's grid points as (T, d_k, r)
 stacks of V^dag Y_i, Y_i = w_i A, in a frame V shared by the pointers, which
-no output sees. The lightest rows, at most ROW_TAIL^2 of the segment's
+no output sees (V = I unless they share eigenvectors, as in qubit_boson).
+With a shared eigenbasis the lightest rows, at most ROW_TAIL^2 of the segment's
 sum_i ||B_i||^2, are left out, which moves outputs by O(ROW_TAIL), so
 d_k <= d stops growing with the cutoff past the drive's reach (fig2b:
 18/43/51 rows). Batched numpy calls give the coherence |Tr(Y_0^dag Y_1)|,
@@ -34,6 +35,7 @@ from .config import (
     AUTO_CUTOFF,
     CoherentEnv,
     FockEnv,
+    MatrixFileEnv,
     QubitBosonModel,
     RunConfig,
     ThermalEnv,
@@ -101,29 +103,22 @@ class _ResolvedRun:
 
 def _resolve_cutoff(cfg: RunConfig) -> int:
     """Cutoff of a qubit_boson run; an explicit one is checked against the drive's reach."""
-    env = cfg.initial_env
-    model = cfg.model
-    max_disp = 2.0 * max(abs(s.alpha) for s in model.segments) / abs(model.beta)
-    coherent_amp = abs(env.zeta) if isinstance(env, CoherentEnv) else 0.0
+    env, model = cfg.initial_env, cfg.model
+    drive = 2.0 * max(abs(s.alpha) for s in model.segments) / abs(model.beta)
+    reach = abs(getattr(env, "zeta", 0.0)) + drive  # a coherent R(0) starts |zeta| out
     if cfg.cutoff != AUTO_CUTOFF:
         cutoff = int(cfg.cutoff)
         # the reach rule of suggest_cutoff; past it E reads a truncation artefact
-        _warn_if_beyond_reach(
-            coherent_amp + max_disp, FockSpace(cutoff), "drive displacement reach"
-        )
+        _warn_if_beyond_reach(reach, FockSpace(cutoff), "drive displacement reach")
         return cutoff
-    kwargs = {
-        "max_displacement": max_disp,
-        "coherent_amp": coherent_amp,
-        "tol": cfg.tolerances.cutoff_tail,
-    }
-    if isinstance(env, ThermalEnv):
-        kwargs["theta"] = env.theta
-    elif isinstance(env, FockEnv):
-        kwargs["fock_level"] = env.n
-    elif not isinstance(env, CoherentEnv):
+    if isinstance(env, MatrixFileEnv):
         raise ValidationError("cutoff", "'auto' cannot be used with a matrix-file environment")
-    return suggest_cutoff(**kwargs)
+    return suggest_cutoff(
+        theta=getattr(env, "theta", 0.0),
+        fock_level=getattr(env, "n", 0),
+        max_displacement=reach,
+        tol=cfg.tolerances.cutoff_tail,
+    )
 
 
 def _build_environment(cfg: RunConfig, cutoff: int) -> EnvDensity:

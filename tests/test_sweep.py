@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from dephasim import dephasing
 from dephasim.config import config_from_dict, load_schedule_file
 from dephasim.dephasing import (
+    Segment,
+    SegmentSchedule,
     blocks_at,
     equal_superposition,
     joint_state,
@@ -288,9 +290,10 @@ class TestFactorKernel:
 def kernel_case(name, tmp_path):
     """(config, schedule, R(0), amplitudes) of one path through segment_chunks.
 
-    qubit_boson: pointer 1 reuses the eigenvectors of pointer 0 (M = I), thermal
-    R(0) of rank 9 < d/2, so type-1 is QR-reduced. unrelated: a 2-pointer
-    schedule file with independent random generators (M != I) and a rank-2 R(0).
+    qubit_boson: pointer 1 reuses the eigenvectors of pointer 0 (the phase
+    frame), thermal R(0) of rank 9 < d/2, so type-1 is QR-reduced. unrelated:
+    a 2-pointer schedule file with independent random generators (unframed
+    stacks) and a rank-2 R(0).
     negativity: 3 pointers and the negativity, so the kernel forms w_i itself.
     Every grid has segment boundaries that fall off the uniform grid.
     """
@@ -395,6 +398,35 @@ class TestSegmentKernel:
                 sigma = np.block(weighted)
                 assert abs(row.negativity - negativity(sigma, n, schedule.env_dim)) <= 1e-12, t
 
+    @pytest.mark.parametrize("name", ["unrelated", "negativity", "mixed"])
+    def test_unshared_segments_take_the_unframed_stacks(self, name, tmp_path):
+        # with no eigenvectors shared, frame=True is frame=False bit for bit (V = I)
+        if name == "mixed":
+            schedule, a = mixed_schedule(), np.eye(4, dtype=complex)[:, :1]
+        else:
+            _, schedule, rho, _ = kernel_case(name, tmp_path)
+            a = psd_factor(rho)
+        systems = schedule._eigensystems
+        unshared = [k for k, s in enumerate(systems) if any(u is not s[0][1] for _, u in s[1:])]
+        assert unshared == [0, 1]
+        for k in unshared:
+            start, end = schedule.boundaries[k : k + 2]
+            times = start + (end - start) * np.arange(4) / 4
+            framed, plain = (list(segment_chunks(schedule, a, times, frame=f)) for f in (True, False))
+            assert [first for first, _ in framed] == [first for first, _ in plain]
+            for (_, x), (_, y) in zip(framed, plain, strict=True):
+                assert all(np.array_equal(p, q) for p, q in zip(x, y, strict=True)), k
+
+
+def mixed_schedule():
+    """The schedule of test_rows_are_the_union_over_pointers_and_all_under_a_frame."""
+    rng = np.random.default_rng(3)
+    diag = [np.diag(v).astype(complex) for v in ([0, 1, 2, 3], [3, 2, 1, 0], [0, 0.5, -1, 2])]
+    shift = np.diag([1.0, -0.5, 0.25, 2.0]).astype(complex)
+    generators = [diag[:2], [diag[2], random_hermitian(rng, 4)], [shift, -shift]]
+    segments = (Segment(dur, tuple(g)) for dur, g in zip((0.7, 0.9, 0.6), generators))
+    return SegmentSchedule(2, 4, tuple(segments))
+
 
 def carried_rows(schedule, a, times):
     """{t: number of rows of the frame stacks} over the times, per segment_chunks chunk."""
@@ -426,7 +458,7 @@ def assert_rows_match_oracle(rows, schedule, rho, c, tol=1e-13):
 
 
 class TestRowSupport:
-    """Frame stacks carry only the rows some B_i reaches, when no pointer needs a frame M_i."""
+    """Frame stacks carry only the rows some B_i reaches, in segments whose pointers share u."""
 
     def test_stepped_thermal_drops_rows_and_matches_oracle(self):
         cfg = preset_config("fig2b")
@@ -454,9 +486,9 @@ class TestRowSupport:
 
     def test_rows_are_the_union_over_pointers_and_all_under_a_frame(self, tmp_path):
         # R(0) = |0><0|. Segment 0: diagonal generators of opposite orders, so
-        # B_0 and B_1 reach rows 0 and 3 but M_1 != I: all 4 rows. Segment 1
-        # mixes pointer 1 only. Segment 2 is (D, -D): B_0 reaches one row, B_1
-        # every row, so a stack cut to the rows of B_0 alone would be wrong.
+        # B_0 and B_1 reach rows 0 and 3 but u_1 != u_0: unframed, all 4 rows.
+        # Segment 1 mixes pointer 1 only. Segment 2 is (D, -D): B_0 reaches one
+        # row, B_1 every row, so a stack cut to the rows of B_0 alone would be wrong.
         rng = np.random.default_rng(3)
         d = 4
         diag = [np.diag(v).astype(complex) for v in ([0, 1, 2, 3], [3, 2, 1, 0], [0, 0.5, -1, 2])]
