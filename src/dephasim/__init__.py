@@ -33,17 +33,7 @@ from .dephasing import (
     propagators_at,
     validate_schedule,
 )
-from .entanglement import (
-    SeparabilityVerdict,
-    Type1Residual,
-    Type2Residual,
-    measure_from_fidelity,
-    qee_measure,
-    separability_verdict,
-    type1_residuals,
-    type2_norms,
-    type2_residuals,
-)
+from .entanglement import Type2Residual, measure_from_fidelity, type2_norms, type2_residuals
 from .errors import (
     ConfigError,
     ConvergenceFailure,
@@ -80,7 +70,6 @@ from .linalg import (
     fidelity_of_factors,
     negativity,
     negativity_of_factors,
-    partial_transpose,
     psd_factor,
     sqrtm_psd,
     trace_distance,
@@ -99,6 +88,7 @@ from .sweep import (
     SweepRow,
     convergence_report,
     emit_csv,
+    evaluate,
     run_sweep,
 )
 

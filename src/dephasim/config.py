@@ -17,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dephasing import Segment, SegmentSchedule
-from .errors import ParseError, ValidationError
-from .linalg import NORM_TOL
+from .dephasing import Segment, SegmentSchedule, _checked_amplitudes
+from .errors import NotNormalizedError, ParseError, ValidationError
 from .qubit_boson import AlphaSegment
 
 __all__ = [
@@ -145,9 +144,10 @@ def config_from_dict(obj, *, base_dir: str | Path | None = None) -> RunConfig:
             # a schedule file's dimension is known only once it is loaded, at run time
             return (complex(1.0 / math.sqrt(2.0)),) * 2 if qubit_boson else None
         amps = _AMPLITUDE_LIST(value, path)
-        norm_sq = sum(abs(a) ** 2 for a in amps)
-        if not abs(norm_sq - 1.0) <= NORM_TOL:
-            raise ValidationError(path, f"|c|^2 = {norm_sq!r}, expected 1 within {NORM_TOL}")
+        try:  # the check sweep.evaluate makes, so that amplitudes which pass here run
+            _checked_amplitudes(amps, len(amps))
+        except NotNormalizedError as exc:
+            raise ValidationError(path, str(exc)) from None
         if qubit_boson and len(amps) != 2:
             raise ValidationError(path, "qubit_boson model requires exactly 2 amplitudes")
         return amps

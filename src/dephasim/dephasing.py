@@ -306,15 +306,22 @@ class JointStateBlocks:
         return self.blocks.shape[-1]
 
 
-def blocks_from_propagators(w, env0, c) -> JointStateBlocks:
-    """Blocks R_ij = w_i R(0) w_j^dag from the propagators w = (w_0, ..., w_{N-1})."""
-    n = len(w)
+def _checked_amplitudes(c, n: int) -> np.ndarray:
+    """c as a complex vector of n pointer amplitudes with |c|^2 = 1 within NORM_TOL."""
     amps = np.asarray(c, dtype=complex).reshape(-1)
     if amps.size != n:
         raise DimensionMismatch(f"{amps.size} pointer amplitudes, expected {n}")
-    norm_sq = float(np.sum(np.abs(amps) ** 2))
+    with np.errstate(over="ignore"):  # |c_i|^2 past the float range reads inf and fails
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
     if not abs(norm_sq - 1.0) <= NORM_TOL:  # a NaN amplitude must fail too
         raise NotNormalizedError(f"pointer amplitudes have |c|^2 = {norm_sq!r}, expected 1")
+    return amps
+
+
+def blocks_from_propagators(w, env0, c) -> JointStateBlocks:
+    """Blocks R_ij = w_i R(0) w_j^dag from the propagators w = (w_0, ..., w_{N-1})."""
+    n = len(w)
+    amps = _checked_amplitudes(c, n)
     rho0 = env0.matrix
     if rho0.shape != w[0].shape:
         raise DimensionMismatch(

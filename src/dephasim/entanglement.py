@@ -14,7 +14,9 @@ type-1 condition is also quantified by the measure
 
     E(t) = 4 |c_0|^2 |c_1|^2 (1 - F(R_00, R_11)),
 
-which vanishes exactly on separable states.
+which vanishes exactly on separable states. sweep.evaluate reports all of
+them per time (type1_max, type2_max, entanglement) from the kernels here and
+in linalg; type2_residuals is the reference for one set of propagators.
 """
 
 from __future__ import annotations
@@ -24,21 +26,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .dephasing import JointStateBlocks
 from .errors import NotQubit
-from .linalg import dagger, fidelity, trace_distance
+from .linalg import dagger
 
 __all__ = [
-    "Type1Residual",
     "Type2Residual",
-    "SeparabilityVerdict",
-    "qee_measure",
     "measure_from_fidelity",
     "supported_pointers",
-    "type1_residuals",
     "type2_norms",
     "type2_residuals",
-    "separability_verdict",
 ]
 
 
@@ -55,32 +51,6 @@ def measure_from_fidelity(c, f):
     return np.clip(prefactor * (1.0 - np.asarray(f)), 0.0, 1.0) + 0.0
 
 
-def qee_measure(c, rho00, rho11) -> float:
-    """Entanglement between a qubit and its environment from the conditional states.
-
-    Zero exactly when the two conditional environment states coincide, and
-    bounded by the initial-coherence prefactor 4|c_0|^2|c_1|^2.
-    """
-    return measure_from_fidelity(c, fidelity(rho00, rho11))
-
-
-@dataclass(frozen=True)
-class Type1Residual:
-    """Trace distance between conditional states R_ii and R_jj.
-
-    The pairs (r, j), r the first pointer with c_r != 0, form the independent
-    set; the remaining pairs are implied by them and flagged as derived.
-    """
-
-    i: int
-    j: int
-    residual: float
-    independent: bool
-
-    def describe(self) -> str:
-        return f"type1({self.i},{self.j}) residual {self.residual:.3e}"
-
-
 @dataclass(frozen=True)
 class Type2Residual:
     """Frobenius norm of the commutator [w_i w_j^dag, w_k w_l^dag]."""
@@ -91,30 +61,10 @@ class Type2Residual:
     l: int
     residual: float
 
-    def describe(self) -> str:
-        return (
-            f"type2 [w{self.i} w{self.j}^+, w{self.k} w{self.l}^+] "
-            f"residual {self.residual:.3e}"
-        )
-
 
 def supported_pointers(c) -> list[int]:
     """Indices i with c_i != 0, the pointers the separability criteria test."""
     return [i for i, ci in enumerate(c) if ci != 0]
-
-
-def type1_residuals(blocks: JointStateBlocks) -> list[Type1Residual]:
-    """Pairwise distances between the conditional states of pointers with c_i != 0.
-
-    Zero residuals on every pair (or no pair at all) mean the first-type
-    separability conditions hold at this time.
-    """
-    on = supported_pointers(blocks.c)
-    out = []
-    for i, j in combinations(on, 2):
-        d = trace_distance(blocks.blocks[i, i], blocks.blocks[j, j])
-        out.append(Type1Residual(i=i, j=j, residual=d, independent=(i == on[0])))
-    return out
 
 
 def type2_norms(w, pointers) -> dict[tuple[int, int], np.ndarray]:
@@ -136,13 +86,6 @@ def type2_norms(w, pointers) -> dict[tuple[int, int], np.ndarray]:
     }
 
 
-def _type2_residuals(w, pointers) -> list[Type2Residual]:
-    return [
-        Type2Residual(i=a, j=pointers[0], k=b, l=pointers[0], residual=float(norm))
-        for (a, b), norm in type2_norms(w, pointers).items()
-    ]
-
-
 def type2_residuals(w) -> list[Type2Residual]:
     """Commutator norms over the independent second-type conditions.
 
@@ -151,34 +94,7 @@ def type2_residuals(w) -> list[Type2Residual]:
     the (N-1)(N-2)/2 count; for a qubit the list is empty because conditions
     of this type do not exist.
     """
-    return _type2_residuals(w, range(len(w)))
-
-
-@dataclass(frozen=True)
-class SeparabilityVerdict:
-    """Outcome of the criteria scan at one time point."""
-
-    entangled: bool
-    witness: Type1Residual | Type2Residual | None = None
-
-    def describe(self) -> str:
-        if not self.entangled:
-            return "separable"
-        return f"entangled via {self.witness.describe()}"
-
-
-def separability_verdict(blocks: JointStateBlocks, w, tol: float = 1e-8) -> SeparabilityVerdict:
-    """Entangled iff any criterion residual exceeds tol; w are the propagators at that time.
-
-    Valid only for states evolved from a product initial state with a pure
-    system state (the iff direction fails otherwise). Both criteria run over
-    the pointers with c_i != 0; type-2 takes the first of them as its
-    reference. The witness is the largest violating residual.
-    """
-    residuals = type1_residuals(blocks)
-    residuals += _type2_residuals(w, supported_pointers(blocks.c))
-    violations = [r for r in residuals if r.residual > tol]
-    if not violations:
-        return SeparabilityVerdict(entangled=False)
-    worst = max(violations, key=lambda r: r.residual)
-    return SeparabilityVerdict(entangled=True, witness=worst)
+    return [
+        Type2Residual(i=a, j=0, k=b, l=0, residual=float(norm))
+        for (a, b), norm in type2_norms(w, range(len(w))).items()
+    ]

@@ -21,7 +21,6 @@ from .errors import (
 
 __all__ = [
     "dagger",
-    "frobenius",
     "as_operator",
     "hermiticity_residual",
     "require_hermitian",
@@ -33,7 +32,6 @@ __all__ = [
     "fidelity_given_sqrt",
     "trace_distance_of_factors",
     "trace_distance",
-    "partial_transpose",
     "negativity_of_factors",
     "negativity",
 ]
@@ -42,11 +40,6 @@ __all__ = [
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return np.swapaxes(m, -1, -2).conj()
-
-
-def frobenius(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
 
 
 def as_operator(m) -> np.ndarray:
@@ -72,7 +65,7 @@ def hermiticity_residual(m: np.ndarray) -> float:
     NaN, which callers reject, if both norms overflow or an entry is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return frobenius(m - dagger(m)) / max(1.0, frobenius(m))
+        return np.linalg.norm(m - dagger(m)) / max(1.0, np.linalg.norm(m))
 
 
 def require_hermitian(m, *, what: str = "matrix") -> np.ndarray:
@@ -203,19 +196,6 @@ def trace_distance(rho1, rho2) -> float:
     return float(0.5 * np.sum(np.abs(w)))
 
 
-def partial_transpose(sigma, dim_sys: int, dim_env: int) -> np.ndarray:
-    """Partial transpose over the system factor of a (dim_sys*dim_env)^2 matrix."""
-    arr = as_operator(sigma)
-    n = dim_sys * dim_env
-    if arr.shape != (n, n):
-        raise DimensionMismatch(
-            f"matrix has shape {arr.shape}, expected ({n}, {n}) for dims "
-            f"{dim_sys}x{dim_env}"
-        )
-    blocks = arr.reshape(dim_sys, dim_env, dim_sys, dim_env)
-    return blocks.transpose(2, 1, 0, 3).reshape(n, n)
-
-
 def _negative_sum(pt: np.ndarray):
     """Sum of |negative eigenvalues| of a Hermitian matrix or stack; +0.0 if there are none."""
     w = np.linalg.eigvalsh(pt)
@@ -250,6 +230,14 @@ def negativity(sigma, dim_sys: int, dim_env: int) -> float:
     zero (always +0.0) is inconclusive (PPT misses bound entanglement). This
     validates a formed joint state; sweeps call negativity_of_factors.
     """
-    pt = partial_transpose(sigma, dim_sys, dim_env)
-    require_hermitian(sigma, what="sigma")
+    arr = as_operator(sigma)
+    n = dim_sys * dim_env
+    if arr.shape != (n, n):
+        raise DimensionMismatch(
+            f"matrix has shape {arr.shape}, expected ({n}, {n}) for dims "
+            f"{dim_sys}x{dim_env}"
+        )
+    require_hermitian(arr, what="sigma")
+    # the partial transpose over the system swaps the two system indices
+    pt = arr.reshape(dim_sys, dim_env, dim_sys, dim_env).transpose(2, 1, 0, 3).reshape(n, n)
     return float(_negative_sum(pt))

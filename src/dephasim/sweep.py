@@ -1,9 +1,13 @@
 """Time sweeps, CSV emission and cutoff-convergence reports.
 
-run_sweep drives the whole pipeline for one configuration: resolve the model
-and the initial environment, build the uniform time grid (always including
-segment switch times so sharp features are never aliased), then evaluate the
-entanglement measure, coherence and criterion residuals on it.
+evaluate is the one evaluator of the per-time quantities: from a schedule,
+R(0), the pointer amplitudes and times inside the schedule it returns a
+SweepRow per time with the entanglement measure, the coherence, the type-1
+and type-2 criterion residuals and the negativity. The state at t is
+entangled iff row.type1_max > tol or row.type2_max > tol. run_sweep resolves
+a configuration into those inputs, builds the uniform time grid (always
+including segment switch times so sharp features are never aliased) and
+calls evaluate.
 
 R(0) = A A^dag is factored once, by EnvDensity (A is d x r, r its rank), and
 segment_chunks yields each chunk of a segment's grid points as (T, d_k, r)
@@ -36,6 +40,7 @@ from .config import (
     CoherentEnv,
     FockEnv,
     MatrixFileEnv,
+    OutputFlags,
     QubitBosonModel,
     RunConfig,
     ThermalEnv,
@@ -72,6 +77,7 @@ from .qubit_boson import QubitBosonParams, build_schedule
 __all__ = [
     "SweepRow",
     "CSV_HEADER",
+    "evaluate",
     "run_sweep",
     "emit_csv",
     "ConvergenceReport",
@@ -91,14 +97,6 @@ class SweepRow(NamedTuple):
     type2_max: float | None
     negativity: float | None
     cutoff: int
-
-
-@dataclass(frozen=True)
-class _ResolvedRun:
-    schedule: SegmentSchedule
-    env0: EnvDensity
-    amplitudes: np.ndarray
-    cutoff_used: int
 
 
 def _resolve_cutoff(cfg: RunConfig) -> int:
@@ -145,8 +143,8 @@ def _build_environment(cfg: RunConfig, cutoff: int) -> EnvDensity:
         raise ValidationError("initial_env.matrix_file", str(exc)) from exc
 
 
-def _resolve(cfg: RunConfig, cutoff: int | None) -> _ResolvedRun:
-    """The run's inputs; a qubit_boson model runs at cutoff, or at its resolved one if None."""
+def _resolve(cfg: RunConfig, cutoff: int | None):
+    """(schedule, R(0), amplitudes); a qubit_boson model runs at cutoff, or its resolved one if None."""
     if isinstance(cfg.model, QubitBosonModel):
         cutoff = _resolve_cutoff(cfg) if cutoff is None else cutoff
         params = QubitBosonParams(beta=cfg.model.beta, segments=cfg.model.segments, cutoff=cutoff)
@@ -175,7 +173,7 @@ def _resolve(cfg: RunConfig, cutoff: int | None) -> _ResolvedRun:
                 "amplitudes",
                 f"{amps.size} amplitudes for a system of dimension {schedule.system_dim}",
             )
-    return _ResolvedRun(schedule=schedule, env0=env0, amplitudes=amps, cutoff_used=cutoff)
+    return schedule, env0, amps
 
 
 def _time_grid(cfg: RunConfig, schedule: SegmentSchedule) -> np.ndarray:
@@ -194,14 +192,23 @@ def _time_grid(cfg: RunConfig, schedule: SegmentSchedule) -> np.ndarray:
     return np.unique(np.concatenate([base, interior])) if interior else base
 
 
-def _rows(run: _ResolvedRun, flags, times: list[float], t0: float):
-    """The sweep rows, from one stacked evaluation per chunk of each segment's times."""
-    n, c, dim = run.schedule.system_dim, run.amplitudes, run.env0.dim
-    a = run.env0.factor
+def evaluate(
+    schedule: SegmentSchedule, env0: EnvDensity, c, times, outputs: OutputFlags = OutputFlags(),
+    *, t_start: float = 0.0,
+) -> list[SweepRow]:
+    """The SweepRow at each t of times, in order, reported at t_start + t with cutoff env0.dim.
+
+    The times of each segment are evaluated together. The rows, and so the
+    CSV bytes, are fixed for fixed inputs, numpy and BLAS build and BLAS
+    thread count: an SVD can round differently on another thread count.
+    """
+    n, dim, a = schedule.system_dim, env0.dim, env0.factor
+    c = dephasing._checked_amplitudes(c, n)
+    times = np.asarray(times, dtype=float).reshape(-1).tolist()
     on = supported_pointers(c)  # the criteria and the negativity skip pointers with c_i = 0
     pairs = list(combinations(on, 2))
     # the type-2 products w_a w_r^dag need w_i itself: step the identity instead of A
-    type2 = flags.type2 and len(on) >= 3
+    type2 = outputs.type2 and len(on) >= 3
     stepped = np.eye(dim, dtype=complex) if type2 else a
     # negativity_of_factors takes pt_step points per call, so that their partial
     # transposes, N (N r) square after its QR, stay within the chunk budget too
@@ -209,34 +216,34 @@ def _rows(run: _ResolvedRun, flags, times: list[float], t0: float):
     pt_step = max(1, dephasing.CHUNK_BYTES // (16 * pt_dim**2))
     rows = []
     # every output is invariant under the frame V shared by the pointers
-    for first, stacks in segment_chunks(run.schedule, stepped, times, frame=True):
+    for first, stacks in segment_chunks(schedule, stepped, times, frame=True):
         ts = times[first : first + len(stacks[0])]
         finite = np.logical_and.reduce([np.isfinite(s).all(axis=(1, 2)) for s in stacks])
         if not finite.all():
             raise NonFiniteError(f"evolved state is not finite at t = {ts[np.argmin(finite)]!r}")
         ys = [s @ a for s in stacks] if type2 else stacks
         measure = coherence_norm = type1_max = type2_max = neg = [None] * len(ts)
-        if flags.entanglement and n == 2:
+        if outputs.entanglement and n == 2:
             measure = measure_from_fidelity(c, fidelity_of_factors(ys[0], ys[1])).tolist()
-        if flags.coherence and n >= 2 and c[0] * c[1] != 0:
+        if outputs.coherence and n >= 2 and c[0] * c[1] != 0:
             # |Tr R_01| = |Tr(Y_0 Y_1^dag)|
             coherence_norm = np.abs(np.sum(ys[1].conj() * ys[0], axis=(1, 2))).tolist()
         # a criterion with no condition left (no pair, fewer than 3 pointers for type-2) reads 0
-        if flags.type1:
+        if outputs.type1:
             distances = [trace_distance_of_factors(ys[i], ys[j]) for i, j in pairs]
             type1_max = np.max(distances, axis=0).tolist() if pairs else [0.0] * len(ts)
-        if flags.type2:
+        if outputs.type2:
             norms = list(type2_norms(stacks, on).values())
             type2_max = np.max(norms, axis=0).tolist() if norms else [0.0] * len(ts)
-        if flags.negativity:
+        if outputs.negativity:
             z = np.concatenate([c[i] * ys[i] for i in on], axis=1)
             neg = np.concatenate([
                 negativity_of_factors(z[k : k + pt_step], len(on))
                 for k in range(0, len(ts), pt_step)
             ]).tolist()
         rows += map(
-            SweepRow, [t + t0 for t in ts], measure, coherence_norm,
-            type1_max, type2_max, neg, repeat(run.cutoff_used),
+            SweepRow, [t + t_start for t in ts], measure, coherence_norm,
+            type1_max, type2_max, neg, repeat(dim),
         )
     return rows
 
@@ -246,15 +253,16 @@ def run_sweep(cfg: RunConfig) -> list[SweepRow]:
 
     Times are uniform on [0, t_max] with segment boundaries inserted as extra
     sample points when they fall off-grid. The reported time column is offset
-    by time.t_start. Output is deterministic for a fixed configuration.
+    by time.t_start. The bytes are fixed for a fixed configuration, numpy and
+    BLAS build and BLAS thread count.
     """
     return _sweep(cfg, None)
 
 
 def _sweep(cfg: RunConfig, cutoff: int | None) -> list[SweepRow]:
-    run = _resolve(cfg, cutoff)
-    times = [float(t) for t in _time_grid(cfg, run.schedule)]
-    return _rows(run, cfg.outputs, times, cfg.time.t_start)
+    schedule, env0, c = _resolve(cfg, cutoff)
+    times = _time_grid(cfg, schedule)
+    return evaluate(schedule, env0, c, times, cfg.outputs, t_start=cfg.time.t_start)
 
 
 def emit_csv(rows: list[SweepRow], destination) -> int:

@@ -90,7 +90,7 @@ class TestParseConfig:
             config_from_dict(obj)
 
     def test_verdict_tolerance_rejected(self):
-        # not a config key: separability_verdict takes its own tol argument
+        # not a config key: a verdict thresholds the type1_max and type2_max columns itself
         obj = json.loads(FIG2D_JSON)
         obj["tolerances"] = {"verdict": 1e-8}
         with pytest.raises(ValidationError) as err:
@@ -107,6 +107,24 @@ class TestParseConfig:
     def test_amplitudes_must_be_normalized(self):
         obj = json.loads(FIG2D_JSON)
         obj["amplitudes"] = [[1.0, 0.0], [1.0, 0.0]]
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(obj)
+        assert err.value.field == "amplitudes"
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            # |c|^2 summed left to right is 1 + 0.99999998e-10, by numpy 1 + 1.00000008e-10:
+            # a config check of its own let through what evaluate rejected
+            [[0.24253562504845974, 0.0]] * 17,
+            [[1e200, 0.0], [0.0, 0.0]],  # squaring 1e200 with ** raised OverflowError
+        ],
+        ids=["edge-of-tolerance", "huge"],
+    )
+    def test_amplitude_norm_is_the_check_evaluate_makes(self, amplitudes):
+        obj = json.loads(FIG2D_JSON)
+        obj["model"] = {"schedule_file": "s.json"}
+        obj["amplitudes"] = amplitudes
         with pytest.raises(ValidationError) as err:
             config_from_dict(obj)
         assert err.value.field == "amplitudes"

@@ -8,24 +8,17 @@ from dephasim.dephasing import (
     Segment,
     SegmentSchedule,
     blocks_at,
-    blocks_from_propagators,
     equal_superposition,
     joint_state,
     propagators_at,
 )
-from dephasim.entanglement import (
-    measure_from_fidelity,
-    qee_measure,
-    separability_verdict,
-    type1_residuals,
-    type2_residuals,
-)
+from dephasim.entanglement import measure_from_fidelity, type2_residuals
 from dephasim.errors import DimensionMismatch, NotQubit
 from dephasim.fock import env_from_matrix, thermal_state, FockSpace
-from dephasim.linalg import negativity, trace_distance
+from dephasim.linalg import fidelity, negativity, trace_distance
 from dephasim.presets import preset_config
-from dephasim.sweep import run_sweep
-from util import PAULI_X, PAULI_Z, random_density, random_unitary
+from dephasim.sweep import evaluate, run_sweep
+from util import PAULI_X, PAULI_Z, random_density, random_hermitian, random_unitary
 
 seeds = st.integers(0, 2**32 - 1)
 EQUAL = equal_superposition(2)
@@ -44,40 +37,41 @@ def mixed_env_unitary_schedule():
 
 
 class TestQeeMeasure:
+    # E = measure_from_fidelity(c, F(R_00, R_11)), the qubit measure on formed states
     def test_equal_states_give_zero(self):
         rho = random_density(np.random.default_rng(0), 4)
-        assert qee_measure(EQUAL, rho, rho) == 0.0
+        assert measure_from_fidelity(EQUAL, fidelity(rho, rho)) == 0.0
 
     def test_orthogonal_states_equal_superposition(self):
         r0 = np.diag([1.0, 0.0]).astype(complex)
         r1 = np.diag([0.0, 1.0]).astype(complex)
-        assert abs(qee_measure(EQUAL, r0, r1) - 1.0) <= 1e-12
+        assert abs(measure_from_fidelity(EQUAL, fidelity(r0, r1)) - 1.0) <= 1e-12
 
     def test_orthogonal_states_prefactor(self):
         c = np.array([1 / np.sqrt(3), np.sqrt(2 / 3)])
         r0 = np.diag([1.0, 0.0]).astype(complex)
         r1 = np.diag([0.0, 1.0]).astype(complex)
-        assert abs(qee_measure(c, r0, r1) - 8.0 / 9.0) <= 1e-12
+        assert abs(measure_from_fidelity(c, fidelity(r0, r1)) - 8.0 / 9.0) <= 1e-12
 
     def test_tolerance_equivalence_with_criterion(self):
         # zero measure at threshold iff the conditional states coincide
         rng = np.random.default_rng(1)
         rho = random_density(rng, 6)
         other = random_density(rng, 6)
-        assert qee_measure(EQUAL, rho, rho) <= 1e-12
+        assert measure_from_fidelity(EQUAL, fidelity(rho, rho)) <= 1e-12
         assert trace_distance(rho, rho) <= 1e-8
-        assert qee_measure(EQUAL, rho, other) > 1e-6
+        assert measure_from_fidelity(EQUAL, fidelity(rho, other)) > 1e-6
         assert trace_distance(rho, other) > 1e-8
 
     def test_rejects_non_qubit(self):
         rho = random_density(np.random.default_rng(2), 3)
         with pytest.raises(NotQubit):
-            qee_measure(equal_superposition(3), rho, rho)
+            measure_from_fidelity(equal_superposition(3), fidelity(rho, rho))
 
     def test_rejects_dimension_mismatch(self):
         rng = np.random.default_rng(3)
         with pytest.raises(DimensionMismatch):
-            qee_measure(EQUAL, random_density(rng, 3), random_density(rng, 4))
+            measure_from_fidelity(EQUAL, fidelity(random_density(rng, 3), random_density(rng, 4)))
 
     @given(seed=seeds, phase=st.floats(0.0, 2 * np.pi))
     @settings(max_examples=20, deadline=None)
@@ -85,9 +79,10 @@ class TestQeeMeasure:
         rng = np.random.default_rng(seed)
         r0, r1 = random_density(rng, 4), random_density(rng, 4)
         u = random_unitary(rng, 4)
-        base = qee_measure(EQUAL, r0, r1)
-        assert abs(qee_measure(EQUAL * np.exp(1j * phase), r0, r1) - base) <= 1e-10
-        conj = qee_measure(EQUAL, u @ r0 @ u.conj().T, u @ r1 @ u.conj().T)
+        base = measure_from_fidelity(EQUAL, fidelity(r0, r1))
+        shifted = measure_from_fidelity(EQUAL * np.exp(1j * phase), fidelity(r0, r1))
+        assert abs(shifted - base) <= 1e-10
+        conj = measure_from_fidelity(EQUAL, fidelity(u @ r0 @ u.conj().T, u @ r1 @ u.conj().T))
         assert abs(conj - base) <= 1e-10
 
     def test_prefactor_law(self):
@@ -100,7 +95,7 @@ class TestQeeMeasure:
             np.array([0.9, np.sqrt(1 - 0.81)]),
         ]
         ratios = [
-            qee_measure(c, r0, r1) / (4 * abs(c[0]) ** 2 * abs(c[1]) ** 2)
+            measure_from_fidelity(c, fidelity(r0, r1)) / (4 * abs(c[0]) ** 2 * abs(c[1]) ** 2)
             for c in splits
         ]
         assert np.ptp(ratios) <= 1e-12
@@ -111,6 +106,7 @@ class TestQeeMeasure:
 
 
 class TestType1Residuals:
+    # type1_max of an evaluate row: the largest trace distance between R_ii and R_jj
     def test_equal_blocks_give_zero(self):
         rng = np.random.default_rng(5)
         env = env_from_matrix(random_density(rng, 4))
@@ -120,8 +116,8 @@ class TestType1Residuals:
             env_dim=4,
             segments=(Segment(duration=1.0, generators=(gen, gen)),),
         )
-        blocks = blocks_at(s, env, EQUAL, 0.7)
-        assert all(r.residual <= 1e-12 for r in type1_residuals(blocks))
+        (row,) = evaluate(s, env, EQUAL, [0.7])
+        assert row.type1_max <= 1e-12
 
     @given(seed=seeds)
     @settings(max_examples=20, deadline=None)
@@ -144,25 +140,28 @@ class TestType1Residuals:
                 ),
             ),
         )
-        blocks = blocks_at(s, env, equal_superposition(3), 0.9)
-        assert all(r.residual <= 1e-12 for r in type1_residuals(blocks))
+        (row,) = evaluate(s, env, equal_superposition(3), [0.9])
+        assert row.type1_max <= 1e-12
 
     def test_orthogonal_conditional_states(self):
-        props = (np.eye(2, dtype=complex), PAULI_X)
+        # w_0 = I and w_1 = X at t = 1 map |0><0| to orthogonal states
+        s = mixed_env_unitary_schedule()
+        two = SegmentSchedule(system_dim=2, env_dim=2, segments=(
+            Segment(duration=1.0, generators=s.segments[0].generators[:2]),
+        ))
         env = env_from_matrix(np.diag([1.0, 0.0]).astype(complex))
-        blocks = blocks_from_propagators(props, env, EQUAL)
-        (res,) = type1_residuals(blocks)
-        assert abs(res.residual - 1.0) <= 1e-12
-        assert res.independent
+        (row,) = evaluate(two, env, EQUAL, [1.0])
+        assert abs(row.type1_max - 1.0) <= 1e-12
 
     def test_independent_flagging(self):
+        # the derived pair (1, 2) counts too: type1_max is the maximum over every pair
         rng = np.random.default_rng(6)
         s = mixed_env_unitary_schedule()
         env = env_from_matrix(random_density(rng, 2))
-        blocks = blocks_at(s, env, equal_superposition(3), 1.0)
-        residuals = type1_residuals(blocks)
-        assert [(r.i, r.j) for r in residuals] == [(0, 1), (0, 2), (1, 2)]
-        assert [r.independent for r in residuals] == [True, True, False]
+        r = blocks_at(s, env, equal_superposition(3), 1.0).blocks
+        distances = [trace_distance(r[i, i], r[j, j]) for i, j in [(0, 1), (0, 2), (1, 2)]]
+        (row,) = evaluate(s, env, equal_superposition(3), [1.0])
+        assert abs(row.type1_max - max(distances)) <= 1e-12
 
 
 class TestType2Residuals:
@@ -190,15 +189,13 @@ class TestType2Residuals:
 
 
 class TestVerdict:
+    # the verdict at t: entangled iff row.type1_max or row.type2_max exceeds the tolerance
     def test_product_state_is_separable(self):
         rng = np.random.default_rng(9)
         s = mixed_env_unitary_schedule()
         env = env_from_matrix(random_density(rng, 2))
-        blocks = blocks_at(s, env, equal_superposition(3), 0.0)
-        props = propagators_at(s, 0.0)
-        verdict = separability_verdict(blocks, props, tol=1e-8)
-        assert not verdict.entangled
-        assert verdict.describe() == "separable"
+        (row,) = evaluate(s, env, equal_superposition(3), [0.0])
+        assert not (row.type1_max > 1e-8 or row.type2_max > 1e-8)
 
     def test_stepped_thermal_drive_entangles_via_type1(self):
         # inside the driven phase of the stepped sweep the thermal case is entangled
@@ -208,42 +205,37 @@ class TestVerdict:
         params = QubitBosonParams(beta=1.0, segments=cfg.model.segments, cutoff=32)
         s = build_schedule(params)
         env = thermal_state(2.0, FockSpace(32))
-        blocks = blocks_at(s, env, EQUAL, 3.0)
-        props = propagators_at(s, 3.0)
-        verdict = separability_verdict(blocks, props, tol=1e-8)
-        assert verdict.entangled
-        assert verdict.witness.describe().startswith("type1")
+        (row,) = evaluate(s, env, EQUAL, [3.0])
+        assert row.type1_max > 1e-8 or row.type2_max > 1e-8
+        assert row.type1_max > 1e-8 and row.type2_max == 0.0  # the witness is type-1
 
     def test_qutrit_mixed_env_type2_only(self):
         s = mixed_env_unitary_schedule()
         env = env_from_matrix(np.eye(2, dtype=complex) / 2)
         c = equal_superposition(3)
-        blocks = blocks_at(s, env, c, 1.0)
-        props = propagators_at(s, 1.0)
-        assert all(r.residual <= 1e-12 for r in type1_residuals(blocks))
-        verdict = separability_verdict(blocks, props, tol=1e-8)
-        assert verdict.entangled
-        assert verdict.describe().startswith("entangled via type2")
+        (row,) = evaluate(s, env, c, [1.0])
+        assert row.type1_max <= 1e-12
+        assert row.type1_max > 1e-8 or row.type2_max > 1e-8
+        assert row.type2_max > 1e-8  # the witness is type-2
         # cross-check with the independent entanglement witness
-        assert negativity(joint_state(blocks), 3, 2) > 1e-3
+        assert negativity(joint_state(blocks_at(s, env, c, 1.0)), 3, 2) > 1e-3
 
     def test_zero_amplitude_pointer_is_skipped(self):
-        # c_0 = 0: the pairs and the type-2 reference start at pointer 1, and the
-        # residuals keep naming the original pointers
+        # c_0 = 0: the pairs and the type-2 reference start at pointer 1
         rng = np.random.default_rng(12)
-        props = tuple(random_unitary(rng, 3) for _ in range(4))
-        env = env_from_matrix(np.eye(3, dtype=complex) / 3)
-        blocks = blocks_from_propagators(props, env, np.array([0, 1, 1, 1]) / np.sqrt(3))
-        residuals = type1_residuals(blocks)
-        assert [(r.i, r.j, r.independent) for r in residuals] == [
-            (1, 2, True), (1, 3, True), (2, 3, False)
-        ]
-        verdict = separability_verdict(blocks, props, tol=1e-8)
-        w = props
+        s = SegmentSchedule(system_dim=4, env_dim=3, segments=(
+            Segment(duration=1.0, generators=tuple(random_hermitian(rng, 3) for _ in range(4))),
+        ))
+        env = env_from_matrix(random_density(rng, 3))
+        c = np.array([0, 1, 1, 1]) / np.sqrt(3)
+        (row,) = evaluate(s, env, c, [1.0])
+        r = blocks_at(s, env, c, 1.0).blocks
+        distances = [trace_distance(r[i, i], r[j, j]) for i, j in [(1, 2), (1, 3), (2, 3)]]
+        assert abs(row.type1_max - max(distances)) <= 1e-12
+        w = propagators_at(s, 1.0)
         p2, p3 = w[2] @ w[1].conj().T, w[3] @ w[1].conj().T
-        witness = verdict.witness
-        assert (witness.i, witness.j, witness.k, witness.l) == (2, 1, 3, 1)
-        assert abs(witness.residual - np.linalg.norm(p2 @ p3 - p3 @ p2)) <= 1e-12
+        assert row.type1_max > 1e-8 or row.type2_max > 1e-8
+        assert abs(row.type2_max - np.linalg.norm(p2 @ p3 - p3 @ p2)) <= 1e-12
 
     def test_negativity_implies_entangled_verdict(self):
         cfg = config_from_dict(preset_config("fig2d"))
@@ -252,12 +244,12 @@ class TestVerdict:
         params = QubitBosonParams(beta=1.0, segments=cfg.model.segments, cutoff=16)
         s = build_schedule(params)
         env = thermal_state(2.0, FockSpace(16))
-        for t in np.linspace(0.0, 6.0, 25):
+        times = np.linspace(0.0, 6.0, 25)
+        for t, row in zip(times, evaluate(s, env, EQUAL, times), strict=True):
             blocks = blocks_at(s, env, EQUAL, float(t))
-            props = propagators_at(s, float(t))
             neg = negativity(joint_state(blocks), 2, 16)
             if neg > 1e-8:
-                assert separability_verdict(blocks, props, tol=1e-8).entangled
+                assert row.type1_max > 1e-8 or row.type2_max > 1e-8
 
 
 class TestReport:

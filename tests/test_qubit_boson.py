@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dephasim.dephasing import blocks_at, equal_superposition, propagators_at
-from dephasim.entanglement import qee_measure, type1_residuals
+from dephasim.entanglement import measure_from_fidelity
 from dephasim.fock import FockSpace, coherent_state, thermal_state
-from dephasim.linalg import dagger, frobenius
+from dephasim.linalg import dagger, fidelity, trace_distance
 from dephasim.qubit_boson import (
     AlphaSegment,
     QubitBosonParams,
@@ -42,7 +42,7 @@ def stepped_params(cutoff=32, gamma=0.0):
 def phase_stripped_distance(a, b):
     tr = np.trace(dagger(a) @ b)
     phase = tr / abs(tr) if abs(tr) > 0 else 1.0
-    return frobenius(a * phase - b)
+    return np.linalg.norm(a * phase - b)
 
 
 class TestBuildSchedule:
@@ -58,7 +58,7 @@ class TestBuildSchedule:
         assert np.allclose(s.boundaries, [0.0, 2.0, 4.0, 6.0])
         mid = s.segments[1].generators[0]
         space = FockSpace(32)
-        assert frobenius(mid - branch_generator(ALPHA_FIG, 1.0, 0.0, space, 0)) == 0.0
+        assert np.linalg.norm(mid - branch_generator(ALPHA_FIG, 1.0, 0.0, space, 0)) == 0.0
 
     def test_branches_differ_only_by_sign(self):
         s = build_schedule(stepped_params())
@@ -76,7 +76,7 @@ class TestBuildSchedule:
             cutoff=16,
         )
         props = propagators_at(build_schedule(params), t)
-        assert frobenius(props[0] - dagger(props[1])) <= 1e-10
+        assert np.linalg.norm(props[0] - dagger(props[1])) <= 1e-10
 
     def test_conjugate_branch_relation_under_stepped_drive(self):
         # with non-commuting steps the adjoint relation survives only through
@@ -85,9 +85,9 @@ class TestBuildSchedule:
         # (verified against fine-step chronological products)
         s = build_schedule(stepped_params(cutoff=16))
         early = propagators_at(s, 1.5)
-        assert frobenius(early[0] - dagger(early[1])) <= 1e-10
+        assert np.linalg.norm(early[0] - dagger(early[1])) <= 1e-10
         late = propagators_at(s, 5.0)
-        assert frobenius(late[0] - dagger(late[1])) > 1e-2
+        assert np.linalg.norm(late[0] - dagger(late[1])) > 1e-2
 
     def test_branch_product_scalar_at_matched_undriven_tails(self):
         # w_0 w_1 collapses to a scalar phase when the undriven intervals
@@ -99,10 +99,10 @@ class TestBuildSchedule:
             prod = props[0] @ props[1]
             scale = prod[0, 0]
             assert abs(abs(scale) - 1.0) <= 1e-10
-            assert frobenius(prod - scale * np.eye(16)) <= 1e-9
+            assert np.linalg.norm(prod - scale * np.eye(16)) <= 1e-9
         mid = propagators_at(s, 5.0)
         prod = mid[0] @ mid[1]
-        assert frobenius(prod - prod[0, 0] * np.eye(16)) > 1e-2
+        assert np.linalg.norm(prod - prod[0, 0] * np.eye(16)) > 1e-2
 
 
 class TestAnalyticPiece:
@@ -112,17 +112,17 @@ class TestAnalyticPiece:
         for branch, sign in ((0, 1.0), (1, -1.0)):
             piece = analytic_propagator_piece(0.0, 1.0, t, branch, space)
             expected = np.diag(np.exp(-1j * sign * np.arange(16) * t))
-            assert frobenius(piece - expected) <= 1e-12
+            assert np.linalg.norm(piece - expected) <= 1e-12
 
     def test_full_period_is_identity_up_to_phase(self):
         # at t = 2 pi / beta the displacement closes and the rotation unwinds
         space = FockSpace(32)
         t = 2 * math.pi
         piece = analytic_propagator_piece(ALPHA_FIG, 1.0, t, 0, space)
-        assert frobenius(piece - np.eye(32)) <= 1e-10
+        assert np.linalg.norm(piece - np.eye(32)) <= 1e-10
         exact = analytic_propagator_piece(ALPHA_FIG, 1.0, t, 0, space, exact_phase=True)
         phase = np.exp(1j * abs(ALPHA_FIG) ** 2 * t)
-        assert frobenius(exact - phase * np.eye(32)) <= 1e-10
+        assert np.linalg.norm(exact - phase * np.eye(32)) <= 1e-10
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("branch", [0, 1])
@@ -146,7 +146,7 @@ class TestAnalyticPiece:
         exact = analytic_propagator_piece(ALPHA_FIG, 1.0, t, branch, space, exact_phase=True)
         lam = ALPHA_FIG * (np.exp(-1j * sign * t) - 1.0)
         k = displacement_safe_dim(lam, space)
-        assert frobenius((exact - direct)[:k, :k]) <= 1e-8
+        assert np.linalg.norm((exact - direct)[:k, :k]) <= 1e-8
 
     def test_rejects_zero_beta(self):
         with pytest.raises(ValueError):
@@ -167,7 +167,7 @@ class TestAnalyticPiece:
             engine = propagators_at(s, t)[branch]
             lam = ALPHA_FIG * 2.0  # largest displacement reach of the middle phase
             k = displacement_safe_dim(lam, space)
-            assert frobenius((composed - engine)[:k, :k]) <= 1e-8
+            assert np.linalg.norm((composed - engine)[:k, :k]) <= 1e-8
 
 
 class TestPhase1CoherenceOracle:
@@ -210,7 +210,7 @@ class TestEntanglementBehavior:
         )
         for t in np.linspace(0.0, 6.0, 13):
             blocks = blocks_at(s, env, EQUAL, float(t))
-            e = qee_measure(EQUAL, blocks.blocks[0, 0], blocks.blocks[1, 1])
+            e = measure_from_fidelity(EQUAL, fidelity(blocks.blocks[0, 0], blocks.blocks[1, 1]))
             assert e <= 1e-10
 
     def test_coherent_undriven_entangles(self):
@@ -223,8 +223,7 @@ class TestEntanglementBehavior:
         )
         for t in (0.3, 1.0, 2.0, 3.0):
             blocks = blocks_at(s, env, EQUAL, t)
-            residuals = type1_residuals(blocks)
-            assert max(r.residual for r in residuals) > 1e-6
+            assert trace_distance(blocks.blocks[0, 0], blocks.blocks[1, 1]) > 1e-6
 
     def test_gamma_does_not_change_observables(self):
         env = thermal_state(2.0, FockSpace(16))
@@ -233,8 +232,8 @@ class TestEntanglementBehavior:
         for t in (1.0, 3.0, 5.5):
             b0 = blocks_at(base, env, EQUAL, t)
             b1 = blocks_at(shifted, env, EQUAL, t)
-            e0 = qee_measure(EQUAL, b0.blocks[0, 0], b0.blocks[1, 1])
-            e1 = qee_measure(EQUAL, b1.blocks[0, 0], b1.blocks[1, 1])
+            e0 = measure_from_fidelity(EQUAL, fidelity(b0.blocks[0, 0], b0.blocks[1, 1]))
+            e1 = measure_from_fidelity(EQUAL, fidelity(b1.blocks[0, 0], b1.blocks[1, 1]))
             assert abs(e0 - e1) <= 1e-10
             assert abs(
                 normalized_coherence(b0, 0, 1) - normalized_coherence(b1, 0, 1)
@@ -246,7 +245,9 @@ class TestEntanglementBehavior:
         values = []
         for t in np.linspace(4.0, 6.0, 21):
             blocks = blocks_at(s, env, EQUAL, float(t))
-            values.append(qee_measure(EQUAL, blocks.blocks[0, 0], blocks.blocks[1, 1]))
+            values.append(
+                measure_from_fidelity(EQUAL, fidelity(blocks.blocks[0, 0], blocks.blocks[1, 1]))
+            )
         assert max(values) - min(values) > 1e-4
 
 

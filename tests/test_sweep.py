@@ -7,6 +7,7 @@ import io
 import json
 import math
 import warnings
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dephasim import dephasing
-from dephasim.config import config_from_dict, load_schedule_file
+from dephasim.config import OutputFlags, config_from_dict, load_schedule_file
 from dephasim.dephasing import (
     Segment,
     SegmentSchedule,
@@ -25,13 +26,15 @@ from dephasim.dephasing import (
     propagators_at,
     segment_chunks,
 )
-from dephasim.entanglement import (
-    qee_measure,
-    separability_verdict,
-    type1_residuals,
-    type2_residuals,
+from dephasim.entanglement import measure_from_fidelity, type2_residuals
+from dephasim.errors import (
+    CutoffCapExceeded,
+    DephasimError,
+    DimensionMismatch,
+    NotNormalizedError,
+    TimeOutOfRange,
+    ValidationError,
 )
-from dephasim.errors import CutoffCapExceeded, ValidationError
 from dephasim.fock import FockSpace, coherent_state, env_from_matrix, thermal_state
 from dephasim.linalg import (
     fidelity,
@@ -42,7 +45,14 @@ from dephasim.linalg import (
 )
 from dephasim.presets import PRESET_NAMES, preset_config
 from dephasim.qubit_boson import QubitBosonParams, branch_generator, build_schedule
-from dephasim.sweep import CSV_HEADER, SweepRow, convergence_report, emit_csv, run_sweep
+from dephasim.sweep import (
+    CSV_HEADER,
+    SweepRow,
+    convergence_report,
+    emit_csv,
+    evaluate,
+    run_sweep,
+)
 from util import expm, normalized_coherence, random_density, random_hermitian
 
 EQUAL = equal_superposition(2)
@@ -83,9 +93,9 @@ class TestRunSweep:
         env = thermal_state(2.0, FockSpace(16))
         for row in rows[::3]:
             blocks = blocks_at(schedule, env, EQUAL, row.t)
-            e = qee_measure(EQUAL, blocks.blocks[0, 0], blocks.blocks[1, 1])
+            e = measure_from_fidelity(EQUAL, fidelity(blocks.blocks[0, 0], blocks.blocks[1, 1]))
             coh = normalized_coherence(blocks, 0, 1)
-            t1 = max(r.residual for r in type1_residuals(blocks))
+            t1 = trace_distance(blocks.blocks[0, 0], blocks.blocks[1, 1])
             assert abs(row.entanglement - e) <= 1e-12
             assert abs(row.coherence_norm - coh) <= 1e-12
             assert abs(row.type1_max - t1) <= 1e-12
@@ -657,10 +667,95 @@ class TestZeroAmplitudePointers:
         schedule = build_schedule(
             QubitBosonParams(beta=1.0, segments=cfg.model.segments, cutoff=16)
         )
-        blocks = blocks_at(schedule, thermal_state(2.0, FockSpace(16)), [1, 0], 6.0)
-        assert type1_residuals(blocks) == []
-        verdict = separability_verdict(blocks, propagators_at(schedule, 6.0))
-        assert verdict.describe() == "separable"
+        (row,) = evaluate(schedule, thermal_state(2.0, FockSpace(16)), [1, 0], [6.0])
+        assert (row.type1_max, row.type2_max) == (0.0, 0.0)  # no condition left: separable
+
+
+def evaluate_case(name):
+    """(schedule, R(0), amplitudes, times) of one evaluate case; times are off-grid and unsorted.
+
+    stepped: fig2d at cutoff 16 with thermal R(0). pointers3 and pointers4: random
+    Hermitian generators on segments of 0.7 and 1.1, a rank-2 R(0) and c_0 = 0.
+    """
+    if name == "stepped":
+        segments = config_from_dict(preset_config("fig2d")).model.segments
+        schedule = build_schedule(QubitBosonParams(beta=1.0, segments=segments, cutoff=16))
+        c = np.array([0.6, 0.8j])
+        return schedule, thermal_state(2.0, FockSpace(16)), c, [5.91, 0.37, 2.0, 3.123456789, 4.2]
+    rng = np.random.default_rng(31)
+    n, d = (3, 5) if name == "pointers3" else (4, 4)
+    segments = tuple(
+        Segment(duration=dur, generators=tuple(random_hermitian(rng, d) for _ in range(n)))
+        for dur in (0.7, 1.1)
+    )
+    g = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+    env = env_from_matrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    c = np.array([0, 0.6, 0.8j]) if n == 3 else np.array([0, 0.6, 0.48j, 0.64])
+    return SegmentSchedule(n, d, segments), env, c, [1.75, 0.11, 0.7, 1.234567, 0.5]
+
+
+def reference_row(schedule, env, c, t):
+    """The SweepRow at t from the formed d x d blocks and the propagators at t alone."""
+    n, d = schedule.system_dim, schedule.env_dim
+    state = blocks_at(schedule, env, c, t)
+    r = state.blocks
+    on = [i for i in range(n) if c[i] != 0]
+    w = propagators_at(schedule, t)
+    return SweepRow(
+        t=t,
+        entanglement=measure_from_fidelity(c, fidelity(r[0, 0], r[1, 1])) if n == 2 else None,
+        coherence_norm=abs(np.trace(r[0, 1])) if c[0] * c[1] != 0 else None,
+        type1_max=max(trace_distance(r[i, i], r[j, j]) for i, j in combinations(on, 2)),
+        # the first pointer with c_i != 0 is the type-2 reference
+        type2_max=max((x.residual for x in type2_residuals([w[i] for i in on])), default=0.0),
+        negativity=negativity(joint_state(state), n, d),
+        cutoff=d,
+    )
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("name", ["stepped", "pointers3", "pointers4"])
+    def test_every_column_matches_the_formed_state(self, name):
+        schedule, env, c, times = evaluate_case(name)
+        rows = evaluate(schedule, env, c, times, OutputFlags(negativity=True))
+        assert [row.t for row in rows] == times
+        for row in rows:
+            ref = reference_row(schedule, env, c, row.t)
+            assert row.cutoff == ref.cutoff
+            for column in SweepRow._fields[1:-1]:
+                value, expected = getattr(row, column), getattr(ref, column)
+                if expected is None:
+                    assert value is None, (row.t, column)
+                else:
+                    assert abs(value - expected) <= 1e-12, (row.t, column)
+        if name == "pointers4":
+            assert min(row.type2_max for row in rows) > 1e-3  # a nontrivial type-2 check
+
+    def test_t_start_offsets_only_the_time_column(self):
+        schedule, env, c, times = evaluate_case("stepped")
+        rows = evaluate(schedule, env, c, times)
+        shifted = evaluate(schedule, env, c, times, t_start=2.0)
+        assert [row.t for row in shifted] == [2.0 + t for t in times]
+        assert [row[1:] for row in shifted] == [row[1:] for row in rows]
+
+    @pytest.mark.parametrize(
+        "error, change",
+        [
+            (DimensionMismatch, {"c": equal_superposition(3)}),
+            (NotNormalizedError, {"c": np.array([0.6, 0.6])}),
+            (DimensionMismatch, {"env": thermal_state(2.0, FockSpace(8))}),
+            (TimeOutOfRange, {"times": [6.5]}),
+            (TimeOutOfRange, {"times": [1.0, -0.1]}),
+            (TimeOutOfRange, {"times": [float("nan")]}),
+        ],
+        ids=["amplitude-count", "not-normalized", "env-dim", "past-end", "negative", "nan"],
+    )
+    def test_input_errors(self, error, change):
+        schedule, env, c, times = evaluate_case("stepped")
+        args = {"env": env, "c": c, "times": times, **change}
+        with pytest.raises(error) as err:
+            evaluate(schedule, args["env"], args["c"], args["times"])
+        assert isinstance(err.value, DephasimError)
 
 
 class TestCutoffReach:
