@@ -11,8 +11,12 @@ time inside segment k is
 with hbar = 1, d_m the segment durations and tau the elapsed time inside
 segment k. Segment exponentials are evaluated through the eigendecomposition
 V = U diag(w) U^dag of each (Hermitian) generator, which is exact for
-constant segments and keeps every propagator unitary to roundoff; a
-diagonal generator is read off its diagonal, with no eigensolve.
+constant segments and keeps every propagator unitary to roundoff. Two
+structures cost less: a diagonal generator (an undriven qubit-boson step)
+is its diagonal with U = I, held as no matrix at all, so it costs neither an
+eigensolve nor a d x d product; a tridiagonal one (a driven step) is gauged
+to a real symmetric matrix by a diagonal unitary and solved in real
+arithmetic (linalg.eigh).
 
 The joint state never needs to be formed during evolution: it is carried as
 the pointer amplitudes c_i plus the environment blocks
@@ -27,7 +31,8 @@ segment_chunks is the only routine that steps through the segments: with
 B_i = U_ki^dag w_i(start of k) A, formed once per segment k, a chunk of its
 times is evaluated as Y_i = U_ki exp(-i w_ki tau) B_i in one stack. In the
 frame of pointer 0, when all pointers share its eigenvectors (every
-qubit-boson segment), the stacks are (T, d_k, r) over the d_k rows that
+qubit-boson segment; diagonal generators share U = I whatever the order
+of their eigenvalues), the stacks are (T, d_k, r) over the d_k rows that
 hold weight: the lightest, at most ROW_TAIL^2 of sum_i ||B_i||^2, are cut,
 which moves outputs by O(ROW_TAIL); fig2d carries 70/102/115 at cutoff 256.
 A segment whose pointers do not share those eigenvectors takes the unframed
@@ -142,23 +147,34 @@ class SegmentSchedule:
     def _eigensystems(self):
         """Per segment, per pointer: (eigenvalues, eigenvectors) of each generator.
 
-        Minus generator 0 (both qubit-boson branches) reuses (-w, u), the same u.
-        linalg.eigh reads a diagonal generator (an undriven step) off its diagonal.
+        A diagonal generator (an undriven step) is (its real diagonal, None):
+        its eigenvectors are the identity, in the diagonal's own order, so no
+        d x d matrix is formed or multiplied. Any other generator takes
+        linalg.eigh, which solves a tridiagonal one (a driven qubit-boson
+        step) in real arithmetic. Minus generator 0 (both qubit-boson
+        branches) reuses (-w, u), the same u.
         """
         systems = []
         try:
             for seg in self.segments:
                 g0, *rest = seg.generators
-                w0, u0 = eigh((g0 + dagger(g0)) / 2)
+                w0, u0 = _eigensystem(g0)
                 systems.append([(w0, u0)] + [
-                    (-w0, u0) if np.array_equal(g, -g0) else eigh((g + dagger(g)) / 2)
-                    for g in rest
+                    (-w0, u0) if np.array_equal(g, -g0) else _eigensystem(g) for g in rest
                 ])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(
                 f"eigh of a generator of segment {len(systems)} did not converge: {exc}"
             ) from exc
         return systems
+
+
+def _eigensystem(g: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(w, u) of the Hermitian part (g + g^dag)/2, with u None (the identity) if g is diagonal."""
+    diag = np.diagonal(g)
+    if np.count_nonzero(g) == np.count_nonzero(diag):  # the diagonal of (g + g^dag)/2
+        return (diag + diag.conj()).real / 2, None
+    return eigh((g + dagger(g)) / 2)
 
 
 def _phased(w: np.ndarray, tau: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -227,7 +243,8 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
     of stacks: stacks[i] is the (T, d, r) stack of w_i(t) A. With frame=True
     it is V^dag w_i A for a unitary V shared by all pointers, which keeps
     Gram matrices and spectra. In a segment whose pointers all share the
-    eigenvectors of pointer 0, V = U_k0 exp(-i w_k0 tau): stacks[0] is B_0,
+    eigenvectors of pointer 0 (U_ki is U_k0, or every generator is diagonal
+    and U_ki = I), V = U_k0 exp(-i w_k0 tau): stacks[0] is B_0,
     the others cost only the phase exp(-i (w_i - w_0) tau), and the stacks
     are (T, d_k, r): the lightest rows by sum_i ||B_i[k, :]||^2, constant
     over the segment, drop while they hold at most ROW_TAIL^2 of the total
@@ -245,9 +262,13 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
     systems = schedule._eigensystems
     chunk = max(1, CHUNK_BYTES // (16 * a.size * schedule.system_dim))
     rotated = []  # rotated[k][i] = B_i of segment k = U_ki^dag w_i(start of k) A
+    # a u of None is U = I: the products with it are skipped
 
     def factors(k: int, tau: np.ndarray) -> list[np.ndarray]:
-        return [u @ _phased(w, tau, b) for (w, u), b in zip(systems[k], rotated[k])]
+        return [
+            _phased(w, tau, b) if u is None else u @ _phased(w, tau, b)
+            for (w, u), b in zip(systems[k], rotated[k])
+        ]
 
     starts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()  # of each run of equal k
     for lo, hi in zip(starts, [*starts[1:], len(ks)]):
@@ -258,7 +279,9 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
             if m:  # w_i(start of m) A: the factors at the end of segment m - 1
                 end = np.array([schedule.segments[m - 1].duration])
                 start = [y[0] for y in factors(m - 1, end)]
-            rotated.append([dagger(u) @ y for (_, u), y in zip(systems[m], start)])
+            rotated.append(
+                [y if u is None else dagger(u) @ y for (_, u), y in zip(systems[m], start)]
+            )
         (w0, u0), *rest = systems[k]
         if not (frame and all(u is u0 for _, u in rest)):  # no shared frame: V = I
             for first in range(lo, hi, chunk):

@@ -78,14 +78,34 @@ def require_hermitian(m, *, what: str = "matrix") -> np.ndarray:
 
 
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh(m) of a Hermitian m; an exactly diagonal m is read off its diagonal."""
-    diag = np.diagonal(m)
-    if np.count_nonzero(m) != np.count_nonzero(diag):
+    """Ascending eigenvalues w and eigenvectors u of a Hermitian m, as np.linalg.eigh(m).
+
+    Structure is detected by exact-zero counts. An exactly diagonal m is
+    read off its diagonal: w sorted, u the matching identity columns. A
+    tridiagonal m is gauged to the real symmetric T = Phi^dag m Phi, where
+    the diagonal unitary Phi takes its phases from m's sub-diagonal (phase 1
+    at a zero entry); T = Q diag(w) Q^T is solved in real arithmetic (one
+    dsyevd) and u = Phi Q. Any other m takes the dense complex solve. Like
+    LAPACK, only the real diagonal and the lower triangle are read.
+    """
+    diag, sub = np.diagonal(m), np.diagonal(m, -1)
+    nonzero = np.count_nonzero(m) - np.count_nonzero(diag)
+    if not nonzero:
+        order = np.argsort(diag.real, kind="stable")
+        u = np.zeros(m.shape, dtype=m.dtype)
+        u[order, np.arange(len(order))] = 1  # column j is e_order[j]
+        return diag.real[order], u
+    if nonzero != np.count_nonzero(sub) + np.count_nonzero(np.diagonal(m, 1)):
         return np.linalg.eigh(m)
-    order = np.argsort(diag.real, kind="stable")  # LAPACK too reads only the real diagonal
-    u = np.zeros(m.shape, dtype=m.dtype)
-    u[order, np.arange(len(order))] = 1  # column j is e_order[j]
-    return diag.real[order], u
+    off = np.abs(sub)
+    t = np.diag(diag.real) + np.diag(off, -1) + np.diag(off, 1)
+    w, q = np.linalg.eigh(t)
+    # Phi_{k+1} = Phi_k s_k / |s_k|, a running product renormalized to unit
+    # modulus: each ratio Phi_{k+1} / Phi_k keeps the phase of s_k to roundoff
+    unit = np.divide(sub, off, out=np.ones_like(sub), where=off > 0)
+    phi = np.cumprod(np.concatenate(([1.0], unit)))
+    phi /= np.abs(phi)
+    return w, phi[:, None] * q
 
 
 def _psd_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -184,7 +184,7 @@ def _time_grid(cfg: RunConfig, schedule: SegmentSchedule) -> np.ndarray:
         raise ValidationError("time.t_max", f"exceeds the total schedule duration {total!r}")
     try:
         base = np.linspace(0.0, t_max, cfg.time.steps)
-    except (ValueError, IndexError):  # numpy refuses a grid past its size limit
+    except (ValueError, IndexError, MemoryError):  # past numpy's size limit or the allocator's
         raise ValidationError("time.steps", "too many points for one array") from None
     interior = [b for b in schedule.boundaries[1:-1] if 0.0 < b < t_max]
     for b in interior:

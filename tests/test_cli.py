@@ -296,10 +296,13 @@ class TestRunCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {field}: must be finite, got 1000")
 
-    @pytest.mark.parametrize("steps", [10**300, 2**63], ids=["10**300", "2**63"])
+    @pytest.mark.parametrize(
+        "steps", [10**300, 2**63, 10**15, 10**18], ids=["10**300", "2**63", "10**15", "10**18"]
+    )
     def test_grid_past_numpy_size_limit_is_validation_error(self, tmp_path, capsys, steps):
         # finite as a float, so "must be finite" passes it; np.linspace raised
-        # ValueError (10**300) or IndexError (2**63) out of main
+        # ValueError (10**300), IndexError (2**63) or, for a grid the allocator
+        # refuses outright (7.11 PiB at 10**15), MemoryError out of main
         cfg = json.loads(write_config(tmp_path).read_text())
         cfg["time"]["steps"] = steps
         path = tmp_path / "cfg.json"

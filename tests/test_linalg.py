@@ -261,6 +261,49 @@ class TestDiagonalEigh:
         assert len(calls) == 1
 
 
+def tridiagonal(rng, d, zeros=()):
+    """A random Hermitian tridiagonal matrix whose sub-diagonal is zero at the given indices."""
+    sub = random_complex(rng, d - 1)
+    sub[list(zeros)] = 0
+    m = np.diag(rng.normal(size=d).astype(complex)) + np.diag(sub, -1)
+    return m + np.diag(sub.conj(), 1)
+
+
+class TestTridiagonalEigh:
+    """eigh solves a tridiagonal matrix as a real symmetric one, gauged by a diagonal unitary."""
+
+    @pytest.mark.parametrize("zeros", [(), (0, 7, 38)])
+    def test_one_real_solve_gives_the_eigensystem(self, zeros, monkeypatch):
+        m = tridiagonal(np.random.default_rng(4), 40, zeros)
+        w_ref = np.linalg.eigvalsh(m)
+        solved, solve = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a) or solve(a))
+        w, u = eigh(m)
+        assert [a.dtype for a in solved] == [np.float64]
+        scale = np.linalg.norm(m, 2)
+        assert np.abs(w - w_ref).max() <= 1e-14 * scale
+        assert np.linalg.norm(dagger(u) @ u - np.eye(40)) <= 1e-13
+        assert np.abs((u * w) @ dagger(u) - m).max() <= 1e-14 * scale
+
+    def test_zero_and_positive_entries_take_phase_one(self):
+        # a real matrix with positive off-diagonals and a -0.0 entry: Phi = I, u = V
+        t = np.abs(tridiagonal(np.random.default_rng(5), 12, zeros=(4,)))
+        m = t.astype(complex)
+        m[5, 4] = m[4, 5] = -0.0
+        w, u = eigh(m)
+        w_ref, v_ref = np.linalg.eigh(t)
+        assert w.tobytes() == w_ref.tobytes()
+        assert u.tobytes() == v_ref.astype(complex).tobytes()
+
+    def test_entry_off_the_three_diagonals_takes_the_dense_solve(self, monkeypatch):
+        m = tridiagonal(np.random.default_rng(6), 8)
+        m[5, 0] = 1e-300
+        solved, solve = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a) or solve(a))
+        eigh(m)
+        assert len(solved) == 1 and solved[0] is m
+
+
 class TestFactors:
     def test_factor_reconstructs(self):
         rho = random_density(np.random.default_rng(4), 7)

@@ -1,23 +1,31 @@
 """Precision floor of segment_chunks against a 40-digit oracle.
 
-The oracle is the chronological product of mpmath expm over the segments,
-applied to the same double-precision generators, durations and factor A, so
-the comparison sees only the kernel's roundoff. That roundoff grows with the
-phase |w| t, so an error is counted in units of eps (1 + t ||V||), where
-||V|| is the largest 2-norm of the schedule's generators.
+The oracle is the chronological product of the segment exponentials, each
+from a 40-digit mpmath eigendecomposition of the same double-precision
+generator, applied to the same durations and factor A, so the comparison
+sees only the kernel's roundoff. That roundoff grows with the phase |w| t,
+so an error is counted in units of eps (1 + t ||V||), where ||V|| is the
+largest 2-norm of the schedule's generators.
 
 Both stack recipes are covered: the unframed Y_i = w_i A (frame=False, and
 frame=True in a segment whose pointers do not share eigenvectors) against
 the oracle entry by entry, and the phase frame V^dag Y_i against the frame-
-free Gram matrices Y_i^dag Y_j. The floors measured (max over the times, in
-those units; numpy 2.4 with OpenBLAS 0.3.31 on x86-64, 1 or 2 threads) are:
+free Gram matrices Y_i^dag Y_j. The gauged case puts a complex alpha between
+two undriven steps at cutoff 24, so its driven step takes linalg.eigh's real
+tridiagonal solve and its undriven steps carry no eigenvector matrix. The
+floors measured (max over the times, in those units; numpy 2.4 with
+OpenBLAS 0.3.31 on x86-64, 1 or 2 threads) are:
 
     case      ||V||   unframed  frame=True
-    shared    5.8     0.22      0.18
+    shared    5.8     0.20      0.18
     unshared  12.7    0.44      0.40
     long      1021    0.17      0.16
+    gauged    25.7    0.19      0.15
 
-so FLOOR_UNITS = 10 sits 23x to 63x above them.
+so FLOOR_UNITS = 10 sits 23x to 67x above them. Before the real tridiagonal
+solve, with a complex eigh of every driven step and a permutation matrix
+for every undriven one, the same cases gave 0.22/0.18, 0.44/0.40,
+0.17/0.16 and 0.17/0.13.
 """
 
 from functools import cache
@@ -58,6 +66,17 @@ def case(name):
             for dur in (0.7, 1.1)
         )
         return SegmentSchedule(3, 5, segments), unit_factor(rng, 5), (0.4, 1.8)
+    if name == "gauged":
+        # a complex alpha between two undriven steps at cutoff 24: the driven
+        # step is the gauged real tridiagonal solve, the others carry no u
+        params = QubitBosonParams(
+            beta=1.0,
+            segments=(
+                AlphaSegment(0.5, 0.0), AlphaSegment(0.8, 0.5 * np.exp(2j)), AlphaSegment(0.4, 0.0)
+            ),
+            cutoff=24,
+        )
+        return build_schedule(params), unit_factor(rng, 24), (0.3, 1.0, 1.7)
     # long phase: beta n reaches 1000 at n = 5, so |w| t ~ 1e3
     params = QubitBosonParams(beta=200.0, segments=(AlphaSegment(1.0, 30.0),), cutoff=6)
     return build_schedule(params), unit_factor(rng, 6), (1.0,)
@@ -65,19 +84,27 @@ def case(name):
 
 @cache
 def oracle(name):
-    """Per time, the 40-digit Y_i = w_i A as mpmath matrices."""
+    """Per time, the 40-digit Y_i = w_i A as mpmath matrices.
+
+    Each segment exponential is Q diag(exp(-i lam tau)) Q^dag from a 40-digit
+    mp.eighe of the generator (Hermitian to the last bit in every case), one
+    per generator, shared by all times.
+    """
     schedule, a, times = case(name)
     out = []
     with mp.workdps(40):
+        systems = [[mp.eighe(mp.matrix(g.tolist())) for g in seg.generators]
+                   for seg in schedule.segments]
         for t in times:
             ys = []
             for i in range(schedule.system_dim):
                 y = mp.matrix(a.tolist())
-                for start, seg in zip(schedule.boundaries, schedule.segments):
+                for start, seg, eig in zip(schedule.boundaries, schedule.segments, systems):
                     tau = min(max(t - start, 0.0), seg.duration)
                     if tau > 0:
-                        g = mp.matrix(seg.generators[i].tolist())
-                        y = mp.expm(g * (-1j * mp.mpf(tau))) @ y
+                        lam, q = eig[i]
+                        phases = mp.diag([mp.exp(-1j * x * mp.mpf(tau)) for x in lam])
+                        y = q @ (phases @ (q.H @ y))
                 ys.append(y)
             out.append(ys)
     return out
@@ -90,7 +117,7 @@ def max_abs(x, y):
 
 
 @pytest.mark.parametrize("frame", [False, True])
-@pytest.mark.parametrize("name", ["shared", "unshared", "long"])
+@pytest.mark.parametrize("name", ["shared", "unshared", "long", "gauged"])
 def test_segment_chunks_within_its_floor(name, frame):
     schedule, a, times = case(name)
     norm = max(np.linalg.norm(g, 2) for seg in schedule.segments for g in seg.generators)

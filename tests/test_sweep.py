@@ -6,6 +6,9 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from itertools import combinations
 from pathlib import Path
@@ -178,7 +181,8 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("name, solves", [("fig2d", 1), ("fig2e", 0)])
     def test_only_the_driven_generator_is_eigensolved(self, monkeypatch, name, solves):
-        # the thermal R(0) and the undriven generators are diagonal: read off, not solved
+        # the thermal R(0) and the undriven generators are diagonal: read off,
+        # not solved; the driven one is solved once, as its real gauged tridiagonal
         cfg = preset_config(name)
         cfg["time"]["steps"] = 5
         cfg["cutoff"] = 32
@@ -187,7 +191,9 @@ class TestRunSweep:
         run_sweep(config_from_dict(cfg))
         assert len(solved) == solves
         driven = branch_generator(0.5 + 0.5j, 1.0, 0.0, FockSpace(32), 0)  # alpha = (1+i)/2
-        assert all(np.array_equal(m, (driven + driven.conj().T) / 2) for m in solved)
+        # beta n >= 0, so |V| is T: the diagonal and the moduli of the off-diagonals
+        gauged = np.abs((driven + driven.conj().T) / 2)
+        assert all(m.dtype == np.float64 and np.array_equal(m, gauged) for m in solved)
 
     def test_auto_cutoff_resolution(self):
         cfg_dict = preset_config("fig2d")
@@ -410,7 +416,8 @@ class TestSegmentKernel:
 
     @pytest.mark.parametrize("name", ["unrelated", "negativity", "mixed"])
     def test_unshared_segments_take_the_unframed_stacks(self, name, tmp_path):
-        # with no eigenvectors shared, frame=True is frame=False bit for bit (V = I)
+        # with no eigenvectors shared, frame=True is frame=False bit for bit (V = I);
+        # mixed: a diagonal and a tridiagonal generator, then a diagonal and a dense one
         if name == "mixed":
             schedule, a = mixed_schedule(), np.eye(4, dtype=complex)[:, :1]
         else:
@@ -428,13 +435,27 @@ class TestSegmentKernel:
                 assert all(np.array_equal(p, q) for p, q in zip(x, y, strict=True)), k
 
 
-def mixed_schedule():
-    """The schedule of test_rows_are_the_union_over_pointers_and_all_under_a_frame."""
+MIXED_DURATIONS = (0.7, 0.9, 0.6)
+
+
+def mixed_generators():
+    """Per segment, the generators of mixed_schedule.
+
+    Segment 0: pointer 0 diagonal, pointer 1 the opposite diagonal order
+    with rows 0 and 1 coupled (tridiagonal), so their eigenvectors differ.
+    Segment 1 mixes pointer 1 only. Segment 2 is (D, -D).
+    """
     rng = np.random.default_rng(3)
     diag = [np.diag(v).astype(complex) for v in ([0, 1, 2, 3], [3, 2, 1, 0], [0, 0.5, -1, 2])]
+    coupled = diag[1].copy()
+    coupled[0, 1], coupled[1, 0] = 0.4 - 0.3j, 0.4 + 0.3j
     shift = np.diag([1.0, -0.5, 0.25, 2.0]).astype(complex)
-    generators = [diag[:2], [diag[2], random_hermitian(rng, 4)], [shift, -shift]]
-    segments = (Segment(dur, tuple(g)) for dur, g in zip((0.7, 0.9, 0.6), generators))
+    return [[diag[0], coupled], [diag[2], random_hermitian(rng, 4)], [shift, -shift]]
+
+
+def mixed_schedule():
+    """The schedule of test_rows_are_the_union_over_pointers_and_all_under_a_frame."""
+    segments = (Segment(dur, tuple(g)) for dur, g in zip(MIXED_DURATIONS, mixed_generators()))
     return SegmentSchedule(2, 4, tuple(segments))
 
 
@@ -495,21 +516,17 @@ class TestRowSupport:
         assert {carried[t] for t in times if t < 2.0} == {a.shape[1]} == {18}
 
     def test_rows_are_the_union_over_pointers_and_all_under_a_frame(self, tmp_path):
-        # R(0) = |0><0|. Segment 0: diagonal generators of opposite orders, so
-        # B_0 and B_1 reach rows 0 and 3 but u_1 != u_0: unframed, all 4 rows.
-        # Segment 1 mixes pointer 1 only. Segment 2 is (D, -D): B_0 reaches one
-        # row, B_1 every row, so a stack cut to the rows of B_0 alone would be wrong.
-        rng = np.random.default_rng(3)
+        # R(0) = |0><0|. Segment 0: pointer 0 diagonal, pointer 1 tridiagonal
+        # (mixing rows 0 and 1), so u_1 != u_0: unframed, all 4 rows. Segment 1
+        # mixes pointer 1 only. Segment 2 is (D, -D): B_0 reaches one row, B_1
+        # every row, so a stack cut to the rows of B_0 alone would be wrong.
         d = 4
-        diag = [np.diag(v).astype(complex) for v in ([0, 1, 2, 3], [3, 2, 1, 0], [0, 0.5, -1, 2])]
-        shift = np.diag([1.0, -0.5, 0.25, 2.0]).astype(complex)
-        generators = [diag[:2], [diag[2], random_hermitian(rng, d)], [shift, -shift]]
         doc = {
             "system_dim": 2,
             "env_dim": d,
             "segments": [
                 {"duration": dur, "generators": [as_pairs(g) for g in gens]}
-                for dur, gens in zip((0.7, 0.9, 0.6), generators)
+                for dur, gens in zip(MIXED_DURATIONS, mixed_generators())
             ],
         }
         (tmp_path / "s.json").write_text(json.dumps(doc))
@@ -530,6 +547,34 @@ class TestRowSupport:
         assert set(carried.values()) == {d}
         assert_rows_match_oracle(rows, schedule, rho, np.array([0.6, 0.8j]))
         assert max(row.type1_max for row in rows if row.t > 1.6) > 1e-2
+
+    def test_only_driven_steps_hold_an_eigenvector_matrix(self):
+        # fig2d: undriven, driven, undriven. Only the driven step holds a u,
+        # one matrix for both branches, so the only d x d x r products are its
+        # two rotations in and its two factors out
+        schedule, _ = thermal_case(config_from_dict(preset_config("fig2d")), 32)
+        held = [[u for _, u in system] for system in schedule._eigensystems]
+        assert held[0] == held[2] == [None, None]
+        assert held[1][0].shape == (32, 32) and held[1][1] is held[1][0]
+
+    def test_diagonal_generators_in_any_order_share_the_identity_frame(self):
+        # diag(0, 1, 2, 3) and diag(3, 2, 1, 0) sort in opposite orders, but both
+        # eigenbases are the identity: neither holds a u, and the stacks are
+        # framed and cut to rows 0 and 2, the rows R(0) reaches
+        diag = [np.diag(v).astype(complex) for v in ([0, 1, 2, 3], [3, 2, 1, 0])]
+        schedule = SegmentSchedule(2, 4, (Segment(0.7, tuple(diag)),))
+        (w0, u0), (w1, u1) = schedule._eigensystems[0]
+        assert u0 is None and u1 is None
+        assert w0.tolist() == [0, 1, 2, 3] and w1.tolist() == [3, 2, 1, 0]
+        a = np.eye(4, dtype=complex)[:, [0, 2]] / np.sqrt(2)
+        times = [0.0, 0.35, 0.7]
+        assert set(carried_rows(schedule, a, times).values()) == {2}
+        (_, stacks), = segment_chunks(schedule, a, times, frame=True)
+        for t, ys in zip(times, zip(*stacks)):
+            exact = [w @ a for w in oracle_propagators(schedule, t)]
+            for i, j in ((0, 0), (0, 1), (1, 1)):
+                gram = ys[i].conj().T @ ys[j]
+                assert np.abs(gram - exact[i].conj().T @ exact[j]).max() <= 1e-15, (t, i, j)
 
     def test_tail_cut_moves_no_column_past_1e_15(self, monkeypatch):
         # fig2d at cutoff 256: the displaced populations fall far below
@@ -924,15 +969,15 @@ CSV_ROWS = st.tuples(*[_CELL] * 6, st.integers(2, 512))
 
 # sha256 of each preset's CSV; a deliberate roundoff change updates these
 PRESET_SHA256 = {
-    "fig2a": "f2d987133172069fab237f90d78aaf2da4faac7aa030957a50386bb9807d8add",
-    "fig2b": "5d8f7b5a1ff5e3b512ea7ba5c562ed91dad1e4825719321df698a34a6966c273",
-    "fig2c": "c991def75a86835c4b902811c4d66c97709f83e2b3ad8544677a61e8451506f9",
-    "fig2d": "7967c25fb5c99669e1d73332450a0cae3a7f770292ad54341c3b90b21702d9a0",
+    "fig2a": "ccc2eea05a2a231b41b8be9256db6a769c993a0635021213159a964dee3c66af",
+    "fig2b": "991e9ea021dda320bba01dd5b336e2fa0237c3d843183a31373aeaacd6066866",
+    "fig2c": "7b550c8caa0991951da63f1868a0982d671742a7b62672ac4f5a8da21990ea06",
+    "fig2d": "df0fd6648267f0c0f8133ab4ea58129d86df2ecfe48e1185548e3fb80520d7ce",
     "fig2e": "b91accbea6e281a97233b2e542b5eeda9eeebd4e4aa4441ffecc496d44c1a60c",
-    "fig2f": "18e9d814ccfb04cec5e0f40f41ff17d1120e300d86b9a81075bd70e2bfd89b50",
-    "fig3a": "368dce6c4f1764e54a76ee8f8423afaee926864805d976d9be694139092fb908",
-    "fig3b": "42d36e3483a472946bee99a378593f3ccb60e9bda1c86431a68cb1e8e78e3ed7",
-    "fig3c": "eca02a28003a0ffc66ac2ca2d95f9ed443001578c2ba62fedec5053a99b463c2",
+    "fig2f": "bef9d1c84c7a99cbdce5431d1f76286255ec7c391d3f5cfc49c88336f42a5a36",
+    "fig3a": "4e3e18b199150f08df179d286da2685a3bf89a1d45f07fa54ff9c5d982020f4d",
+    "fig3b": "b60b7ba3ed20e8337ef22d344e5fb52682022e1eb9037c672d7e2c3c804af2b8",
+    "fig3c": "375d903e3524f7d404797122d0d1108903ab55beab93b62e6e132e0b06008e46",
 }
 
 
@@ -942,6 +987,32 @@ class TestEmitCsv:
         buf = io.BytesIO()
         emit_csv(run_sweep(config_from_dict(preset_config(name))), buf)
         assert hashlib.sha256(buf.getvalue()).hexdigest() == PRESET_SHA256[name]
+
+    def test_preset_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # fig2d (thermal, SVD fidelity) and fig3a (coherent, rank 1) at cutoff 64,
+        # each run in fresh interpreters with OpenBLAS on 1 and on 2 threads
+        script = (
+            "import hashlib, io\n"
+            "from dephasim.config import config_from_dict\n"
+            "from dephasim.presets import preset_config\n"
+            "from dephasim.sweep import emit_csv, run_sweep\n"
+            "for name in ('fig2d', 'fig3a'):\n"
+            "    buf = io.BytesIO()\n"
+            "    emit_csv(run_sweep(config_from_dict(preset_config(name))), buf)\n"
+            "    print(hashlib.sha256(buf.getvalue()).hexdigest())\n"
+        )
+        src = str(Path(dephasing.__file__).resolve().parents[1])
+        runs = {
+            threads: subprocess.Popen(
+                [sys.executable, "-c", script],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": src},
+                stdout=subprocess.PIPE,
+            )
+            for threads in (1, 2)
+        }
+        digests = {threads: run.communicate(timeout=60)[0].split() for threads, run in runs.items()}
+        assert [run.returncode for run in runs.values()] == [0, 0]
+        assert digests[1] == digests[2] == [PRESET_SHA256[n].encode() for n in ("fig2d", "fig3a")]
 
     def test_header_and_line_count(self):
         rows = run_sweep(small_fig2d(steps=3, cutoff=8))[:3]
