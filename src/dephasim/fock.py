@@ -57,8 +57,11 @@ class EnvDensity:
 
     ``truncated_mass`` is the probability mass that the cutoff removed from
     the untruncated state before renormalization (zero when exact).
-    ``factor`` is the d x r psd_factor A of the matrix (A A^dag = matrix);
-    its eigh (a diagonal read-off for thermal and Fock states) is the PSD check.
+    ``factor`` is a d x r factor A of the matrix (A A^dag = matrix). A pure
+    state from coherent_state or fock_state carries its unit amplitude column
+    as A and the outer product of that column as the matrix, so it is PSD by
+    construction and costs no eigensolve. Any other matrix takes psd_factor's
+    eigh (a diagonal read-off for a thermal state), which is its PSD check.
     """
 
     space: FockSpace
@@ -75,7 +78,10 @@ class EnvDensity:
         tr = float(np.trace(arr).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise NotNormalizedError(f"state has trace {tr!r}, expected 1 within {TRACE_TOL}")
-        for name, value in (("matrix", arr.copy()), ("factor", _factor(arr))):
+        factor = self.__dict__.get("factor")  # preset by _pure_state only
+        if factor is None:
+            factor = _factor(arr)
+        for name, value in (("matrix", arr.copy()), ("factor", factor)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -98,9 +104,21 @@ def fock_state(n: int, space: FockSpace) -> EnvDensity:
     """Pure number state |n><n|."""
     if not 0 <= n < space.dim:
         raise InvalidArgument(f"level {n} outside the truncated basis 0..{space.dim - 1}")
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    mat[n, n] = 1.0
-    return EnvDensity(space, mat)
+    level = np.zeros(space.dim, dtype=complex)
+    level[n] = 1.0
+    return _pure_state(level, space)
+
+
+def _pure_state(amps: np.ndarray, space: FockSpace, truncated_mass: float = 0.0) -> EnvDensity:
+    """EnvDensity of |psi><psi| for unit amplitudes amps, with amps[:, None] as its factor.
+
+    The matrix np.outer(amps, amps^*) passes the checks of any other state;
+    only the eigensolve of psd_factor is skipped.
+    """
+    state = object.__new__(EnvDensity)
+    object.__setattr__(state, "factor", amps[:, None])
+    state.__init__(space, np.outer(amps, amps.conj()), truncated_mass)
+    return state
 
 
 def thermal_state(theta: float, space: FockSpace) -> EnvDensity:
@@ -121,31 +139,58 @@ def thermal_state(theta: float, space: FockSpace) -> EnvDensity:
 
 
 def coherent_amplitudes(zeta: complex, space: FockSpace) -> np.ndarray:
-    """Number-basis amplitudes of |zeta>, renormalized after truncation."""
+    """Number-basis amplitudes of |zeta>, renormalized after truncation.
+
+    The renormalization cancels the prefactor e^{-|zeta|^2/2}, so it is
+    never formed: _amplitudes_from_peak scales the amplitudes to a largest
+    modulus of 1, and every finite zeta gives a unit vector.
+    """
     _warn_if_beyond_reach(abs(zeta), space, "coherent state amplitude")
-    n = np.arange(space.dim)
-    # amp[n] = e^{-|z|^2/2} z^n / sqrt(n!), built multiplicatively to avoid factorials
-    steps = np.ones(space.dim, dtype=complex)
-    steps[1:] = zeta / np.sqrt(n[1:].astype(float))
-    amps = math.exp(-abs(zeta) * abs(zeta) / 2) * np.cumprod(steps)
-    norm = np.linalg.norm(amps)
-    return amps / norm
+    amps, _ = _amplitudes_from_peak(zeta, space.dim)
+    return amps / np.linalg.norm(amps)
 
 
 def coherent_state(zeta: complex, space: FockSpace) -> EnvDensity:
-    """Pure coherent state |zeta><zeta| on the truncated basis."""
+    """Pure coherent state |zeta><zeta| on the truncated basis, with its amplitudes as factor."""
     amps = coherent_amplitudes(zeta, space)
     raw_norm_sq = _untruncated_overlap(zeta, space)
-    return EnvDensity(space, np.outer(amps, amps.conj()), truncated_mass=1.0 - raw_norm_sq)
+    return _pure_state(amps, space, truncated_mass=1.0 - raw_norm_sq)
+
+
+def _amplitudes_from_peak(zeta: complex, dim: int) -> tuple[np.ndarray, int]:
+    """(v, peak): v_n = zeta^n / sqrt(n!) over n < dim, divided by |v_peak|, the largest.
+
+    The ratio v_n / v_{n-1} = zeta / sqrt(n) has modulus at least 1 up to
+    n = |zeta|^2 and below 1 past it, so peak = floor(|zeta|^2), capped at
+    dim - 1. v is built outward from v_peak = (zeta / |zeta|)^peak by ratios
+    of modulus at most 1: no entry overflows and the largest is 1. zeta = 0
+    gives peak 0 and v = e_0; a NaN or infinite zeta gives NaN entries.
+    """
+    r = abs(zeta)
+    x = r * r  # not ** 2, which raises OverflowError past ~1e154
+    peak = math.floor(x) if x < dim else dim - 1
+    root = np.sqrt(np.arange(1, dim, dtype=float))
+    up = np.cumprod(zeta / root[peak:])
+    if not peak:
+        return np.concatenate(([1.0], up)), peak
+    unit = zeta / r
+    # v_{n-1} / v_n = sqrt(n) / zeta as sqrt(n) / r * conj(zeta / r): a complex
+    # division by zeta would form |zeta|^2, which overflows past ~1e154
+    down = np.cumprod((root[peak - 1 :: -1] / r) * unit.conjugate())[::-1]
+    return np.concatenate((down, [1.0], up)) * unit**peak, peak
 
 
 def _untruncated_overlap(zeta: complex, space: FockSpace) -> float:
-    """Probability mass of |zeta> inside the truncated basis."""
-    x = abs(zeta) * abs(zeta)  # not ** 2, which raises OverflowError past ~1e154
-    if x == 0.0:
-        return 1.0
-    terms = np.cumprod(np.concatenate(([1.0], x / np.arange(1, space.dim, dtype=float))))
-    return float(math.exp(-x) * terms.sum())
+    """Probability mass e^{-|zeta|^2} sum_{n < dim} |zeta|^{2n} / n! of |zeta> inside the basis.
+
+    It is |<peak|zeta>|^2 ||v||^2 for the v of _amplitudes_from_peak; the
+    first factor is formed from its logarithm, so it underflows to 0 (a mass
+    of 0 inside) rather than to 0 * inf when |zeta|^2 overflows.
+    """
+    v, peak = _amplitudes_from_peak(zeta, space.dim)
+    r = abs(zeta)
+    log_peak = 2 * peak * math.log(r) - r * r - math.lgamma(peak + 1) if peak else -r * r
+    return math.exp(log_peak) * float(np.vdot(v, v).real)
 
 
 def env_from_matrix(matrix: np.ndarray, *, truncated_mass: float = 0.0) -> EnvDensity:

@@ -194,12 +194,29 @@ def fidelity(rho1, rho2) -> float:
 def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
     """Trace distance (1/2)||a a^dag - b b^dag||_1 of factored states.
 
-    When r1 + r2 < d, a and b are replaced by the column blocks of R in the
-    reduced QR [a | b] = Q R, which leaves the spectrum of the difference
-    unchanged and shrinks the eigenproblem to (r1 + r2) x (r1 + r2). For
-    (T, d, r) stacks of factors it returns the T distances as an array.
+    Three paths, by the ranks r1, r2 (columns) of a and b and the dimension d:
+    - r1 = r2 = 1: the closed form of the rank-2 difference, with no LAPACK
+      call. Its eigenvalues are (|a|^2 - |b|^2)/2 +/- D, of product
+      -|a|^2 |b_perp|^2 <= 0, so the distance is
+      D = sqrt(((|a|^2 - |b|^2)/2)^2 + |a|^2 |b_perp|^2), where
+      b_perp = b - a (a^dag b)/|a|^2 is one Gram-Schmidt step (b_perp = b
+      for a = 0). It is within about eps max(1, |a|^2, |b|^2) at any D;
+      the equal form ((|a|^2 + |b|^2)/2)^2 - |a^dag b|^2 under the root
+      cancels, to an error of about eps / D.
+    - r1 + r2 < d otherwise: a and b are replaced by the column blocks of R
+      in the reduced QR [a | b] = Q R, which leaves the spectrum of the
+      difference unchanged and shrinks the eigenproblem to (r1 + r2) square.
+    - else: the eigenvalues of the d x d difference.
+    For (T, d, r) stacks of factors it returns the T distances as an array.
     """
     r1 = a.shape[-1]
+    if r1 == b.shape[-1] == 1:
+        ah = dagger(a)
+        aa, ab = (ah @ a)[..., 0, 0].real, (ah @ b)[..., 0, 0]
+        bb = (dagger(b) @ b)[..., 0, 0].real
+        coef = np.divide(ab, aa, out=np.zeros_like(ab), where=aa > 0)
+        perp = b - a * coef[..., None, None]
+        return np.sqrt(((aa - bb) / 2) ** 2 + aa * (dagger(perp) @ perp)[..., 0, 0].real)
     if r1 + b.shape[-1] < a.shape[-2]:
         r = np.linalg.qr(np.concatenate((a, b), axis=-1), mode="r")
         a, b = r[..., :r1], r[..., r1:]

@@ -9,17 +9,20 @@ a configuration into those inputs, builds the uniform time grid (always
 including segment switch times so sharp features are never aliased) and
 calls evaluate.
 
-R(0) = A A^dag is factored once, by EnvDensity (A is d x r, r its rank), and
-segment_chunks yields each chunk of a segment's grid points as (T, d_k, r)
-stacks of V^dag Y_i, Y_i = w_i A, in a frame V shared by the pointers, which
-no output sees (V = I unless they share eigenvectors, as in qubit_boson).
-With a shared eigenbasis the lightest rows, at most ROW_TAIL^2 of the segment's
+R(0) = A A^dag is factored once, by EnvDensity (A is d x r, r its rank; a
+pure R(0) carries its amplitude column as A), and segment_chunks yields each
+chunk of a segment's grid points as (T, d_k, r) stacks of V^dag Y_i,
+Y_i = w_i A, in a frame V shared by the pointers, which no output sees
+(V = I unless they share eigenvectors, as in qubit_boson). With a shared
+eigenbasis the lightest rows, at most ROW_TAIL^2 of the segment's
 sum_i ||B_i||^2, are left out, which moves outputs by O(ROW_TAIL), so
 d_k <= d stops growing with the cutoff past the drive's reach (fig2b:
 18/43/51 rows). Batched numpy calls give the coherence |Tr(Y_0^dag Y_1)|,
 the fidelity from r x r SVDs of Y_0^dag Y_1, each trace distance from a QR
-of [Y_i | Y_j] and an eigensolve of dimension at most 2r, and the negativity
-from the partial transposes of Z Z^dag, Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}],
+of [Y_i | Y_j] and an eigensolve of dimension at most 2r (both are closed
+forms when r = 1, so a rank-1 qubit point makes no LAPACK call), and the
+negativity from the partial transposes of Z Z^dag,
+Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}],
 of dimension at most N (N r), in runs that hold at most CHUNK_BYTES. The
 type-2 commutator norms of P_a = w_a w_r^dag need the propagators: when they
 are on (N >= 3), the identity is stepped instead of A and Y_i = (V^dag w_i) A.

@@ -222,7 +222,7 @@ class TestRunCommand:
         [
             ({"alpha": 1e300, "cutoff": 2}, 0),  # runs, with the reach warning
             ({"alpha": 1e300, "cutoff": "auto"}, 2),  # no rung holds the reach
-            ({"coherent": 1e300, "cutoff": 4}, 2),  # the amplitudes are not finite
+            ({"coherent": 1e300, "cutoff": 4}, 0),  # R(0) is |3><3|, with the reach warning
         ],
     )
     def test_huge_finite_amplitude_does_not_raise(self, tmp_path, edit, expected):
@@ -239,6 +239,20 @@ class TestRunCommand:
             warnings.simplefilter("ignore")
             code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
         assert code == expected
+
+    @pytest.mark.parametrize("re, cutoff", [(30.0, 16), (40.0, 64), (1e200, 16)])
+    def test_far_coherent_state_runs_without_runtime_warning(self, tmp_path, re, cutoff):
+        # e^{-|zeta|^2/2} times the amplitudes used to underflow before the
+        # renormalization: divide by zero or invalid value, then NaN in R(0), exit 2
+        env = {"coherent": {"re": re, "im": 0.0}}
+        path = write_config(tmp_path, cutoff=cutoff, initial_env=env)
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.warns(UserWarning, match="exceeds cutoff/4"):
+                code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 0
+        assert "nan" not in out.read_text()
 
     def test_eigh_failure_is_numerical_failure(self, tmp_path, capsys):
         # (g + g^dag) / 2 overflows to inf at alpha 1e308 and eigh does not

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dephasim import linalg
-from dephasim.errors import CutoffCapExceeded, NotHermitianError
+from dephasim.errors import CutoffCapExceeded, NonFiniteError, NotHermitianError
 from dephasim.fock import (
     EnvDensity,
     FockSpace,
@@ -23,6 +23,7 @@ from dephasim.linalg import dagger, fidelity
 from util import creation, displacement, displacement_safe_dim, expm
 
 seeds = st.integers(0, 2**32 - 1)
+BEYOND_REACH = pytest.mark.filterwarnings("ignore:coherent state amplitude:UserWarning")
 
 
 class TestLadderOperators:
@@ -112,6 +113,57 @@ class TestCoherentState:
         # tail of the Poisson weights e^{-1}/n! beyond the basis
         tail = 1.0 - math.exp(-1.0) * sum(1.0 / math.factorial(n) for n in range(8))
         assert abs(state.truncated_mass - tail) <= 1e-12
+
+
+    @BEYOND_REACH
+    @pytest.mark.parametrize(
+        "zeta", [0.0, 1e-200, 1.0, 2.5 - 1j, 30.0, -40j, 1e200, 5e153 + 5e153j, 1e308 + 1e308j]
+    )
+    def test_every_finite_amplitude_is_a_unit_vector(self, zeta):
+        space = FockSpace(16)
+        state = coherent_state(zeta, space)
+        amps = state.factor[:, 0]
+        assert np.all(np.isfinite(amps))
+        assert abs(np.linalg.norm(amps) - 1.0) <= 1e-15
+        assert np.array_equal(amps, coherent_amplitudes(zeta, space))
+        assert 0.0 <= state.truncated_mass <= 1.0
+        if abs(zeta) >= 30:  # the mass inside, below e^{-800}, underflows to 0
+            assert state.truncated_mass == 1.0
+            assert np.argmax(np.abs(amps)) == 15
+
+    @BEYOND_REACH
+    @pytest.mark.parametrize("zeta", [0.5 * np.exp(1j * np.pi / 4), 2.5 - 1j, -3j])
+    def test_amplitudes_match_the_closed_form(self, zeta):
+        # <n|zeta> = e^{-|zeta|^2/2} zeta^n / sqrt(n!), renormalized; the peak
+        # of 2.5 - 1j sits at n = 7 and that of -3j at n = 9
+        space = FockSpace(24)
+        closed = np.array([zeta**n / math.sqrt(math.factorial(n)) for n in range(24)])
+        closed /= np.linalg.norm(closed)
+        assert np.abs(coherent_amplitudes(zeta, space) - closed).max() <= 1e-15
+
+    @BEYOND_REACH
+    def test_truncated_mass_past_the_peak(self):
+        # |zeta|^2 = 6.25: the mass inside cutoff 8 is read from the peak at n = 6
+        state = coherent_state(2.5, FockSpace(8))
+        inside = math.exp(-6.25) * sum(6.25**n / math.factorial(n) for n in range(8))
+        assert abs(state.truncated_mass - (1.0 - inside)) <= 1e-15
+
+    @BEYOND_REACH
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("zeta", [complex("nan"), complex("inf"), complex(1, math.inf)])
+    def test_non_finite_amplitude_is_numerical_failure(self, zeta):
+        with pytest.raises(NonFiniteError):
+            coherent_state(zeta, FockSpace(8))
+
+    def test_pure_states_carry_their_amplitude_column(self):
+        space = FockSpace(16)
+        level = fock_state(3, space)
+        assert np.array_equal(level.factor, np.eye(16, dtype=complex)[:, 3:4])
+        assert np.array_equal(level.factor, linalg.psd_factor(level.matrix))
+        state = coherent_state(0.7 - 0.2j, space)
+        assert np.array_equal(state.factor[:, 0], coherent_amplitudes(0.7 - 0.2j, space))
+        assert np.array_equal(state.matrix, np.outer(state.factor, state.factor.conj()))
+        assert not state.factor.flags.writeable
 
 
 class TestDisplacement:

@@ -354,7 +354,8 @@ class TestFactors:
     @given(seed=seeds, rank=st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
     def test_reduced_trace_distance(self, seed, rank):
-        # 2 rank < 12: the QR-reduced eigenproblem; rank 6 and up: the direct one
+        # rank 1: the closed form; 2 rank < 12: the QR-reduced eigenproblem;
+        # rank 6 and up: the direct one
         rng = np.random.default_rng(seed)
         for r in (rank, rank + 5):
             a = random_complex(rng, (12, r))
