@@ -28,7 +28,6 @@ from .dephasing import (
     blocks_at,
     blocks_from_propagators,
     equal_superposition,
-    evolve_factor,
     joint_state,
     propagators_at,
     validate_schedule,
@@ -55,12 +54,10 @@ from .errors import (
 from .fock import (
     EnvDensity,
     FockSpace,
-    annihilation,
     coherent_amplitudes,
     coherent_state,
     env_from_matrix,
     fock_state,
-    number_op,
     suggest_cutoff,
     thermal_state,
 )

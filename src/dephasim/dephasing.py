@@ -10,13 +10,13 @@ time inside segment k is
 
 with hbar = 1, d_m the segment durations and tau the elapsed time inside
 segment k. Segment exponentials are evaluated through the eigendecomposition
-V = U diag(w) U^dag of each (Hermitian) generator, which is exact for
-constant segments and keeps every propagator unitary to roundoff. Two
-structures cost less: a diagonal generator (an undriven qubit-boson step)
-is its diagonal with U = I, held as no matrix at all, so it costs neither an
-eigensolve nor a d x d product; a tridiagonal one (a driven step) is gauged
-to a real symmetric matrix by a diagonal unitary and solved in real
-arithmetic (linalg.eigh).
+V = U diag(w) U^dag of each generator's Hermitian part, which is exact for
+constant segments and keeps every propagator unitary to roundoff. linalg.eigh
+reads two structures that cost less: a diagonal generator (an undriven
+qubit-boson step) is its diagonal with U = I, held as None, no matrix at all,
+so it costs neither an eigensolve nor a d x d product; a tridiagonal one (a
+driven step) is gauged to a real symmetric matrix by a diagonal unitary and
+solved in real arithmetic.
 
 The joint state never needs to be formed during evolution: it is carried as
 the pointer amplitudes c_i plus the environment blocks
@@ -27,17 +27,19 @@ from which the full density matrix, reduced coherences and entanglement
 quantities are assembled on demand. With R(0) = A A^dag factored (A is d x r),
 every block is R_ij = Y_i Y_j^dag with Y_i = w_i A.
 
-segment_chunks is the only routine that steps through the segments: with
-B_i = U_ki^dag w_i(start of k) A, formed once per segment k, a chunk of its
-times is evaluated as Y_i = U_ki exp(-i w_ki tau) B_i in one stack. In the
-frame of pointer 0, when all pointers share its eigenvectors (every
-qubit-boson segment; diagonal generators share U = I whatever the order
-of their eigenvalues), the stacks are (T, d_k, r) over the d_k rows that
-hold weight: the lightest, at most ROW_TAIL^2 of sum_i ||B_i||^2, are cut,
-which moves outputs by O(ROW_TAIL); fig2d carries 70/102/115 at cutoff 256.
-A segment whose pointers do not share those eigenvectors takes the unframed
-stacks over all d rows. Schedules are immutable and may be shared across
-workers; the eigensystems are computed on first use.
+segment_chunks is the only routine that steps through the segments, and
+propagators_at reads its stacks of A = I. Each segment k gets one step, the
+(w_ki, U_ki, B_i) of every pointer with B_i = U_ki^dag w_i(start of k) A,
+and a chunk of its times is the one stack expression
+Y_i = U_ki exp(-i w_ki tau) B_i. In the frame of pointer 0, when all
+pointers share its eigenvectors (every qubit-boson segment; diagonal
+generators share U = I whatever the order of their eigenvalues), the step is
+swapped for one over the d_k rows that hold weight: the lightest, at most
+ROW_TAIL^2 of sum_i ||B_i||^2, are cut, which moves outputs by
+O(ROW_TAIL); fig2d carries 70/102/115 at cutoff 256. A segment whose
+pointers do not share those eigenvectors takes the unframed stacks over all
+d rows. Schedules are immutable and may be shared across workers; the
+eigensystems are computed on first use.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ __all__ = [
     "validate_schedule",
     "propagators_at",
     "segment_chunks",
-    "evolve_factor",
     "blocks_from_propagators",
     "blocks_at",
     "joint_state",
@@ -145,22 +146,21 @@ class SegmentSchedule:
 
     @cached_property
     def _eigensystems(self):
-        """Per segment, per pointer: (eigenvalues, eigenvectors) of each generator.
+        """Per segment, per pointer: linalg.eigh (w, u) of each generator's Hermitian part.
 
         A diagonal generator (an undriven step) is (its real diagonal, None):
         its eigenvectors are the identity, in the diagonal's own order, so no
-        d x d matrix is formed or multiplied. Any other generator takes
-        linalg.eigh, which solves a tridiagonal one (a driven qubit-boson
-        step) in real arithmetic. Minus generator 0 (both qubit-boson
-        branches) reuses (-w, u), the same u.
+        d x d matrix is formed or multiplied. A tridiagonal one (a driven
+        qubit-boson step) is solved in real arithmetic. Minus generator 0
+        (both qubit-boson branches) reuses (-w, u), the same u.
         """
         systems = []
         try:
             for seg in self.segments:
                 g0, *rest = seg.generators
-                w0, u0 = _eigensystem(g0)
+                w0, u0 = eigh(g0)
                 systems.append([(w0, u0)] + [
-                    (-w0, u0) if np.array_equal(g, -g0) else _eigensystem(g) for g in rest
+                    (-w0, u0) if np.array_equal(g, -g0) else eigh(g) for g in rest
                 ])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(
@@ -169,17 +169,19 @@ class SegmentSchedule:
         return systems
 
 
-def _eigensystem(g: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(w, u) of the Hermitian part (g + g^dag)/2, with u None (the identity) if g is diagonal."""
-    diag = np.diagonal(g)
-    if np.count_nonzero(g) == np.count_nonzero(diag):  # the diagonal of (g + g^dag)/2
-        return (diag + diag.conj()).real / 2, None
-    return eigh((g + dagger(g)) / 2)
+def _stacks(step, tau: np.ndarray) -> list[np.ndarray]:
+    """The (T, d, r) stacks U exp(-i diag(w) tau) B over the times tau, one per (w, U, B) of step.
 
-
-def _phased(w: np.ndarray, tau: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (T, d, r) stack of exp(-i diag(w) tau) b over the times tau."""
-    return np.exp(-1j * w * tau[:, None])[:, :, None] * b
+    A U of None is the identity, and a w of None no phase: B broadcast over the times.
+    """
+    stacks = []
+    for w, u, b in step:
+        if w is None:
+            y = np.broadcast_to(b, (len(tau), *b.shape))
+        else:
+            y = np.exp(-1j * w * tau[:, None])[:, :, None] * b
+        stacks.append(y if u is None else u @ y)
+    return stacks
 
 
 def validate_schedule(schedule: SegmentSchedule) -> np.ndarray:
@@ -232,27 +234,29 @@ def _locate(schedule: SegmentSchedule, times) -> tuple[np.ndarray, np.ndarray]:
 
 
 def propagators_at(schedule: SegmentSchedule, t: float) -> tuple[np.ndarray, ...]:
-    """Conditional propagators (w_0(t), ..., w_{N-1}(t)): evolve_factor with A = I."""
-    return next(evolve_factor(schedule, np.eye(schedule.env_dim, dtype=complex), [t]))
+    """Conditional propagators (w_0(t), ..., w_{N-1}(t)): the segment_chunks stacks of A = I."""
+    _, stacks = next(segment_chunks(schedule, np.eye(schedule.env_dim, dtype=complex), [t]))
+    return tuple(y[0] for y in stacks)
 
 
 def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bool = False):
     """Yield (index of the first time, stacks) for each chunk of times, in order.
 
     A chunk is a run of times inside one segment holding at most CHUNK_BYTES
-    of stacks: stacks[i] is the (T, d, r) stack of w_i(t) A. With frame=True
-    it is V^dag w_i A for a unitary V shared by all pointers, which keeps
-    Gram matrices and spectra. In a segment whose pointers all share the
+    of stacks: stacks[i] is the (T, d, r) stack of w_i(t) A, the _stacks of
+    the segment's step (w_ki, U_ki, B_i), built once. With frame=True it is
+    V^dag w_i A for a unitary V shared by all pointers, which keeps Gram
+    matrices and spectra. In a segment whose pointers all share the
     eigenvectors of pointer 0 (U_ki is U_k0, or every generator is diagonal
-    and U_ki = I), V = U_k0 exp(-i w_k0 tau): stacks[0] is B_0,
-    the others cost only the phase exp(-i (w_i - w_0) tau), and the stacks
-    are (T, d_k, r): the lightest rows by sum_i ||B_i[k, :]||^2, constant
-    over the segment, drop while they hold at most ROW_TAIL^2 of the total
-    (none if it is not finite), so Y_i^dag Y_j moves by at most ROW_TAIL^2,
-    and a a^dag - b b^dag and Z Z^dag by about 2 ROW_TAIL in trace norm. A
-    phase that is not finite on a dropped row still makes the stacks NaN at
-    that time, as if the row were kept. Any other segment takes V = I, the
-    unframed stacks of frame=False.
+    and U_ki = I), V = U_k0 exp(-i w_k0 tau), and the step drops its U:
+    stacks[0] is B_0, the others cost only the phase exp(-i (w_i - w_0) tau),
+    and the stacks are (T, d_k, r): the lightest rows by sum_i ||B_i[k, :]||^2,
+    constant over the segment, drop while they hold at most ROW_TAIL^2 of the
+    total (none if it is not finite), so Y_i^dag Y_j moves by at most
+    ROW_TAIL^2, and a a^dag - b b^dag and Z Z^dag by about 2 ROW_TAIL in
+    trace norm. A phase that is not finite on a dropped row still makes the
+    stacks NaN at that time, as if the row were kept. Any other segment
+    takes V = I, the unframed stacks of frame=False.
     """
     if not schedule.segments:
         raise EmptySchedule("schedule has no segments")
@@ -261,52 +265,30 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
     ks, taus = _locate(schedule, times)
     systems = schedule._eigensystems
     chunk = max(1, CHUNK_BYTES // (16 * a.size * schedule.system_dim))
-    rotated = []  # rotated[k][i] = B_i of segment k = U_ki^dag w_i(start of k) A
-    # a u of None is U = I: the products with it are skipped
-
-    def factors(k: int, tau: np.ndarray) -> list[np.ndarray]:
-        return [
-            _phased(w, tau, b) if u is None else u @ _phased(w, tau, b)
-            for (w, u), b in zip(systems[k], rotated[k])
-        ]
-
+    steps, start = [], [a] * schedule.system_dim  # start[i] = w_i(start of k) A
+    for k in range(int(ks.max(initial=-1)) + 1):
+        if k:  # the stacks at the end of segment k - 1
+            end = np.array([schedule.segments[k - 1].duration])
+            start = [y[0] for y in _stacks(steps[-1], end)]
+        steps.append(
+            [(w, u, y if u is None else dagger(u) @ y) for (w, u), y in zip(systems[k], start)]
+        )
     starts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()  # of each run of equal k
     for lo, hi in zip(starts, [*starts[1:], len(ks)]):
-        k = int(ks[lo])
-        while len(rotated) <= k:
-            m = len(rotated)
-            start = [a] * schedule.system_dim
-            if m:  # w_i(start of m) A: the factors at the end of segment m - 1
-                end = np.array([schedule.segments[m - 1].duration])
-                start = [y[0] for y in factors(m - 1, end)]
-            rotated.append(
-                [y if u is None else dagger(u) @ y for (_, u), y in zip(systems[m], start)]
-            )
-        (w0, u0), *rest = systems[k]
-        if not (frame and all(u is u0 for _, u in rest)):  # no shared frame: V = I
-            for first in range(lo, hi, chunk):
-                yield first, factors(k, taus[first : min(first + chunk, hi)])
-            continue
-        weight = np.sum(np.abs(np.concatenate(rotated[k], axis=1)) ** 2, axis=1)
-        order, tail = np.argsort(weight), ROW_TAIL**2 * weight.sum()
-        # the lightest rows hold at most tail in all; none drop if it is not finite
-        light = np.count_nonzero(np.cumsum(weight[order]) <= tail) if np.isfinite(tail) else 0
-        rows = np.sort(order[light:])
-        b0, *cut = [b[rows] for b in rotated[k]]
-        # a phase that is not finite on a dropped row still makes the stacks NaN
-        spread = max((np.abs(w - w0).max() for w, _ in rest), default=0.0)
+        step, spread = steps[ks[lo]], 0.0
+        (w0, u0, b0), *rest = step
+        if frame and all(u is u0 for _, u, _ in rest):  # the shared frame V
+            weight = np.sum(np.abs(np.concatenate([b for _, _, b in step], axis=1)) ** 2, axis=1)
+            order, tail = np.argsort(weight), ROW_TAIL**2 * weight.sum()
+            # the lightest rows hold at most tail in all; none drop if it is not finite
+            light = np.count_nonzero(np.cumsum(weight[order]) <= tail) if np.isfinite(tail) else 0
+            rows = np.sort(order[light:])
+            step = [(None, None, b0[rows])] + [((w - w0)[rows], None, b[rows]) for w, _, b in rest]
+            spread = max((np.abs(w - w0).max() for w, _, _ in rest), default=0.0)
         for first in range(lo, hi, chunk):
             tau = taus[first : min(first + chunk, hi)]
-            tau = np.where(np.isfinite(spread * tau), tau, np.nan)
-            yield first, [np.broadcast_to(b0, (len(tau), *b0.shape))] + [
-                _phased((w - w0)[rows], tau, b) for (w, _), b in zip(rest, cut)
-            ]
-
-
-def evolve_factor(schedule: SegmentSchedule, a: np.ndarray, times):
-    """Yield (w_0(t) A, ..., w_{N-1}(t) A) for each t in times; A is d x r."""
-    for _, stacks in segment_chunks(schedule, a, times):
-        yield from zip(*stacks)
+            # a phase that is not finite on a dropped row still makes the stacks NaN
+            yield first, _stacks(step, np.where(np.isfinite(spread * tau), tau, np.nan))
 
 
 @dataclass(frozen=True, eq=False)

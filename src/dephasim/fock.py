@@ -16,14 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffCapExceeded, InvalidArgument, NotNormalizedError
+from .errors import CutoffCapExceeded, InvalidArgument, NonFiniteError, NotNormalizedError
 from .linalg import TRACE_TOL, _factor, require_hermitian
 
 __all__ = [
     "FockSpace",
     "EnvDensity",
-    "annihilation",
-    "number_op",
     "fock_state",
     "thermal_state",
     "coherent_amplitudes",
@@ -90,16 +88,6 @@ class EnvDensity:
         return self.space.dim
 
 
-def annihilation(space: FockSpace) -> np.ndarray:
-    """Annihilation operator: <n-1|a|n> = sqrt(n)."""
-    return np.diag(np.sqrt(np.arange(1, space.dim, dtype=float)), k=1).astype(complex)
-
-
-def number_op(space: FockSpace) -> np.ndarray:
-    """Number operator diag(0, 1, ..., cutoff-1)."""
-    return np.diag(np.arange(space.dim, dtype=float)).astype(complex)
-
-
 def fock_state(n: int, space: FockSpace) -> EnvDensity:
     """Pure number state |n><n|."""
     if not 0 <= n < space.dim:
@@ -143,8 +131,11 @@ def coherent_amplitudes(zeta: complex, space: FockSpace) -> np.ndarray:
 
     The renormalization cancels the prefactor e^{-|zeta|^2/2}, so it is
     never formed: _amplitudes_from_peak scales the amplitudes to a largest
-    modulus of 1, and every finite zeta gives a unit vector.
+    modulus of 1, and every finite zeta gives a unit vector. A NaN or
+    infinite zeta raises NonFiniteError before any arithmetic.
     """
+    if not np.isfinite(zeta):
+        raise NonFiniteError(f"coherent state amplitude {zeta!r} is not finite")
     _warn_if_beyond_reach(abs(zeta), space, "coherent state amplitude")
     amps, _ = _amplitudes_from_peak(zeta, space.dim)
     return amps / np.linalg.norm(amps)
@@ -235,7 +226,6 @@ def _caller_outside_package() -> int:
 def suggest_cutoff(
     *,
     theta: float = 0.0,
-    coherent_amp: float = 0.0,
     fock_level: int = 0,
     max_displacement: float = 0.0,
     tol: float = 1e-12,
@@ -243,12 +233,13 @@ def suggest_cutoff(
     """Smallest cutoff in the doubling ladder 16..512 meeting the truncation policy.
 
     Requirements at cutoff M: the untruncated thermal tail mass exp(-M/theta)
-    is below tol, the total displacement reach satisfies |z|^2 <= M/4, and any
+    is below tol, the displacement reach z = max_displacement (which holds
+    the |zeta| of a coherent initial state) satisfies |z|^2 <= M/4, and any
     initial number state sits in the lower half of the basis.
     """
     if tol <= 0:
         raise InvalidArgument("tol must be positive")
-    reach = abs(coherent_amp) + abs(max_displacement)
+    reach = abs(max_displacement)
     for m in CUTOFF_LADDER:
         if theta > 0 and math.exp(-m / theta) >= tol:
             continue

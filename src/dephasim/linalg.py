@@ -77,26 +77,25 @@ def require_hermitian(m, *, what: str = "matrix") -> np.ndarray:
     return arr
 
 
-def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues w and eigenvectors u of a Hermitian m, as np.linalg.eigh(m).
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenvalues w and eigenvectors u of the Hermitian part (m + m^dag)/2.
 
-    Structure is detected by exact-zero counts. An exactly diagonal m is
-    read off its diagonal: w sorted, u the matching identity columns. A
-    tridiagonal m is gauged to the real symmetric T = Phi^dag m Phi, where
-    the diagonal unitary Phi takes its phases from m's sub-diagonal (phase 1
-    at a zero entry); T = Q diag(w) Q^T is solved in real arithmetic (one
-    dsyevd) and u = Phi Q. Any other m takes the dense complex solve. Like
-    LAPACK, only the real diagonal and the lower triangle are read.
+    Structure is read off exact-zero counts. An exactly diagonal m gives its
+    real diagonal, in its own order, and u None: the identity, which callers
+    neither form nor multiply. Otherwise w ascends. A tridiagonal m is gauged to the real
+    symmetric T = Phi^dag H Phi, where the diagonal unitary Phi takes its
+    phases from the sub-diagonal s = (sub + conj(sup))/2 of the Hermitian
+    part H (phase 1 at a zero entry); T = Q diag(w) Q^T is solved in real
+    arithmetic (one dsyevd) and u = Phi Q, with no d x d Hermitian part
+    formed. Any other m takes the dense complex solve of (m + m^dag)/2.
     """
-    diag, sub = np.diagonal(m), np.diagonal(m, -1)
+    diag, sub, sup = np.diagonal(m), np.diagonal(m, -1), np.diagonal(m, 1)
     nonzero = np.count_nonzero(m) - np.count_nonzero(diag)
     if not nonzero:
-        order = np.argsort(diag.real, kind="stable")
-        u = np.zeros(m.shape, dtype=m.dtype)
-        u[order, np.arange(len(order))] = 1  # column j is e_order[j]
-        return diag.real[order], u
-    if nonzero != np.count_nonzero(sub) + np.count_nonzero(np.diagonal(m, 1)):
-        return np.linalg.eigh(m)
+        return (diag + diag.conj()).real / 2, None
+    if nonzero != np.count_nonzero(sub) + np.count_nonzero(sup):
+        return np.linalg.eigh((m + dagger(m)) / 2)
+    sub = (sub + sup.conj()) / 2
     off = np.abs(sub)
     t = np.diag(diag.real) + np.diag(off, -1) + np.diag(off, 1)
     w, q = np.linalg.eigh(t)
@@ -114,10 +113,15 @@ def _psd_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises NotPSDError, or ConvergenceFailure when LAPACK does not converge.
     """
     try:
-        w, u = eigh(arr)
+        # entries past half the float range overflow the Hermitian part: NaN w or LinAlgError
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, u = eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigh did not converge: {exc}") from exc
-    if w[0] < -PSD_CLAMP:
+    if u is None:  # diagonal: w in stable ascending order, the matching identity columns
+        order = np.argsort(w, kind="stable")
+        w, u = w[order], np.eye(len(w), dtype=arr.dtype)[:, order]
+    if not w[0] >= -PSD_CLAMP:  # a NaN spectrum must fail too
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{PSD_CLAMP:.1e}")
     return w, u
 
@@ -150,15 +154,13 @@ def sqrtm_psd(m) -> np.ndarray:
     return (s + dagger(s)) / 2
 
 
-def fidelity_given_sqrt(sqrt_rho1: np.ndarray, rho2: np.ndarray) -> float:
+def fidelity_given_sqrt(sqrt_rho1: np.ndarray, rho2) -> float:
     """Fidelity where the PSD square root of the first state is already known.
 
-    No validation is performed; callers are expected to have produced
-    sqrt_rho1 with sqrtm_psd (or an exact equivalent).
+    fidelity_of_factors of sqrt_rho1, a factor of rho1, and psd_factor(rho2), which
+    validates rho2; sqrt_rho1 should come from sqrtm_psd (or an exact equivalent).
     """
-    m = sqrt_rho1 @ rho2 @ sqrt_rho1
-    w = np.linalg.eigvalsh((m + dagger(m)) / 2)
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+    return float(fidelity_of_factors(sqrt_rho1, psd_factor(rho2)))
 
 
 def fidelity_of_factors(a: np.ndarray, b: np.ndarray):

@@ -9,9 +9,9 @@ from dephasim.dephasing import (
     blocks_at,
     blocks_from_propagators,
     equal_superposition,
-    evolve_factor,
     joint_state,
     propagators_at,
+    segment_chunks,
     validate_schedule,
 )
 from dephasim import dephasing
@@ -206,7 +206,14 @@ class TestPropagators:
             assert np.linalg.norm(dagger(w) @ w - np.eye(4)) <= 1e-9
 
 
+def evolved_factors(sched, a, times):
+    """(w_0(t) A, ..., w_{N-1}(t) A) for each t in times, read from the segment_chunks stacks."""
+    return [ys for _, stacks in segment_chunks(sched, a, times) for ys in zip(*stacks)]
+
+
 class TestEvolveFactor:
+    """segment_chunks evolves a factor A to w_i(t) A, as the propagators do."""
+
     @given(seed=seeds, rank=st.integers(1, 5))
     @settings(max_examples=20, deadline=None)
     def test_matches_propagators(self, seed, rank):
@@ -215,7 +222,7 @@ class TestEvolveFactor:
         a = rng.normal(size=(5, rank)) + 1j * rng.normal(size=(5, rank))
         bounds = sched.boundaries
         times = [0.0, *bounds[1:], *rng.uniform(0.0, bounds[-1], size=4)]
-        for t, ys in zip(times, evolve_factor(sched, a, times)):
+        for t, ys in zip(times, evolved_factors(sched, a, times)):
             props = propagators_at(sched, t)
             assert len(ys) == 3
             for w, y in zip(props, ys):
@@ -238,7 +245,7 @@ class TestEvolveFactor:
             start = [expm(-1j * g * seg.duration) @ y for g, y in zip(seg.generators, start)]
         times.append(bounds[-1])
         oracle.append(start)
-        got = list(evolve_factor(sched, a, times))
+        got = evolved_factors(sched, a, times)
         assert len(got) == len(times)
         for ys, refs in zip(got, oracle):
             for y, ref in zip(ys, refs):
@@ -247,22 +254,22 @@ class TestEvolveFactor:
     def test_dimension_mismatch(self):
         sched = make_schedule(np.random.default_rng(0), env_dim=4)
         with pytest.raises(DimensionMismatch):
-            next(evolve_factor(sched, np.ones((3, 1), dtype=complex), [0.0]))
+            next(segment_chunks(sched, np.ones((3, 1), dtype=complex), [0.0]))
 
     def test_out_of_range(self):
         sched = make_schedule(np.random.default_rng(0), durations=[1.0, 1.0])
         with pytest.raises(TimeOutOfRange):
-            list(evolve_factor(sched, np.ones((4, 1), dtype=complex), [1.0, 2.5]))
+            list(segment_chunks(sched, np.ones((4, 1), dtype=complex), [1.0, 2.5]))
 
     def test_nan_time_is_out_of_range(self):
         # a NaN time is rejected, not evolved into NaN factors
         sched = make_schedule(np.random.default_rng(0), durations=[1.0, 1.0])
         with pytest.raises(TimeOutOfRange):
-            list(evolve_factor(sched, np.ones((4, 1), dtype=complex), [float("nan")]))
+            list(segment_chunks(sched, np.ones((4, 1), dtype=complex), [float("nan")]))
 
     def test_no_times(self):
         sched = make_schedule(np.random.default_rng(0))
-        assert list(evolve_factor(sched, np.ones((4, 1), dtype=complex), [])) == []
+        assert list(segment_chunks(sched, np.ones((4, 1), dtype=complex), [])) == []
 
 
 class TestBlocks:

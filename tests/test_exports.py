@@ -1,0 +1,47 @@
+"""Every name the package exports has a use outside the tests."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dephasim"
+
+
+def exported_names() -> set[str]:
+    """The names dephasim/__init__.py imports from its modules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def names_used_in_code() -> set[str]:
+    """Every Name and Attribute in the package's other modules."""
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def words_in_docs_and_tools() -> set[str]:
+    """Every word of README.md and of the .py and .md files under scripts/ and perfbench/."""
+    paths = [ROOT / "README.md"]
+    for folder in ("scripts", "perfbench"):
+        paths += [p for p in (ROOT / folder).rglob("*") if p.suffix in (".py", ".md")]
+    return {word for path in paths for word in re.findall(r"\w+", path.read_text())}
+
+
+def test_every_export_is_used_outside_the_tests():
+    # a helper that only tests call belongs in tests/util.py, not in the package
+    unused = exported_names() - names_used_in_code() - words_in_docs_and_tools()
+    assert sorted(unused) == []

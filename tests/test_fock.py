@@ -10,17 +10,15 @@ from dephasim.errors import CutoffCapExceeded, NonFiniteError, NotHermitianError
 from dephasim.fock import (
     EnvDensity,
     FockSpace,
-    annihilation,
     coherent_amplitudes,
     coherent_state,
     env_from_matrix,
     fock_state,
-    number_op,
     suggest_cutoff,
     thermal_state,
 )
 from dephasim.linalg import dagger, fidelity
-from util import creation, displacement, displacement_safe_dim, expm
+from util import annihilation, creation, displacement, displacement_safe_dim, expm, number_op
 
 seeds = st.integers(0, 2**32 - 1)
 BEYOND_REACH = pytest.mark.filterwarnings("ignore:coherent state amplitude:UserWarning")
@@ -149,7 +147,6 @@ class TestCoherentState:
         assert abs(state.truncated_mass - (1.0 - inside)) <= 1e-15
 
     @BEYOND_REACH
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("zeta", [complex("nan"), complex("inf"), complex(1, math.inf)])
     def test_non_finite_amplitude_is_numerical_failure(self, zeta):
         with pytest.raises(NonFiniteError):
@@ -259,14 +256,15 @@ class TestSuggestCutoff:
         assert math.exp(-(m // 2) / 2.0) >= 1e-12
 
     def test_floor(self):
-        assert suggest_cutoff(theta=0.0, coherent_amp=0.0) == 16
+        assert suggest_cutoff(theta=0.0, max_displacement=0.0) == 16
 
     def test_cap_exceeded(self):
         with pytest.raises(CutoffCapExceeded):
             suggest_cutoff(theta=512.0, tol=1e-12)
 
     def test_displacement_reach(self):
-        m = suggest_cutoff(theta=0.0, coherent_amp=1.0, max_displacement=2.0)
+        # a coherent R(0) at |zeta| = 1 driven a further 2 out
+        m = suggest_cutoff(theta=0.0, max_displacement=1.0 + 2.0)
         assert (1.0 + 2.0) ** 2 <= m / 4
 
     def test_reach_boundary_within_roundoff(self):

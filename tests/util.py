@@ -7,7 +7,7 @@ import numpy as np
 import scipy.linalg
 
 from dephasim.errors import ConvergenceFailure
-from dephasim.fock import FockSpace, annihilation
+from dephasim.fock import FockSpace
 from dephasim.linalg import as_operator, dagger, require_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -86,6 +86,16 @@ def phase1_coherence_oracle(theta: float, t: float) -> float:
 def normalized_coherence(blocks, i: int, j: int) -> float:
     """|rho_ij(t)| / |rho_ij(0)| = |Tr R_ij(t)|, since Tr R_ij(0) = 1, from formed blocks."""
     return float(abs(np.trace(blocks.blocks[i, j])))
+
+
+def annihilation(space: FockSpace) -> np.ndarray:
+    """Annihilation operator: <n-1|a|n> = sqrt(n)."""
+    return np.diag(np.sqrt(np.arange(1, space.dim, dtype=float)), k=1).astype(complex)
+
+
+def number_op(space: FockSpace) -> np.ndarray:
+    """Number operator diag(0, 1, ..., cutoff-1)."""
+    return np.diag(np.arange(space.dim, dtype=float)).astype(complex)
 
 
 def creation(space: FockSpace) -> np.ndarray:
