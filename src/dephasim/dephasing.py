@@ -30,8 +30,8 @@ every block is R_ij = Y_i Y_j^dag with Y_i = w_i A.
 segment_chunks is the only routine that steps through the segments, and
 propagators_at reads its stacks of A = I. Each segment k gets one step, the
 (w_ki, U_ki, B_i) of every pointer with B_i = U_ki^dag w_i(start of k) A,
-and a chunk of its times is the one stack expression
-Y_i = U_ki exp(-i w_ki tau) B_i. In the frame of pointer 0, when all
+yielded with each chunk of its times, whose stacks are the one expression
+Y_i = U_ki exp(-i w_ki tau) B_i (_stacks). In the frame of pointer 0, when all
 pointers share its eigenvectors (every qubit-boson segment; diagonal
 generators share U = I whatever the order of their eigenvalues), the step is
 swapped for one over the d_k rows that hold weight: the lightest, at most
@@ -198,9 +198,7 @@ def validate_schedule(schedule: SegmentSchedule) -> np.ndarray:
     for seg in schedule.segments:
         g0, *rest = seg.generators
         r0 = hermiticity_residual(g0)  # that of -g0 too, bit for bit
-        rows.append(
-            [r0] + [r0 if np.array_equal(g, -g0) else hermiticity_residual(g) for g in rest]
-        )
+        rows.append([r0] + [r0 if np.array_equal(g, -g0) else hermiticity_residual(g) for g in rest])
     residuals = np.array(rows)
     worst = np.unravel_index(np.argmax(residuals), residuals.shape)  # the first NaN if any
     if not residuals[worst] <= HERM_TOL:  # a NaN residual must fail too
@@ -235,17 +233,19 @@ def _locate(schedule: SegmentSchedule, times) -> tuple[np.ndarray, np.ndarray]:
 
 def propagators_at(schedule: SegmentSchedule, t: float) -> tuple[np.ndarray, ...]:
     """Conditional propagators (w_0(t), ..., w_{N-1}(t)): the segment_chunks stacks of A = I."""
-    _, stacks = next(segment_chunks(schedule, np.eye(schedule.env_dim, dtype=complex), [t]))
-    return tuple(y[0] for y in stacks)
+    _, step, tau = next(segment_chunks(schedule, np.eye(schedule.env_dim, dtype=complex), [t]))
+    return tuple(y[0] for y in _stacks(step, tau))
 
 
 def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bool = False):
-    """Yield (index of the first time, stacks) for each chunk of times, in order.
+    """Yield (index of the first time, step, tau) for each chunk of times, in order.
 
     A chunk is a run of times inside one segment holding at most CHUNK_BYTES
-    of stacks: stacks[i] is the (T, d, r) stack of w_i(t) A, the _stacks of
-    the segment's step (w_ki, U_ki, B_i), built once. With frame=True it is
-    V^dag w_i A for a unitary V shared by all pointers, which keeps Gram
+    of stacks, and tau their elapsed times. step, the segment's (w_ki, U_ki,
+    B_i) per pointer, is built once and yielded as the same object with each
+    of its chunks: _stacks(step, tau)[i] is the (T, d, r) stack of w_i(t) A
+    (sweep.evaluate also forms B_i B_i^dag once per step). With frame=True
+    it is V^dag w_i A for a unitary V shared by all pointers, which keeps Gram
     matrices and spectra. In a segment whose pointers all share the
     eigenvectors of pointer 0 (U_ki is U_k0, or every generator is diagonal
     and U_ki = I), V = U_k0 exp(-i w_k0 tau), and the step drops its U:
@@ -254,9 +254,9 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
     constant over the segment, drop while they hold at most ROW_TAIL^2 of the
     total (none if it is not finite), so Y_i^dag Y_j moves by at most
     ROW_TAIL^2, and a a^dag - b b^dag and Z Z^dag by about 2 ROW_TAIL in
-    trace norm. A phase that is not finite on a dropped row still makes the
-    stacks NaN at that time, as if the row were kept. Any other segment
-    takes V = I, the unframed stacks of frame=False.
+    trace norm. A phase that is not finite on a dropped row still makes tau
+    NaN at that time, as if the row were kept. Any other segment takes V = I,
+    the unframed stacks of frame=False.
     """
     if not schedule.segments:
         raise EmptySchedule("schedule has no segments")
@@ -288,7 +288,7 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
         for first in range(lo, hi, chunk):
             tau = taus[first : min(first + chunk, hi)]
             # a phase that is not finite on a dropped row still makes the stacks NaN
-            yield first, _stacks(step, np.where(np.isfinite(spread * tau), tau, np.nan))
+            yield first, step, np.where(np.isfinite(spread * tau), tau, np.nan)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,6 +30,7 @@ __all__ = [
     "fidelity_of_factors",
     "fidelity",
     "fidelity_given_sqrt",
+    "half_trace_norm",
     "trace_distance_of_factors",
     "trace_distance",
     "negativity_of_factors",
@@ -59,12 +60,24 @@ TRACE_TOL = 1e-8  # largest |Tr rho - 1| of a density matrix taken as normalized
 NORM_TOL = 1e-10  # largest ||c|^2 - 1| of pointer amplitudes taken as normalized
 
 
+def _bands(m: np.ndarray):
+    """(diagonal, sub-, super-diagonal, nonzeros off the diagonal, whether all on those two)."""
+    diag, sub, sup = np.diagonal(m), np.diagonal(m, -1), np.diagonal(m, 1)
+    off = np.count_nonzero(m) - np.count_nonzero(diag)
+    return diag, sub, sup, off, off == np.count_nonzero(sub) + np.count_nonzero(sup)
+
+
 def hermiticity_residual(m: np.ndarray) -> float:
     """Relative residual ||M - M^dag||_F / max(1, ||M||_F).
 
+    A tridiagonal M is read off its three diagonals, with no d x d difference.
     NaN, which callers reject, if both norms overflow or an entry is not finite.
     """
+    diag, sub, sup, _, tridiagonal = _bands(m)
     with np.errstate(over="ignore", invalid="ignore"):
+        if tridiagonal:  # M - M^dag is zero off the three diagonals: take both norms on them
+            m, m_dag = np.concatenate((diag, sub, sup)), np.concatenate((diag, sup, sub)).conj()
+            return np.linalg.norm(m - m_dag) / max(1.0, np.linalg.norm(m))
         return np.linalg.norm(m - dagger(m)) / max(1.0, np.linalg.norm(m))
 
 
@@ -77,23 +90,24 @@ def require_hermitian(m, *, what: str = "matrix") -> np.ndarray:
     return arr
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues w and eigenvectors u of the Hermitian part (m + m^dag)/2.
 
     Structure is read off exact-zero counts. An exactly diagonal m gives its
     real diagonal, in its own order, and u None: the identity, which callers
-    neither form nor multiply. Otherwise w ascends. A tridiagonal m is gauged to the real
-    symmetric T = Phi^dag H Phi, where the diagonal unitary Phi takes its
-    phases from the sub-diagonal s = (sub + conj(sup))/2 of the Hermitian
-    part H (phase 1 at a zero entry); T = Q diag(w) Q^T is solved in real
-    arithmetic (one dsyevd) and u = Phi Q, with no d x d Hermitian part
-    formed. Any other m takes the dense complex solve of (m + m^dag)/2.
+    neither form nor multiply. Otherwise w ascends. A tridiagonal m is gauged
+    to the real symmetric T = Phi^dag H Phi, where the diagonal unitary Phi
+    takes its phases from the sub-diagonal s = (sub + conj(sup))/2 of the
+    Hermitian part H (phase 1 at a zero entry); T = Q diag(w) Q^T is solved
+    in real arithmetic (one dsyevd) and u = Phi Q, with no d x d Hermitian
+    part formed. Any other m takes the dense complex solve of (m + m^dag)/2.
+    Past half the float range H overflows silently: LinAlgError, or w not finite.
     """
-    diag, sub, sup = np.diagonal(m), np.diagonal(m, -1), np.diagonal(m, 1)
-    nonzero = np.count_nonzero(m) - np.count_nonzero(diag)
-    if not nonzero:
+    diag, sub, sup, off, tridiagonal = _bands(m)
+    if not off:
         return (diag + diag.conj()).real / 2, None
-    if nonzero != np.count_nonzero(sub) + np.count_nonzero(sup):
+    if not tridiagonal:
         return np.linalg.eigh((m + dagger(m)) / 2)
     sub = (sub + sup.conj()) / 2
     off = np.abs(sub)
@@ -113,9 +127,7 @@ def _psd_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises NotPSDError, or ConvergenceFailure when LAPACK does not converge.
     """
     try:
-        # entries past half the float range overflow the Hermitian part: NaN w or LinAlgError
-        with np.errstate(over="ignore", invalid="ignore"):
-            w, u = eigh(arr)
+        w, u = eigh(arr)  # NaN w or LinAlgError if the Hermitian part overflows
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigh did not converge: {exc}") from exc
     if u is None:  # diagonal: w in stable ascending order, the matching identity columns
@@ -163,16 +175,30 @@ def fidelity_given_sqrt(sqrt_rho1: np.ndarray, rho2) -> float:
     return float(fidelity_of_factors(sqrt_rho1, psd_factor(rho2)))
 
 
+def half_trace_norm(h: np.ndarray):
+    """(1/2) sum |eigenvalues| of a Hermitian matrix, or of each of a (T, d, d) stack.
+
+    With no nonzero off the diagonals (exact-zero counts): (1/2) sum |Re diagonal|.
+    """
+    diag = np.diagonal(h, axis1=-2, axis2=-1)
+    w = diag.real if np.count_nonzero(h) == np.count_nonzero(diag) else np.linalg.eigvalsh(h)
+    return 0.5 * np.sum(np.abs(w), axis=-1)
+
+
 def fidelity_of_factors(a: np.ndarray, b: np.ndarray):
     """Fidelity of a a^dag and b b^dag: (sum of singular values of a^dag b)^2.
 
-    An r1 x r2 SVD (none if r1 or r2 is 1), with no square roots of
-    roundoff-level eigenvalues. For (T, d, r) stacks of factors it returns
-    the T fidelities as an array.
+    An r1 x r2 SVD, with no square roots of roundoff-level eigenvalues; none
+    if r1 or r2 is 1, or if no overlap of the stack has a nonzero off its
+    diagonal: F = (sum |diagonal|)^2. For (T, d, r) stacks of factors it
+    returns the T fidelities as an array.
     """
     m = dagger(a) @ b
     if 1 in m.shape[-2:]:  # a row or column: its 2-norm is its one singular value
         return np.sum(np.abs(m) ** 2, axis=(-2, -1))
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    if np.count_nonzero(m) == np.count_nonzero(diag):  # the singular values are |diag|
+        return np.sum(np.abs(diag), axis=-1) ** 2
     return np.sum(np.linalg.svd(m, compute_uv=False), axis=-1) ** 2
 
 
@@ -208,7 +234,8 @@ def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
     - r1 + r2 < d otherwise: a and b are replaced by the column blocks of R
       in the reduced QR [a | b] = Q R, which leaves the spectrum of the
       difference unchanged and shrinks the eigenproblem to (r1 + r2) square.
-    - else: the eigenvalues of the d x d difference.
+    - else: half_trace_norm of the d x d difference (which sweep.evaluate
+      forms from Gram matrices in a shared frame).
     For (T, d, r) stacks of factors it returns the T distances as an array.
     """
     r1 = a.shape[-1]
@@ -222,17 +249,16 @@ def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
     if r1 + b.shape[-1] < a.shape[-2]:
         r = np.linalg.qr(np.concatenate((a, b), axis=-1), mode="r")
         a, b = r[..., :r1], r[..., r1:]
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a @ dagger(a) - b @ dagger(b))), axis=-1)
+    return half_trace_norm(a @ dagger(a) - b @ dagger(b))
 
 
 def trace_distance(rho1, rho2) -> float:
-    """Trace distance (1/2)||rho1 - rho2||_1 via eigenvalues of the difference."""
+    """Trace distance (1/2)||rho1 - rho2||_1: half_trace_norm of the difference."""
     r1 = require_hermitian(rho1, what="rho1")
     r2 = require_hermitian(rho2, what="rho2")
     if r1.shape != r2.shape:
         raise DimensionMismatch(f"state dimensions differ: {r1.shape} vs {r2.shape}")
-    w = np.linalg.eigvalsh(r1 - r2)
-    return float(0.5 * np.sum(np.abs(w)))
+    return float(half_trace_norm(r1 - r2))
 
 
 def _negative_sum(pt: np.ndarray):

@@ -11,21 +11,22 @@ calls evaluate.
 
 R(0) = A A^dag is factored once, by EnvDensity (A is d x r, r its rank; a
 pure R(0) carries its amplitude column as A), and segment_chunks yields each
-chunk of a segment's grid points as (T, d_k, r) stacks of V^dag Y_i,
-Y_i = w_i A, in a frame V shared by the pointers, which no output sees
-(V = I unless they share eigenvectors, as in qubit_boson). With a shared
-eigenbasis the lightest rows, at most ROW_TAIL^2 of the segment's
-sum_i ||B_i||^2, are left out, which moves outputs by O(ROW_TAIL), so
-d_k <= d stops growing with the cutoff past the drive's reach (fig2b:
-18/43/51 rows). Batched numpy calls give the coherence |Tr(Y_0^dag Y_1)|,
-the fidelity from r x r SVDs of Y_0^dag Y_1, each trace distance from a QR
-of [Y_i | Y_j] and an eigensolve of dimension at most 2r (both are closed
-forms when r = 1, so a rank-1 qubit point makes no LAPACK call), and the
-negativity from the partial transposes of Z Z^dag,
-Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}],
-of dimension at most N (N r), in runs that hold at most CHUNK_BYTES. The
-type-2 commutator norms of P_a = w_a w_r^dag need the propagators: when they
-are on (N >= 3), the identity is stepped instead of A and Y_i = (V^dag w_i) A.
+chunk of a segment's grid points with the segment's step, whose stacks are
+(T, d_k, r) stacks of V^dag Y_i, Y_i = w_i A, in a frame V shared by the
+pointers, which no output sees (V = I unless they share eigenvectors, as in
+qubit_boson, where the rows holding at most ROW_TAIL^2 of the weight are
+left out, so d_k stops growing with the cutoff). Batched numpy calls give
+the coherence |Tr(Y_0^dag Y_1)|, the fidelity from r x r SVDs of
+Y_0^dag Y_1, each trace distance from a QR of [Y_i | Y_j] and an eigensolve
+of dimension at most 2r, or, when 2r >= d_k in a shared frame, from
+Phi_i G_i Phi_i^dag - Phi_j G_j Phi_j^dag with G_i = B_i B_i^dag formed once
+per segment; an overlap or difference with no nonzero off its diagonal (an
+undriven thermal step) is read off it, and both are closed forms when r = 1.
+The negativity comes from the partial transposes of Z Z^dag,
+Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}], of dimension at most N (N r), in runs
+that hold at most CHUNK_BYTES. The type-2 commutator norms of
+P_a = w_a w_r^dag need the propagators: when they are on (N >= 3), the
+identity is stepped instead of A and Y_i = (V^dag w_i) A.
 The criteria and the negativity run over the pointers with c_i != 0 only.
 """
 
@@ -71,7 +72,8 @@ from .fock import (
     suggest_cutoff,
     thermal_state,
 )
-from .linalg import fidelity_of_factors, negativity_of_factors, trace_distance_of_factors
+from .linalg import dagger, fidelity_of_factors, half_trace_norm, negativity_of_factors
+from .linalg import trace_distance_of_factors
 # Unused here, but perfbench/spans.py wraps these names in this module.
 from .dephasing import blocks_from_propagators, joint_state, propagators_at  # noqa: F401
 from .linalg import fidelity_given_sqrt, negativity, sqrtm_psd  # noqa: F401
@@ -205,7 +207,7 @@ def evaluate(
     CSV bytes, are fixed for fixed inputs, numpy and BLAS build and BLAS
     thread count: an SVD can round differently on another thread count.
     """
-    n, dim, a = schedule.system_dim, env0.dim, env0.factor
+    n, dim, a, r = schedule.system_dim, env0.dim, env0.factor, env0.factor.shape[1]
     c = dephasing._checked_amplitudes(c, n)
     times = np.asarray(times, dtype=float).reshape(-1).tolist()
     on = supported_pointers(c)  # the criteria and the negativity skip pointers with c_i = 0
@@ -215,12 +217,13 @@ def evaluate(
     stepped = np.eye(dim, dtype=complex) if type2 else a
     # negativity_of_factors takes pt_step points per call, so that their partial
     # transposes, N (N r) square after its QR, stay within the chunk budget too
-    pt_dim = len(on) * min(dim, len(on) * a.shape[1])
+    pt_dim = len(on) * min(dim, len(on) * r)
     pt_step = max(1, dephasing.CHUNK_BYTES // (16 * pt_dim**2))
-    rows = []
+    rows, gram_step = [], None
     # every output is invariant under the frame V shared by the pointers
-    for first, stacks in segment_chunks(schedule, stepped, times, frame=True):
-        ts = times[first : first + len(stacks[0])]
+    for first, step, tau in segment_chunks(schedule, stepped, times, frame=True):
+        stacks = dephasing._stacks(step, tau)
+        ts = times[first : first + len(tau)]
         finite = np.logical_and.reduce([np.isfinite(s).all(axis=(1, 2)) for s in stacks])
         if not finite.all():
             raise NonFiniteError(f"evolved state is not finite at t = {ts[np.argmin(finite)]!r}")
@@ -233,7 +236,18 @@ def evaluate(
             coherence_norm = np.abs(np.sum(ys[1].conj() * ys[0], axis=(1, 2))).tolist()
         # a criterion with no condition left (no pair, fewer than 3 pointers for type-2) reads 0
         if outputs.type1:
-            distances = [trace_distance_of_factors(ys[i], ys[j]) for i, j in pairs]
+            # trace_distance_of_factors' direct path with no U: Y_i Y_i^dag = Phi_i G_i Phi_i^dag
+            no_u = all(u is None for _, u, _ in step)
+            gram = no_u and not type2 and 1 < r and 2 * r >= len(step[0][2])
+            if gram and step is not gram_step:  # the segment's first chunk: G_i = B_i B_i^dag
+                gram_step, grams = step, [b @ dagger(b) for _, _, b in step]
+            if gram:
+                phases = [None if w is None else np.exp(-1j * w * tau[:, None]) for w, *_ in step]
+                held = [g if p is None else p[:, :, None] * g * p[:, None, :].conj()
+                        for p, g in zip(phases, grams)]
+                distances = [half_trace_norm(held[i] - held[j]) for i, j in pairs]
+            else:
+                distances = [trace_distance_of_factors(ys[i], ys[j]) for i, j in pairs]
             type1_max = np.max(distances, axis=0).tolist() if pairs else [0.0] * len(ts)
         if outputs.type2:
             norms = list(type2_norms(stacks, on).values())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from dephasim.dephasing import (
 )
 from dephasim import dephasing
 from dephasim.errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     EmptySchedule,
     NonFiniteError,
@@ -25,9 +28,11 @@ from dephasim.errors import (
 )
 from dephasim.fock import FockSpace, env_from_matrix, thermal_state
 from dephasim.linalg import dagger, hermiticity_residual, trace_distance
+from dephasim.qubit_boson import AlphaSegment, QubitBosonParams, build_schedule
 from util import (
     PAULI_X,
     PAULI_Z,
+    chunk_stacks,
     expm,
     normalized_coherence,
     random_complex,
@@ -208,7 +213,7 @@ class TestPropagators:
 
 def evolved_factors(sched, a, times):
     """(w_0(t) A, ..., w_{N-1}(t) A) for each t in times, read from the segment_chunks stacks."""
-    return [ys for _, stacks in segment_chunks(sched, a, times) for ys in zip(*stacks)]
+    return [ys for _, stacks in chunk_stacks(sched, a, times) for ys in zip(*stacks)]
 
 
 class TestEvolveFactor:
@@ -250,6 +255,15 @@ class TestEvolveFactor:
         for ys, refs in zip(got, oracle):
             for y, ref in zip(ys, refs):
                 assert np.linalg.norm(y - ref) <= 1e-12 * max(1.0, np.linalg.norm(a))
+
+    def test_overflowing_hermitian_part_is_convergence_failure(self):
+        # alpha 1e308 overflows the Hermitian part (sub + conj(sup))/2: the package
+        # error, with no RuntimeWarning before it
+        params = QubitBosonParams(beta=1.0, segments=(AlphaSegment(1.0, 1e308),), cutoff=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConvergenceFailure, match="did not converge"):
+                propagators_at(build_schedule(params), 0.5)
 
     def test_dimension_mismatch(self):
         sched = make_schedule(np.random.default_rng(0), env_dim=4)

@@ -20,6 +20,7 @@ from dephasim.fock import (
     fock_state,
     thermal_state,
 )
+from dephasim import linalg
 from dephasim.linalg import (
     RANK_CUT,
     dagger,
@@ -27,6 +28,7 @@ from dephasim.linalg import (
     fidelity,
     fidelity_given_sqrt,
     fidelity_of_factors,
+    hermiticity_residual,
     negativity,
     psd_factor,
     require_hermitian,
@@ -324,6 +326,28 @@ class TestTridiagonalEigh:
         assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-14 * scale
         assert np.linalg.norm(dagger(u) @ u - np.eye(16)) <= 1e-13
         assert np.abs((u * w) @ dagger(u) - h).max() <= 1e-14 * scale
+
+
+class TestTridiagonalResidual:
+    """hermiticity_residual reads a tridiagonal matrix off its three diagonals."""
+
+    @pytest.mark.parametrize("skew", [0.0, 1e-12, 1e-3])
+    def test_residual_is_the_dense_value_with_no_d_by_d_difference(self, skew, monkeypatch):
+        rng = np.random.default_rng(8)
+        m = tridiagonal(rng, 40) + skew * 1j * tridiagonal(rng, 40)
+        dense = np.linalg.norm(m - dagger(m)) / max(1.0, np.linalg.norm(m))
+        monkeypatch.setattr(linalg, "dagger", None)  # only the dense path calls it
+        got = hermiticity_residual(m)
+        assert abs(got - dense) <= 4 * np.finfo(float).eps * dense
+        assert (got == 0.0) == (skew == 0.0)
+
+    def test_overflow_keeps_the_dense_semantics(self):
+        # a Hermitian 1e200 tridiagonal gives 0/inf = 0; a one-sided one inf/inf = NaN
+        hermitian = 1e200 * tridiagonal(np.random.default_rng(9), 6)
+        one_sided = np.tril(hermitian)
+        with np.errstate(over="ignore"):
+            assert hermiticity_residual(hermitian) == 0.0
+            assert np.isnan(hermiticity_residual(one_sided))
 
 
 class TestFactors:

@@ -1,4 +1,4 @@
-"""Precision floors of segment_chunks and trace_distance_of_factors against 40-digit oracles.
+"""Precision floors of segment_chunks and the type-1 and fidelity kernels against 40-digit oracles.
 
 The oracle is the chronological product of the segment exponentials, each
 from a 40-digit mpmath eigendecomposition of the same double-precision
@@ -36,6 +36,14 @@ stack. In units of eps max(1, |a|^2, |b|^2) the floors measured are 0.41
 over 40 seeds, so TD_FLOOR_UNITS = 8 sits 11x to 20x above them. The
 cancelling rank-1 form sqrt(((|a|^2 + |b|^2)/2)^2 - |a^dag b|^2) is off by
 3.7e-12 at delta = 1e-4 and 1.0e-8 at delta = 1e-8.
+
+The same bound holds sweep.evaluate's Gram route, the direct path formed
+as Phi_i G_i Phi_i^dag - Phi_j G_j Phi_j^dag from G_i = B_i B_i^dag, on the
+frame stacks of a rank-3 R(0) on 6 levels (measured 1.0 at t = 0.9 and 1.8,
+0 at t = 0 and 0.3), and the two diagonal read-offs: half_trace_norm of a
+diagonal difference (0.07) and fidelity_of_factors of a diagonal 5 x 4
+overlap, against 40-digit singular values, in units of
+eps max(1, |a|^2) max(1, |b|^2) (0.57).
 """
 
 from functools import cache
@@ -44,10 +52,13 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from dephasim.dephasing import Segment, SegmentSchedule, segment_chunks
-from dephasim.linalg import trace_distance_of_factors
+from dephasim import sweep
+from dephasim.config import OutputFlags
+from dephasim.dephasing import Segment, SegmentSchedule, equal_superposition
+from dephasim.fock import env_from_matrix
+from dephasim.linalg import fidelity_of_factors, trace_distance_of_factors
 from dephasim.qubit_boson import AlphaSegment, QubitBosonParams, build_schedule
-from util import random_complex, random_hermitian
+from util import chunk_stacks, random_complex, random_hermitian
 
 EPS = np.finfo(float).eps
 FLOOR_UNITS = 10
@@ -132,7 +143,7 @@ def max_abs(x, y):
 def test_segment_chunks_within_its_floor(name, frame):
     schedule, a, times = case(name)
     norm = max(np.linalg.norm(g, 2) for seg in schedule.segments for g in seg.generators)
-    chunks = list(segment_chunks(schedule, a, times, frame=frame))
+    chunks = chunk_stacks(schedule, a, times, frame=frame)
     got = [ys for _, stacks in chunks for ys in zip(*stacks)]
     assert len(got) == len(times)
     if name == "shared" and frame:  # segment 0 cuts the 2 rows R(0) does not reach
@@ -179,12 +190,73 @@ def exact_distance(a, b):
         return float(mp.fsum(abs(x) for x in w) / 2)
 
 
-@pytest.mark.parametrize("path", TD_SHAPES)
-def test_trace_distance_within_its_floor(path):
-    pairs = td_pairs(path)
-    stacked = trace_distance_of_factors(*(np.stack(x) for x in zip(*pairs.values())))
-    for (case, (a, b)), batched in zip(pairs.items(), stacked):
+@cache
+def gram_case():
+    """(schedule, R(0), times) for sweep.evaluate's Gram route.
+
+    R(0) has rank 3 on 6 levels, so 2 r >= d_k in both the undriven and the
+    driven segment of a shared frame: the direct path, formed from Gram blocks.
+    """
+    params = QubitBosonParams(
+        beta=1.0, segments=(AlphaSegment(0.7, 0.0), AlphaSegment(1.1, -0.3 + 0.4j)), cutoff=6
+    )
+    a = unit_factor(np.random.default_rng(17), 6, rank=3)
+    return build_schedule(params), env_from_matrix(a @ a.conj().T), (0.0, 0.3, 0.9, 1.8)
+
+
+def gram_distances(monkeypatch):
+    """{case: (a, b, [type-1 of evaluate])}, a and b the frame stacks the sweep reads."""
+    schedule, env0, times = gram_case()
+    assert env0.factor.shape == (6, 3)
+    monkeypatch.setattr(sweep, "trace_distance_of_factors", None)  # the factor path is not taken
+    flags = OutputFlags(entanglement=False, coherence=False, type2=False)
+    rows = sweep.evaluate(schedule, env0, equal_superposition(2), times, flags)
+    chunks = chunk_stacks(schedule, env0.factor, times, frame=True)
+    stacks = [ys for _, s in chunks for ys in zip(*s)]
+    return {f"t={t:g}": (a, b, [row.type1_max]) for t, (a, b), row in zip(times, stacks, rows)}
+
+
+@pytest.mark.parametrize("path", [*TD_SHAPES, "gram"])
+def test_trace_distance_within_its_floor(path, monkeypatch):
+    if path == "gram":
+        cases = gram_distances(monkeypatch)
+    else:
+        pairs = td_pairs(path)
+        stacked = trace_distance_of_factors(*(np.stack(x) for x in zip(*pairs.values())))
+        cases = {
+            case: (a, b, [trace_distance_of_factors(a, b), batched])
+            for (case, (a, b)), batched in zip(pairs.items(), stacked)
+        }
+    for case, (a, b, distances) in cases.items():
         exact = exact_distance(a, b)
         unit = EPS * max(1.0, np.linalg.norm(a) ** 2, np.linalg.norm(b) ** 2)
-        for got in (trace_distance_of_factors(a, b), batched):
+        for got in distances:
             assert abs(got - exact) <= TD_FLOOR_UNITS * unit, (case, got, exact)
+
+
+def exact_fidelity(a, b):
+    """(sum of the 40-digit singular values of a^dag b)^2."""
+    with mp.workdps(40):
+        overlap = mp.matrix(a.tolist()).H * mp.matrix(b.tolist())
+        return float(mp.fsum(mp.svd_c(overlap, compute_uv=False)) ** 2)
+
+
+@pytest.mark.parametrize("kernel", ["trace distance", "fidelity"])
+def test_diagonal_read_offs_within_their_floor(kernel, monkeypatch):
+    # diagonal factors: the difference a a^dag - b b^dag (of both signs) and the
+    # overlap a^dag b (complex, 5 x 4) have no nonzero off their diagonals, so
+    # neither kernel calls LAPACK
+    rng = np.random.default_rng(19)
+    a, b = (np.stack([np.eye(8, r) * random_complex(rng, r) for _ in range(3)]) for r in (5, 4))
+    for solver in ("svd", "eigvalsh", "qr"):
+        monkeypatch.setattr(np.linalg, solver, None)
+    if kernel == "trace distance":  # 5 x 5 and 5 x 4: r1 + r2 >= d, the direct path
+        a, b = a[:, :5], b[:, :5]
+        got, exact = trace_distance_of_factors(a, b), [exact_distance(x, y) for x, y in zip(a, b)]
+        units = [max(1.0, np.linalg.norm(x) ** 2, np.linalg.norm(y) ** 2) for x, y in zip(a, b)]
+    else:  # F is of the order |a|^2 |b|^2
+        got, exact = fidelity_of_factors(a, b), [exact_fidelity(x, y) for x, y in zip(a, b)]
+        units = [max(1.0, np.linalg.norm(x) ** 2) * max(1.0, np.linalg.norm(y) ** 2)
+                 for x, y in zip(a, b)]
+    for g, e, unit in zip(got, exact, units):
+        assert abs(g - e) <= TD_FLOOR_UNITS * EPS * unit, (g, e)

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from dephasim.sweep import CSV_HEADER
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -26,3 +28,23 @@ def test_convergence_check_prints_table(capsys):
     header, row = capsys.readouterr().out.splitlines()
     assert header.split()[0] == "preset"
     assert row.split()[:2] == ["fig2d", "8/16"]
+
+
+def test_compare_presets_prints_sha256_and_column_changes(tmp_path, capsys):
+    compare = load_script("compare_presets").main
+    old, new, names = tmp_path / "old", tmp_path / "new", ["--names", "fig2a", "fig3a"]
+    assert compare(["--out-dir", str(old), *names]) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in first] == ["fig2a", "fig3a"]
+    # one cell of fig3a moved by 1e-3 in the reference set
+    lines = (old / "fig3a.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[1] = repr(float(cells[1]) + 1e-3)
+    lines[5] = ",".join(cells)
+    (old / "fig3a.csv").write_text("\n".join(lines) + "\n")
+    assert compare(["--out-dir", str(new), *names, "--against", str(old)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == first[0] and out[8] == first[1]  # the same bytes
+    unmoved = [f"  {name:<15} max |change| 0.00e+00 in 0 rows" for name in CSV_HEADER.split(",")]
+    assert out[1:8] == unmoved
+    assert out[10] == "  entanglement    max |change| 1.00e-03 in 1 rows"

@@ -56,7 +56,7 @@ from dephasim.sweep import (
     evaluate,
     run_sweep,
 )
-from util import expm, normalized_coherence, random_density, random_hermitian
+from util import chunk_stacks, expm, normalized_coherence, random_density, random_hermitian
 
 EQUAL = equal_superposition(2)
 
@@ -198,6 +198,24 @@ class TestRunSweep:
             monkeypatch.setattr(np.linalg, solver, counted)
         run_sweep(config_from_dict(cfg))
         assert calls == ["eigh"]
+
+    def test_undriven_thermal_points_make_no_eigvalsh_svd_or_qr(self, monkeypatch):
+        # fig2c before its step (t < 2): R(0) and both generators are diagonal, so
+        # the overlap Y_0^dag Y_1 and the Gram difference of the type-1 route have
+        # no nonzero off their diagonals and are read off them
+        cfg = preset_config("fig2c")
+        cfg["time"] = {"t_max": 1.99, "steps": 200}
+        calls = []
+        for solver in ("eigvalsh", "qr", "svd"):
+
+            def counted(*args, _solve=getattr(np.linalg, solver), _name=solver, **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, solver, counted)
+        rows = run_sweep(config_from_dict(cfg))
+        assert calls == [] and len(rows) == 200
+        assert max(abs(row.entanglement) + row.type1_max for row in rows) <= 1e-14
 
     @pytest.mark.parametrize("name, solves", [("fig2d", 1), ("fig2e", 0)])
     def test_only_the_driven_generator_is_eigensolved(self, monkeypatch, name, solves):
@@ -449,7 +467,7 @@ class TestSegmentKernel:
         for k in unshared:
             start, end = schedule.boundaries[k : k + 2]
             times = start + (end - start) * np.arange(4) / 4
-            framed, plain = (list(segment_chunks(schedule, a, times, frame=f)) for f in (True, False))
+            framed, plain = (chunk_stacks(schedule, a, times, frame=f) for f in (True, False))
             assert [first for first, _ in framed] == [first for first, _ in plain]
             for (_, x), (_, y) in zip(framed, plain, strict=True):
                 assert all(np.array_equal(p, q) for p, q in zip(x, y, strict=True)), k
@@ -482,7 +500,7 @@ def mixed_schedule():
 def carried_rows(schedule, a, times):
     """{t: number of rows of the frame stacks} over the times, per segment_chunks chunk."""
     carried = {}
-    for first, stacks in segment_chunks(schedule, a, times, frame=True):
+    for first, stacks in chunk_stacks(schedule, a, times, frame=True):
         assert len({s.shape[1:] for s in stacks}) == 1
         carried.update(dict.fromkeys(times[first : first + len(stacks[0])], stacks[0].shape[1]))
     return carried
@@ -589,7 +607,7 @@ class TestRowSupport:
         a = np.eye(4, dtype=complex)[:, [0, 2]] / np.sqrt(2)
         times = [0.0, 0.35, 0.7]
         assert set(carried_rows(schedule, a, times).values()) == {2}
-        (_, stacks), = segment_chunks(schedule, a, times, frame=True)
+        (_, stacks), = chunk_stacks(schedule, a, times, frame=True)
         for t, ys in zip(times, zip(*stacks)):
             exact = [w @ a for w in oracle_propagators(schedule, t)]
             for i, j in ((0, 0), (0, 1), (1, 1)):
@@ -990,10 +1008,10 @@ CSV_ROWS = st.tuples(*[_CELL] * 6, st.integers(2, 512))
 # sha256 of each preset's CSV; a deliberate roundoff change updates these
 PRESET_SHA256 = {
     "fig2a": "ebf2b08bed76b6522c2db4f38b243e7f3bd9d1c29e6b08fb7090c9af761661f3",
-    "fig2b": "991e9ea021dda320bba01dd5b336e2fa0237c3d843183a31373aeaacd6066866",
-    "fig2c": "7b550c8caa0991951da63f1868a0982d671742a7b62672ac4f5a8da21990ea06",
-    "fig2d": "df0fd6648267f0c0f8133ab4ea58129d86df2ecfe48e1185548e3fb80520d7ce",
-    "fig2e": "b91accbea6e281a97233b2e542b5eeda9eeebd4e4aa4441ffecc496d44c1a60c",
+    "fig2b": "e77fb6b6a4b992234407e510e4d84580ac5007f4537f419c4930ad41760d0013",
+    "fig2c": "c5221bbeea0c61d023fbf335b558ea0fb9a1b5f41a445359d2fe77415179f873",
+    "fig2d": "965ce20f4426ccd1229a181ec73d8c9c409336bd82381992a639653da6f73b8a",
+    "fig2e": "7980031a0e08992474a6efd14be7e9d4c9a50a96abbc981f3f8c3f4f7448c410",
     "fig2f": "bef9d1c84c7a99cbdce5431d1f76286255ec7c391d3f5cfc49c88336f42a5a36",
     "fig3a": "aca4d27192abfdcd069e7a067b924f4c50bb4a801ab77ac41d8105129b514070",
     "fig3b": "60758b9cd72563e38ece556fe4dc49b6eb3969c3137fadcea95e0816f822791f",

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from dephasim.dephasing import _stacks, segment_chunks
 from dephasim.errors import ConvergenceFailure
 from dephasim.fock import FockSpace
 from dephasim.linalg import as_operator, dagger, require_hermitian
@@ -13,6 +14,13 @@ from dephasim.linalg import as_operator, dagger, require_hermitian
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def chunk_stacks(schedule, a, times, *, frame=False):
+    """(index of the first time, stacks) of each segment_chunks chunk, stacks formed by _stacks."""
+    return [(first, _stacks(step, tau)) for first, step, tau in segment_chunks(
+        schedule, a, times, frame=frame
+    )]
 
 
 def random_complex(rng, shape):
