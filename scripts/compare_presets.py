@@ -49,15 +49,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", required=True, help="directory for the CSV files")
     parser.add_argument("--against", help="directory of earlier CSVs to compare with")
-    parser.add_argument(
-        "--names", nargs="+", default=list(PRESET_NAMES), choices=PRESET_NAMES,
-        metavar="NAME", help=f"presets to run (default: all of {', '.join(PRESET_NAMES)})",
-    )
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name in args.names:
+    for name in PRESET_NAMES:
         path = out_dir / f"{name}.csv"
         emit_csv(run_sweep(config_from_dict(preset_config(name))), path)
         print(f"{name} {hashlib.sha256(path.read_bytes()).hexdigest()}")

@@ -198,7 +198,9 @@ def validate_schedule(schedule: SegmentSchedule) -> np.ndarray:
     for seg in schedule.segments:
         g0, *rest = seg.generators
         r0 = hermiticity_residual(g0)  # that of -g0 too, bit for bit
-        rows.append([r0] + [r0 if np.array_equal(g, -g0) else hermiticity_residual(g) for g in rest])
+        rows.append(
+            [r0] + [r0 if np.array_equal(g, -g0) else hermiticity_residual(g) for g in rest]
+        )
     residuals = np.array(rows)
     worst = np.unravel_index(np.argmax(residuals), residuals.shape)  # the first NaN if any
     if not residuals[worst] <= HERM_TOL:  # a NaN residual must fail too
@@ -243,20 +245,19 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
     A chunk is a run of times inside one segment holding at most CHUNK_BYTES
     of stacks, and tau their elapsed times. step, the segment's (w_ki, U_ki,
     B_i) per pointer, is built once and yielded as the same object with each
-    of its chunks: _stacks(step, tau)[i] is the (T, d, r) stack of w_i(t) A
-    (sweep.evaluate also forms B_i B_i^dag once per step). With frame=True
-    it is V^dag w_i A for a unitary V shared by all pointers, which keeps Gram
-    matrices and spectra. In a segment whose pointers all share the
-    eigenvectors of pointer 0 (U_ki is U_k0, or every generator is diagonal
-    and U_ki = I), V = U_k0 exp(-i w_k0 tau), and the step drops its U:
-    stacks[0] is B_0, the others cost only the phase exp(-i (w_i - w_0) tau),
-    and the stacks are (T, d_k, r): the lightest rows by sum_i ||B_i[k, :]||^2,
-    constant over the segment, drop while they hold at most ROW_TAIL^2 of the
-    total (none if it is not finite), so Y_i^dag Y_j moves by at most
-    ROW_TAIL^2, and a a^dag - b b^dag and Z Z^dag by about 2 ROW_TAIL in
-    trace norm. A phase that is not finite on a dropped row still makes tau
-    NaN at that time, as if the row were kept. Any other segment takes V = I,
-    the unframed stacks of frame=False.
+    of its chunks: _stacks(step, tau)[i] is the (T, d, r) stack of w_i(t) A.
+    With frame=True it is V^dag w_i A for a unitary V shared by all pointers,
+    which keeps Gram matrices and spectra. In a segment whose pointers all
+    share the eigenvectors of pointer 0 (U_ki is U_k0, or every generator is
+    diagonal and U_ki = I), V = U_k0 exp(-i w_k0 tau), and the step drops its
+    U: stacks[0] is B_0, the others cost only the phase
+    exp(-i (w_i - w_0) tau), and the stacks are (T, d_k, r): the lightest rows
+    by sum_i ||B_i[k, :]||^2, constant over the segment, drop while they hold
+    at most ROW_TAIL^2 of the total (none if it is not finite), so Y_i^dag Y_j
+    moves by at most ROW_TAIL^2, and a a^dag - b b^dag and Z Z^dag by about
+    2 ROW_TAIL in trace norm. A phase that is not finite on a dropped row
+    still makes tau NaN at that time, as if the row were kept. Any other
+    segment takes V = I, the unframed stacks of frame=False.
     """
     if not schedule.segments:
         raise EmptySchedule("schedule has no segments")

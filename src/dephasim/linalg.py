@@ -30,7 +30,6 @@ __all__ = [
     "fidelity_of_factors",
     "fidelity",
     "fidelity_given_sqrt",
-    "half_trace_norm",
     "trace_distance_of_factors",
     "trace_distance",
     "negativity_of_factors",
@@ -61,24 +60,25 @@ NORM_TOL = 1e-10  # largest ||c|^2 - 1| of pointer amplitudes taken as normalize
 
 
 def _bands(m: np.ndarray):
-    """(diagonal, sub-, super-diagonal, nonzeros off the diagonal, whether all on those two)."""
+    """(diagonal, sub-, super-diagonal, whether diagonal, whether tridiagonal) by exact zeros."""
+    if len(m) >= 3 and (m[0, -1] != 0 or m[-1, 0] != 0):  # neither: no bands read, no scan
+        return None, None, None, False, False
     diag, sub, sup = np.diagonal(m), np.diagonal(m, -1), np.diagonal(m, 1)
     off = np.count_nonzero(m) - np.count_nonzero(diag)
-    return diag, sub, sup, off, off == np.count_nonzero(sub) + np.count_nonzero(sup)
+    return diag, sub, sup, not off, off == np.count_nonzero(sub) + np.count_nonzero(sup)
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
     """Relative residual ||M - M^dag||_F / max(1, ||M||_F).
 
-    A tridiagonal M is read off its three diagonals, with no d x d difference.
+    A tridiagonal M - M^dag is zero off the three diagonals: both norms are taken on them.
     NaN, which callers reject, if both norms overflow or an entry is not finite.
     """
     diag, sub, sup, _, tridiagonal = _bands(m)
+    if tridiagonal:
+        m, adj = np.concatenate((diag, sub, sup)), np.concatenate((diag, sup, sub)).conj()
     with np.errstate(over="ignore", invalid="ignore"):
-        if tridiagonal:  # M - M^dag is zero off the three diagonals: take both norms on them
-            m, m_dag = np.concatenate((diag, sub, sup)), np.concatenate((diag, sup, sub)).conj()
-            return np.linalg.norm(m - m_dag) / max(1.0, np.linalg.norm(m))
-        return np.linalg.norm(m - dagger(m)) / max(1.0, np.linalg.norm(m))
+        return np.linalg.norm(m - (adj if tridiagonal else dagger(m))) / max(1.0, np.linalg.norm(m))
 
 
 def require_hermitian(m, *, what: str = "matrix") -> np.ndarray:
@@ -104,8 +104,8 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     part formed. Any other m takes the dense complex solve of (m + m^dag)/2.
     Past half the float range H overflows silently: LinAlgError, or w not finite.
     """
-    diag, sub, sup, off, tridiagonal = _bands(m)
-    if not off:
+    diag, sub, sup, diagonal, tridiagonal = _bands(m)
+    if diagonal:
         return (diag + diag.conj()).real / 2, None
     if not tridiagonal:
         return np.linalg.eigh((m + dagger(m)) / 2)
@@ -175,23 +175,19 @@ def fidelity_given_sqrt(sqrt_rho1: np.ndarray, rho2) -> float:
     return float(fidelity_of_factors(sqrt_rho1, psd_factor(rho2)))
 
 
-def half_trace_norm(h: np.ndarray):
-    """(1/2) sum |eigenvalues| of a Hermitian matrix, or of each of a (T, d, d) stack.
-
-    With no nonzero off the diagonals (exact-zero counts): (1/2) sum |Re diagonal|.
-    """
+def _half_trace_norm(h: np.ndarray):
+    """(1/2) sum |eig| of a Hermitian matrix or (T, d, d) stack; exactly diagonal: no eigvalsh."""
     diag = np.diagonal(h, axis1=-2, axis2=-1)
-    w = diag.real if np.count_nonzero(h) == np.count_nonzero(diag) else np.linalg.eigvalsh(h)
-    return 0.5 * np.sum(np.abs(w), axis=-1)
+    diagonal = not h[..., :1, -1:].any() and np.count_nonzero(h) == np.count_nonzero(diag)
+    return 0.5 * np.sum(np.abs(diag.real if diagonal else np.linalg.eigvalsh(h)), axis=-1)
 
 
 def fidelity_of_factors(a: np.ndarray, b: np.ndarray):
     """Fidelity of a a^dag and b b^dag: (sum of singular values of a^dag b)^2.
 
     An r1 x r2 SVD, with no square roots of roundoff-level eigenvalues; none
-    if r1 or r2 is 1, or if no overlap of the stack has a nonzero off its
-    diagonal: F = (sum |diagonal|)^2. For (T, d, r) stacks of factors it
-    returns the T fidelities as an array.
+    if r1 or r2 is 1 or every overlap is exactly diagonal: F = (sum |diag|)^2.
+    For (T, d, r) stacks of factors it returns the T fidelities as an array.
     """
     m = dagger(a) @ b
     if 1 in m.shape[-2:]:  # a row or column: its 2-norm is its one singular value
@@ -219,6 +215,11 @@ def fidelity(rho1, rho2) -> float:
     return fidelity_of_factors(_factor(r1), _factor(r2))
 
 
+def _direct_path(r1: int, r2: int, d: int) -> bool:
+    """Whether trace_distance_of_factors of ranks r1, r2 in dimension d takes its last path."""
+    return not r1 == r2 == 1 and r1 + r2 >= d
+
+
 def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
     """Trace distance (1/2)||a a^dag - b b^dag||_1 of factored states.
 
@@ -234,8 +235,8 @@ def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
     - r1 + r2 < d otherwise: a and b are replaced by the column blocks of R
       in the reduced QR [a | b] = Q R, which leaves the spectrum of the
       difference unchanged and shrinks the eigenproblem to (r1 + r2) square.
-    - else: half_trace_norm of the d x d difference (which sweep.evaluate
-      forms from Gram matrices in a shared frame).
+    - else (_direct_path): _half_trace_norm of the d x d difference, which
+      sweep.evaluate forms from per-segment Gram blocks in a shared frame.
     For (T, d, r) stacks of factors it returns the T distances as an array.
     """
     r1 = a.shape[-1]
@@ -246,19 +247,19 @@ def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
         coef = np.divide(ab, aa, out=np.zeros_like(ab), where=aa > 0)
         perp = b - a * coef[..., None, None]
         return np.sqrt(((aa - bb) / 2) ** 2 + aa * (dagger(perp) @ perp)[..., 0, 0].real)
-    if r1 + b.shape[-1] < a.shape[-2]:
+    if not _direct_path(r1, b.shape[-1], a.shape[-2]):
         r = np.linalg.qr(np.concatenate((a, b), axis=-1), mode="r")
         a, b = r[..., :r1], r[..., r1:]
-    return half_trace_norm(a @ dagger(a) - b @ dagger(b))
+    return _half_trace_norm(a @ dagger(a) - b @ dagger(b))
 
 
 def trace_distance(rho1, rho2) -> float:
-    """Trace distance (1/2)||rho1 - rho2||_1: half_trace_norm of the difference."""
+    """Trace distance (1/2)||rho1 - rho2||_1: _half_trace_norm of the difference."""
     r1 = require_hermitian(rho1, what="rho1")
     r2 = require_hermitian(rho2, what="rho2")
     if r1.shape != r2.shape:
         raise DimensionMismatch(f"state dimensions differ: {r1.shape} vs {r2.shape}")
-    return float(half_trace_norm(r1 - r2))
+    return float(_half_trace_norm(r1 - r2))
 
 
 def _negative_sum(pt: np.ndarray):

@@ -18,15 +18,13 @@ qubit_boson, where the rows holding at most ROW_TAIL^2 of the weight are
 left out, so d_k stops growing with the cutoff). Batched numpy calls give
 the coherence |Tr(Y_0^dag Y_1)|, the fidelity from r x r SVDs of
 Y_0^dag Y_1, each trace distance from a QR of [Y_i | Y_j] and an eigensolve
-of dimension at most 2r, or, when 2r >= d_k in a shared frame, from
-Phi_i G_i Phi_i^dag - Phi_j G_j Phi_j^dag with G_i = B_i B_i^dag formed once
-per segment; an overlap or difference with no nonzero off its diagonal (an
-undriven thermal step) is read off it, and both are closed forms when r = 1.
-The negativity comes from the partial transposes of Z Z^dag,
-Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}], of dimension at most N (N r), in runs
-that hold at most CHUNK_BYTES. The type-2 commutator norms of
-P_a = w_a w_r^dag need the propagators: when they are on (N >= 3), the
-identity is stepped instead of A and Y_i = (V^dag w_i) A.
+of dimension at most 2r (closed forms when r = 1), or, when 2r >= d_k in a
+shared frame, from Phi_i G_i Phi_i^dag - Phi_j G_j Phi_j^dag with
+G_i = B_i B_i^dag formed once per segment, and the negativity from the
+partial transposes of Z Z^dag, Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}], of
+dimension at most N (N r), in runs that hold at most CHUNK_BYTES. The type-2
+commutator norms of P_a = w_a w_r^dag need the propagators: when they are on
+(N >= 3), the identity is stepped instead of A and Y_i = (V^dag w_i) A.
 The criteria and the negativity run over the pointers with c_i != 0 only.
 """
 
@@ -72,8 +70,8 @@ from .fock import (
     suggest_cutoff,
     thermal_state,
 )
-from .linalg import dagger, fidelity_of_factors, half_trace_norm, negativity_of_factors
-from .linalg import trace_distance_of_factors
+from .linalg import _direct_path, _half_trace_norm, dagger, fidelity_of_factors
+from .linalg import negativity_of_factors, trace_distance_of_factors
 # Unused here, but perfbench/spans.py wraps these names in this module.
 from .dephasing import blocks_from_propagators, joint_state, propagators_at  # noqa: F401
 from .linalg import fidelity_given_sqrt, negativity, sqrtm_psd  # noqa: F401
@@ -238,14 +236,14 @@ def evaluate(
         if outputs.type1:
             # trace_distance_of_factors' direct path with no U: Y_i Y_i^dag = Phi_i G_i Phi_i^dag
             no_u = all(u is None for _, u, _ in step)
-            gram = no_u and not type2 and 1 < r and 2 * r >= len(step[0][2])
+            gram = no_u and not type2 and _direct_path(r, r, len(step[0][2]))
             if gram and step is not gram_step:  # the segment's first chunk: G_i = B_i B_i^dag
                 gram_step, grams = step, [b @ dagger(b) for _, _, b in step]
             if gram:
                 phases = [None if w is None else np.exp(-1j * w * tau[:, None]) for w, *_ in step]
                 held = [g if p is None else p[:, :, None] * g * p[:, None, :].conj()
                         for p, g in zip(phases, grams)]
-                distances = [half_trace_norm(held[i] - held[j]) for i, j in pairs]
+                distances = [_half_trace_norm(held[i] - held[j]) for i, j in pairs]
             else:
                 distances = [trace_distance_of_factors(ys[i], ys[j]) for i, j in pairs]
             type1_max = np.max(distances, axis=0).tolist() if pairs else [0.0] * len(ts)

@@ -341,6 +341,14 @@ class TestTridiagonalResidual:
         assert abs(got - dense) <= 4 * np.finfo(float).eps * dense
         assert (got == 0.0) == (skew == 0.0)
 
+    def test_a_corner_entry_takes_the_dense_path_with_no_band_scan(self, monkeypatch):
+        # periodic tridiagonal, anti-Hermitian only in its corner, which the bands miss
+        m = tridiagonal(np.random.default_rng(10), 40)
+        m[0, -1] = 1e-3
+        dense = np.linalg.norm(m - dagger(m)) / max(1.0, np.linalg.norm(m))
+        monkeypatch.setattr(linalg.np, "count_nonzero", None)  # the band scan calls it
+        assert hermiticity_residual(m) == dense > 0.0
+
     def test_overflow_keeps_the_dense_semantics(self):
         # a Hermitian 1e200 tridiagonal gives 0/inf = 0; a one-sided one inf/inf = NaN
         hermitian = 1e200 * tridiagonal(np.random.default_rng(9), 6)

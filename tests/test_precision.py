@@ -40,7 +40,7 @@ cancelling rank-1 form sqrt(((|a|^2 + |b|^2)/2)^2 - |a^dag b|^2) is off by
 The same bound holds sweep.evaluate's Gram route, the direct path formed
 as Phi_i G_i Phi_i^dag - Phi_j G_j Phi_j^dag from G_i = B_i B_i^dag, on the
 frame stacks of a rank-3 R(0) on 6 levels (measured 1.0 at t = 0.9 and 1.8,
-0 at t = 0 and 0.3), and the two diagonal read-offs: half_trace_norm of a
+0 at t = 0 and 0.3), and the two diagonal read-offs: _half_trace_norm of a
 diagonal difference (0.07) and fidelity_of_factors of a diagonal 5 x 4
 overlap, against 40-digit singular values, in units of
 eps max(1, |a|^2) max(1, |b|^2) (0.57).

@@ -30,10 +30,11 @@ def test_convergence_check_prints_table(capsys):
     assert row.split()[:2] == ["fig2d", "8/16"]
 
 
-def test_compare_presets_prints_sha256_and_column_changes(tmp_path, capsys):
-    compare = load_script("compare_presets").main
-    old, new, names = tmp_path / "old", tmp_path / "new", ["--names", "fig2a", "fig3a"]
-    assert compare(["--out-dir", str(old), *names]) == 0
+def test_compare_presets_prints_sha256_and_column_changes(tmp_path, capsys, monkeypatch):
+    script = load_script("compare_presets")
+    monkeypatch.setattr(script, "PRESET_NAMES", ("fig2a", "fig3a"))  # two of the nine, for time
+    old, new = tmp_path / "old", tmp_path / "new"
+    assert script.main(["--out-dir", str(old)]) == 0
     first = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in first] == ["fig2a", "fig3a"]
     # one cell of fig3a moved by 1e-3 in the reference set
@@ -42,7 +43,7 @@ def test_compare_presets_prints_sha256_and_column_changes(tmp_path, capsys):
     cells[1] = repr(float(cells[1]) + 1e-3)
     lines[5] = ",".join(cells)
     (old / "fig3a.csv").write_text("\n".join(lines) + "\n")
-    assert compare(["--out-dir", str(new), *names, "--against", str(old)]) == 0
+    assert script.main(["--out-dir", str(new), "--against", str(old)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == first[0] and out[8] == first[1]  # the same bytes
     unmoved = [f"  {name:<15} max |change| 0.00e+00 in 0 rows" for name in CSV_HEADER.split(",")]
