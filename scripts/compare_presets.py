@@ -8,7 +8,8 @@ Example:
 With --against, each preset's CSV is read back from that directory (as
 written by this script from another checkout) and every column is
 compared: the largest |change| and the number of rows it moved in. An empty
-cell (an output that was not computed) only matches an empty cell.
+cell (an output that was not computed) only matches an empty cell. The exit
+status is 1 if the bytes of any preset differ from that directory's, else 0.
 """
 
 import argparse
@@ -53,13 +54,16 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    identical = True
     for name in PRESET_NAMES:
         path = out_dir / f"{name}.csv"
         emit_csv(run_sweep(config_from_dict(preset_config(name))), path)
         print(f"{name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
         if args.against is not None:
-            print("\n".join(compare(path, Path(args.against) / f"{name}.csv")))
-    return 0
+            old = Path(args.against) / f"{name}.csv"
+            identical &= path.read_bytes() == old.read_bytes()
+            print("\n".join(compare(path, old)))
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":

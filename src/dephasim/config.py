@@ -139,16 +139,14 @@ def config_from_dict(obj, *, base_dir: str | Path | None = None) -> RunConfig:
         return str(p)
 
     def amplitudes(value, path: str) -> tuple[complex, ...] | None:
-        qubit_boson = "qubit_boson" in obj["model"]  # model is validated before this key
-        if value is None:
-            # a schedule file's dimension is known only once it is loaded, at run time
-            return (complex(1.0 / math.sqrt(2.0)),) * 2 if qubit_boson else None
+        if value is None:  # sweep._resolve sets the equal superposition of the schedule's pointers
+            return None
         amps = _AMPLITUDE_LIST(value, path)
         try:  # the check sweep.evaluate makes, so that amplitudes which pass here run
             _checked_amplitudes(amps, len(amps))
         except NotNormalizedError as exc:
             raise ValidationError(path, str(exc)) from None
-        if qubit_boson and len(amps) != 2:
+        if "qubit_boson" in obj["model"] and len(amps) != 2:  # model is validated before this key
             raise ValidationError(path, "qubit_boson model requires exactly 2 amplitudes")
         return amps
 

@@ -169,6 +169,7 @@ class SegmentSchedule:
         return systems
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a phase w tau past the float range reads NaN
 def _stacks(step, tau: np.ndarray) -> list[np.ndarray]:
     """The (T, d, r) stacks U exp(-i diag(w) tau) B over the times tau, one per (w, U, B) of step.
 
@@ -181,6 +182,15 @@ def _stacks(step, tau: np.ndarray) -> list[np.ndarray]:
         else:
             y = np.exp(-1j * w * tau[:, None])[:, :, None] * b
         stacks.append(y if u is None else u @ y)
+    return stacks
+
+
+def _finite_stacks(step, tau: np.ndarray, ts) -> list[np.ndarray]:
+    """_stacks(step, tau), or NonFiniteError at the first time of ts where one is not finite."""
+    stacks = _stacks(step, tau)
+    finite = np.logical_and.reduce([np.isfinite(s).all(axis=(1, 2)) for s in stacks])
+    if not finite.all():
+        raise NonFiniteError(f"evolved state is not finite at t = {ts[np.argmin(finite)]!r}")
     return stacks
 
 
@@ -234,9 +244,9 @@ def _locate(schedule: SegmentSchedule, times) -> tuple[np.ndarray, np.ndarray]:
 
 
 def propagators_at(schedule: SegmentSchedule, t: float) -> tuple[np.ndarray, ...]:
-    """Conditional propagators (w_0(t), ..., w_{N-1}(t)): the segment_chunks stacks of A = I."""
+    """Conditional propagators (w_0(t), ..., w_{N-1}(t)); NonFiniteError if one is not finite."""
     _, step, tau = next(segment_chunks(schedule, np.eye(schedule.env_dim, dtype=complex), [t]))
-    return tuple(y[0] for y in _stacks(step, tau))
+    return tuple(y[0] for y in _finite_stacks(step, tau, [t]))
 
 
 def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bool = False):

@@ -32,7 +32,6 @@ from .linalg import dagger
 __all__ = [
     "Type2Residual",
     "measure_from_fidelity",
-    "supported_pointers",
     "type2_norms",
     "type2_residuals",
 ]
@@ -60,11 +59,6 @@ class Type2Residual:
     k: int
     l: int
     residual: float
-
-
-def supported_pointers(c) -> list[int]:
-    """Indices i with c_i != 0, the pointers the separability criteria test."""
-    return [i for i, ci in enumerate(c) if ci != 0]
 
 
 def type2_norms(w, pointers) -> dict[tuple[int, int], np.ndarray]:

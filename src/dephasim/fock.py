@@ -136,7 +136,6 @@ def coherent_amplitudes(zeta: complex, space: FockSpace) -> np.ndarray:
     """
     if not np.isfinite(zeta):
         raise NonFiniteError(f"coherent state amplitude {zeta!r} is not finite")
-    _warn_if_beyond_reach(abs(zeta), space, "coherent state amplitude")
     amps, _ = _amplitudes_from_peak(zeta, space.dim)
     return amps / np.linalg.norm(amps)
 
@@ -184,12 +183,12 @@ def _untruncated_overlap(zeta: complex, space: FockSpace) -> float:
     return math.exp(log_peak) * float(np.vdot(v, v).real)
 
 
-def env_from_matrix(matrix: np.ndarray, *, truncated_mass: float = 0.0) -> EnvDensity:
+def env_from_matrix(matrix: np.ndarray) -> EnvDensity:
     """Wrap an explicit density matrix, inferring the space from its dimension."""
     arr = np.asarray(matrix, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidArgument(f"expected a square matrix, got shape {arr.shape}")
-    return EnvDensity(FockSpace(arr.shape[0]), arr, truncated_mass=truncated_mass)
+    return EnvDensity(FockSpace(arr.shape[0]), arr)
 
 
 def _beyond_reach(reach: float, dim: int) -> bool:
@@ -202,25 +201,22 @@ def _beyond_reach(reach: float, dim: int) -> bool:
     return reach * reach > dim / 4 * (1 + 1e-12)
 
 
-def _warn_if_beyond_reach(amp: float, space: FockSpace, what: str) -> None:
-    if _beyond_reach(amp, space.dim):
-        warnings.warn(
-            f"{what} |z|^2 = {amp * amp:.3g} exceeds cutoff/4 = {space.dim / 4:.3g}; "
-            "truncation errors may be significant",
-            stacklevel=_caller_outside_package(),
-        )
+def _warn_if_beyond_reach(amp: float, space: FockSpace) -> None:
+    """Warn if the drive displacement reach amp breaks the reach rule of space.
 
-
-def _caller_outside_package() -> int:
-    """warnings.warn stacklevel of the first frame outside this package.
-
-    The warning then points at the user's call (coherent_state, run_sweep,
-    convergence_report, ...) however deep inside the package it was raised.
+    The warning points at the first frame outside this package, the user's
+    call (run_sweep, convergence_report, ...), however deep it was raised.
     """
-    frame, level = sys._getframe(1), 1
+    if not _beyond_reach(amp, space.dim):
+        return
+    frame, level = sys._getframe(), 1  # stacklevel 1 is this frame
     while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
         frame, level = frame.f_back, level + 1
-    return level
+    warnings.warn(
+        f"drive displacement reach |z|^2 = {amp * amp:.3g} exceeds cutoff/4 = "
+        f"{space.dim / 4:.3g}; truncation errors may be significant",
+        stacklevel=level,
+    )
 
 
 def suggest_cutoff(

@@ -92,21 +92,21 @@ def require_hermitian(m, *, what: str = "matrix") -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenvalues w and eigenvectors u of the Hermitian part (m + m^dag)/2.
+    """Eigenvalues w and eigenvectors u of the Hermitian part H = (m + m^dag)/2.
 
-    Structure is read off exact-zero counts. An exactly diagonal m gives its
-    real diagonal, in its own order, and u None: the identity, which callers
-    neither form nor multiply. Otherwise w ascends. A tridiagonal m is gauged
-    to the real symmetric T = Phi^dag H Phi, where the diagonal unitary Phi
-    takes its phases from the sub-diagonal s = (sub + conj(sup))/2 of the
-    Hermitian part H (phase 1 at a zero entry); T = Q diag(w) Q^T is solved
-    in real arithmetic (one dsyevd) and u = Phi Q, with no d x d Hermitian
-    part formed. Any other m takes the dense complex solve of (m + m^dag)/2.
-    Past half the float range H overflows silently: LinAlgError, or w not finite.
+    Structure is read off exact-zero counts. An exactly diagonal m gives the
+    diagonal of H, diag.real, in its own order, and u None: the identity, which
+    callers neither form nor multiply. Otherwise w ascends. A tridiagonal m is
+    gauged to the real symmetric T = Phi^dag H Phi, where the diagonal unitary
+    Phi takes its phases from the sub-diagonal s = (sub + conj(sup))/2 of H
+    (phase 1 at a zero entry); T = Q diag(w) Q^T is solved in real arithmetic
+    (one dsyevd) and u = Phi Q, with no d x d H formed. Any other m takes the
+    dense complex solve of H. Unlike diag.real, these sums overflow silently
+    past half the float range: LinAlgError, or w not finite.
     """
     diag, sub, sup, diagonal, tridiagonal = _bands(m)
     if diagonal:
-        return (diag + diag.conj()).real / 2, None
+        return diag.real, None
     if not tridiagonal:
         return np.linalg.eigh((m + dagger(m)) / 2)
     sub = (sub + sup.conj()) / 2

@@ -51,11 +51,10 @@ from .config import (
 )
 from . import dephasing
 from .dephasing import SegmentSchedule, equal_superposition, segment_chunks, validate_schedule
-from .entanglement import measure_from_fidelity, supported_pointers, type2_norms
+from .entanglement import measure_from_fidelity, type2_norms
 from .errors import (
     CutoffCapExceeded,
     InvalidArgument,
-    NonFiniteError,
     NotHermitianGenerator,
     ValidationError,
 )
@@ -110,7 +109,7 @@ def _resolve_cutoff(cfg: RunConfig) -> int:
     if cfg.cutoff != AUTO_CUTOFF:
         cutoff = int(cfg.cutoff)
         # the reach rule of suggest_cutoff; past it E reads a truncation artefact
-        _warn_if_beyond_reach(reach, FockSpace(cutoff), "drive displacement reach")
+        _warn_if_beyond_reach(reach, FockSpace(cutoff))
         return cutoff
     if isinstance(env, MatrixFileEnv):
         raise ValidationError("cutoff", "'auto' cannot be used with a matrix-file environment")
@@ -152,7 +151,6 @@ def _resolve(cfg: RunConfig, cutoff: int | None):
         cutoff = _resolve_cutoff(cfg) if cutoff is None else cutoff
         params = QubitBosonParams(beta=cfg.model.beta, segments=cfg.model.segments, cutoff=cutoff)
         schedule = build_schedule(params)
-        validate_schedule(schedule)
     else:
         schedule = load_schedule_file(cfg.model.path)
         cutoff = schedule.env_dim
@@ -161,10 +159,10 @@ def _resolve(cfg: RunConfig, cutoff: int | None):
                 "cutoff",
                 f"schedule file fixes the environment dimension to {cutoff}",
             )
-        try:
-            validate_schedule(schedule)
-        except NotHermitianGenerator as exc:
-            raise ValidationError("model.schedule_file", str(exc)) from exc
+    try:  # a qubit_boson generator is Hermitian by construction: only a file's can fail here
+        validate_schedule(schedule)
+    except NotHermitianGenerator as exc:
+        raise ValidationError("model.schedule_file", str(exc)) from exc
     env0 = _build_environment(cfg, cutoff)
 
     if cfg.amplitudes is None:
@@ -208,7 +206,7 @@ def evaluate(
     n, dim, a, r = schedule.system_dim, env0.dim, env0.factor, env0.factor.shape[1]
     c = dephasing._checked_amplitudes(c, n)
     times = np.asarray(times, dtype=float).reshape(-1).tolist()
-    on = supported_pointers(c)  # the criteria and the negativity skip pointers with c_i = 0
+    on = [i for i, ci in enumerate(c) if ci != 0]  # the criteria and the negativity skip c_i = 0
     pairs = list(combinations(on, 2))
     # the type-2 products w_a w_r^dag need w_i itself: step the identity instead of A
     type2 = outputs.type2 and len(on) >= 3
@@ -220,11 +218,8 @@ def evaluate(
     rows, gram_step = [], None
     # every output is invariant under the frame V shared by the pointers
     for first, step, tau in segment_chunks(schedule, stepped, times, frame=True):
-        stacks = dephasing._stacks(step, tau)
         ts = times[first : first + len(tau)]
-        finite = np.logical_and.reduce([np.isfinite(s).all(axis=(1, 2)) for s in stacks])
-        if not finite.all():
-            raise NonFiniteError(f"evolved state is not finite at t = {ts[np.argmin(finite)]!r}")
+        stacks = dephasing._finite_stacks(step, tau, ts)
         ys = [s @ a for s in stacks] if type2 else stacks
         measure = coherence_norm = type1_max = type2_max = neg = [None] * len(ts)
         if outputs.entanglement and n == 2:

@@ -47,8 +47,7 @@ class TestParseConfig:
         cfg = parse_config(FIG2D_JSON.encode())
         assert cfg.cutoff == AUTO_CUTOFF
         assert all(s.gamma == 0.0 for s in cfg.model.segments)
-        r = 1 / math.sqrt(2)
-        assert cfg.amplitudes == (complex(r), complex(r))
+        assert cfg.amplitudes is None  # the run sets the equal superposition
         assert cfg.outputs.negativity is False
         assert cfg.outputs.entanglement is True
 

@@ -210,6 +210,20 @@ class TestPropagators:
         for w in props:
             assert np.linalg.norm(dagger(w) @ w - np.eye(4)) <= 1e-9
 
+    def test_undriven_step_past_half_the_float_range_is_finite(self):
+        # beta n reaches 1.27e308 at cutoff 128: (d + conj d)/2 overflowed to inf and gave
+        # NaN propagators; the Hermitian part of a diagonal is its real part, with no sum
+        params = QubitBosonParams(beta=1e306, segments=(AlphaSegment(1.0, 0),), cutoff=128)
+        for w in propagators_at(build_schedule(params), 0.5):
+            assert np.all(np.isfinite(w))
+            assert np.abs(np.abs(np.diagonal(w)) - 1.0).max() <= 1e-15
+
+    def test_phase_past_the_float_range_is_non_finite_error(self):
+        # w tau = 1.27e308 * 3 overflows: the error evaluate raises, with no RuntimeWarning
+        params = QubitBosonParams(beta=1e306, segments=(AlphaSegment(4.0, 0),), cutoff=128)
+        with pytest.raises(NonFiniteError, match=r"^evolved state is not finite at t = 3\.0$"):
+            propagators_at(build_schedule(params), 3.0)
+
 
 def evolved_factors(sched, a, times):
     """(w_0(t) A, ..., w_{N-1}(t) A) for each t in times, read from the segment_chunks stacks."""

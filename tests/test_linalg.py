@@ -255,6 +255,29 @@ class TestDiagonalEigh:
         monkeypatch.setattr(np.linalg, "eigh", None)
         assert psd_factor(m).tobytes() == (u_ref[:, keep] * np.sqrt(w_ref[keep])).tobytes()
 
+    def test_read_off_is_the_real_part_with_the_bits_of_the_old_sum(self):
+        # (d + conj d).real / 2 equals d.real bit for bit wherever the sum is finite;
+        # past half the float range it overflows, while d.real stays finite
+        rng = np.random.default_rng(21)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1e308, 1.7e308]
+
+        def spread(n):  # random signs and magnitudes from the subnormals to 1e308
+            return rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-323, 308, n)
+
+        re = np.concatenate([special, spread(400)])
+        d = np.empty(len(re), dtype=complex)  # set by part: re + 1j * im would lose -0.0
+        d.real, d.imag = re, spread(len(re))
+        w, u = eigh(np.diag(d))
+        assert u is None
+        assert w.tobytes() == re.tobytes()
+        with np.errstate(over="ignore"):
+            old = (d + d.conj()).real / 2
+        finite = np.isfinite(old)
+        assert w[finite].tobytes() == old[finite].tobytes()
+        assert np.array_equal(~finite, np.abs(re) > np.finfo(float).max / 2)
+        assert np.all(~finite[6:9])  # +-1e308 and 1.7e308 overflowed the old sum
+        assert np.signbit(w[1]) and w[2] == 5e-324  # -0.0 and the smallest subnormal kept
+
     def test_tiny_off_diagonal_entry_takes_the_dense_path(self, monkeypatch):
         m = thermal_state(2.0, FockSpace(8)).matrix.copy()
         m[3, 0] = 1e-300

@@ -15,14 +15,6 @@ def load_script(name):
     return module
 
 
-def test_run_figures_writes_csv(tmp_path, capsys):
-    assert load_script("run_figures").main(["--out-dir", str(tmp_path), "--names", "fig2d"]) == 0
-    lines = (tmp_path / "fig2d.csv").read_text().splitlines()
-    assert lines[0].startswith("t,entanglement,")
-    assert len(lines) == 1 + 601
-    assert "fig2d: 601 rows" in capsys.readouterr().out
-
-
 def test_convergence_check_prints_table(capsys):
     assert load_script("convergence_check").main(["--names", "fig2d", "--cutoff", "8"]) == 0
     header, row = capsys.readouterr().out.splitlines()
@@ -37,13 +29,16 @@ def test_compare_presets_prints_sha256_and_column_changes(tmp_path, capsys, monk
     assert script.main(["--out-dir", str(old)]) == 0
     first = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in first] == ["fig2a", "fig3a"]
+    # an identical set: exit status 0
+    assert script.main(["--out-dir", str(new), "--against", str(old)]) == 0
+    assert capsys.readouterr().out.splitlines()[::8] == first
     # one cell of fig3a moved by 1e-3 in the reference set
     lines = (old / "fig3a.csv").read_text().splitlines()
     cells = lines[5].split(",")
     cells[1] = repr(float(cells[1]) + 1e-3)
     lines[5] = ",".join(cells)
     (old / "fig3a.csv").write_text("\n".join(lines) + "\n")
-    assert script.main(["--out-dir", str(new), "--against", str(old)]) == 0
+    assert script.main(["--out-dir", str(new), "--against", str(old)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == first[0] and out[8] == first[1]  # the same bytes
     unmoved = [f"  {name:<15} max |change| 0.00e+00 in 0 rows" for name in CSV_HEADER.split(",")]

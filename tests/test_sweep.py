@@ -862,6 +862,24 @@ class TestCutoffReach:
             convergence_report(config_from_dict(cfg))
         assert [w.filename for w in record] == [__file__]
 
+    @pytest.mark.parametrize("run", [run_sweep, convergence_report])
+    def test_coherent_run_warns_once(self, run):
+        # |zeta| + 2|alpha|/beta = 6 is past the reach of cutoff 16; the run warns
+        # once, and coherent_state records the loss in truncated_mass instead
+        cfg = {
+            "model": {
+                "qubit_boson": {"beta": 1.0, "segments": [{"duration": 1.0, "alpha": [0.5, 0.0]}]}
+            },
+            "initial_env": {"coherent": {"re": 5.0, "im": 0.0}},
+            "time": {"t_max": 1.0, "steps": 3},
+            "cutoff": 16,
+        }
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            run(config_from_dict(cfg))
+        assert [(w.category, w.filename) for w in record] == [(UserWarning, __file__)]
+        assert str(record[0].message).startswith("drive displacement reach |z|^2 = 36 ")
+
     def test_reach_at_cutoff_boundary_is_silent(self):
         # the preset drive reaches (2|alpha|/beta)^2 = 2.0000000000000004 = cutoff/4
         # up to roundoff at cutoff 8
