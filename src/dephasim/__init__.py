@@ -17,7 +17,6 @@ from .config import (
     ScheduleFileModel,
     ThermalEnv,
     TimeGrid,
-    Tolerances,
     config_from_dict,
     parse_config,
 )

@@ -30,7 +30,6 @@ __all__ = [
     "ScheduleFileModel",
     "TimeGrid",
     "OutputFlags",
-    "Tolerances",
     "RunConfig",
     "parse_config",
     "config_from_dict",
@@ -89,11 +88,6 @@ class OutputFlags:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    cutoff_tail: float = 1e-12
-
-
-@dataclass(frozen=True)
 class RunConfig:
     model: QubitBosonModel | ScheduleFileModel
     initial_env: ThermalEnv | CoherentEnv | FockEnv | MatrixFileEnv
@@ -101,7 +95,6 @@ class RunConfig:
     cutoff: int | str = AUTO_CUTOFF
     amplitudes: tuple[complex, ...] | None = None  # None -> equal superposition
     outputs: OutputFlags = field(default_factory=OutputFlags)
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
 
 def parse_config(text: bytes | str, *, base_dir: str | Path | None = None) -> RunConfig:
@@ -146,8 +139,6 @@ def config_from_dict(obj, *, base_dir: str | Path | None = None) -> RunConfig:
             _checked_amplitudes(amps, len(amps))
         except NotNormalizedError as exc:
             raise ValidationError(path, str(exc)) from None
-        if "qubit_boson" in obj["model"] and len(amps) != 2:  # model is validated before this key
-            raise ValidationError(path, "qubit_boson model requires exactly 2 amplitudes")
         return amps
 
     model = _one_of(
@@ -167,7 +158,6 @@ def config_from_dict(obj, *, base_dir: str | Path | None = None) -> RunConfig:
         "cutoff": (_cutoff, AUTO_CUTOFF),
         "amplitudes": (amplitudes, None),
         "outputs": (_record_or_null(OutputFlags, _bool), None),
-        "tolerances": (_record_or_null(Tolerances, _POSITIVE), None),
     }
     return RunConfig(**_fields(obj, "config", spec))
 

@@ -286,7 +286,7 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
         )
     starts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()  # of each run of equal k
     for lo, hi in zip(starts, [*starts[1:], len(ks)]):
-        step, spread = steps[ks[lo]], 0.0
+        step = steps[ks[lo]]
         (w0, u0, b0), *rest = step
         if frame and all(u is u0 for _, u, _ in rest):  # the shared frame V
             weight = np.sum(np.abs(np.concatenate([b for _, _, b in step], axis=1)) ** 2, axis=1)
@@ -294,12 +294,14 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
             # the lightest rows hold at most tail in all; none drop if it is not finite
             light = np.count_nonzero(np.cumsum(weight[order]) <= tail) if np.isfinite(tail) else 0
             rows = np.sort(order[light:])
-            step = [(None, None, b0[rows])] + [((w - w0)[rows], None, b[rows]) for w, _, b in rest]
-            spread = max((np.abs(w - w0).max() for w, _, _ in rest), default=0.0)
+            with np.errstate(over="ignore", invalid="ignore"):  # a phase past the float range
+                shifted = [(w - w0, b) for w, _, b in rest]
+                spread = max((np.abs(s).max() for s, _ in shifted), default=0.0)
+                # a phase that is not finite on a dropped row still makes the stacks NaN
+                taus[lo:hi] = np.where(np.isfinite(spread * taus[lo:hi]), taus[lo:hi], np.nan)
+            step = [(None, None, b0[rows])] + [(s[rows], None, b[rows]) for s, b in shifted]
         for first in range(lo, hi, chunk):
-            tau = taus[first : min(first + chunk, hi)]
-            # a phase that is not finite on a dropped row still makes the stacks NaN
-            yield first, step, np.where(np.isfinite(spread * tau), tau, np.nan)
+            yield first, step, taus[first : min(first + chunk, hi)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,14 +314,6 @@ class JointStateBlocks:
 
     c: np.ndarray
     blocks: np.ndarray
-
-    @property
-    def system_dim(self) -> int:
-        return len(self.c)
-
-    @property
-    def env_dim(self) -> int:
-        return self.blocks.shape[-1]
 
 
 def _checked_amplitudes(c, n: int) -> np.ndarray:
@@ -362,6 +356,6 @@ def blocks_at(schedule: SegmentSchedule, env0, c, t: float) -> JointStateBlocks:
 
 def joint_state(blocks: JointStateBlocks) -> np.ndarray:
     """Assemble the full system-environment density matrix from its blocks."""
-    n, d = blocks.system_dim, blocks.env_dim
+    n, _, d, _ = blocks.blocks.shape
     weighted = np.outer(blocks.c, blocks.c.conj())[:, :, None, None] * blocks.blocks
     return weighted.transpose(0, 2, 1, 3).reshape(n * d, n * d)

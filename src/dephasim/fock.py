@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 CUTOFF_LADDER = (16, 32, 64, 128, 256, 512)
+CUTOFF_TAIL = 1e-12  # largest thermal tail mass exp(-M/theta) that suggest_cutoff accepts
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
@@ -224,20 +225,18 @@ def suggest_cutoff(
     theta: float = 0.0,
     fock_level: int = 0,
     max_displacement: float = 0.0,
-    tol: float = 1e-12,
 ) -> int:
     """Smallest cutoff in the doubling ladder 16..512 meeting the truncation policy.
 
     Requirements at cutoff M: the untruncated thermal tail mass exp(-M/theta)
-    is below tol, the displacement reach z = max_displacement (which holds
-    the |zeta| of a coherent initial state) satisfies |z|^2 <= M/4, and any
-    initial number state sits in the lower half of the basis.
+    is below CUTOFF_TAIL, the displacement reach z = max_displacement (which
+    holds the |zeta| of a coherent initial state) satisfies |z|^2 <= M/4, and
+    any initial number state sits in the lower half of the basis. A run that
+    needs a tighter tail passes an explicit cutoff.
     """
-    if tol <= 0:
-        raise InvalidArgument("tol must be positive")
     reach = abs(max_displacement)
     for m in CUTOFF_LADDER:
-        if theta > 0 and math.exp(-m / theta) >= tol:
+        if theta > 0 and math.exp(-m / theta) >= CUTOFF_TAIL:
             continue
         if _beyond_reach(reach, m):
             continue
@@ -245,6 +244,6 @@ def suggest_cutoff(
             continue
         return m
     raise CutoffCapExceeded(
-        f"no cutoff <= {CUTOFF_LADDER[-1]} satisfies tail tolerance {tol} and "
+        f"no cutoff <= {CUTOFF_LADDER[-1]} satisfies tail tolerance {CUTOFF_TAIL} and "
         f"displacement reach {reach * reach:.3g}"
     )

@@ -117,7 +117,6 @@ def _resolve_cutoff(cfg: RunConfig) -> int:
         theta=getattr(env, "theta", 0.0),
         fock_level=getattr(env, "n", 0),
         max_displacement=reach,
-        tol=cfg.tolerances.cutoff_tail,
     )
 
 
@@ -128,11 +127,10 @@ def _build_environment(cfg: RunConfig, cutoff: int) -> EnvDensity:
     if isinstance(env, CoherentEnv):
         return coherent_state(env.zeta, FockSpace(cutoff))
     if isinstance(env, FockEnv):
-        if env.n >= cutoff:
-            raise ValidationError(
-                "initial_env.fock.n", f"level {env.n} needs a cutoff above {env.n}"
-            )
-        return fock_state(env.n, FockSpace(cutoff))
+        try:  # fock_state holds the rule 0 <= n < cutoff
+            return fock_state(env.n, FockSpace(cutoff))
+        except InvalidArgument as exc:
+            raise ValidationError("initial_env.fock.n", str(exc)) from exc
     matrix = load_matrix_file(env.path)
     if matrix.shape[0] != cutoff:
         raise ValidationError(

@@ -96,6 +96,28 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            (
+                "amplitudes",
+                [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]],
+                "amplitudes: 3 amplitudes for a system of dimension 2",
+            ),
+            ("initial_env", {"fock": {"n": 8}}, "initial_env.fock.n: level 8 outside"),
+            ("tolerances", {"cutoff_tail": 1e-12}, "config: unknown keys: ['tolerances']"),
+        ],
+    )
+    def test_inputs_the_run_cannot_use_are_validation_errors(
+        self, tmp_path, capsys, key, value, message
+    ):
+        # 3 amplitudes for the qubit and a level at the cutoff 8 pass the config alone
+        path = write_config(tmp_path, **{key: value})
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_t_max_a_hair_past_the_schedule_is_validation_error(self, tmp_path, capsys):
         # the grid allowed 1e-9 past the end but the time lookup only 6e-12: exit 2
         path = write_config(tmp_path, time={"t_max": 6.0000000005, "steps": 9})
@@ -104,7 +126,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("outputs", [{}, {"negativity": True}])
     def test_non_finite_evolution_is_numerical_failure(self, tmp_path, capsys, outputs):
-        # phases of 1e200 x 1e300 overflow; this used to write NaN rows and exit 0.
+        # phases of 1e200 x 1e300 overflow; this used to write NaN rows and exit 0,
+        # and later to emit numpy's overflow RuntimeWarning before the failure.
         # Negativity takes the propagator path, the default outputs the factor path.
         big = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
@@ -126,8 +149,7 @@ class TestRunCommand:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "o.csv"
-        with pytest.warns(RuntimeWarning):
-            code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
@@ -356,9 +378,7 @@ class TestRunCommand:
         cfg["cutoff"] = 128
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert capsys.readouterr().err == (
             "numerical failure: evolved state is not finite at t = 0.0\n"

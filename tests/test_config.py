@@ -89,12 +89,13 @@ class TestParseConfig:
             config_from_dict(obj)
 
     def test_verdict_tolerance_rejected(self):
-        # not a config key: a verdict thresholds the type1_max and type2_max columns itself
+        # not a config key: a verdict thresholds the type1_max and type2_max columns
+        # itself, and no tolerance is configurable, so the whole section is unknown
         obj = json.loads(FIG2D_JSON)
         obj["tolerances"] = {"verdict": 1e-8}
         with pytest.raises(ValidationError) as err:
             config_from_dict(obj)
-        assert "verdict" in str(err.value)
+        assert (err.value.field, err.value.reason) == ("config", "unknown keys: ['tolerances']")
 
     def test_negative_duration_rejected(self):
         obj = json.loads(FIG2D_JSON)
@@ -266,7 +267,8 @@ CONFIG_REJECTIONS = [
     ([(("amplitudes",), [[1.0, 0.0], [0.0]])], "amplitudes[1]"),
     ([(("amplitudes",), [[1.0, 0.0], [0.0, "0"]])], "amplitudes[1]"),
     ([(("amplitudes",), [[1.0, 0.0], [1.0, 0.0]])], "amplitudes"),
-    ([(("amplitudes",), [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]])], "amplitudes"),
+    # any count is norm-checked here; the run checks the count against the schedule
+    ([(("amplitudes",), [[0.6, 0.0], [0.8, 0.0], [0.1, 0.0]])], "amplitudes"),
     ([(("outputs",), 1)], "outputs"),
     ([(("outputs",), {"color": True})], "outputs"),
     ([(("outputs",), {"entanglement": 1})], "outputs.entanglement"),
@@ -274,19 +276,21 @@ CONFIG_REJECTIONS = [
     ([(("outputs",), {"type1": None})], "outputs.type1"),
     ([(("outputs",), {"type2": 0})], "outputs.type2"),
     ([(("outputs",), {"negativity": "true"})], "outputs.negativity"),
-    ([(("tolerances",), [])], "tolerances"),
-    ([(("tolerances",), {"verdict": 1e-8})], "tolerances"),
-    ([(("tolerances",), {"cutoff_tail": 0.0})], "tolerances.cutoff_tail"),
-    ([(("tolerances",), {"cutoff_tail": "1e-12"})], "tolerances.cutoff_tail"),
-    ([(("tolerances",), {"cutoff_tail": None})], "tolerances.cutoff_tail"),
+    # no tolerance is configurable: each form the tolerances section once took is unknown
+    ([(("tolerances",), {"cutoff_tail": 1e-12})], "config"),
+    ([(("tolerances",), None)], "config"),
+    ([(("tolerances",), {})], "config"),
+    # a boolean is not a number, though Python's bool is an int
+    ([(("initial_env",), {"thermal": {"theta": True}})], "initial_env.thermal.theta"),
+    ([(("initial_env",), {"fock": {"n": True}})], "initial_env.fock.n"),
     # two faults: the key evaluated first is reported
     ([(("extra",), 1), (("model",), _DROP)], "config"),
     ([(("time",), _DROP), (("model", "qubit_boson", "beta"), 0)], "model.qubit_boson.beta"),
     ([(("time",), _DROP), (("initial_env",), {})], "initial_env"),
     ([(("cutoff",), 1), (("time", "steps"), 1)], "time.steps"),
     ([(("amplitudes",), "x"), (("cutoff",), 1)], "cutoff"),
-    ([(("amplitudes",), [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]]), (("outputs",), 1)], "amplitudes"),
-    ([(("outputs",), 1), (("tolerances",), 1)], "outputs"),
+    ([(("amplitudes",), [[1.0, 0.0], [1.0, 0.0]]), (("outputs",), 1)], "amplitudes"),
+    ([(("outputs",), {"color": True, "type1": None})], "outputs"),
     (
         [(SEG + (0, "alpha"), 1), (SEG + (0, "duration"), 0.0)],
         "model.qubit_boson.segments[0].duration",
@@ -369,8 +373,8 @@ class TestValidationFields:
     @pytest.mark.parametrize(
         "edits",
         [
-            [(("amplitudes",), None), (("outputs",), None), (("tolerances",), None)],
-            [(("outputs",), {}), (("tolerances",), {})],
+            [(("amplitudes",), None), (("outputs",), None)],
+            [(("outputs",), {})],
         ],
     )
     def test_null_or_empty_sections_take_defaults(self, edits):

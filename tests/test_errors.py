@@ -8,7 +8,6 @@ from dephasim.fock import (
     FockSpace,
     env_from_matrix,
     fock_state,
-    suggest_cutoff,
     thermal_state,
 )
 from dephasim.qubit_boson import AlphaSegment, QubitBosonParams, branch_generator
@@ -39,7 +38,6 @@ CALL_SITES = {
     "fock_state level": (InvalidArgument, lambda: fock_state(8, FockSpace(8))),
     "thermal_state theta": (InvalidArgument, lambda: thermal_state(-1.0, FockSpace(8))),
     "env_from_matrix shape": (InvalidArgument, lambda: env_from_matrix(np.zeros((2, 3)))),
-    "suggest_cutoff tol": (InvalidArgument, lambda: suggest_cutoff(tol=0.0)),
     "pointer amplitude norm": (
         NotNormalizedError,
         lambda: blocks_from_propagators((EYE2, EYE2), env_from_matrix(EYE2 / 2), [1.0, 1.0]),

@@ -241,7 +241,7 @@ class TestSuggestCutoff:
 
     def test_thermal_tail_requirement(self):
         # smallest M with e^{-M/2} < 1e-12 in the doubling ladder is 64
-        m = suggest_cutoff(theta=2.0, tol=1e-12)
+        m = suggest_cutoff(theta=2.0)
         assert m == 64
         assert math.exp(-m / 2.0) < 1e-12
         assert math.exp(-(m // 2) / 2.0) >= 1e-12
@@ -251,7 +251,7 @@ class TestSuggestCutoff:
 
     def test_cap_exceeded(self):
         with pytest.raises(CutoffCapExceeded):
-            suggest_cutoff(theta=512.0, tol=1e-12)
+            suggest_cutoff(theta=512.0)
 
     def test_displacement_reach(self):
         # a coherent R(0) at |zeta| = 1 driven a further 2 out

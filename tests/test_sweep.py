@@ -34,6 +34,7 @@ from dephasim.errors import (
     CutoffCapExceeded,
     DephasimError,
     DimensionMismatch,
+    NonFiniteError,
     NotNormalizedError,
     TimeOutOfRange,
     ValidationError,
@@ -47,7 +48,7 @@ from dephasim.linalg import (
     trace_distance,
 )
 from dephasim.presets import PRESET_NAMES, preset_config
-from dephasim.qubit_boson import QubitBosonParams, branch_generator, build_schedule
+from dephasim.qubit_boson import AlphaSegment, QubitBosonParams, branch_generator, build_schedule
 from dephasim.sweep import (
     CSV_HEADER,
     SweepRow,
@@ -147,6 +148,34 @@ class TestRunSweep:
         with pytest.raises(ValidationError) as err:
             run_sweep(config_from_dict(cfg_dict))
         assert err.value.field == "time.t_max"
+
+    @pytest.mark.parametrize(
+        "key, value, field, reason",
+        [
+            (
+                "amplitudes",
+                [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]],
+                "amplitudes",
+                "3 amplitudes for a system of dimension 2",
+            ),
+            (
+                "initial_env",
+                {"fock": {"n": 8}},
+                "initial_env.fock.n",
+                "level 8 outside the truncated basis 0..7",
+            ),
+        ],
+    )
+    def test_rules_across_inputs_are_checked_by_the_run(self, key, value, field, reason):
+        # the config accepts each input alone; the run checks it against the
+        # schedule's pointer count or the cutoff
+        cfg_dict = preset_config("fig2e")
+        cfg_dict["cutoff"] = 8
+        cfg_dict[key] = value
+        cfg = config_from_dict(cfg_dict)
+        with pytest.raises(ValidationError) as err:
+            run_sweep(cfg)
+        assert (err.value.field, err.value.reason) == (field, reason)
 
     def test_t_max_held_to_the_time_lookup_slack(self):
         # the grid allowed 1e-9 past the end, the time lookup only 1e-12 of the
@@ -839,6 +868,14 @@ class TestEvaluate:
         with pytest.raises(error) as err:
             evaluate(schedule, args["env"], args["c"], args["times"])
         assert isinstance(err.value, DephasimError)
+
+    def test_overflowing_frame_phase_is_only_a_non_finite_error(self):
+        # w_i = +/- beta n is finite at beta = 1e306, cutoff 128, but the shared frame's
+        # w_1 - w_0 overflows; it raised numpy's RuntimeWarning, an error in this suite
+        params = QubitBosonParams(beta=1e306, segments=(AlphaSegment(1.0, 0),), cutoff=128)
+        env = thermal_state(0.5, FockSpace(128))
+        with pytest.raises(NonFiniteError, match="^evolved state is not finite at t = 0.0$"):
+            evaluate(build_schedule(params), env, equal_superposition(2), [0.0, 0.5])
 
 
 class TestCutoffReach:
