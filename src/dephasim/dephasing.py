@@ -30,7 +30,7 @@ every block is R_ij = Y_i Y_j^dag with Y_i = w_i A.
 segment_chunks is the only routine that steps through the segments, and
 propagators_at reads its stacks of A = I. Each segment k gets one step, the
 (w_ki, U_ki, B_i) of every pointer with B_i = U_ki^dag w_i(start of k) A,
-yielded with each chunk of its times, whose stacks are the one expression
+yielded with each chunk of its times and the chunk's stacks, all finite:
 Y_i = U_ki exp(-i w_ki tau) B_i (_stacks). In the frame of pointer 0, when all
 pointers share its eigenvectors (every qubit-boson segment; diagonal
 generators share U = I whatever the order of their eigenvalues), the step is
@@ -112,8 +112,8 @@ class Segment:
 class SegmentSchedule:
     """Ordered piecewise-constant schedule for an N-pointer system.
 
-    Structural consistency (dimensions, positive durations) is enforced here;
-    Hermiticity of the generators is checked by validate_schedule so that
+    Structure (a segment at least, dimensions, positive durations) is enforced
+    here; Hermiticity of the generators is checked by validate_schedule so that
     deliberately broken schedules can still be constructed for diagnostics.
     """
 
@@ -123,6 +123,8 @@ class SegmentSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
+        if not self.segments:
+            raise EmptySchedule("schedule has no segments")
         for idx, seg in enumerate(self.segments):
             if len(seg.generators) != self.system_dim:
                 raise DimensionMismatch(
@@ -185,15 +187,6 @@ def _stacks(step, tau: np.ndarray) -> list[np.ndarray]:
     return stacks
 
 
-def _finite_stacks(step, tau: np.ndarray, ts) -> list[np.ndarray]:
-    """_stacks(step, tau), or NonFiniteError at the first time of ts where one is not finite."""
-    stacks = _stacks(step, tau)
-    finite = np.logical_and.reduce([np.isfinite(s).all(axis=(1, 2)) for s in stacks])
-    if not finite.all():
-        raise NonFiniteError(f"evolved state is not finite at t = {ts[np.argmin(finite)]!r}")
-    return stacks
-
-
 def validate_schedule(schedule: SegmentSchedule) -> np.ndarray:
     """Check the pure-dephasing form of a schedule; return its (segments, N) residuals.
 
@@ -202,8 +195,6 @@ def validate_schedule(schedule: SegmentSchedule) -> np.ndarray:
     every generator is Hermitian, so that each conditional propagator is
     unitary. Entry [k, i] is hermiticity_residual of generator i of segment k.
     """
-    if not schedule.segments:
-        raise EmptySchedule("schedule has no segments")
     rows = []
     for seg in schedule.segments:
         g0, *rest = seg.generators
@@ -227,9 +218,8 @@ def validate_schedule(schedule: SegmentSchedule) -> np.ndarray:
     return residuals
 
 
-def _locate(schedule: SegmentSchedule, times) -> tuple[np.ndarray, np.ndarray]:
-    """Segment index of each time and the elapsed time inside it."""
-    t = np.asarray(times, dtype=float).reshape(-1)
+def _locate(schedule: SegmentSchedule, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment index of each time of the float vector t and the elapsed time inside it."""
     bounds = schedule.boundaries
     total = bounds[-1]
     snap = _BOUNDARY_SNAP * max(1.0, total)
@@ -245,35 +235,35 @@ def _locate(schedule: SegmentSchedule, times) -> tuple[np.ndarray, np.ndarray]:
 
 def propagators_at(schedule: SegmentSchedule, t: float) -> tuple[np.ndarray, ...]:
     """Conditional propagators (w_0(t), ..., w_{N-1}(t)); NonFiniteError if one is not finite."""
-    _, step, tau = next(segment_chunks(schedule, np.eye(schedule.env_dim, dtype=complex), [t]))
-    return tuple(y[0] for y in _finite_stacks(step, tau, [t]))
+    *_, stacks = next(segment_chunks(schedule, np.eye(schedule.env_dim, dtype=complex), [t]))
+    return tuple(y[0] for y in stacks)
 
 
 def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bool = False):
-    """Yield (index of the first time, step, tau) for each chunk of times, in order.
+    """Yield (index of the first time, step, tau, stacks) for each chunk of times, in order.
 
     A chunk is a run of times inside one segment holding at most CHUNK_BYTES
     of stacks, and tau their elapsed times. step, the segment's (w_ki, U_ki,
     B_i) per pointer, is built once and yielded as the same object with each
-    of its chunks: _stacks(step, tau)[i] is the (T, d, r) stack of w_i(t) A.
-    With frame=True it is V^dag w_i A for a unitary V shared by all pointers,
-    which keeps Gram matrices and spectra. In a segment whose pointers all
-    share the eigenvectors of pointer 0 (U_ki is U_k0, or every generator is
-    diagonal and U_ki = I), V = U_k0 exp(-i w_k0 tau), and the step drops its
-    U: stacks[0] is B_0, the others cost only the phase
+    of its chunks, and stacks = _stacks(step, tau): stacks[i] is the (T, d, r)
+    stack of w_i(t) A, finite, or NonFiniteError names the first time where
+    one is not. With frame=True it is V^dag w_i A for a unitary V shared by
+    all pointers, which keeps Gram matrices and spectra. In a segment whose
+    pointers all share the eigenvectors of pointer 0 (U_ki is U_k0, or every
+    generator is diagonal and U_ki = I), V = U_k0 exp(-i w_k0 tau), and the
+    step drops its U: stacks[0] is B_0, the others cost only the phase
     exp(-i (w_i - w_0) tau), and the stacks are (T, d_k, r): the lightest rows
     by sum_i ||B_i[k, :]||^2, constant over the segment, drop while they hold
     at most ROW_TAIL^2 of the total (none if it is not finite), so Y_i^dag Y_j
     moves by at most ROW_TAIL^2, and a a^dag - b b^dag and Z Z^dag by about
     2 ROW_TAIL in trace norm. A phase that is not finite on a dropped row
-    still makes tau NaN at that time, as if the row were kept. Any other
-    segment takes V = I, the unframed stacks of frame=False.
+    still raises NonFiniteError at that time, as if the row were kept. Any
+    other segment takes V = I, the unframed stacks of frame=False.
     """
-    if not schedule.segments:
-        raise EmptySchedule("schedule has no segments")
     if a.shape[0] != schedule.env_dim:
         raise DimensionMismatch(f"factor has {a.shape[0]} rows, expected {schedule.env_dim}")
-    ks, taus = _locate(schedule, times)
+    ts = np.asarray(times, dtype=float).reshape(-1)
+    ks, taus = _locate(schedule, ts)
     systems = schedule._eigensystems
     chunk = max(1, CHUNK_BYTES // (16 * a.size * schedule.system_dim))
     steps, start = [], [a] * schedule.system_dim  # start[i] = w_i(start of k) A
@@ -301,7 +291,13 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
                 taus[lo:hi] = np.where(np.isfinite(spread * taus[lo:hi]), taus[lo:hi], np.nan)
             step = [(None, None, b0[rows])] + [(s[rows], None, b[rows]) for s, b in shifted]
         for first in range(lo, hi, chunk):
-            yield first, step, taus[first : min(first + chunk, hi)]
+            tau = taus[first : min(first + chunk, hi)]
+            stacks = _stacks(step, tau)
+            finite = np.logical_and.reduce([np.isfinite(s).all(axis=(1, 2)) for s in stacks])
+            if not finite.all():
+                bad = float(ts[first + np.argmin(finite)])
+                raise NonFiniteError(f"evolved state is not finite at t = {bad!r}")
+            yield first, step, tau, stacks
 
 
 @dataclass(frozen=True, eq=False)

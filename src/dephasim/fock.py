@@ -9,9 +9,6 @@ truncation is recorded on the state as ``truncated_mass``.
 from __future__ import annotations
 
 import math
-import os
-import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +29,6 @@ __all__ = [
 
 CUTOFF_LADDER = (16, 32, 64, 128, 256, 512)
 CUTOFF_TAIL = 1e-12  # largest thermal tail mass exp(-M/theta) that suggest_cutoff accepts
-_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 @dataclass(frozen=True)
@@ -200,24 +196,6 @@ def _beyond_reach(reach: float, dim: int) -> bool:
     square is a float product, which overflows to inf where ** would raise.
     """
     return reach * reach > dim / 4 * (1 + 1e-12)
-
-
-def _warn_if_beyond_reach(amp: float, space: FockSpace) -> None:
-    """Warn if the drive displacement reach amp breaks the reach rule of space.
-
-    The warning points at the first frame outside this package, the user's
-    call (run_sweep, convergence_report, ...), however deep it was raised.
-    """
-    if not _beyond_reach(amp, space.dim):
-        return
-    frame, level = sys._getframe(), 1  # stacklevel 1 is this frame
-    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
-        frame, level = frame.f_back, level + 1
-    warnings.warn(
-        f"drive displacement reach |z|^2 = {amp * amp:.3g} exceeds cutoff/4 = "
-        f"{space.dim / 4:.3g}; truncation errors may be significant",
-        stacklevel=level,
-    )
 
 
 def suggest_cutoff(

@@ -259,7 +259,11 @@ def trace_distance(rho1, rho2) -> float:
     r2 = require_hermitian(rho2, what="rho2")
     if r1.shape != r2.shape:
         raise DimensionMismatch(f"state dimensions differ: {r1.shape} vs {r2.shape}")
-    return float(_half_trace_norm(r1 - r2))
+    with np.errstate(over="ignore"):  # |eig| summing past the float range reads inf
+        distance = float(_half_trace_norm(r1 - r2))
+    if not np.isfinite(distance):
+        raise NonFiniteError(f"trace distance overflows: {distance}")
+    return distance
 
 
 def _negative_sum(pt: np.ndarray):
@@ -296,14 +300,13 @@ def negativity(sigma, dim_sys: int, dim_env: int) -> float:
     zero (always +0.0) is inconclusive (PPT misses bound entanglement). This
     validates a formed joint state; sweeps call negativity_of_factors.
     """
-    arr = as_operator(sigma)
+    arr = require_hermitian(sigma, what="sigma")
     n = dim_sys * dim_env
     if arr.shape != (n, n):
         raise DimensionMismatch(
             f"matrix has shape {arr.shape}, expected ({n}, {n}) for dims "
             f"{dim_sys}x{dim_env}"
         )
-    require_hermitian(arr, what="sigma")
     # the partial transpose over the system swaps the two system indices
     pt = arr.reshape(dim_sys, dim_env, dim_sys, dim_env).transpose(2, 1, 0, 3).reshape(n, n)
     return float(_negative_sum(pt))

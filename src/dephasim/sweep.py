@@ -5,13 +5,14 @@ R(0), the pointer amplitudes and times inside the schedule it returns a
 SweepRow per time with the entanglement measure, the coherence, the type-1
 and type-2 criterion residuals and the negativity. The state at t is
 entangled iff row.type1_max > tol or row.type2_max > tol. run_sweep resolves
-a configuration into those inputs, builds the uniform time grid (always
+a configuration into those inputs (an explicit cutoff past the drive's reach
+warns at the caller of run_sweep), builds the uniform time grid (always
 including segment switch times so sharp features are never aliased) and
 calls evaluate.
 
 R(0) = A A^dag is factored once, by EnvDensity (A is d x r, r its rank; a
 pure R(0) carries its amplitude column as A), and segment_chunks yields each
-chunk of a segment's grid points with the segment's step, whose stacks are
+chunk of a segment's grid points with the segment's step and the finite
 (T, d_k, r) stacks of V^dag Y_i, Y_i = w_i A, in a frame V shared by the
 pointers, which no output sees (V = I unless they share eigenvectors, as in
 qubit_boson, where the rows holding at most ROW_TAIL^2 of the weight are
@@ -30,6 +31,7 @@ The criteria and the negativity run over the pointers with c_i != 0 only.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from pathlib import Path
@@ -62,7 +64,7 @@ from .fock import (
     CUTOFF_LADDER,
     EnvDensity,
     FockSpace,
-    _warn_if_beyond_reach,
+    _beyond_reach,
     coherent_state,
     env_from_matrix,
     fock_state,
@@ -109,7 +111,12 @@ def _resolve_cutoff(cfg: RunConfig) -> int:
     if cfg.cutoff != AUTO_CUTOFF:
         cutoff = int(cfg.cutoff)
         # the reach rule of suggest_cutoff; past it E reads a truncation artefact
-        _warn_if_beyond_reach(reach, FockSpace(cutoff))
+        if _beyond_reach(reach, cutoff):
+            warnings.warn(
+                f"drive displacement reach |z|^2 = {reach * reach:.3g} exceeds cutoff/4 = "
+                f"{cutoff / 4:.3g}; truncation errors may be significant",
+                stacklevel=3,  # the caller of run_sweep or convergence_report, which call this
+            )
         return cutoff
     if isinstance(env, MatrixFileEnv):
         raise ValidationError("cutoff", "'auto' cannot be used with a matrix-file environment")
@@ -144,9 +151,8 @@ def _build_environment(cfg: RunConfig, cutoff: int) -> EnvDensity:
 
 
 def _resolve(cfg: RunConfig, cutoff: int | None):
-    """(schedule, R(0), amplitudes); a qubit_boson model runs at cutoff, or its resolved one if None."""
+    """(schedule, R(0), amplitudes) at the resolved cutoff of a qubit_boson model; None for a file."""
     if isinstance(cfg.model, QubitBosonModel):
-        cutoff = _resolve_cutoff(cfg) if cutoff is None else cutoff
         params = QubitBosonParams(beta=cfg.model.beta, segments=cfg.model.segments, cutoff=cutoff)
         schedule = build_schedule(params)
     else:
@@ -215,9 +221,8 @@ def evaluate(
     pt_step = max(1, dephasing.CHUNK_BYTES // (16 * pt_dim**2))
     rows, gram_step = [], None
     # every output is invariant under the frame V shared by the pointers
-    for first, step, tau in segment_chunks(schedule, stepped, times, frame=True):
+    for first, step, tau, stacks in segment_chunks(schedule, stepped, times, frame=True):
         ts = times[first : first + len(tau)]
-        stacks = dephasing._finite_stacks(step, tau, ts)
         ys = [s @ a for s in stacks] if type2 else stacks
         measure = coherence_norm = type1_max = type2_max = neg = [None] * len(ts)
         if outputs.entanglement and n == 2:
@@ -264,7 +269,8 @@ def run_sweep(cfg: RunConfig) -> list[SweepRow]:
     by time.t_start. The bytes are fixed for a fixed configuration, numpy and
     BLAS build and BLAS thread count.
     """
-    return _sweep(cfg, None)
+    cutoff = _resolve_cutoff(cfg) if isinstance(cfg.model, QubitBosonModel) else None
+    return _sweep(cfg, cutoff)
 
 
 def _sweep(cfg: RunConfig, cutoff: int | None) -> list[SweepRow]:

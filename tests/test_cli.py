@@ -1,5 +1,7 @@
 import json
+import linecache
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -257,10 +259,15 @@ class TestRunCommand:
             cfg["initial_env"] = {"coherent": {"re": edit["coherent"], "im": 0.0}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
         assert code == expected
+        # an explicit cutoff warns about the reach once; "auto" finds no rung and
+        # warns nothing; any other warning, a RuntimeWarning above all, is a regression
+        reach = 0 if edit["cutoff"] == "auto" else 1
+        assert [w.category for w in caught] == [UserWarning] * reach
+        assert all(str(w.message).startswith("drive displacement reach") for w in caught)
 
     @pytest.mark.parametrize("re, cutoff", [(30.0, 16), (40.0, 64), (1e200, 16)])
     def test_far_coherent_state_runs_without_runtime_warning(self, tmp_path, re, cutoff):
@@ -285,11 +292,37 @@ class TestRunCommand:
         cfg["initial_env"] = {"thermal": {"theta": 0.5}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "did not converge" in capsys.readouterr().err
+        # the reach warning of cutoff 4, and no RuntimeWarning before the failure
+        assert [w.category for w in caught] == [UserWarning]
+        assert str(caught[0].message).startswith("drive displacement reach")
+
+    @pytest.mark.parametrize(
+        "command, call",
+        [("run", "run_sweep("), ("converge", "convergence_report(")],
+        ids=["run", "converge"],
+    )
+    def test_reach_warning_points_at_the_cli(self, tmp_path, command, call):
+        # the warning names the line of dephasim/cli.py that calls the sweep,
+        # found by call depth, not the caller of main
+        path = write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["model"]["qubit_boson"]["segments"][0]["alpha"] = [30.0, 0.0]
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o.csv")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        (warning,) = caught
+        assert warning.category is UserWarning
+        assert Path(warning.filename).parts[-2:] == ("dephasim", "cli.py")
+        assert call in linecache.getline(warning.filename, warning.lineno)
 
     def test_overflowing_generator_is_named(self, tmp_path, capsys):
         # beta n is inf for n >= 2: this printed two RuntimeWarnings and blamed

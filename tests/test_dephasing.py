@@ -130,9 +130,9 @@ class TestValidateSchedule:
         )
 
     def test_empty_schedule(self):
-        s = SegmentSchedule(system_dim=2, env_dim=4, segments=())
-        with pytest.raises(EmptySchedule):
-            validate_schedule(s)
+        # a schedule has a segment by construction, so no consumer checks again
+        with pytest.raises(EmptySchedule, match="^schedule has no segments$"):
+            SegmentSchedule(system_dim=2, env_dim=4, segments=())
 
     def test_structural_checks_at_construction(self):
         rng = np.random.default_rng(2)

@@ -472,6 +472,12 @@ class TestTraceDistance:
         with pytest.raises(NotHermitianError):
             trace_distance(np.array([[0, 1], [0, 0]], dtype=complex), np.eye(2) / 2)
 
+    def test_spectrum_past_the_float_range_is_non_finite_error(self):
+        # a Hermitian, finite input whose |eig| sum overflows: numpy's "overflow
+        # encountered in reduce", an error in this suite, leaked before the package error
+        with pytest.raises(NonFiniteError, match="^trace distance overflows: inf$"):
+            trace_distance(np.array([[0.5, 1e308], [1e308, 0.5]]), np.eye(2) / 2)
+
 
 class TestNegativity:
     def test_product_state(self):
@@ -496,6 +502,13 @@ class TestNegativity:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             negativity(np.eye(6) / 6, 2, 2)
+        with pytest.raises(DimensionMismatch):
+            negativity(np.ones((4, 3)), 2, 2)
+
+    def test_hermiticity_is_checked_before_the_shape(self):
+        # sigma is validated once, by require_hermitian, before its size is compared
+        with pytest.raises(NotHermitianError, match="^sigma is not Hermitian"):
+            negativity(np.triu(np.ones((6, 6))), 2, 2)
 
     @given(seed=seeds)
     @settings(max_examples=20, deadline=None)

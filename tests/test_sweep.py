@@ -675,14 +675,21 @@ class TestRowSupport:
     @pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
     def test_non_finite_weight_carries_every_row(self, bad):
         # 1e200 gives finite B_i whose weight overflows to inf, which would let
-        # every row pass the cumulative tail test; inf and nan give NaN in B_i
+        # every row pass the cumulative tail test; inf and nan give NaN in B_i,
+        # which segment_chunks reports at the first time only because every row
+        # is carried: dropping the rows would yield empty, finite stacks
         schedule, a = thermal_case(config_from_dict(preset_config("fig2b")), 64)
         assert list(carried_rows(schedule, a, SEGMENT_MIDPOINTS).values()) == [18, 43, 51]
         a = a.copy()
         a[0, 0] = bad
         with np.errstate(all="ignore"):
-            carried = carried_rows(schedule, a, SEGMENT_MIDPOINTS)
-        assert list(carried.values()) == [64, 64, 64]
+            if np.isfinite(bad):
+                carried = carried_rows(schedule, a, SEGMENT_MIDPOINTS)
+                assert list(carried.values()) == [64, 64, 64]
+            else:
+                message = r"^evolved state is not finite at t = 1\.0$"
+                with pytest.raises(NonFiniteError, match=message):
+                    carried_rows(schedule, a, SEGMENT_MIDPOINTS)
 
 
 SEGMENT_MIDPOINTS = [1.0, 3.0, 5.0]  # one time in each segment of the fig2 presets
