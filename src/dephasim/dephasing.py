@@ -30,16 +30,16 @@ every block is R_ij = Y_i Y_j^dag with Y_i = w_i A.
 segment_chunks is the only routine that steps through the segments, and
 propagators_at reads its stacks of A = I. Each segment k gets one step, the
 (w_ki, U_ki, B_i) of every pointer with B_i = U_ki^dag w_i(start of k) A,
-yielded with each chunk of its times and the chunk's stacks, all finite:
-Y_i = U_ki exp(-i w_ki tau) B_i (_stacks). In the frame of pointer 0, when all
-pointers share its eigenvectors (every qubit-boson segment; diagonal
-generators share U = I whatever the order of their eigenvalues), the step is
-swapped for one over the d_k rows that hold weight: the lightest, at most
-ROW_TAIL^2 of sum_i ||B_i||^2, are cut, which moves outputs by
-O(ROW_TAIL); fig2d carries 70/102/115 at cutoff 256. A segment whose
-pointers do not share those eigenvectors takes the unframed stacks over all
-d rows. Schedules are immutable and may be shared across workers; the
-eigensystems are computed on first use.
+yielded with each chunk of its times and the chunk's stacks, all finite and
+within linalg.CHUNK_BYTES: Y_i = U_ki exp(-i w_ki tau) B_i (_stacks). In the
+frame of pointer 0, when all pointers share its eigenvectors (every
+qubit-boson segment; diagonal generators share U = I whatever the order of
+their eigenvalues), the step is swapped for one over the d_k rows that hold
+weight: the lightest, at most ROW_TAIL^2 of sum_i ||B_i||^2, are cut, which
+moves outputs by O(ROW_TAIL); fig2d carries 70/102/115 at cutoff 256. A
+segment whose pointers do not share those eigenvectors takes the unframed
+stacks over all d rows. Schedules are immutable and may be shared across
+workers; the eigensystems are computed on first use.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .errors import (
     NotNormalizedError,
     TimeOutOfRange,
 )
-from .linalg import HERM_TOL, NORM_TOL, dagger, eigh, hermiticity_residual
+from .linalg import CHUNK_BYTES, HERM_TOL, NORM_TOL, dagger, eigh, hermiticity_residual
 
 __all__ = [
     "Segment",
@@ -75,7 +75,6 @@ __all__ = [
 ]
 
 _BOUNDARY_SNAP = 1e-12
-CHUNK_BYTES = 1 << 18  # all pointers' stacks of one segment_chunks chunk
 ROW_TAIL = 1e-18  # frame stacks drop rows holding at most ROW_TAIL^2 of the weight
 
 
@@ -195,14 +194,9 @@ def validate_schedule(schedule: SegmentSchedule) -> np.ndarray:
     every generator is Hermitian, so that each conditional propagator is
     unitary. Entry [k, i] is hermiticity_residual of generator i of segment k.
     """
-    rows = []
-    for seg in schedule.segments:
-        g0, *rest = seg.generators
-        r0 = hermiticity_residual(g0)  # that of -g0 too, bit for bit
-        rows.append(
-            [r0] + [r0 if np.array_equal(g, -g0) else hermiticity_residual(g) for g in rest]
-        )
-    residuals = np.array(rows)
+    residuals = np.array(
+        [[hermiticity_residual(g) for g in seg.generators] for seg in schedule.segments]
+    )
     worst = np.unravel_index(np.argmax(residuals), residuals.shape)  # the first NaN if any
     if not residuals[worst] <= HERM_TOL:  # a NaN residual must fail too
         bad = np.argwhere(~np.isfinite(schedule.segments[worst[0]].generators[worst[1]]))

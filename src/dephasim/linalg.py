@@ -21,7 +21,6 @@ from .errors import (
 
 __all__ = [
     "dagger",
-    "as_operator",
     "hermiticity_residual",
     "require_hermitian",
     "eigh",
@@ -42,21 +41,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2).conj()
 
 
-def as_operator(m) -> np.ndarray:
-    """Coerce input to a square complex matrix with finite entries."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("matrix contains NaN or Inf entries")
-    return arr
-
-
 RANK_CUT = 1e-15  # psd_factor drops eigenvalues at or below this times the largest
 HERM_TOL = 1e-9  # largest hermiticity_residual of a matrix taken as Hermitian
 PSD_CLAMP = 1e-10  # eigenvalues in [-PSD_CLAMP, 0) are roundoff; lower ones are not PSD
 TRACE_TOL = 1e-8  # largest |Tr rho - 1| of a density matrix taken as normalized
 NORM_TOL = 1e-10  # largest ||c|^2 - 1| of pointer amplitudes taken as normalized
+CHUNK_BYTES = 1 << 18  # one segment_chunks chunk of stacks; one negativity_of_factors run
 
 
 def _bands(m: np.ndarray):
@@ -82,8 +72,12 @@ def hermiticity_residual(m: np.ndarray) -> float:
 
 
 def require_hermitian(m, *, what: str = "matrix") -> np.ndarray:
-    """Validate that hermiticity_residual is at most HERM_TOL and return the array."""
-    arr = as_operator(m)
+    """m as a complex array, checked square, finite and Hermitian (residual <= HERM_TOL)."""
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteError("matrix contains NaN or Inf entries")
     res = hermiticity_residual(arr)
     if not res <= HERM_TOL:  # not "> HERM_TOL": a NaN residual must fail too
         raise NotHermitianError(f"{what} is not Hermitian (residual {res:.3e})")
@@ -280,17 +274,23 @@ def negativity_of_factors(z: np.ndarray, dim_sys: int):
     reduced QR [Z_0 | ... | Z_{N-1}] = Q R, a common isometry that leaves the
     nonzero spectrum of the partial transpose unchanged and shrinks the
     eigenproblem from N d to N (N r). For (T, N d, r) stacks it returns the T
-    negativities as an array.
+    negativities as an array, from runs of points whose m x m partial
+    transposes hold at most CHUNK_BYTES, m = N d or N (N r) as formed.
     """
-    r = z.shape[-1]
+    shape, r = z.shape[:-2], z.shape[-1]
+    z = z.reshape(-1, *z.shape[-2:])  # one Z is a stack of one
     d = z.shape[-2] // dim_sys
     if dim_sys * r < d:
         r_blocks = np.linalg.qr(np.concatenate(np.split(z, dim_sys, axis=-2), axis=-1), mode="r")
         z = np.concatenate(np.split(r_blocks, dim_sys, axis=-1), axis=-2)
         d = dim_sys * r
-    blocks = (z @ dagger(z)).reshape(*z.shape[:-2], dim_sys, d, dim_sys, d)
     m = dim_sys * d
-    return _negative_sum(np.swapaxes(blocks, -4, -2).reshape(*z.shape[:-2], m, m))
+    run = max(1, CHUNK_BYTES // (16 * m * m))
+    negs = []
+    for zk in np.split(z, range(run, len(z), run)):
+        blocks = (zk @ dagger(zk)).reshape(-1, dim_sys, d, dim_sys, d)
+        negs.append(_negative_sum(np.swapaxes(blocks, -4, -2).reshape(-1, m, m)))
+    return np.concatenate(negs).reshape(shape)
 
 
 def negativity(sigma, dim_sys: int, dim_env: int) -> float:
@@ -309,4 +309,8 @@ def negativity(sigma, dim_sys: int, dim_env: int) -> float:
         )
     # the partial transpose over the system swaps the two system indices
     pt = arr.reshape(dim_sys, dim_env, dim_sys, dim_env).transpose(2, 1, 0, 3).reshape(n, n)
-    return float(_negative_sum(pt))
+    with np.errstate(over="ignore"):  # |eig| summing past the float range reads inf
+        value = float(_negative_sum(pt))
+    if not np.isfinite(value):
+        raise NonFiniteError(f"negativity overflows: {value}")
+    return value

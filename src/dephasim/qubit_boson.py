@@ -61,18 +61,14 @@ class QubitBosonParams:
             raise InvalidArgument("at least one drive segment is required")
 
 
-def branch_generator(
-    alpha: complex, beta: float, gamma: float, space: FockSpace, branch: int
-) -> np.ndarray:
-    """Environment generator V_branch = +/- (alpha a^dag + alpha* a + beta n + gamma)."""
-    if branch not in (0, 1):
-        raise InvalidArgument(f"branch must be 0 or 1, got {branch}")
+def branch_generator(alpha: complex, beta: float, gamma: float, space: FockSpace) -> np.ndarray:
+    """Environment generator V_0 = alpha a^dag + alpha* a + beta n + gamma; V_1 is -V_0."""
     n = np.arange(space.dim)
     with np.errstate(over="ignore"):  # validate_schedule names an overflowed entry
         base = np.diag((beta * n + gamma).astype(complex))
         base[n[1:], n[:-1]] = alpha * np.sqrt(n[1:])
         base[n[:-1], n[1:]] = np.conj(alpha) * np.sqrt(n[1:])
-    return base if branch == 0 else -base
+    return base
 
 
 def build_schedule(params: QubitBosonParams) -> SegmentSchedule:
@@ -80,6 +76,6 @@ def build_schedule(params: QubitBosonParams) -> SegmentSchedule:
     space = FockSpace(params.cutoff)
     segments = []
     for step in params.segments:
-        v0 = branch_generator(step.alpha, params.beta, step.gamma, space, 0)
+        v0 = branch_generator(step.alpha, params.beta, step.gamma, space)
         segments.append(Segment(duration=step.duration, generators=(v0, -v0)))
     return SegmentSchedule(system_dim=2, env_dim=space.dim, segments=tuple(segments))

@@ -23,7 +23,7 @@ of dimension at most 2r (closed forms when r = 1), or, when 2r >= d_k in a
 shared frame, from Phi_i G_i Phi_i^dag - Phi_j G_j Phi_j^dag with
 G_i = B_i B_i^dag formed once per segment, and the negativity from the
 partial transposes of Z Z^dag, Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}], of
-dimension at most N (N r), in runs that hold at most CHUNK_BYTES. The type-2
+dimension at most N (N r), in runs sized by negativity_of_factors. The type-2
 commutator norms of P_a = w_a w_r^dag need the propagators: when they are on
 (N >= 3), the identity is stepped instead of A and Y_i = (V^dag w_i) A.
 The criteria and the negativity run over the pointers with c_i != 0 only.
@@ -105,8 +105,10 @@ class SweepRow(NamedTuple):
 
 def _resolve_cutoff(cfg: RunConfig) -> int:
     """Cutoff of a qubit_boson run; an explicit one is checked against the drive's reach."""
-    env, model = cfg.initial_env, cfg.model
-    drive = 2.0 * max(abs(s.alpha) for s in model.segments) / abs(model.beta)
+    env = cfg.initial_env
+    # QubitBosonParams raises for beta = 0 or no segment, which the reach cannot take
+    params = QubitBosonParams(cfg.model.beta, cfg.model.segments, CUTOFF_LADDER[0])
+    drive = 2.0 * max(abs(s.alpha) for s in params.segments) / abs(params.beta)
     reach = abs(getattr(env, "zeta", 0.0)) + drive  # a coherent R(0) starts |zeta| out
     if cfg.cutoff != AUTO_CUTOFF:
         cutoff = int(cfg.cutoff)
@@ -215,10 +217,6 @@ def evaluate(
     # the type-2 products w_a w_r^dag need w_i itself: step the identity instead of A
     type2 = outputs.type2 and len(on) >= 3
     stepped = np.eye(dim, dtype=complex) if type2 else a
-    # negativity_of_factors takes pt_step points per call, so that their partial
-    # transposes, N (N r) square after its QR, stay within the chunk budget too
-    pt_dim = len(on) * min(dim, len(on) * r)
-    pt_step = max(1, dephasing.CHUNK_BYTES // (16 * pt_dim**2))
     rows, gram_step = [], None
     # every output is invariant under the frame V shared by the pointers
     for first, step, tau, stacks in segment_chunks(schedule, stepped, times, frame=True):
@@ -250,10 +248,7 @@ def evaluate(
             type2_max = np.max(norms, axis=0).tolist() if norms else [0.0] * len(ts)
         if outputs.negativity:
             z = np.concatenate([c[i] * ys[i] for i in on], axis=1)
-            neg = np.concatenate([
-                negativity_of_factors(z[k : k + pt_step], len(on))
-                for k in range(0, len(ts), pt_step)
-            ]).tolist()
+            neg = negativity_of_factors(z, len(on)).tolist()
         rows += map(
             SweepRow, [t + t_start for t in ts], measure, coherence_norm,
             type1_max, type2_max, neg, repeat(dim),

@@ -125,7 +125,7 @@ def test_criterion_04_analytic_propagator_matches_exponential():
         for t in (0.5, 1.0, 2.0):
             for branch in (0, 1):
                 sign = 1.0 if branch == 0 else -1.0
-                direct = expm(-1j * branch_generator(alpha, 1.0, 0.0, space, branch) * t)
+                direct = expm(-1j * (sign * branch_generator(alpha, 1.0, 0.0, space)) * t)
                 piece = analytic_propagator_piece(alpha, 1.0, t, branch, space)
                 lam = alpha * (np.exp(-1j * sign * t) - 1.0)
                 k = displacement_safe_dim(lam, space)

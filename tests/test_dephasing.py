@@ -94,8 +94,8 @@ class TestValidateSchedule:
         with np.errstate(over="ignore"):
             assert validate_schedule(s).max() == 0.0  # 0/inf
 
-    def test_negated_generator_reuses_the_residual(self, monkeypatch):
-        # the residual of -g0 is that of g0 bit for bit, so it is computed once
+    def test_negated_generator_has_the_residual_bit_for_bit(self, monkeypatch):
+        # the residual of -g0 is that of g0 bit for bit; every generator's is computed
         rng = np.random.default_rng(3)
         segments = []
         for _ in range(2):
@@ -110,7 +110,8 @@ class TestValidateSchedule:
         )
         got = validate_schedule(s)
         assert got.tobytes() == expected.tobytes() and expected.min() > 0
-        assert len(calls) == 4
+        assert got[:, 0].tobytes() == got[:, 1].tobytes()
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_generator_is_named(self, bad):

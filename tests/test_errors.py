@@ -10,7 +10,7 @@ from dephasim.fock import (
     fock_state,
     thermal_state,
 )
-from dephasim.qubit_boson import AlphaSegment, QubitBosonParams, branch_generator
+from dephasim.qubit_boson import AlphaSegment, QubitBosonParams
 from dephasim.sweep import emit_csv
 
 EYE2 = np.eye(2, dtype=complex)
@@ -24,10 +24,6 @@ CALL_SITES = {
     "AlphaSegment duration": (InvalidArgument, lambda: AlphaSegment(-1.0, 0.0)),
     "QubitBosonParams beta": (InvalidArgument, lambda: QubitBosonParams(0.0, (SEGMENT,), 8)),
     "QubitBosonParams segments": (InvalidArgument, lambda: QubitBosonParams(1.0, (), 8)),
-    "branch_generator branch": (
-        InvalidArgument,
-        lambda: branch_generator(0.5, 1.0, 0.0, FockSpace(4), 2),
-    ),
     "FockSpace cutoff": (InvalidArgument, lambda: FockSpace(1)),
     "EnvDensity shape": (InvalidArgument, lambda: EnvDensity(FockSpace(3), EYE2 / 2)),
     "EnvDensity trace": (NotNormalizedError, lambda: EnvDensity(FockSpace(2), EYE2)),

@@ -230,9 +230,9 @@ DIAGONAL_STATES = [
     *(fock_state(n, FockSpace(16)).matrix for n in (0, 5, 15)),  # the zeros are tied
 ]
 DIAGONAL_GENERATORS = [
-    hermitian_part(branch_generator(0, 1.0, 0.0, FockSpace(64), 0)),
-    hermitian_part(branch_generator(0, -1.0, 0.0, FockSpace(64), 0)),  # descending diagonal
-    hermitian_part(branch_generator(0, 1.0, 0.25, FockSpace(64), 1)),
+    hermitian_part(branch_generator(0, 1.0, 0.0, FockSpace(64))),
+    hermitian_part(branch_generator(0, -1.0, 0.0, FockSpace(64))),  # descending diagonal
+    hermitian_part(-branch_generator(0, 1.0, 0.25, FockSpace(64))),
 ]
 
 
@@ -504,6 +504,14 @@ class TestNegativity:
             negativity(np.eye(6) / 6, 2, 2)
         with pytest.raises(DimensionMismatch):
             negativity(np.ones((4, 3)), 2, 2)
+
+    def test_spectrum_past_the_float_range_is_non_finite_error(self):
+        # a Hermitian, finite state whose partial transpose has |eig| summing past
+        # the float range: numpy's "overflow encountered in reduce" leaked before
+        m = np.eye(4) / 4
+        m[0, 3] = m[3, 0] = m[1, 2] = m[2, 1] = 1e308
+        with pytest.raises(NonFiniteError, match="^negativity overflows: inf$"):
+            negativity(m, 2, 2)
 
     def test_hermiticity_is_checked_before_the_shape(self):
         # sigma is validated once, by require_hermitian, before its size is compared

@@ -52,7 +52,7 @@ def phase_stripped_distance(a, b):
 class TestBuildSchedule:
     def test_undriven_generator_is_diagonal(self):
         space = FockSpace(8)
-        v0 = branch_generator(0.0, 1.0, 0.0, space, 0)
+        v0 = branch_generator(0.0, 1.0, 0.0, space)
         assert np.allclose(v0, np.diag(np.arange(8, dtype=float)))
 
     def test_stepped_schedule_structure(self):
@@ -62,7 +62,7 @@ class TestBuildSchedule:
         assert np.allclose(s.boundaries, [0.0, 2.0, 4.0, 6.0])
         mid = s.segments[1].generators[0]
         space = FockSpace(32)
-        assert np.linalg.norm(mid - branch_generator(ALPHA_FIG, 1.0, 0.0, space, 0)) == 0.0
+        assert np.linalg.norm(mid - branch_generator(ALPHA_FIG, 1.0, 0.0, space)) == 0.0
 
     def test_branches_differ_only_by_sign(self):
         s = build_schedule(stepped_params())
@@ -133,7 +133,7 @@ class TestAnalyticPiece:
     def test_matches_direct_exponential(self, t, branch):
         space = FockSpace(64)
         sign = 1.0 if branch == 0 else -1.0
-        direct = expm(-1j * branch_generator(ALPHA_FIG, 1.0, 0.0, space, branch) * t)
+        direct = expm(-1j * (sign * branch_generator(ALPHA_FIG, 1.0, 0.0, space)) * t)
         piece = analytic_propagator_piece(ALPHA_FIG, 1.0, t, branch, space)
         lam = ALPHA_FIG * (np.exp(-1j * sign * t) - 1.0)
         k = displacement_safe_dim(lam, space)
@@ -146,7 +146,7 @@ class TestAnalyticPiece:
         space = FockSpace(64)
         t = 1.3
         sign = 1.0 if branch == 0 else -1.0
-        direct = expm(-1j * branch_generator(ALPHA_FIG, 1.0, 0.0, space, branch) * t)
+        direct = expm(-1j * (sign * branch_generator(ALPHA_FIG, 1.0, 0.0, space)) * t)
         exact = analytic_propagator_piece(ALPHA_FIG, 1.0, t, branch, space, exact_phase=True)
         lam = ALPHA_FIG * (np.exp(-1j * sign * t) - 1.0)
         k = displacement_safe_dim(lam, space)

@@ -18,8 +18,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dephasim import dephasing
-from dephasim.config import OutputFlags, config_from_dict, load_schedule_file
+from dephasim import dephasing, linalg
+from dephasim.config import (
+    OutputFlags,
+    QubitBosonModel,
+    RunConfig,
+    ThermalEnv,
+    TimeGrid,
+    config_from_dict,
+    load_schedule_file,
+)
 from dephasim.dephasing import (
     Segment,
     SegmentSchedule,
@@ -34,6 +42,7 @@ from dephasim.errors import (
     CutoffCapExceeded,
     DephasimError,
     DimensionMismatch,
+    InvalidArgument,
     NonFiniteError,
     NotNormalizedError,
     TimeOutOfRange,
@@ -257,7 +266,7 @@ class TestRunSweep:
         monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(m) or solve(m))
         run_sweep(config_from_dict(cfg))
         assert len(solved) == solves
-        driven = branch_generator(0.5 + 0.5j, 1.0, 0.0, FockSpace(32), 0)  # alpha = (1+i)/2
+        driven = branch_generator(0.5 + 0.5j, 1.0, 0.0, FockSpace(32))  # alpha = (1+i)/2
         # beta n >= 0, so |V| is T: the diagonal and the moduli of the off-diagonals
         gauged = np.abs((driven + driven.conj().T) / 2)
         assert all(m.dtype == np.float64 and np.array_equal(m, gauged) for m in solved)
@@ -444,8 +453,9 @@ class TestSegmentKernel:
     def test_chunk_budget_leaves_rows_unchanged(self, name, tmp_path, monkeypatch):
         cfg, schedule, _, _ = kernel_case(name, tmp_path)
         runs, chunks = [], []
-        for budget in (1, 1 << 40):  # one point per chunk, then one chunk per segment
-            monkeypatch.setattr(dephasing, "CHUNK_BYTES", budget)
+        for budget in (1, 1 << 40):  # one point per chunk and run, then one per segment
+            monkeypatch.setattr(dephasing, "CHUNK_BYTES", budget)  # the segment_chunks chunks
+            monkeypatch.setattr(linalg, "CHUNK_BYTES", budget)  # the partial-transpose runs
             runs.append(run_sweep(cfg))
             times = [row.t for row in runs[-1]]
             eye = np.eye(schedule.env_dim, dtype=complex)
@@ -724,15 +734,30 @@ class TestNegativityOfFactors:
         assert np.abs(stacked - single).max() <= 1e-14
 
     def test_partial_transposes_split_within_a_chunk(self, tmp_path, monkeypatch):
-        # 15 x 15 partial transposes: a budget of two of them gives chunks of
-        # 6 points (3 pointers' 5 x 5 stacks) evaluated in runs of 2
+        # 15 x 15 partial transposes: a budget of two of them leaves the chunks
+        # whole and has negativity_of_factors evaluate each in runs of 2
         cfg, _, _, _ = kernel_case("negativity", tmp_path)
         whole = run_sweep(cfg)
-        monkeypatch.setattr(dephasing, "CHUNK_BYTES", 2 * 16 * 15**2)
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", 2 * 16 * 15**2)
         split = run_sweep(cfg)
         assert [r.t for r in split] == [r.t for r in whole]
         for a, b in zip(whole, split):
             assert abs(a.negativity - b.negativity) <= 1e-14, a.t
+
+    def test_runs_keep_the_bits(self, tmp_path, monkeypatch):
+        # a (7, 15, r) stack in runs of 2, 2, 2 and 1 gives the bits of one run
+        # of 7 and of 7 single calls
+        _, schedule, rho, c = kernel_case("negativity", tmp_path)
+        zs = np.array([factor_and_oracle(schedule, rho, c, t)[0] for t in np.linspace(0, 1.8, 7)])
+        assert zs.shape[:2] == (7, 15) and len(c) * zs.shape[2] >= schedule.env_dim
+        one_run = negativity_of_factors(zs, 3)
+        single = np.array([negativity_of_factors(z, 3) for z in zs])
+        monkeypatch.setattr(linalg, "CHUNK_BYTES", 2 * 16 * 15**2)
+        runs, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: runs.append(len(m)) or eigvalsh(m))
+        split = negativity_of_factors(zs, 3)
+        assert runs == [2, 2, 2, 1]
+        assert split.tobytes() == one_run.tobytes() == single.tobytes()
 
     def test_rank_one_qubit_is_qr_reduced(self, monkeypatch):
         # coherent R(0) at cutoff 16: rank 1, so a 4 x 4 eigensolve replaces the 32 x 32 one
@@ -923,6 +948,26 @@ class TestCutoffReach:
             run(config_from_dict(cfg))
         assert [(w.category, w.filename) for w in record] == [(UserWarning, __file__)]
         assert str(record[0].message).startswith("drive displacement reach |z|^2 = 36 ")
+
+    @pytest.mark.parametrize("run", [run_sweep, convergence_report])
+    @pytest.mark.parametrize(
+        "beta, segments, message",
+        [
+            (0.0, (AlphaSegment(1.0, 0.5),), "beta must be nonzero"),
+            (1.0, (), "at least one drive segment is required"),
+        ],
+    )
+    def test_code_built_model_raises_the_params_error(self, run, beta, segments, message):
+        # the reach divides by beta and takes the largest alpha: a RunConfig built
+        # in code, unchecked by the parser, raised ZeroDivisionError or ValueError
+        cfg = RunConfig(
+            model=QubitBosonModel(beta=beta, segments=segments),
+            initial_env=ThermalEnv(1.0),
+            time=TimeGrid(t_max=1.0, steps=3),
+            cutoff=16,
+        )
+        with pytest.raises(InvalidArgument, match=f"^{message}"):
+            run(cfg)
 
     def test_reach_at_cutoff_boundary_is_silent(self):
         # the preset drive reaches (2|alpha|/beta)^2 = 2.0000000000000004 = cutoff/4

@@ -7,9 +7,9 @@ import numpy as np
 import scipy.linalg
 
 from dephasim.dephasing import segment_chunks
-from dephasim.errors import ConvergenceFailure
+from dephasim.errors import ConvergenceFailure, NonFiniteError
 from dephasim.fock import FockSpace
-from dephasim.linalg import as_operator, dagger, require_hermitian
+from dephasim.linalg import dagger, require_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -51,7 +51,10 @@ def random_pure_density(rng, dim):
 
 def expm(m):
     """Matrix exponential e^M of a general square matrix; the test oracle for propagators."""
-    return scipy.linalg.expm(as_operator(m))
+    m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise NonFiniteError("matrix contains NaN or Inf entries")
+    return scipy.linalg.expm(m)
 
 
 @dataclass(frozen=True)
