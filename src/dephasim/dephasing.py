@@ -16,7 +16,9 @@ reads two structures that cost less: a diagonal generator (an undriven
 qubit-boson step) is its diagonal with U = I, held as None, no matrix at all,
 so it costs neither an eigensolve nor a d x d product; a tridiagonal one (a
 driven step) is gauged to a real symmetric matrix by a diagonal unitary and
-solved in real arithmetic.
+solved in real arithmetic, its U = diag(phi) Q held as the pair (phi, Q),
+never formed (linalg.rotate applies it). Each generator's structure is read
+once per schedule.
 
 The joint state never needs to be formed during evolution: it is carried as
 the pointer amplitudes c_i plus the environment blocks
@@ -31,7 +33,8 @@ segment_chunks is the only routine that steps through the segments, and
 propagators_at reads its stacks of A = I. Each segment k gets one step, the
 (w_ki, U_ki, B_i) of every pointer with B_i = U_ki^dag w_i(start of k) A,
 yielded with each chunk of its times and the chunk's stacks, all finite and
-within linalg.CHUNK_BYTES: Y_i = U_ki exp(-i w_ki tau) B_i (_stacks). In the
+within linalg.CHUNK_BYTES: Y_i = U_ki exp(-i w_ki tau) B_i (_stacks), each
+product with U_ki or U_ki^dag taken by linalg.rotate. In the
 frame of pointer 0, when all pointers share its eigenvectors (every
 qubit-boson segment; diagonal generators share U = I whatever the order of
 their eigenvalues), the step is swapped for one over the d_k rows that hold
@@ -59,7 +62,8 @@ from .errors import (
     NotNormalizedError,
     TimeOutOfRange,
 )
-from .linalg import CHUNK_BYTES, HERM_TOL, NORM_TOL, dagger, eigh, hermiticity_residual
+from .linalg import CHUNK_BYTES, HERM_TOL, NORM_TOL, _bands, dagger, eigh, hermiticity_residual
+from .linalg import rotate
 
 __all__ = [
     "Segment",
@@ -74,7 +78,6 @@ __all__ = [
     "joint_state",
 ]
 
-_BOUNDARY_SNAP = 1e-12
 ROW_TAIL = 1e-18  # frame stacks drop rows holding at most ROW_TAIL^2 of the weight
 
 
@@ -140,10 +143,20 @@ class SegmentSchedule:
     def total_duration(self) -> float:
         return float(self.boundaries[-1])
 
+    @property
+    def boundary_slack(self) -> float:
+        """1e-12 max(1, total duration): how far past a boundary or an end a time snaps to it."""
+        return 1e-12 * max(1.0, self.total_duration)
+
     @cached_property
     def boundaries(self) -> np.ndarray:
         """Cumulative segment start times, ending with the total duration."""
         return np.concatenate(([0.0], np.cumsum([s.duration for s in self.segments])))
+
+    @cached_property
+    def _bands(self):
+        """Per segment, per pointer: linalg._bands of each generator, read once for all users."""
+        return [[_bands(g) for g in seg.generators] for seg in self.segments]
 
     @cached_property
     def _eigensystems(self):
@@ -152,16 +165,20 @@ class SegmentSchedule:
         A diagonal generator (an undriven step) is (its real diagonal, None):
         its eigenvectors are the identity, in the diagonal's own order, so no
         d x d matrix is formed or multiplied. A tridiagonal one (a driven
-        qubit-boson step) is solved in real arithmetic. Minus generator 0
-        (both qubit-boson branches) reuses (-w, u), the same u.
+        qubit-boson step) is solved in real arithmetic, and u is the pair
+        (phi, Q) of U = diag(phi) Q, applied by linalg.rotate with no complex
+        U formed. Minus generator 0 (both qubit-boson branches) reuses
+        (-w, u), the same u: found on the three bands when both generators
+        are tridiagonal, else by comparing the matrices.
         """
         systems = []
         try:
-            for seg in self.segments:
+            for seg, (b0, *bands) in zip(self.segments, self._bands):
                 g0, *rest = seg.generators
-                w0, u0 = eigh(g0)
+                w0, u0 = eigh(g0, b0)
                 systems.append([(w0, u0)] + [
-                    (-w0, u0) if np.array_equal(g, -g0) else eigh(g) for g in rest
+                    (-w0, u0) if _negated(g, b, g0, b0) else eigh(g, b)
+                    for g, b in zip(rest, bands)
                 ])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(
@@ -170,11 +187,18 @@ class SegmentSchedule:
         return systems
 
 
+def _negated(g: np.ndarray, bands, g0: np.ndarray, bands0) -> bool:
+    """Whether g = -g0 entrywise: on their three bands (O(d)) when both are tridiagonal."""
+    if bands[4] and bands0[4]:
+        return all(np.array_equal(x, -x0) for x, x0 in zip(bands[:3], bands0[:3]))
+    return np.array_equal(g, -g0)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a phase w tau past the float range reads NaN
 def _stacks(step, tau: np.ndarray) -> list[np.ndarray]:
     """The (T, d, r) stacks U exp(-i diag(w) tau) B over the times tau, one per (w, U, B) of step.
 
-    A U of None is the identity, and a w of None no phase: B broadcast over the times.
+    U is applied by linalg.rotate, and a w of None is no phase: B broadcast over the times.
     """
     stacks = []
     for w, u, b in step:
@@ -182,7 +206,7 @@ def _stacks(step, tau: np.ndarray) -> list[np.ndarray]:
             y = np.broadcast_to(b, (len(tau), *b.shape))
         else:
             y = np.exp(-1j * w * tau[:, None])[:, :, None] * b
-        stacks.append(y if u is None else u @ y)
+        stacks.append(rotate(u, y))
     return stacks
 
 
@@ -194,9 +218,10 @@ def validate_schedule(schedule: SegmentSchedule) -> np.ndarray:
     every generator is Hermitian, so that each conditional propagator is
     unitary. Entry [k, i] is hermiticity_residual of generator i of segment k.
     """
-    residuals = np.array(
-        [[hermiticity_residual(g) for g in seg.generators] for seg in schedule.segments]
-    )
+    residuals = np.array([
+        [hermiticity_residual(g, b) for g, b in zip(seg.generators, bands)]
+        for seg, bands in zip(schedule.segments, schedule._bands)
+    ])
     worst = np.unravel_index(np.argmax(residuals), residuals.shape)  # the first NaN if any
     if not residuals[worst] <= HERM_TOL:  # a NaN residual must fail too
         bad = np.argwhere(~np.isfinite(schedule.segments[worst[0]].generators[worst[1]]))
@@ -216,7 +241,7 @@ def _locate(schedule: SegmentSchedule, t: np.ndarray) -> tuple[np.ndarray, np.nd
     """Segment index of each time of the float vector t and the elapsed time inside it."""
     bounds = schedule.boundaries
     total = bounds[-1]
-    snap = _BOUNDARY_SNAP * max(1.0, total)
+    snap = schedule.boundary_slack
     outside = ~((t >= -snap) & (t <= total + snap))  # NaN is outside too
     if outside.any():
         raise TimeOutOfRange(f"t = {t[outside][0]} outside the schedule range [0, {total}]")
@@ -266,7 +291,7 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
             end = np.array([schedule.segments[k - 1].duration])
             start = [y[0] for y in _stacks(steps[-1], end)]
         steps.append(
-            [(w, u, y if u is None else dagger(u) @ y) for (w, u), y in zip(systems[k], start)]
+            [(w, u, rotate(u, y, adjoint=True)) for (w, u), y in zip(systems[k], start)]
         )
     starts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()  # of each run of equal k
     for lo, hi in zip(starts, [*starts[1:], len(ks)]):

@@ -131,17 +131,18 @@ def coherent_amplitudes(zeta: complex, space: FockSpace) -> np.ndarray:
     modulus of 1, and every finite zeta gives a unit vector. A NaN or
     infinite zeta raises NonFiniteError before any arithmetic.
     """
-    if not np.isfinite(zeta):
-        raise NonFiniteError(f"coherent state amplitude {zeta!r} is not finite")
-    amps, _ = _amplitudes_from_peak(zeta, space.dim)
-    return amps / np.linalg.norm(amps)
+    v, _ = _amplitudes_from_peak(zeta, space.dim)
+    return v / np.linalg.norm(v)
 
 
 def coherent_state(zeta: complex, space: FockSpace) -> EnvDensity:
-    """Pure coherent state |zeta><zeta| on the truncated basis, with its amplitudes as factor."""
-    amps = coherent_amplitudes(zeta, space)
-    raw_norm_sq = _untruncated_overlap(zeta, space)
-    return _pure_state(amps, space, truncated_mass=1.0 - raw_norm_sq)
+    """Pure coherent state |zeta><zeta| on the truncated basis, with its amplitudes as factor.
+
+    The amplitudes and the mass inside the basis come from one _amplitudes_from_peak.
+    """
+    v, peak = _amplitudes_from_peak(zeta, space.dim)
+    raw_norm_sq = _untruncated_overlap(zeta, v, peak)
+    return _pure_state(v / np.linalg.norm(v), space, truncated_mass=1.0 - raw_norm_sq)
 
 
 def _amplitudes_from_peak(zeta: complex, dim: int) -> tuple[np.ndarray, int]:
@@ -151,8 +152,10 @@ def _amplitudes_from_peak(zeta: complex, dim: int) -> tuple[np.ndarray, int]:
     n = |zeta|^2 and below 1 past it, so peak = floor(|zeta|^2), capped at
     dim - 1. v is built outward from v_peak = (zeta / |zeta|)^peak by ratios
     of modulus at most 1: no entry overflows and the largest is 1. zeta = 0
-    gives peak 0 and v = e_0; a NaN or infinite zeta gives NaN entries.
+    gives peak 0 and v = e_0; a NaN or infinite zeta raises NonFiniteError.
     """
+    if not np.isfinite(zeta):
+        raise NonFiniteError(f"coherent state amplitude {zeta!r} is not finite")
     r = abs(zeta)
     x = r * r  # not ** 2, which raises OverflowError past ~1e154
     peak = math.floor(x) if x < dim else dim - 1
@@ -167,14 +170,13 @@ def _amplitudes_from_peak(zeta: complex, dim: int) -> tuple[np.ndarray, int]:
     return np.concatenate((down, [1.0], up)) * unit**peak, peak
 
 
-def _untruncated_overlap(zeta: complex, space: FockSpace) -> float:
+def _untruncated_overlap(zeta: complex, v: np.ndarray, peak: int) -> float:
     """Probability mass e^{-|zeta|^2} sum_{n < dim} |zeta|^{2n} / n! of |zeta> inside the basis.
 
-    It is |<peak|zeta>|^2 ||v||^2 for the v of _amplitudes_from_peak; the
-    first factor is formed from its logarithm, so it underflows to 0 (a mass
-    of 0 inside) rather than to 0 * inf when |zeta|^2 overflows.
+    It is |<peak|zeta>|^2 ||v||^2 for the (v, peak) of _amplitudes_from_peak;
+    the first factor is formed from its logarithm, so it underflows to 0 (a
+    mass of 0 inside) rather than to 0 * inf when |zeta|^2 overflows.
     """
-    v, peak = _amplitudes_from_peak(zeta, space.dim)
     r = abs(zeta)
     log_peak = 2 * peak * math.log(r) - r * r - math.lgamma(peak + 1) if peak else -r * r
     return math.exp(log_peak) * float(np.vdot(v, v).real)

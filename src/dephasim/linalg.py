@@ -24,6 +24,7 @@ __all__ = [
     "hermiticity_residual",
     "require_hermitian",
     "eigh",
+    "rotate",
     "psd_factor",
     "sqrtm_psd",
     "fidelity_of_factors",
@@ -58,13 +59,14 @@ def _bands(m: np.ndarray):
     return diag, sub, sup, not off, off == np.count_nonzero(sub) + np.count_nonzero(sup)
 
 
-def hermiticity_residual(m: np.ndarray) -> float:
+def hermiticity_residual(m: np.ndarray, bands=None) -> float:
     """Relative residual ||M - M^dag||_F / max(1, ||M||_F).
 
-    A tridiagonal M - M^dag is zero off the three diagonals: both norms are taken on them.
+    A tridiagonal M - M^dag is zero off the three diagonals: both norms are
+    taken on them, read by _bands unless a caller passes them as bands.
     NaN, which callers reject, if both norms overflow or an entry is not finite.
     """
-    diag, sub, sup, _, tridiagonal = _bands(m)
+    diag, sub, sup, _, tridiagonal = _bands(m) if bands is None else bands
     if tridiagonal:
         m, adj = np.concatenate((diag, sub, sup)), np.concatenate((diag, sup, sub)).conj()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -85,20 +87,23 @@ def require_hermitian(m, *, what: str = "matrix") -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def eigh(m: np.ndarray, bands=None):
     """Eigenvalues w and eigenvectors u of the Hermitian part H = (m + m^dag)/2.
 
-    Structure is read off exact-zero counts. An exactly diagonal m gives the
-    diagonal of H, diag.real, in its own order, and u None: the identity, which
-    callers neither form nor multiply. Otherwise w ascends. A tridiagonal m is
-    gauged to the real symmetric T = Phi^dag H Phi, where the diagonal unitary
-    Phi takes its phases from the sub-diagonal s = (sub + conj(sup))/2 of H
-    (phase 1 at a zero entry); T = Q diag(w) Q^T is solved in real arithmetic
-    (one dsyevd) and u = Phi Q, with no d x d H formed. Any other m takes the
-    dense complex solve of H. Unlike diag.real, these sums overflow silently
-    past half the float range: LinAlgError, or w not finite.
+    Structure is read off exact-zero counts: bands, the _bands of m, read
+    here unless a caller that holds them passes them. An exactly diagonal m
+    gives the diagonal of H, diag.real, in its own order, and u None: the
+    identity, which callers neither form nor multiply. Otherwise w ascends.
+    A tridiagonal m is gauged to the real symmetric T = Phi^dag H Phi, where
+    the diagonal unitary Phi takes its phases from the sub-diagonal
+    s = (sub + conj(sup))/2 of H (phase 1 at a zero entry); T = Q diag(w) Q^T
+    is solved in real arithmetic (one dsyevd), with no d x d H formed, and u
+    is the pair (phi, Q) of U = diag(phi) Q, which rotate applies with no
+    complex U formed. Any other m takes the dense complex solve of H, and u
+    is the complex U. Unlike diag.real, these sums overflow silently past
+    half the float range: LinAlgError, or w not finite.
     """
-    diag, sub, sup, diagonal, tridiagonal = _bands(m)
+    diag, sub, sup, diagonal, tridiagonal = _bands(m) if bands is None else bands
     if diagonal:
         return diag.real, None
     if not tridiagonal:
@@ -112,23 +117,49 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     unit = np.divide(sub, off, out=np.ones_like(sub), where=off > 0)
     phi = np.cumprod(np.concatenate(([1.0], unit)))
     phi /= np.abs(phi)
-    return w, phi[:, None] * q
+    return w, (phi, q)
 
 
-def _psd_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of a require_hermitian array with none below -PSD_CLAMP.
+def rotate(u, y: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
+    """U y, or U^dag y if adjoint, for the u of eigh and a (d, r) factor or (T, d, r) stack y.
 
-    Raises NotPSDError, or ConvergenceFailure when LAPACK does not converge.
+    u None is the identity: y itself. A pair (phi, Q), U = diag(phi) Q, costs
+    one real product of Q (Q^T if adjoint) with the float view of y, which
+    holds Re y and Im y in alternate columns, and one diagonal phase: half
+    the real multiplications of the complex product with a formed U.
+    A complex u is multiplied as it is.
+    """
+    if u is None:
+        return y
+    if not isinstance(u, tuple):
+        return (dagger(u) if adjoint else u) @ y
+    phi, q = u
+    if adjoint:
+        y, q = phi.conj()[:, None] * y, q.T
+    z = (q @ np.ascontiguousarray(y, dtype=complex).view(float)).view(complex)
+    if not adjoint:
+        z *= phi[:, None]
+    return z
+
+
+def _psd_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """eigh of a require_hermitian array with no eigenvalue below -PSD_CLAMP.
+
+    As eigh, except that a gauged pair (phi, Q) is formed into U = diag(phi) Q:
+    u None with w in the diagonal's own order, or the complex U with w
+    ascending. Raises NotPSDError, or ConvergenceFailure when LAPACK does
+    not converge.
     """
     try:
         w, u = eigh(arr)  # NaN w or LinAlgError if the Hermitian part overflows
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigh did not converge: {exc}") from exc
-    if u is None:  # diagonal: w in stable ascending order, the matching identity columns
-        order = np.argsort(w, kind="stable")
-        w, u = w[order], np.eye(len(w), dtype=arr.dtype)[:, order]
-    if not w[0] >= -PSD_CLAMP:  # a NaN spectrum must fail too
-        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{PSD_CLAMP:.1e}")
+    lowest = w.min()
+    if not lowest >= -PSD_CLAMP:  # a NaN spectrum must fail too
+        raise NotPSDError(f"matrix has eigenvalue {lowest:.3e} below -{PSD_CLAMP:.1e}")
+    if isinstance(u, tuple):
+        phi, q = u
+        u = phi[:, None] * q
     return w, u
 
 
@@ -145,8 +176,15 @@ def psd_factor(m) -> np.ndarray:
 def _factor(arr: np.ndarray) -> np.ndarray:
     """psd_factor of an array that already passed require_hermitian."""
     w, u = _psd_eigh(arr)
-    keep = w > RANK_CUT * w[-1]
-    return u[:, keep] * np.sqrt(w[keep])
+    if u is not None:
+        keep = w > RANK_CUT * w[-1]
+        return u[:, keep] * np.sqrt(w[keep])
+    # diagonal: in stable ascending order, the kept w sit on unit columns e_row
+    order = np.argsort(w, kind="stable")
+    rows = order[w[order] > RANK_CUT * w[order[-1]]]
+    a = np.zeros((len(w), len(rows)), dtype=complex)
+    a[rows, np.arange(len(rows))] = np.sqrt(w[rows])
+    return a
 
 
 def sqrtm_psd(m) -> np.ndarray:
@@ -156,6 +194,8 @@ def sqrtm_psd(m) -> np.ndarray:
     zero; anything below -PSD_CLAMP raises NotPSDError.
     """
     w, u = _psd_eigh(require_hermitian(m))
+    if u is None:  # diagonal: w in its own order, on the columns of the identity
+        u = np.eye(len(w), dtype=complex)
     s = (u * np.sqrt(np.clip(w, 0.0, None))) @ dagger(u)
     return (s + dagger(s)) / 2
 
@@ -192,16 +232,22 @@ def fidelity_of_factors(a: np.ndarray, b: np.ndarray):
     return np.sum(np.linalg.svd(m, compute_uv=False), axis=-1) ** 2
 
 
+def _state_pair(rho1, rho2) -> tuple[np.ndarray, np.ndarray]:
+    """rho1 and rho2 through require_hermitian, checked to have the same shape."""
+    r1 = require_hermitian(rho1, what="rho1")
+    r2 = require_hermitian(rho2, what="rho2")
+    if r1.shape != r2.shape:
+        raise DimensionMismatch(f"state dimensions differ: {r1.shape} vs {r2.shape}")
+    return r1, r2
+
+
 def fidelity(rho1, rho2) -> float:
     """Uhlmann fidelity F(rho1, rho2) = [Tr sqrt(sqrt(rho1) rho2 sqrt(rho1))]^2.
 
     Both inputs must be Hermitian, PSD within PSD_CLAMP, and have unit trace
     within TRACE_TOL. Evaluated as fidelity_of_factors of their psd_factor.
     """
-    r1 = require_hermitian(rho1, what="rho1")
-    r2 = require_hermitian(rho2, what="rho2")
-    if r1.shape != r2.shape:
-        raise DimensionMismatch(f"state dimensions differ: {r1.shape} vs {r2.shape}")
+    r1, r2 = _state_pair(rho1, rho2)
     for name, r in (("rho1", r1), ("rho2", r2)):
         tr = float(np.trace(r).real)
         if abs(tr - 1.0) > TRACE_TOL:
@@ -249,10 +295,7 @@ def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
 
 def trace_distance(rho1, rho2) -> float:
     """Trace distance (1/2)||rho1 - rho2||_1: _half_trace_norm of the difference."""
-    r1 = require_hermitian(rho1, what="rho1")
-    r2 = require_hermitian(rho2, what="rho2")
-    if r1.shape != r2.shape:
-        raise DimensionMismatch(f"state dimensions differ: {r1.shape} vs {r2.shape}")
+    r1, r2 = _state_pair(rho1, rho2)
     with np.errstate(over="ignore"):  # |eig| summing past the float range reads inf
         distance = float(_half_trace_norm(r1 - r2))
     if not np.isfinite(distance):

@@ -186,7 +186,7 @@ def _resolve(cfg: RunConfig, cutoff: int | None):
 def _time_grid(cfg: RunConfig, schedule: SegmentSchedule) -> np.ndarray:
     t_max = cfg.time.t_max
     total = schedule.total_duration
-    snap = dephasing._BOUNDARY_SNAP * max(1.0, total)  # the slack _locate allows
+    snap = schedule.boundary_slack  # the slack _locate allows
     if t_max > total + snap:
         raise ValidationError("time.t_max", f"exceeds the total schedule duration {total!r}")
     try:

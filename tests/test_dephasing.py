@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from dephasim.dephasing import (
     segment_chunks,
     validate_schedule,
 )
-from dephasim import dephasing
+from dephasim import dephasing, linalg
 from dephasim.errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -27,8 +28,8 @@ from dephasim.errors import (
     TimeOutOfRange,
 )
 from dephasim.fock import FockSpace, env_from_matrix, thermal_state
-from dephasim.linalg import dagger, hermiticity_residual, trace_distance
-from dephasim.qubit_boson import AlphaSegment, QubitBosonParams, build_schedule
+from dephasim.linalg import dagger, eigh, hermiticity_residual, trace_distance
+from dephasim.qubit_boson import AlphaSegment, QubitBosonParams, branch_generator, build_schedule
 from util import (
     PAULI_X,
     PAULI_Z,
@@ -95,7 +96,8 @@ class TestValidateSchedule:
             assert validate_schedule(s).max() == 0.0  # 0/inf
 
     def test_negated_generator_has_the_residual_bit_for_bit(self, monkeypatch):
-        # the residual of -g0 is that of g0 bit for bit; every generator's is computed
+        # the residual of -g0 is that of g0 bit for bit; every generator's is computed,
+        # from the bands the schedule read once for it
         rng = np.random.default_rng(3)
         segments = []
         for _ in range(2):
@@ -104,14 +106,17 @@ class TestValidateSchedule:
             segments.append(Segment(duration=1.0, generators=(g0, -g0, g2)))
         s = SegmentSchedule(system_dim=3, env_dim=4, segments=tuple(segments))
         expected = np.array([[hermiticity_residual(g) for g in seg.generators] for seg in segments])
-        calls = []
+        calls, scans, bands = [], [], dephasing._bands
         monkeypatch.setattr(
-            dephasing, "hermiticity_residual", lambda g: calls.append(g) or hermiticity_residual(g)
+            dephasing, "hermiticity_residual",
+            lambda g, b: calls.append(g) or hermiticity_residual(g, b),
         )
+        monkeypatch.setattr(dephasing, "_bands", lambda g: scans.append(g) or bands(g))
         got = validate_schedule(s)
         assert got.tobytes() == expected.tobytes() and expected.min() > 0
         assert got[:, 0].tobytes() == got[:, 1].tobytes()
         assert len(calls) == 6
+        assert len(s._eigensystems) == 2 and len(scans) == 6  # the eigensolves read no more
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_generator_is_named(self, bad):
@@ -145,6 +150,62 @@ class TestValidateSchedule:
                 env_dim=2,
                 segments=(Segment(duration=1.0, generators=(np.eye(2), np.eye(2))),),
             )
+
+
+class TestGaugedSchedule:
+    """Each generator's bands are read once per schedule; a driven step holds its gauged pair."""
+
+    def test_driven_cutoff_256_schedule_forms_no_complex_u(self, monkeypatch):
+        # fig2d's drive at cutoff 256: the undriven steps hold no u, the driven one
+        # the pair (phi, Q) with Q real, and -V_0 reuses (-w, u) through its bands
+        schedule = build_schedule(QubitBosonParams(1.0, (
+            AlphaSegment(2.0, 0.0), AlphaSegment(2.0, 0.5 + 0.5j), AlphaSegment(2.0, 0.0),
+        ), 256))
+        scans, compared, bands, equal = [], [], linalg._bands, np.array_equal
+        for module in (dephasing, linalg):  # every read, by the schedule or inside linalg
+            monkeypatch.setattr(module, "_bands", lambda g: scans.append(g) or bands(g))
+        monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(a.shape) or equal(a, b))
+        validate_schedule(schedule)
+        systems = schedule._eigensystems
+        generators = [g for seg in schedule.segments for g in seg.generators]
+        assert sorted(map(id, scans)) == sorted(map(id, generators))  # each one once
+        assert set(compared) == {(256,), (255,)}  # bands, never a d x d matrix
+        assert [u for _, u in systems[0] + systems[2]] == [None] * 4
+        (w0, u0), (w1, u1) = systems[1]
+        phi, q = u0
+        assert u1 is u0 and w1.tobytes() == (-w0).tobytes()
+        assert phi.shape == (256,) and q.shape == (256, 256) and q.dtype == np.float64
+        # stepping a one-column factor through all three segments allocates less
+        # than a real d x d matrix at its peak: no U, U^dag or d x d product is formed
+        a = np.eye(256, dtype=complex)[:, :1]
+        tracemalloc.start()
+        try:
+            for frame in (False, True):
+                for _ in segment_chunks(schedule, a, np.linspace(0.0, 6.0, 13), frame=frame):
+                    pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 256 * 256
+        assert len(scans) == len(generators)
+
+    def test_near_negation_and_dense_generators_get_their_own_eigh(self, monkeypatch):
+        # -V_0 with one super-diagonal entry changed differs on the last band
+        # compared; a dense generator is compared as a matrix
+        v0 = branch_generator(0.5 + 0.5j, 1.0, 0.0, FockSpace(256))
+        near = -v0
+        near[6, 7] += 1e-12
+        dense = random_hermitian(np.random.default_rng(11), 256)
+        schedule = SegmentSchedule(4, 256, (Segment(1.0, (v0, -v0, near, dense)),))
+        solved = []
+        monkeypatch.setattr(dephasing, "eigh", lambda g, b: solved.append(g) or eigh(g, b))
+        systems = schedule._eigensystems[0]
+        g0, _, g2, g3 = schedule.segments[0].generators
+        assert [id(g) for g in solved] == [id(g0), id(g2), id(g3)]
+        (w0, u0), (w1, u1), (_, u2), (_, u3) = systems
+        assert u1 is u0 and w1.tobytes() == (-w0).tobytes()
+        assert isinstance(u2, tuple) and u2 is not u0
+        assert u3.shape == (256, 256) and u3.dtype == complex
 
 
 class TestPropagators:

@@ -32,6 +32,7 @@ from dephasim.linalg import (
     negativity,
     psd_factor,
     require_hermitian,
+    rotate,
     sqrtm_psd,
     trace_distance,
     trace_distance_of_factors,
@@ -255,6 +256,20 @@ class TestDiagonalEigh:
         monkeypatch.setattr(np.linalg, "eigh", None)
         assert psd_factor(m).tobytes() == (u_ref[:, keep] * np.sqrt(w_ref[keep])).tobytes()
 
+    @pytest.mark.parametrize("dim", [16, 256])
+    @pytest.mark.parametrize("state", ["thermal", "fock"])
+    def test_factor_sits_on_unit_columns_with_no_identity(self, state, dim, monkeypatch):
+        # bit for bit the gather from a formed identity that the factor used to take:
+        # the columns e_order[j] of the kept eigenvalues, scaled by their square roots
+        space = FockSpace(dim)
+        m = (thermal_state(2.0, space) if state == "thermal" else fock_state(dim // 3, space)).matrix
+        w = np.diagonal(m).real
+        order = np.argsort(w, kind="stable")
+        keep = w[order] > RANK_CUT * w[order][-1]
+        gathered = np.eye(dim, dtype=complex)[:, order][:, keep] * np.sqrt(w[order][keep])
+        monkeypatch.setattr(np, "eye", None)  # no d x d identity is formed
+        assert psd_factor(m).tobytes() == gathered.tobytes()
+
     def test_read_off_is_the_real_part_with_the_bits_of_the_old_sum(self):
         # (d + conj d).real / 2 equals d.real bit for bit wherever the sum is finite;
         # past half the float range it overflows, while d.real stays finite
@@ -296,8 +311,19 @@ def tridiagonal(rng, d, zeros=()):
     return m + np.diag(sub.conj(), 1)
 
 
+def formed(u):
+    """The complex U of eigh's u: diag(phi) Q formed from a gauged pair (phi, Q), else u."""
+    if isinstance(u, tuple):
+        phi, q = u
+        return phi[:, None] * q
+    return u
+
+
 class TestTridiagonalEigh:
-    """eigh solves a tridiagonal matrix as a real symmetric one, gauged by a diagonal unitary."""
+    """eigh solves a tridiagonal matrix as a real symmetric one, gauged by a diagonal unitary.
+
+    Its u is the pair (phi, Q) of U = diag(phi) Q, with Q real: no complex U is formed.
+    """
 
     @pytest.mark.parametrize("zeros", [(), (0, 7, 38)])
     def test_one_real_solve_gives_the_eigensystem(self, zeros, monkeypatch):
@@ -305,22 +331,26 @@ class TestTridiagonalEigh:
         w_ref = np.linalg.eigvalsh(m)
         solved, solve = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a) or solve(a))
-        w, u = eigh(m)
+        w, (phi, q) = eigh(m)
         assert [a.dtype for a in solved] == [np.float64]
+        assert phi.shape == (40,) and q.shape == (40, 40) and q.dtype == np.float64
+        assert np.abs(np.abs(phi) - 1).max() <= 2 * np.finfo(float).eps
+        u = formed((phi, q))
         scale = np.linalg.norm(m, 2)
         assert np.abs(w - w_ref).max() <= 1e-14 * scale
         assert np.linalg.norm(dagger(u) @ u - np.eye(40)) <= 1e-13
         assert np.abs((u * w) @ dagger(u) - m).max() <= 1e-14 * scale
 
     def test_zero_and_positive_entries_take_phase_one(self):
-        # a real matrix with positive off-diagonals and a -0.0 entry: Phi = I, u = V
+        # a real matrix with positive off-diagonals and a -0.0 entry: Phi = I, Q = V
         t = np.abs(tridiagonal(np.random.default_rng(5), 12, zeros=(4,)))
         m = t.astype(complex)
         m[5, 4] = m[4, 5] = -0.0
-        w, u = eigh(m)
+        w, (phi, q) = eigh(m)
         w_ref, v_ref = np.linalg.eigh(t)
         assert w.tobytes() == w_ref.tobytes()
-        assert u.tobytes() == v_ref.astype(complex).tobytes()
+        assert phi.tobytes() == np.ones(12, dtype=complex).tobytes()
+        assert q.tobytes() == v_ref.tobytes()
 
     def test_entry_off_the_three_diagonals_takes_the_dense_solve(self, monkeypatch):
         m = tridiagonal(np.random.default_rng(6), 8)
@@ -345,10 +375,46 @@ class TestTridiagonalEigh:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a) or solve(a))
         w, u = eigh(m)
         assert [a.dtype for a in solved] == [complex if dense else np.float64]
+        assert isinstance(u, tuple) != dense
+        u = formed(u)
         scale = np.linalg.norm(h, 2)
         assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-14 * scale
         assert np.linalg.norm(dagger(u) @ u - np.eye(16)) <= 1e-13
         assert np.abs((u * w) @ dagger(u) - h).max() <= 1e-14 * scale
+
+
+ROTATE_FLOOR = 4  # |rotate - formed product| in eps ||y_k||, per column k; 1.36 measured
+
+
+class TestRotate:
+    """rotate applies eigh's u: a gauged pair takes one real product and a phase."""
+
+    @pytest.mark.parametrize("shape", [(256, 7), (3, 256, 5), (4, 256, 1)])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_gauged_products_match_the_formed_u(self, shape, adjoint):
+        # a driven generator at cutoff 256, a (d, r) factor and (T, d, r) stacks:
+        # within ROTATE_FLOOR ulp of the column norm of the complex products of
+        # the formed U = diag(phi) Q (each is within about d eps of the exact one)
+        rng = np.random.default_rng(sum(shape))
+        g = branch_generator(complex(*rng.normal(size=2)), 1.3, 0.3, FockSpace(256))
+        _, u = eigh(g)
+        y = random_complex(rng, shape)
+        kept = y.copy()
+        u_formed = formed(u)
+        expected = (dagger(u_formed) if adjoint else u_formed) @ y
+        got = rotate(u, y, adjoint=adjoint)
+        assert got.shape == shape and got.dtype == complex
+        floor = ROTATE_FLOOR * np.finfo(float).eps * np.linalg.norm(y, axis=-2, keepdims=True)
+        assert np.all(np.abs(got - expected) <= floor)
+        assert y.tobytes() == kept.tobytes()
+
+    def test_identity_and_dense_u(self):
+        rng = np.random.default_rng(2)
+        y = random_complex(rng, (2, 6, 3))
+        assert rotate(None, y) is y and rotate(None, y, adjoint=True) is y
+        u = random_unitary(rng, 6)
+        assert rotate(u, y).tobytes() == (u @ y).tobytes()
+        assert rotate(u, y, adjoint=True).tobytes() == (dagger(u) @ y).tobytes()
 
 
 class TestTridiagonalResidual:

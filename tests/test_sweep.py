@@ -626,13 +626,15 @@ class TestRowSupport:
         assert max(row.type1_max for row in rows if row.t > 1.6) > 1e-2
 
     def test_only_driven_steps_hold_an_eigenvector_matrix(self):
-        # fig2d: undriven, driven, undriven. Only the driven step holds a u,
-        # one matrix for both branches, so the only d x d x r products are its
-        # two rotations in and its two factors out
+        # fig2d: undriven, driven, undriven. Only the driven step holds a u, one
+        # gauged pair (phi, Q) for both branches with Q real, so the only d x d x r
+        # products are its two real rotations in and its two real factors out
         schedule, _ = thermal_case(config_from_dict(preset_config("fig2d")), 32)
         held = [[u for _, u in system] for system in schedule._eigensystems]
         assert held[0] == held[2] == [None, None]
-        assert held[1][0].shape == (32, 32) and held[1][1] is held[1][0]
+        phi, q = held[1][0]
+        assert phi.shape == (32,) and q.shape == (32, 32) and q.dtype == np.float64
+        assert held[1][1] is held[1][0]
 
     def test_diagonal_generators_in_any_order_share_the_identity_frame(self):
         # diag(0, 1, 2, 3) and diag(3, 2, 1, 0) sort in opposite orders, but both
@@ -1114,14 +1116,14 @@ CSV_ROWS = st.tuples(*[_CELL] * 6, st.integers(2, 512))
 
 # sha256 of each preset's CSV; a deliberate roundoff change updates these
 PRESET_SHA256 = {
-    "fig2a": "ebf2b08bed76b6522c2db4f38b243e7f3bd9d1c29e6b08fb7090c9af761661f3",
-    "fig2b": "e77fb6b6a4b992234407e510e4d84580ac5007f4537f419c4930ad41760d0013",
-    "fig2c": "c5221bbeea0c61d023fbf335b558ea0fb9a1b5f41a445359d2fe77415179f873",
-    "fig2d": "965ce20f4426ccd1229a181ec73d8c9c409336bd82381992a639653da6f73b8a",
+    "fig2a": "e6e2c09d59a0d9e70704e508c6959abf2aec5236edc00f90d60b8a86a79bf933",
+    "fig2b": "a6bd27caf70325f7f1efcd4c94c814e39c841ef4a8d1466be5ab39edb0f809c3",
+    "fig2c": "d7aedbe08536fc35c84c949746d18012af5fe7af9852a052cf6fe0fe2f27878f",
+    "fig2d": "d8d8c41c922bb890b57472812a2ed7418997e9bdb861a45bf67e93580cce1408",
     "fig2e": "7980031a0e08992474a6efd14be7e9d4c9a50a96abbc981f3f8c3f4f7448c410",
-    "fig2f": "bef9d1c84c7a99cbdce5431d1f76286255ec7c391d3f5cfc49c88336f42a5a36",
-    "fig3a": "aca4d27192abfdcd069e7a067b924f4c50bb4a801ab77ac41d8105129b514070",
-    "fig3b": "60758b9cd72563e38ece556fe4dc49b6eb3969c3137fadcea95e0816f822791f",
+    "fig2f": "a59c0e14365feb7dd946218c4a2ab887c9330a49ca4d84e498514f644f5d057f",
+    "fig3a": "69e126f98bad22f5dbc8955c9ad52eb04b767360af43acea46bced82c19a7774",
+    "fig3b": "b7e7a188144a7d2c080a8349e1ae253d7abe5a43e1c12500b060ff3fe7e9dd13",
     "fig3c": "32243aa7d7af62d8c1eaca49e9aa366e1f14c3a247642bf1f0111214d24cd382",
 }
 
