@@ -30,10 +30,11 @@ quantities are assembled on demand. With R(0) = A A^dag factored (A is d x r),
 every block is R_ij = Y_i Y_j^dag with Y_i = w_i A.
 
 segment_chunks is the only routine that steps through the segments, and
-propagators_at reads its stacks of A = I. Each segment k gets one step, the
-(w_ki, U_ki, B_i) of every pointer with B_i = U_ki^dag w_i(start of k) A,
-yielded with each chunk of its times and the chunk's stacks, all finite and
-within linalg.CHUNK_BYTES: Y_i = U_ki exp(-i w_ki tau) B_i (_stacks), each
+propagators_at reads its stacks of A = I. It holds one step, that of
+segment k: the (w_ki, U_ki, B_i) of every pointer, B_i = U_ki^dag w_i(start
+of k) A, built from step k - 1 and yielded with each chunk of k's times (by
+segment, then by index) and the chunk's stacks, all finite and within
+linalg.CHUNK_BYTES: Y_i = U_ki exp(-i w_ki tau) B_i (_stacks), each
 product with U_ki or U_ki^dag taken by linalg.rotate. In the
 frame of pointer 0, when all pointers share its eigenvectors (every
 qubit-boson segment; diagonal generators share U = I whatever the order of
@@ -42,7 +43,7 @@ weight: the lightest, at most ROW_TAIL^2 of sum_i ||B_i||^2, are cut, which
 moves outputs by O(ROW_TAIL); fig2d carries 70/102/115 at cutoff 256. A
 segment whose pointers do not share those eigenvectors takes the unframed
 stacks over all d rows. Schedules are immutable and may be shared across
-workers; the eigensystems are computed on first use.
+workers; the eigensystems are computed on first use, one per distinct generator.
 """
 
 from __future__ import annotations
@@ -162,24 +163,16 @@ class SegmentSchedule:
     def _eigensystems(self):
         """Per segment, per pointer: linalg.eigh (w, u) of each generator's Hermitian part.
 
-        A diagonal generator (an undriven step) is (its real diagonal, None):
-        its eigenvectors are the identity, in the diagonal's own order, so no
-        d x d matrix is formed or multiplied. A tridiagonal one (a driven
-        qubit-boson step) is solved in real arithmetic, and u is the pair
-        (phi, Q) of U = diag(phi) Q, applied by linalg.rotate with no complex
-        U formed. Minus generator 0 (both qubit-boson branches) reuses
-        (-w, u), the same u: found on the three bands when both generators
-        are tridiagonal, else by comparing the matrices.
+        A diagonal generator (an undriven step) is (its real diagonal, None),
+        with no d x d matrix formed or multiplied; a tridiagonal one (a driven
+        qubit-boson step) has u = (phi, Q), U = diag(phi) Q, applied by
+        linalg.rotate. _solve solves each distinct generator once: -V_0 (both
+        qubit-boson branches) and a repeated step reuse an earlier u.
         """
-        systems = []
+        solved, systems = {}, []
         try:
-            for seg, (b0, *bands) in zip(self.segments, self._bands):
-                g0, *rest = seg.generators
-                w0, u0 = eigh(g0, b0)
-                systems.append([(w0, u0)] + [
-                    (-w0, u0) if _negated(g, b, g0, b0) else eigh(g, b)
-                    for g, b in zip(rest, bands)
-                ])
+            for seg, bands in zip(self.segments, self._bands):
+                systems.append([_solve(g, b, solved) for g, b in zip(seg.generators, bands)])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(
                 f"eigh of a generator of segment {len(systems)} did not converge: {exc}"
@@ -187,11 +180,14 @@ class SegmentSchedule:
         return systems
 
 
-def _negated(g: np.ndarray, bands, g0: np.ndarray, bands0) -> bool:
-    """Whether g = -g0 entrywise: on their three bands (O(d)) when both are tridiagonal."""
-    if bands[4] and bands0[4]:
-        return all(np.array_equal(x, -x0) for x, x0 in zip(bands[:3], bands0[:3]))
-    return np.array_equal(g, -g0)
+def _solve(g: np.ndarray, bands, solved: dict):
+    """eigh(g, bands) once per key, g's three bands if tridiagonal else g; -g gets (-w, u)."""
+    parts = bands[:3] if bands[4] else (g,)
+    key = b"".join((x + 0.0).tobytes() for x in parts)  # + 0.0: -0.0 keys as 0.0
+    if key not in solved:
+        w, u = solved[key] = eigh(g, bands)
+        solved.setdefault(b"".join((0.0 - x).tobytes() for x in parts), (-w, u))
+    return solved[key]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a phase w tau past the float range reads NaN
@@ -259,15 +255,17 @@ def propagators_at(schedule: SegmentSchedule, t: float) -> tuple[np.ndarray, ...
 
 
 def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bool = False):
-    """Yield (index of the first time, step, tau, stacks) for each chunk of times, in order.
+    """Yield (index of the first time, step, tau, stacks) for each chunk of times.
 
-    A chunk is a run of times inside one segment holding at most CHUNK_BYTES
-    of stacks, and tau their elapsed times. step, the segment's (w_ki, U_ki,
-    B_i) per pointer, is built once and yielded as the same object with each
-    of its chunks, and stacks = _stacks(step, tau): stacks[i] is the (T, d, r)
-    stack of w_i(t) A, finite, or NonFiniteError names the first time where
-    one is not. With frame=True it is V^dag w_i A for a unitary V shared by
-    all pointers, which keeps Gram matrices and spectra. In a segment whose
+    A chunk is a run of consecutive times inside one segment holding at most
+    CHUNK_BYTES of stacks, and tau their elapsed times; chunks come by ascending
+    segment, by index within one (nondecreasing times: in order). step, the
+    segment's (w_ki, U_ki, B_i) per pointer, is built from the previous step at
+    its first chunk, the only step held, and yielded as one object with each
+    chunk of a run of times. stacks = _stacks(step, tau): stacks[i] is the
+    (T, d, r) stack of w_i(t) A, finite, or NonFiniteError names the first time
+    where one is not. With frame=True it is V^dag w_i A for a unitary V shared
+    by all pointers, which keeps Gram matrices and spectra. In a segment whose
     pointers all share the eigenvectors of pointer 0 (U_ki is U_k0, or every
     generator is diagonal and U_ki = I), V = U_k0 exp(-i w_k0 tau), and the
     step drops its U: stacks[0] is B_0, the others cost only the phase
@@ -285,17 +283,15 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
     ks, taus = _locate(schedule, ts)
     systems = schedule._eigensystems
     chunk = max(1, CHUNK_BYTES // (16 * a.size * schedule.system_dim))
-    steps, start = [], [a] * schedule.system_dim  # start[i] = w_i(start of k) A
-    for k in range(int(ks.max(initial=-1)) + 1):
-        if k:  # the stacks at the end of segment k - 1
-            end = np.array([schedule.segments[k - 1].duration])
-            start = [y[0] for y in _stacks(steps[-1], end)]
-        steps.append(
-            [(w, u, rotate(u, y, adjoint=True)) for (w, u), y in zip(systems[k], start)]
-        )
     starts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()  # of each run of equal k
-    for lo, hi in zip(starts, [*starts[1:], len(ks)]):
-        step = steps[ks[lo]]
+    runs = zip(ks[starts].tolist(), starts, [*starts[1:], len(ks)])
+    built, step = -1, [(None, None, a)] * schedule.system_dim  # before segment 0: w_i = I
+    for k, lo, hi in sorted(runs):  # by segment, then by index
+        for m in range(built + 1, k + 1):  # step m from step m - 1, which is dropped
+            end = np.array([schedule.segments[m - 1].duration])  # for m = 0, a tau of no phase
+            start = [y[0] for y in _stacks(step, end)]  # w_i(start of segment m) A
+            step = [(w, u, rotate(u, y, adjoint=True)) for (w, u), y in zip(systems[m], start)]
+        built, held = k, step
         (w0, u0, b0), *rest = step
         if frame and all(u is u0 for _, u, _ in rest):  # the shared frame V
             weight = np.sum(np.abs(np.concatenate([b for _, _, b in step], axis=1)) ** 2, axis=1)
@@ -308,15 +304,15 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
                 spread = max((np.abs(s).max() for s, _ in shifted), default=0.0)
                 # a phase that is not finite on a dropped row still makes the stacks NaN
                 taus[lo:hi] = np.where(np.isfinite(spread * taus[lo:hi]), taus[lo:hi], np.nan)
-            step = [(None, None, b0[rows])] + [(s[rows], None, b[rows]) for s, b in shifted]
+            held = [(None, None, b0[rows])] + [(s[rows], None, b[rows]) for s, b in shifted]
         for first in range(lo, hi, chunk):
             tau = taus[first : min(first + chunk, hi)]
-            stacks = _stacks(step, tau)
+            stacks = _stacks(held, tau)
             finite = np.logical_and.reduce([np.isfinite(s).all(axis=(1, 2)) for s in stacks])
             if not finite.all():
                 bad = float(ts[first + np.argmin(finite)])
                 raise NonFiniteError(f"evolved state is not finite at t = {bad!r}")
-            yield first, step, tau, stacks
+            yield first, held, tau, stacks
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,10 @@
 Everything here takes and returns plain numpy arrays (complex128, square).
 Matrices in this package stay below dimension ~512, so direct LAPACK
 factorizations are always the right tool; there are no sparse or iterative
-paths. All functions are pure and safe to call concurrently.
+paths. All functions are pure and safe to call concurrently. The factor
+kernels (*_of_factors) trust their inputs: on factors with entries near 1e200
+their products overflow, with numpy's "overflow encountered in matmul".
+sweep.evaluate passes none: R(0) has unit trace and every step is unitary.
 """
 
 from __future__ import annotations
@@ -96,10 +99,11 @@ def eigh(m: np.ndarray, bands=None):
     identity, which callers neither form nor multiply. Otherwise w ascends.
     A tridiagonal m is gauged to the real symmetric T = Phi^dag H Phi, where
     the diagonal unitary Phi takes its phases from the sub-diagonal
-    s = (sub + conj(sup))/2 of H (phase 1 at a zero entry); T = Q diag(w) Q^T
-    is solved in real arithmetic (one dsyevd), with no d x d H formed, and u
-    is the pair (phi, Q) of U = diag(phi) Q, which rotate applies with no
-    complex U formed. Any other m takes the dense complex solve of H, and u
+    s = (sub + conj(sup))/2 of H (phase 1 where |s| is 0 or subnormal, whose
+    reciprocal overflows: a change below 5e-308); T = Q diag(w) Q^T is solved
+    in real arithmetic (one dsyevd), with no d x d H formed, and u is the
+    pair (phi, Q) of U = diag(phi) Q, which rotate applies with no complex U
+    formed. Any other m takes the dense complex solve of H, and u
     is the complex U. Unlike diag.real, these sums overflow silently past
     half the float range: LinAlgError, or w not finite.
     """
@@ -114,7 +118,7 @@ def eigh(m: np.ndarray, bands=None):
     w, q = np.linalg.eigh(t)
     # Phi_{k+1} = Phi_k s_k / |s_k|, a running product renormalized to unit
     # modulus: each ratio Phi_{k+1} / Phi_k keeps the phase of s_k to roundoff
-    unit = np.divide(sub, off, out=np.ones_like(sub), where=off > 0)
+    unit = np.divide(sub, off, out=np.ones_like(sub), where=off >= np.finfo(float).tiny)
     phi = np.cumprod(np.concatenate(([1.0], unit)))
     phi /= np.abs(phi)
     return w, (phi, q)

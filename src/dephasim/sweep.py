@@ -217,7 +217,7 @@ def evaluate(
     # the type-2 products w_a w_r^dag need w_i itself: step the identity instead of A
     type2 = outputs.type2 and len(on) >= 3
     stepped = np.eye(dim, dtype=complex) if type2 else a
-    rows, gram_step = [], None
+    rows, gram_step = [None] * len(times), None
     # every output is invariant under the frame V shared by the pointers
     for first, step, tau, stacks in segment_chunks(schedule, stepped, times, frame=True):
         ts = times[first : first + len(tau)]
@@ -249,7 +249,7 @@ def evaluate(
         if outputs.negativity:
             z = np.concatenate([c[i] * ys[i] for i in on], axis=1)
             neg = negativity_of_factors(z, len(on)).tolist()
-        rows += map(
+        rows[first : first + len(ts)] = map(
             SweepRow, [t + t_start for t in ts], measure, coherence_norm,
             type1_max, type2_max, neg, repeat(dim),
         )

@@ -161,15 +161,27 @@ class TestGaugedSchedule:
         schedule = build_schedule(QubitBosonParams(1.0, (
             AlphaSegment(2.0, 0.0), AlphaSegment(2.0, 0.5 + 0.5j), AlphaSegment(2.0, 0.0),
         ), 256))
-        scans, compared, bands, equal = [], [], linalg._bands, np.array_equal
+        scans, bands = [], linalg._bands
         for module in (dephasing, linalg):  # every read, by the schedule or inside linalg
             monkeypatch.setattr(module, "_bands", lambda g: scans.append(g) or bands(g))
-        monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(a.shape) or equal(a, b))
         validate_schedule(schedule)
-        systems = schedule._eigensystems
         generators = [g for seg in schedule.segments for g in seg.generators]
         assert sorted(map(id, scans)) == sorted(map(id, generators))  # each one once
-        assert set(compared) == {(256,), (255,)}  # bands, never a d x d matrix
+        # the solves are keyed on bands, never on a d x d matrix: with eigh stubbed, the
+        # cache allocates less than a real d x d matrix (a dense +/-g pair takes 4 MiB)
+        solves = {id(g): eigh(g, b) for g, b in zip(generators, sum(schedule._bands, []))}
+        solved = []
+        monkeypatch.setattr(dephasing, "eigh", lambda g, b: solved.append(g) or solves[id(g)])
+        tracemalloc.start()
+        try:
+            systems = schedule._eigensystems
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 256 * 256
+        # one solve per distinct generator: the last undriven step reuses the first
+        assert [id(g) for g in solved] == [id(generators[0]), id(generators[2])]
+        assert all(x is y for x, y in zip(systems[2], systems[0]))
         assert [u for _, u in systems[0] + systems[2]] == [None] * 4
         (w0, u0), (w1, u1) = systems[1]
         phi, q = u0
@@ -340,6 +352,16 @@ class TestEvolveFactor:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ConvergenceFailure, match="did not converge"):
                 propagators_at(build_schedule(params), 0.5)
+
+    def test_convergence_failure_names_its_segment(self):
+        # segment 0 solves; segment 1's overflowing drive is the one named
+        params = QubitBosonParams(
+            beta=1.0, segments=(AlphaSegment(1.0, 0.0), AlphaSegment(1.0, 1e308)), cutoff=4
+        )
+        with pytest.raises(
+            ConvergenceFailure, match=r"^eigh of a generator of segment 1 did not converge: "
+        ):
+            propagators_at(build_schedule(params), 0.5)
 
     def test_dimension_mismatch(self):
         sched = make_schedule(np.random.default_rng(0), env_dim=4)

@@ -352,6 +352,17 @@ class TestTridiagonalEigh:
         assert phi.tobytes() == np.ones(12, dtype=complex).tobytes()
         assert q.tobytes() == v_ref.tobytes()
 
+    def test_subnormal_entry_takes_phase_one(self):
+        # numpy divides s / |s| by way of 1/|s|, which overflows for a subnormal |s|
+        # (a qubit_boson drive of |alpha| = 1e-310): phase 1 there keeps U unitary
+        m = tridiagonal(np.random.default_rng(7), 12)
+        m[5, 4], m[4, 5] = 3e-310 * (1 - 1j), 3e-310 * (1 + 1j)
+        _, (phi, q) = eigh(m)
+        assert np.abs(np.abs(phi) - 1).max() <= 2 * np.finfo(float).eps
+        assert phi[5] / phi[4] == 1
+        u = formed((phi, q))
+        assert np.linalg.norm(dagger(u) @ u - np.eye(12)) <= 1e-13
+
     def test_entry_off_the_three_diagonals_takes_the_dense_solve(self, monkeypatch):
         m = tridiagonal(np.random.default_rng(6), 8)
         m[5, 0] = 1e-300

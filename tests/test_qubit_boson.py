@@ -243,6 +243,40 @@ class TestCoherentOracle:
         assert np.abs(np.array([row.entanglement for row in rows]) - e).max() <= 1e-14
         assert np.abs(np.array([row.coherence_norm for row in rows]) - coh).max() <= 1e-14
 
+    @given(
+        beta=st.floats(0.5, 2.0),
+        zeta=st.floats(0.0, 1.5),
+        zeta_phase=st.floats(0.0, 2 * math.pi),
+        drive=st.lists(
+            st.tuples(st.floats(0.5, 2.0), st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)),
+            min_size=1,
+            max_size=6,
+        ),
+        weight=st.floats(0.05, 0.95),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_drives_match_closed_form(self, beta, zeta, zeta_phase, drive, weight):
+        # 1-6 (duration, |alpha|, phase) steps, a coherent R(0) and unequal c at an
+        # explicit cutoff of 128, inside the drive's reach. Under Hypothesis 6.155 the 60
+        # examples are within 7.8e-15 (E) and 4.4e-15 (coherence), and include a
+        # subnormal |alpha|, which needs linalg.eigh's phase 1 for a subnormal |s|
+        z = zeta * np.exp(1j * zeta_phase)
+        cfg = config_from_dict({
+            "model": {"qubit_boson": {"beta": beta, "segments": [
+                {"duration": d, "alpha": [a * math.cos(p), a * math.sin(p)]} for d, a, p in drive
+            ]}},
+            "initial_env": {"coherent": {"re": z.real, "im": z.imag}},
+            "time": {"t_max": sum(d for d, _, _ in drive), "steps": 101},
+            "cutoff": 128,
+            "amplitudes": [[math.sqrt(weight), 0.0], [0.0, math.sqrt(1 - weight)]],
+        })
+        rows = run_sweep(cfg)
+        segments = [(s.duration, s.alpha) for s in cfg.model.segments]
+        times = [row.t for row in rows]
+        e, coh = coherent_oracle(cfg.initial_env.zeta, beta, segments, cfg.amplitudes, times)
+        assert np.abs(np.array([row.entanglement for row in rows]) - e).max() <= 5e-14
+        assert np.abs(np.array([row.coherence_norm for row in rows]) - coh).max() <= 5e-14
+
 
 class TestEntanglementBehavior:
     @pytest.mark.parametrize("theta", [0.0, 0.5, 2.0])

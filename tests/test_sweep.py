@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from itertools import combinations
 from pathlib import Path
@@ -69,6 +70,16 @@ from dephasim.sweep import (
 from util import chunk_stacks, expm, normalized_coherence, random_density, random_hermitian
 
 EQUAL = equal_superposition(2)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded from its file once and registered as perfbench_<name>."""
+    if f"perfbench_{name}" not in sys.modules:
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[f"perfbench_{name}"]
 
 
 def small_fig2d(steps=31, cutoff=16):
@@ -877,6 +888,41 @@ class TestEvaluate:
         if name == "pointers4":
             assert min(row.type2_max for row in rows) > 1e-3  # a nontrivial type-2 check
 
+    @pytest.mark.parametrize("workload", ["pure-c64", "thermal-c256", "qutrit-neg"])
+    def test_permuted_times_give_the_same_rows_bit_for_bit(self, workload):
+        # one draw of each benchmark workload, the negativity on: the chunks of a
+        # permuted grid come by segment, and each row lands at the index of its time
+        draw = perfbench_module("workloads").WORKLOADS[workload](np.random.default_rng(1))
+        schedule, env = draw.reference()
+        times = np.linspace(0.0, draw.t_max, 61)
+        order = np.random.default_rng(2).permutation(len(times))
+        outputs = OutputFlags(negativity=True)
+        rows = evaluate(schedule, env, draw.amplitudes, times, outputs)
+        permuted = evaluate(schedule, env, draw.amplitudes, times[order], outputs)
+        assert repr(permuted) == repr([rows[i] for i in order])
+
+    def test_memory_and_eigensolves_do_not_grow_with_the_segments(self, monkeypatch):
+        # thermal R(0) at cutoff 256 under n alternating off/on steps over a total of 6:
+        # one step is held at a time, and the repeated driven generator is solved once
+        # (held together, the steps peak at 3.3 and 40.2 MiB at n = 3 and 48, and a solve
+        # per segment makes 24 driven ones at n = 48)
+        env, times = thermal_state(2.0, FockSpace(256)), np.linspace(0.0, 6.0, 31)
+        solves, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: solves.append(m.shape) or eigh(m))
+        peaks = []
+        for n in (3, 48):
+            segments = [AlphaSegment(6.0 / n, 0.5 + 0.5j if k % 2 else 0.0) for k in range(n)]
+            schedule = build_schedule(QubitBosonParams(1.0, segments, 256))  # not traced
+            solves.clear()
+            tracemalloc.start()
+            try:
+                evaluate(schedule, env, EQUAL, times)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert solves == [(256, 256)], n
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
     def test_t_start_offsets_only_the_time_column(self):
         schedule, env, c, times = evaluate_case("stepped")
         rows = evaluate(schedule, env, c, times)
@@ -993,11 +1039,7 @@ class TestCutoffReach:
 def test_perfbench_span_targets_exist():
     # perfbench/spans.py wraps these names where dephasim imported them;
     # one that is gone crashes `perfbench/run.py --trace 1`
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    path = perfbench / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = perfbench_module("spans")
     assert spans.WRAPPED
     for module, attr in spans.WRAPPED:
         assert hasattr(module, attr), (module.__name__, attr)
@@ -1006,7 +1048,7 @@ def test_perfbench_span_targets_exist():
     imported = [
         (node.module, alias.name)
         for name in ("bench.py", "checks.py")
-        for node in ast.walk(ast.parse((perfbench / name).read_text()))
+        for node in ast.walk(ast.parse((PERFBENCH / name).read_text()))
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dephasim")
         for alias in node.names
     ]
@@ -1128,12 +1170,28 @@ PRESET_SHA256 = {
 }
 
 
+# sha256 of three presets' CSVs with outputs.negativity = true, which every preset leaves off
+NEGATIVITY_SHA256 = {
+    "fig2a": "9a851f38a3f9ca6ab3024345a86198cfa1ee090ac747eb445e2e04f46484aa44",
+    "fig2b": "ba1b99e1137a9fbf44d7889f1421902fc59578b4cca25e0429d8571f56acbb46",
+    "fig3a": "224707b710f83576aa6f96d9aee14153088039e953c4c162271ba000072253a4",
+}
+
+
 class TestEmitCsv:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_bytes_are_pinned(self, name):
         buf = io.BytesIO()
         emit_csv(run_sweep(config_from_dict(preset_config(name))), buf)
         assert hashlib.sha256(buf.getvalue()).hexdigest() == PRESET_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(NEGATIVITY_SHA256))
+    def test_negativity_on_bytes_are_pinned(self, name):
+        cfg = preset_config(name)
+        cfg["outputs"] = {"negativity": True}
+        buf = io.BytesIO()
+        emit_csv(run_sweep(config_from_dict(cfg)), buf)
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == NEGATIVITY_SHA256[name]
 
     def test_preset_bytes_do_not_depend_on_the_blas_thread_count(self):
         # fig2d (thermal, SVD fidelity) and fig3a (coherent, rank 1) at cutoff 64,

@@ -17,10 +17,15 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def chunk_stacks(schedule, a, times, *, frame=False):
-    """(index of the first time, stacks) of each segment_chunks chunk."""
-    return [(first, stacks) for first, *_, stacks in segment_chunks(
-        schedule, a, times, frame=frame
-    )]
+    """(index of the first time, stacks) of each segment_chunks chunk, in index order.
+
+    segment_chunks yields the chunks by segment; sorted by first, their stacks
+    follow the times as given, unsorted or revisiting too.
+    """
+    return sorted(
+        ((first, stacks) for first, *_, stacks in segment_chunks(schedule, a, times, frame=frame)),
+        key=lambda chunk: chunk[0],
+    )
 
 
 def random_complex(rng, shape):
