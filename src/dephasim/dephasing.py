@@ -17,8 +17,8 @@ qubit-boson step) is its diagonal with U = I, held as None, no matrix at all,
 so it costs neither an eigensolve nor a d x d product; a tridiagonal one (a
 driven step) is gauged to a real symmetric matrix by a diagonal unitary and
 solved in real arithmetic, its U = diag(phi) Q held as the pair (phi, Q),
-never formed (linalg.rotate applies it). Each generator's structure is read
-once per schedule.
+never formed (linalg.rotate applies it). A Segment reads each generator's
+structure once, when built, and holds a tridiagonal one as its three bands.
 
 The joint state never needs to be formed during evolution: it is carried as
 the pointer amplitudes c_i plus the environment blocks
@@ -63,8 +63,8 @@ from .errors import (
     NotNormalizedError,
     TimeOutOfRange,
 )
-from .linalg import CHUNK_BYTES, HERM_TOL, NORM_TOL, _bands, dagger, eigh, hermiticity_residual
-from .linalg import rotate
+from .linalg import CHUNK_BYTES, HERM_TOL, NORM_TOL, _bands, _tridiagonal, dagger, eigh
+from .linalg import hermiticity_residual, rotate
 
 __all__ = [
     "Segment",
@@ -87,28 +87,53 @@ def equal_superposition(n: int) -> np.ndarray:
     return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Segment:
-    """One piecewise-constant interval: a duration plus one generator per pointer state."""
+    """One piecewise-constant interval: a duration plus one generator per pointer state.
+
+    Each generator's structure is read once, here: _held has (None, linalg._bands)
+    for a tridiagonal one (diagonal included), no d x d matrix, and (matrix, _bands)
+    for any other. generators forms the d x d matrices on each access.
+    """
 
     duration: float
-    generators: tuple[np.ndarray, ...]
+    dim: int
+    _held: tuple
 
-    def __post_init__(self):
-        if not self.duration > 0:
-            raise InvalidArgument(f"segment duration must be > 0, got {self.duration}")
-        gens = []
-        for g in self.generators:
-            arr = np.ascontiguousarray(g, dtype=complex)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise InvalidArgument(f"generator has shape {arr.shape}, expected square")
-            arr.setflags(write=False)
-            gens.append(arr)
-        if not gens:
-            raise InvalidArgument("segment needs at least one generator")
-        if len({g.shape for g in gens}) != 1:
-            raise DimensionMismatch("generators within a segment differ in dimension")
-        object.__setattr__(self, "generators", tuple(gens))
+    def __init__(self, duration: float, generators):
+        self._hold(duration, (_as_held(np.ascontiguousarray(g, dtype=complex)) for g in generators))
+
+    @classmethod
+    def _from_bands(cls, duration: float, bands) -> Segment:
+        """A Segment of tridiagonal generators, each as complex (diagonal, sub-, super-diagonal)."""
+        seg = object.__new__(cls)
+        seg._hold(duration, ((None, (*b, not np.count_nonzero(b[1:]), True)) for b in bands))
+        return seg
+
+    def _hold(self, duration: float, held):
+        if not duration > 0:
+            raise InvalidArgument(f"segment duration must be > 0, got {duration}")
+        held = tuple(held)  # after the duration check
+        dims = {len(b[0]) if m is None else len(m) for m, b in held}
+        if len(dims) != 1:
+            raise (DimensionMismatch("generators within a segment differ in dimension") if dims
+                   else InvalidArgument("segment needs at least one generator"))
+        for x in (x for m, b in held for x in (b[:3] if m is None else (m,))):
+            x.setflags(write=False)
+        vars(self).update(duration=duration, dim=dims.pop(), _held=held)  # frozen: no setattr
+
+    @property
+    def generators(self) -> tuple[np.ndarray, ...]:
+        """The d x d generator matrices, a tridiagonal one formed from its bands on each access."""
+        return tuple(_tridiagonal(*b[:3]) if m is None else m for m, b in self._held)
+
+
+def _as_held(g: np.ndarray):
+    """(g, its _bands), or (None, copies of the bands) when g is tridiagonal."""
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise InvalidArgument(f"generator has shape {g.shape}, expected square")
+    bands = _bands(g)
+    return (None, (*map(np.copy, bands[:3]), *bands[3:])) if bands[4] else (g, bands)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,15 +154,13 @@ class SegmentSchedule:
         if not self.segments:
             raise EmptySchedule("schedule has no segments")
         for idx, seg in enumerate(self.segments):
-            if len(seg.generators) != self.system_dim:
+            if len(seg._held) != self.system_dim:
                 raise DimensionMismatch(
-                    f"segment {idx} has {len(seg.generators)} generators, "
-                    f"expected {self.system_dim}"
+                    f"segment {idx} has {len(seg._held)} generators, expected {self.system_dim}"
                 )
-            if seg.generators[0].shape != (self.env_dim, self.env_dim):
+            if seg.dim != self.env_dim:
                 raise DimensionMismatch(
-                    f"segment {idx} generators act on dimension "
-                    f"{seg.generators[0].shape[0]}, expected {self.env_dim}"
+                    f"segment {idx} generators act on dimension {seg.dim}, expected {self.env_dim}"
                 )
 
     @property
@@ -155,11 +178,6 @@ class SegmentSchedule:
         return np.concatenate(([0.0], np.cumsum([s.duration for s in self.segments])))
 
     @cached_property
-    def _bands(self):
-        """Per segment, per pointer: linalg._bands of each generator, read once for all users."""
-        return [[_bands(g) for g in seg.generators] for seg in self.segments]
-
-    @cached_property
     def _eigensystems(self):
         """Per segment, per pointer: linalg.eigh (w, u) of each generator's Hermitian part.
 
@@ -171,8 +189,8 @@ class SegmentSchedule:
         """
         solved, systems = {}, []
         try:
-            for seg, bands in zip(self.segments, self._bands):
-                systems.append([_solve(g, b, solved) for g, b in zip(seg.generators, bands)])
+            for seg in self.segments:
+                systems.append([_solve(m, b, solved) for m, b in seg._held])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(
                 f"eigh of a generator of segment {len(systems)} did not converge: {exc}"
@@ -180,12 +198,12 @@ class SegmentSchedule:
         return systems
 
 
-def _solve(g: np.ndarray, bands, solved: dict):
-    """eigh(g, bands) once per key, g's three bands if tridiagonal else g; -g gets (-w, u)."""
-    parts = bands[:3] if bands[4] else (g,)
+def _solve(m, bands, solved: dict):
+    """eigh(m, bands) once per key, the held bands (m None) else m; -m gets (-w, u)."""
+    parts = bands[:3] if m is None else (m,)
     key = b"".join((x + 0.0).tobytes() for x in parts)  # + 0.0: -0.0 keys as 0.0
     if key not in solved:
-        w, u = solved[key] = eigh(g, bands)
+        w, u = solved[key] = eigh(m, bands)
         solved.setdefault(b"".join((0.0 - x).tobytes() for x in parts), (-w, u))
     return solved[key]
 
@@ -214,10 +232,7 @@ def validate_schedule(schedule: SegmentSchedule) -> np.ndarray:
     every generator is Hermitian, so that each conditional propagator is
     unitary. Entry [k, i] is hermiticity_residual of generator i of segment k.
     """
-    residuals = np.array([
-        [hermiticity_residual(g, b) for g, b in zip(seg.generators, bands)]
-        for seg, bands in zip(schedule.segments, schedule._bands)
-    ])
+    residuals = np.array([[hermiticity_residual(*h) for h in s._held] for s in schedule.segments])
     worst = np.unravel_index(np.argmax(residuals), residuals.shape)  # the first NaN if any
     if not residuals[worst] <= HERM_TOL:  # a NaN residual must fail too
         bad = np.argwhere(~np.isfinite(schedule.segments[worst[0]].generators[worst[1]]))

@@ -62,6 +62,11 @@ def _bands(m: np.ndarray):
     return diag, sub, sup, not off, off == np.count_nonzero(sub) + np.count_nonzero(sup)
 
 
+def _tridiagonal(diag, sub, sup) -> np.ndarray:
+    """The matrix with these three bands and zeros elsewhere: what _bands reads back."""
+    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+
+
 def hermiticity_residual(m: np.ndarray, bands=None) -> float:
     """Relative residual ||M - M^dag||_F / max(1, ||M||_F).
 
@@ -114,7 +119,7 @@ def eigh(m: np.ndarray, bands=None):
         return np.linalg.eigh((m + dagger(m)) / 2)
     sub = (sub + sup.conj()) / 2
     off = np.abs(sub)
-    t = np.diag(diag.real) + np.diag(off, -1) + np.diag(off, 1)
+    t = _tridiagonal(diag.real, off, off)
     w, q = np.linalg.eigh(t)
     # Phi_{k+1} = Phi_k s_k / |s_k|, a running product renormalized to unit
     # modulus: each ratio Phi_{k+1} / Phi_k keeps the phase of s_k to roundoff
@@ -273,9 +278,9 @@ def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
       -|a|^2 |b_perp|^2 <= 0, so the distance is
       D = sqrt(((|a|^2 - |b|^2)/2)^2 + |a|^2 |b_perp|^2), where
       b_perp = b - a (a^dag b)/|a|^2 is one Gram-Schmidt step (b_perp = b
-      for a = 0). It is within about eps max(1, |a|^2, |b|^2) at any D;
-      the equal form ((|a|^2 + |b|^2)/2)^2 - |a^dag b|^2 under the root
-      cancels, to an error of about eps / D.
+      where 1/|a|^2 overflows: |a|^2 is 0 or subnormal). It is within about
+      eps max(1, |a|^2, |b|^2) at any D; the equal form ((|a|^2 + |b|^2)/2)^2
+      - |a^dag b|^2 under the root cancels, to an error of about eps / D.
     - r1 + r2 < d otherwise: a and b are replaced by the column blocks of R
       in the reduced QR [a | b] = Q R, which leaves the spectrum of the
       difference unchanged and shrinks the eigenproblem to (r1 + r2) square.
@@ -288,7 +293,7 @@ def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
         ah = dagger(a)
         aa, ab = (ah @ a)[..., 0, 0].real, (ah @ b)[..., 0, 0]
         bb = (dagger(b) @ b)[..., 0, 0].real
-        coef = np.divide(ab, aa, out=np.zeros_like(ab), where=aa > 0)
+        coef = np.divide(ab, aa, out=np.zeros_like(ab), where=aa >= np.finfo(float).tiny)
         perp = b - a * coef[..., None, None]
         return np.sqrt(((aa - bb) / 2) ** 2 + aa * (dagger(perp) @ perp)[..., 0, 0].real)
     if not _direct_path(r1, b.shape[-1], a.shape[-2]):

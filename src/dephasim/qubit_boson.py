@@ -23,6 +23,7 @@ import numpy as np
 from .dephasing import Segment, SegmentSchedule
 from .errors import InvalidArgument
 from .fock import FockSpace
+from .linalg import _tridiagonal
 
 __all__ = [
     "AlphaSegment",
@@ -61,21 +62,25 @@ class QubitBosonParams:
             raise InvalidArgument("at least one drive segment is required")
 
 
+def _branch_bands(alpha: complex, beta: float, gamma: float, dim: int):
+    """(diagonal, sub-, super-diagonal) of V_0 = alpha a^dag + alpha* a + beta n + gamma."""
+    n, root = np.arange(dim), np.sqrt(np.arange(1, dim))
+    with np.errstate(over="ignore"):  # validate_schedule names an overflowed entry
+        bands = beta * n + gamma, alpha * root, np.conj(alpha) * root
+    return tuple(x.astype(complex) for x in bands)
+
+
 def branch_generator(alpha: complex, beta: float, gamma: float, space: FockSpace) -> np.ndarray:
     """Environment generator V_0 = alpha a^dag + alpha* a + beta n + gamma; V_1 is -V_0."""
-    n = np.arange(space.dim)
-    with np.errstate(over="ignore"):  # validate_schedule names an overflowed entry
-        base = np.diag((beta * n + gamma).astype(complex))
-        base[n[1:], n[:-1]] = alpha * np.sqrt(n[1:])
-        base[n[:-1], n[1:]] = np.conj(alpha) * np.sqrt(n[1:])
-    return base
+    return _tridiagonal(*_branch_bands(alpha, beta, gamma, space.dim))
 
 
 def build_schedule(params: QubitBosonParams) -> SegmentSchedule:
-    """Two-pointer schedule with opposite-sign generators per drive step."""
-    space = FockSpace(params.cutoff)
-    segments = []
+    """Two-pointer schedule of +/-V_0 per step, as bands; a repeated step shares its arrays."""
+    dim = FockSpace(params.cutoff).dim
+    held, segments = {}, []
     for step in params.segments:
-        v0 = branch_generator(step.alpha, params.beta, step.gamma, space)
-        segments.append(Segment(duration=step.duration, generators=(v0, -v0)))
-    return SegmentSchedule(system_dim=2, env_dim=space.dim, segments=tuple(segments))
+        v0 = _branch_bands(step.alpha, params.beta, step.gamma, dim)
+        pair = held.setdefault(b"".join(x.tobytes() for x in v0), (v0, tuple(-x for x in v0)))
+        segments.append(Segment._from_bands(step.duration, pair))
+    return SegmentSchedule(system_dim=2, env_dim=dim, segments=tuple(segments))

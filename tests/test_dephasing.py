@@ -97,7 +97,9 @@ class TestValidateSchedule:
 
     def test_negated_generator_has_the_residual_bit_for_bit(self, monkeypatch):
         # the residual of -g0 is that of g0 bit for bit; every generator's is computed,
-        # from the bands the schedule read once for it
+        # from the bands its Segment read once, when it was built
+        calls, scans, bands = [], [], dephasing._bands
+        monkeypatch.setattr(dephasing, "_bands", lambda g: scans.append(g) or bands(g))
         rng = np.random.default_rng(3)
         segments = []
         for _ in range(2):
@@ -105,18 +107,17 @@ class TestValidateSchedule:
             g2 = random_hermitian(rng, 4) + 1e-11 * random_complex(rng, (4, 4))
             segments.append(Segment(duration=1.0, generators=(g0, -g0, g2)))
         s = SegmentSchedule(system_dim=3, env_dim=4, segments=tuple(segments))
+        assert len(scans) == 6
         expected = np.array([[hermiticity_residual(g) for g in seg.generators] for seg in segments])
-        calls, scans, bands = [], [], dephasing._bands
         monkeypatch.setattr(
             dephasing, "hermiticity_residual",
             lambda g, b: calls.append(g) or hermiticity_residual(g, b),
         )
-        monkeypatch.setattr(dephasing, "_bands", lambda g: scans.append(g) or bands(g))
         got = validate_schedule(s)
         assert got.tobytes() == expected.tobytes() and expected.min() > 0
         assert got[:, 0].tobytes() == got[:, 1].tobytes()
         assert len(calls) == 6
-        assert len(s._eigensystems) == 2 and len(scans) == 6  # the eigensolves read no more
+        assert len(s._eigensystems) == 2 and len(scans) == 6  # validation and eigh read no more
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_generator_is_named(self, bad):
@@ -134,6 +135,31 @@ class TestValidateSchedule:
         assert str(err.value) == (
             "generator 0 of segment 1 has 2 non-finite entries, the first at (2, 2)"
         )
+
+    @pytest.mark.parametrize("beta, alpha, first", [
+        (1e308, 0.0, "2 non-finite entries, the first at (2, 2)"),
+        (1.0, 1.5e308, "4 non-finite entries, the first at (1, 2)"),
+    ], ids=["diagonal", "off-diagonals"])
+    def test_non_finite_band_is_named_as_in_its_matrix(self, beta, alpha, first):
+        # a generator held as its bands reports the count and the first (row, col), in
+        # row-major order, of a scan of its matrix; so does one held as its matrix.
+        # alpha sqrt(n) overflows for n >= 2 (alpha = 1e308 stays below the float max
+        # up to n = 3), only off the diagonal
+        v0 = branch_generator(alpha, beta, 0.0, FockSpace(4))
+        bad = np.argwhere(~np.isfinite(v0))
+        message = (f"generator 0 of segment 0 has {len(bad)} non-finite entries, "
+                   f"the first at {tuple(bad[0].tolist())}")
+        assert message.endswith(first)
+        corner = np.zeros((4, 4))
+        corner[0, 3] = corner[3, 0] = 1.0  # a finite pair off the bands: held as a matrix
+        schedules = [build_schedule(QubitBosonParams(beta, (AlphaSegment(1.0, alpha),), 4))]
+        for g in (v0, v0 + corner):
+            schedules.append(SegmentSchedule(2, 4, (Segment(1.0, (g, -g)),)))
+        assert [m is None for m, _ in schedules[2].segments[0]._held] == [False, False]
+        for schedule in schedules:
+            with pytest.raises(NonFiniteError) as err:
+                validate_schedule(schedule)
+            assert str(err.value) == message
 
     def test_empty_schedule(self):
         # a schedule has a segment by construction, so no consumer checks again
@@ -155,23 +181,49 @@ class TestValidateSchedule:
 class TestGaugedSchedule:
     """Each generator's bands are read once per schedule; a driven step holds its gauged pair."""
 
+    def test_build_validate_and_solves_stay_below_one_matrix(self, monkeypatch):
+        # fig2d's drive at cutoff 256: build_schedule hands each Segment its bands, so
+        # building, validating and caching the solves peak below one d x d complex
+        # matrix (the dense build held six). The LAPACK solve itself, a real T and
+        # its Q of 8 d^2 bytes each, is stubbed out of the trace.
+        params = QubitBosonParams(1.0, (
+            AlphaSegment(2.0, 0.0), AlphaSegment(2.0, 0.5 + 0.5j), AlphaSegment(2.0, 0.0),
+        ), 256)
+
+        def key(bands):
+            return b"".join(x.tobytes() for x in bands[:3])
+
+        held = [h for seg in build_schedule(params).segments for h in seg._held]
+        solves = {key(b): eigh(m, b) for m, b in held}
+        monkeypatch.setattr(dephasing, "eigh", lambda m, b: solves[key(b)])
+        tracemalloc.start()
+        try:
+            schedule = build_schedule(params)
+            validate_schedule(schedule)
+            schedule._eigensystems
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 256 * 256
+
     def test_driven_cutoff_256_schedule_forms_no_complex_u(self, monkeypatch):
         # fig2d's drive at cutoff 256: the undriven steps hold no u, the driven one
         # the pair (phi, Q) with Q real, and -V_0 reuses (-w, u) through its bands
+        scans, bands = [], linalg._bands
+        for module in (dephasing, linalg):  # every read, by a Segment or inside linalg
+            monkeypatch.setattr(module, "_bands", lambda g: scans.append(g) or bands(g))
         schedule = build_schedule(QubitBosonParams(1.0, (
             AlphaSegment(2.0, 0.0), AlphaSegment(2.0, 0.5 + 0.5j), AlphaSegment(2.0, 0.0),
         ), 256))
-        scans, bands = [], linalg._bands
-        for module in (dephasing, linalg):  # every read, by the schedule or inside linalg
-            monkeypatch.setattr(module, "_bands", lambda g: scans.append(g) or bands(g))
         validate_schedule(schedule)
-        generators = [g for seg in schedule.segments for g in seg.generators]
-        assert sorted(map(id, scans)) == sorted(map(id, generators))  # each one once
+        assert scans == []  # built from bands: no matrix is formed, so none is read
+        held = [h for seg in schedule.segments for h in seg._held]
+        assert [m for m, _ in held] == [None] * 6
         # the solves are keyed on bands, never on a d x d matrix: with eigh stubbed, the
         # cache allocates less than a real d x d matrix (a dense +/-g pair takes 4 MiB)
-        solves = {id(g): eigh(g, b) for g, b in zip(generators, sum(schedule._bands, []))}
+        solves = {id(b): eigh(m, b) for m, b in held}
         solved = []
-        monkeypatch.setattr(dephasing, "eigh", lambda g, b: solved.append(g) or solves[id(g)])
+        monkeypatch.setattr(dephasing, "eigh", lambda m, b: solved.append(b) or solves[id(b)])
         tracemalloc.start()
         try:
             systems = schedule._eigensystems
@@ -180,7 +232,7 @@ class TestGaugedSchedule:
             tracemalloc.stop()
         assert peak < 8 * 256 * 256
         # one solve per distinct generator: the last undriven step reuses the first
-        assert [id(g) for g in solved] == [id(generators[0]), id(generators[2])]
+        assert [id(b) for b in solved] == [id(held[0][1]), id(held[2][1])]
         assert all(x is y for x, y in zip(systems[2], systems[0]))
         assert [u for _, u in systems[0] + systems[2]] == [None] * 4
         (w0, u0), (w1, u1) = systems[1]
@@ -199,7 +251,7 @@ class TestGaugedSchedule:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 256 * 256
-        assert len(scans) == len(generators)
+        assert scans == []
 
     def test_near_negation_and_dense_generators_get_their_own_eigh(self, monkeypatch):
         # -V_0 with one super-diagonal entry changed differs on the last band
@@ -210,10 +262,10 @@ class TestGaugedSchedule:
         dense = random_hermitian(np.random.default_rng(11), 256)
         schedule = SegmentSchedule(4, 256, (Segment(1.0, (v0, -v0, near, dense)),))
         solved = []
-        monkeypatch.setattr(dephasing, "eigh", lambda g, b: solved.append(g) or eigh(g, b))
+        monkeypatch.setattr(dephasing, "eigh", lambda m, b: solved.append(b) or eigh(m, b))
         systems = schedule._eigensystems[0]
-        g0, _, g2, g3 = schedule.segments[0].generators
-        assert [id(g) for g in solved] == [id(g0), id(g2), id(g3)]
+        held = schedule.segments[0]._held
+        assert [id(b) for b in solved] == [id(held[0][1]), id(held[2][1]), id(held[3][1])]
         (w0, u0), (w1, u1), (_, u2), (_, u3) = systems
         assert u1 is u0 and w1.tobytes() == (-w0).tobytes()
         assert isinstance(u2, tuple) and u2 is not u0

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,3 +46,20 @@ def test_every_export_is_used_outside_the_tests():
     # a helper that only tests call belongs in tests/util.py, not in the package
     unused = exported_names() - names_used_in_code() - words_in_docs_and_tools()
     assert sorted(unused) == []
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # numpy is the one dependency pyproject.toml names: every other import is relative
+    # or of a standard-library module
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            allowed = {"numpy", *sys.stdlib_module_names}
+            outside += [f"{path.name}: {m}" for m in modules if m.split(".")[0] not in allowed]
+    assert outside == []

@@ -171,7 +171,7 @@ DELTAS = (1.0, 1e-4, 1e-8, 1e-12)
 
 @cache
 def td_pairs(path):
-    """{case: (a, b)} for one path: b = a + delta noise, b = 1.001 a, and a zero factor."""
+    """{case: (a, b)} for one path: b = a + delta noise, b = 1.001 a, a zero and a tiny factor."""
     d, r = TD_SHAPES[path]
     rng = np.random.default_rng(11)
     a, noise = unit_factor(rng, d, rank=r), unit_factor(rng, d, rank=r)
@@ -179,6 +179,7 @@ def td_pairs(path):
     pairs["unequal"] = (a, 1.001 * a)
     pairs["zero-a"] = (np.zeros_like(a), a + noise)
     pairs["zero-b"] = (a + noise, np.zeros_like(a))
+    pairs["subnormal-a"] = (1e-160 * a, a + noise)  # |a|^2 = 1e-320, whose reciprocal overflows
     return pairs
 
 

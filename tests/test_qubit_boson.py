@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dephasim.config import config_from_dict
-from dephasim.dephasing import blocks_at, equal_superposition, propagators_at
+from dephasim.dephasing import (
+    Segment,
+    SegmentSchedule,
+    blocks_at,
+    equal_superposition,
+    propagators_at,
+    validate_schedule,
+)
 from dephasim.entanglement import measure_from_fidelity
 from dephasim.fock import FockSpace, coherent_state, thermal_state
 from dephasim.linalg import dagger, fidelity, trace_distance
@@ -17,7 +24,7 @@ from dephasim.qubit_boson import (
     branch_generator,
     build_schedule,
 )
-from dephasim.sweep import run_sweep
+from dephasim.sweep import evaluate, run_sweep
 from util import (
     analytic_propagator_piece,
     coherent_oracle,
@@ -68,6 +75,42 @@ class TestBuildSchedule:
         s = build_schedule(stepped_params())
         for seg in s.segments:
             assert np.array_equal(seg.generators[1], -seg.generators[0])
+
+    @pytest.mark.parametrize("cutoff", [16, 256])
+    @pytest.mark.parametrize("drive", ["fig2d", "random-phase"])
+    def test_bands_and_matrices_give_the_same_schedule(self, drive, cutoff):
+        # build_schedule hands each Segment the bands of V_0 and -V_0; the same drive
+        # as Segments of branch_generator matrices gives bit-identical results
+        if drive == "fig2d":
+            model = config_from_dict(preset_config("fig2d")).model
+            beta, steps = model.beta, model.segments
+        else:
+            rng = np.random.default_rng(27)
+            beta, steps = 1.3, tuple(
+                AlphaSegment(rng.uniform(0.3, 1.5), 0.7 * np.exp(2j * np.pi * rng.uniform()),
+                             rng.uniform(-0.5, 0.5))
+                for _ in range(4)
+            )
+        space = FockSpace(cutoff)
+        banded = build_schedule(QubitBosonParams(beta, steps, cutoff))
+        v = [branch_generator(s.alpha, beta, s.gamma, space) for s in steps]
+        dense = SegmentSchedule(2, cutoff, tuple(
+            Segment(s.duration, (v0, -v0)) for s, v0 in zip(steps, v)
+        ))
+        for seg, v0 in zip(banded.segments, v):
+            g0, g1 = seg.generators
+            assert np.array_equal(g0, v0) and np.array_equal(g1, -v0)
+        for seg in dense.segments:  # read off the matrices once, held as copies of the bands
+            assert all(m is None and all(x.base is None for x in b[:3]) for m, b in seg._held)
+        assert validate_schedule(banded).tobytes() == validate_schedule(dense).tobytes()
+        for x, y in zip(banded._eigensystems, dense._eigensystems):
+            for (w, u), (w_dense, u_dense) in zip(x, y):
+                assert w.tobytes() == w_dense.tobytes()
+                parts, dense_parts = (() if z is None else z for z in (u, u_dense))
+                assert [p.tobytes() for p in parts] == [p.tobytes() for p in dense_parts]
+        env, times = thermal_state(2.0, space), np.linspace(0.0, banded.total_duration, 41)
+        rows = evaluate(banded, env, EQUAL, times)
+        assert repr(rows) == repr(evaluate(dense, env, EQUAL, times))
 
     @given(t=st.floats(0.0, 6.0))
     @settings(max_examples=20, deadline=None)

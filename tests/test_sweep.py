@@ -902,20 +902,21 @@ class TestEvaluate:
         assert repr(permuted) == repr([rows[i] for i in order])
 
     def test_memory_and_eigensolves_do_not_grow_with_the_segments(self, monkeypatch):
-        # thermal R(0) at cutoff 256 under n alternating off/on steps over a total of 6:
-        # one step is held at a time, and the repeated driven generator is solved once
-        # (held together, the steps peak at 3.3 and 40.2 MiB at n = 3 and 48, and a solve
-        # per segment makes 24 driven ones at n = 48)
+        # thermal R(0) at cutoff 256 under n alternating off/on steps over a total of 6,
+        # built and evaluated: one step is held at a time, the generators are held as
+        # bands, and the repeated driven generator is solved once (held together, the
+        # steps peak at 3.3 and 40.2 MiB at n = 3 and 48, the dense generators take
+        # 2 MiB per segment, and a solve per segment makes 24 driven ones at n = 48)
         env, times = thermal_state(2.0, FockSpace(256)), np.linspace(0.0, 6.0, 31)
         solves, eigh = [], np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: solves.append(m.shape) or eigh(m))
         peaks = []
         for n in (3, 48):
             segments = [AlphaSegment(6.0 / n, 0.5 + 0.5j if k % 2 else 0.0) for k in range(n)]
-            schedule = build_schedule(QubitBosonParams(1.0, segments, 256))  # not traced
             solves.clear()
             tracemalloc.start()
             try:
+                schedule = build_schedule(QubitBosonParams(1.0, segments, 256))
                 evaluate(schedule, env, EQUAL, times)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
