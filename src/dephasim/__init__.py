@@ -53,7 +53,6 @@ from .errors import (
 from .fock import (
     EnvDensity,
     FockSpace,
-    coherent_amplitudes,
     coherent_state,
     env_from_matrix,
     fock_state,

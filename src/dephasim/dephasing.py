@@ -18,7 +18,9 @@ so it costs neither an eigensolve nor a d x d product; a tridiagonal one (a
 driven step) is gauged to a real symmetric matrix by a diagonal unitary and
 solved in real arithmetic, its U = diag(phi) Q held as the pair (phi, Q),
 never formed (linalg.rotate applies it). A Segment reads each generator's
-structure once, when built, and holds a tridiagonal one as its three bands.
+structure once, when built, and holds one value per generator: the three
+bands of a tridiagonal one, else the matrix, which eigh, the eigensystem
+cache and validate_schedule take as it is.
 
 The joint state never needs to be formed during evolution: it is carried as
 the pointer amplitudes c_i plus the environment blocks
@@ -91,9 +93,9 @@ def equal_superposition(n: int) -> np.ndarray:
 class Segment:
     """One piecewise-constant interval: a duration plus one generator per pointer state.
 
-    Each generator's structure is read once, here: _held has (None, linalg._bands)
-    for a tridiagonal one (diagonal included), no d x d matrix, and (matrix, _bands)
-    for any other. generators forms the d x d matrices on each access.
+    Each generator's structure is read once, here: _held has copies of the
+    linalg._bands triple of a tridiagonal one (diagonal included), no d x d
+    matrix, and the matrix of any other. generators forms the matrices on each access.
     """
 
     duration: float
@@ -104,36 +106,36 @@ class Segment:
         self._hold(duration, (_as_held(np.ascontiguousarray(g, dtype=complex)) for g in generators))
 
     @classmethod
-    def _from_bands(cls, duration: float, bands) -> Segment:
-        """A Segment of tridiagonal generators, each as complex (diagonal, sub-, super-diagonal)."""
+    def _from_bands(cls, duration: float, held) -> Segment:
+        """A Segment of tridiagonal generators, each held as its complex (diagonal, sub, super)."""
         seg = object.__new__(cls)
-        seg._hold(duration, ((None, (*b, not np.count_nonzero(b[1:]), True)) for b in bands))
+        seg._hold(duration, held)
         return seg
 
     def _hold(self, duration: float, held):
         if not duration > 0:
             raise InvalidArgument(f"segment duration must be > 0, got {duration}")
         held = tuple(held)  # after the duration check
-        dims = {len(b[0]) if m is None else len(m) for m, b in held}
+        dims = {len(h[0]) if isinstance(h, tuple) else len(h) for h in held}
         if len(dims) != 1:
             raise (DimensionMismatch("generators within a segment differ in dimension") if dims
                    else InvalidArgument("segment needs at least one generator"))
-        for x in (x for m, b in held for x in (b[:3] if m is None else (m,))):
+        for x in (x for h in held for x in (h if isinstance(h, tuple) else (h,))):
             x.setflags(write=False)
         vars(self).update(duration=duration, dim=dims.pop(), _held=held)  # frozen: no setattr
 
     @property
     def generators(self) -> tuple[np.ndarray, ...]:
         """The d x d generator matrices, a tridiagonal one formed from its bands on each access."""
-        return tuple(_tridiagonal(*b[:3]) if m is None else m for m, b in self._held)
+        return tuple(_tridiagonal(*h) if isinstance(h, tuple) else h for h in self._held)
 
 
 def _as_held(g: np.ndarray):
-    """(g, its _bands), or (None, copies of the bands) when g is tridiagonal."""
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise InvalidArgument(f"generator has shape {g.shape}, expected square")
+    """Copies of the _bands of g when g is tridiagonal, else g."""
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or not len(g):
+        raise InvalidArgument(f"generator has shape {g.shape}, expected square and nonempty")
     bands = _bands(g)
-    return (None, (*map(np.copy, bands[:3]), *bands[3:])) if bands[4] else (g, bands)
+    return g if bands is None else tuple(map(np.copy, bands))
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,6 +164,10 @@ class SegmentSchedule:
                 raise DimensionMismatch(
                     f"segment {idx} generators act on dimension {seg.dim}, expected {self.env_dim}"
                 )
+        with np.errstate(over="ignore"):  # durations summing past the float range read inf
+            total = self.total_duration
+        if not np.isfinite(total):
+            raise InvalidArgument(f"segment durations sum to {total}, past the float range")
 
     @property
     def total_duration(self) -> float:
@@ -190,7 +196,7 @@ class SegmentSchedule:
         solved, systems = {}, []
         try:
             for seg in self.segments:
-                systems.append([_solve(m, b, solved) for m, b in seg._held])
+                systems.append([_solve(g, solved) for g in seg._held])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(
                 f"eigh of a generator of segment {len(systems)} did not converge: {exc}"
@@ -198,12 +204,12 @@ class SegmentSchedule:
         return systems
 
 
-def _solve(m, bands, solved: dict):
-    """eigh(m, bands) once per key, the held bands (m None) else m; -m gets (-w, u)."""
-    parts = bands[:3] if m is None else (m,)
+def _solve(g, solved: dict):
+    """eigh(g) once per key, the bytes of the held bands or matrix g; -g gets (-w, u)."""
+    parts = g if isinstance(g, tuple) else (g,)
     key = b"".join((x + 0.0).tobytes() for x in parts)  # + 0.0: -0.0 keys as 0.0
     if key not in solved:
-        w, u = solved[key] = eigh(m, bands)
+        w, u = solved[key] = eigh(g)
         solved.setdefault(b"".join((0.0 - x).tobytes() for x in parts), (-w, u))
     return solved[key]
 
@@ -232,7 +238,7 @@ def validate_schedule(schedule: SegmentSchedule) -> np.ndarray:
     every generator is Hermitian, so that each conditional propagator is
     unitary. Entry [k, i] is hermiticity_residual of generator i of segment k.
     """
-    residuals = np.array([[hermiticity_residual(*h) for h in s._held] for s in schedule.segments])
+    residuals = np.array([[hermiticity_residual(g) for g in s._held] for s in schedule.segments])
     worst = np.unravel_index(np.argmax(residuals), residuals.shape)  # the first NaN if any
     if not residuals[worst] <= HERM_TOL:  # a NaN residual must fail too
         bad = np.argwhere(~np.isfinite(schedule.segments[worst[0]].generators[worst[1]]))
@@ -292,8 +298,8 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
     still raises NonFiniteError at that time, as if the row were kept. Any
     other segment takes V = I, the unframed stacks of frame=False.
     """
-    if a.shape[0] != schedule.env_dim:
-        raise DimensionMismatch(f"factor has {a.shape[0]} rows, expected {schedule.env_dim}")
+    if a.shape[0] != schedule.env_dim or not a.shape[1]:
+        raise DimensionMismatch(f"factor has shape {a.shape}, expected ({schedule.env_dim}, r > 0)")
     ts = np.asarray(times, dtype=float).reshape(-1)
     ks, taus = _locate(schedule, ts)
     systems = schedule._eigensystems

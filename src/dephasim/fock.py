@@ -21,7 +21,6 @@ __all__ = [
     "EnvDensity",
     "fock_state",
     "thermal_state",
-    "coherent_amplitudes",
     "coherent_state",
     "env_from_matrix",
     "suggest_cutoff",
@@ -123,22 +122,13 @@ def thermal_state(theta: float, space: FockSpace) -> EnvDensity:
     return EnvDensity(space, np.diag(probs).astype(complex), truncated_mass=q**space.dim)
 
 
-def coherent_amplitudes(zeta: complex, space: FockSpace) -> np.ndarray:
-    """Number-basis amplitudes of |zeta>, renormalized after truncation.
-
-    The renormalization cancels the prefactor e^{-|zeta|^2/2}, so it is
-    never formed: _amplitudes_from_peak scales the amplitudes to a largest
-    modulus of 1, and every finite zeta gives a unit vector. A NaN or
-    infinite zeta raises NonFiniteError before any arithmetic.
-    """
-    v, _ = _amplitudes_from_peak(zeta, space.dim)
-    return v / np.linalg.norm(v)
-
-
 def coherent_state(zeta: complex, space: FockSpace) -> EnvDensity:
     """Pure coherent state |zeta><zeta| on the truncated basis, with its amplitudes as factor.
 
     The amplitudes and the mass inside the basis come from one _amplitudes_from_peak.
+    The renormalization cancels the prefactor e^{-|zeta|^2/2}, so it is never
+    formed, and every finite zeta gives a unit factor column; a NaN or
+    infinite zeta raises NonFiniteError before any arithmetic.
     """
     v, peak = _amplitudes_from_peak(zeta, space.dim)
     raw_norm_sq = _untruncated_overlap(zeta, v, peak)

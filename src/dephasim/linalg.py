@@ -1,6 +1,9 @@
 """Dense complex linear algebra on small operator matrices.
 
-Everything here takes and returns plain numpy arrays (complex128, square).
+Everything here takes and returns plain numpy arrays (complex128, square),
+but eigh and hermiticity_residual also take the (diagonal, sub-, super-
+diagonal) triple of a tridiagonal matrix, as _bands reads it and a Segment
+holds it, and only rotate reads the u of eigh (None, (phi, Q) or a complex U).
 Matrices in this package stay below dimension ~512, so direct LAPACK
 factorizations are always the right tool; there are no sparse or iterative
 paths. All functions are pure and safe to call concurrently. The factor
@@ -54,12 +57,12 @@ CHUNK_BYTES = 1 << 18  # one segment_chunks chunk of stacks; one negativity_of_f
 
 
 def _bands(m: np.ndarray):
-    """(diagonal, sub-, super-diagonal, whether diagonal, whether tridiagonal) by exact zeros."""
-    if len(m) >= 3 and (m[0, -1] != 0 or m[-1, 0] != 0):  # neither: no bands read, no scan
-        return None, None, None, False, False
+    """The (diagonal, sub-, super-diagonal) views of m, tridiagonal by exact zeros, else None."""
+    if len(m) >= 3 and (m[0, -1] != 0 or m[-1, 0] != 0):  # not tridiagonal: no scan
+        return None
     diag, sub, sup = np.diagonal(m), np.diagonal(m, -1), np.diagonal(m, 1)
     off = np.count_nonzero(m) - np.count_nonzero(diag)
-    return diag, sub, sup, not off, off == np.count_nonzero(sub) + np.count_nonzero(sup)
+    return (diag, sub, sup) if off == np.count_nonzero(sub) + np.count_nonzero(sup) else None
 
 
 def _tridiagonal(diag, sub, sup) -> np.ndarray:
@@ -67,18 +70,21 @@ def _tridiagonal(diag, sub, sup) -> np.ndarray:
     return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
 
 
-def hermiticity_residual(m: np.ndarray, bands=None) -> float:
-    """Relative residual ||M - M^dag||_F / max(1, ||M||_F).
+def hermiticity_residual(g) -> float:
+    """Relative residual ||G - G^dag||_F / max(1, ||G||_F) of a matrix or a held triple of bands.
 
-    A tridiagonal M - M^dag is zero off the three diagonals: both norms are
-    taken on them, read by _bands unless a caller passes them as bands.
+    A tridiagonal G - G^dag is zero off the three diagonals: both norms are
+    taken on the bands, as held or as _bands reads them off a matrix.
     NaN, which callers reject, if both norms overflow or an entry is not finite.
     """
-    diag, sub, sup, _, tridiagonal = _bands(m) if bands is None else bands
-    if tridiagonal:
-        m, adj = np.concatenate((diag, sub, sup)), np.concatenate((diag, sup, sub)).conj()
+    bands = g if isinstance(g, tuple) else _bands(g)
+    if bands is None:
+        adj = dagger(g)
+    else:
+        diag, sub, sup = bands
+        g, adj = np.concatenate(bands), np.concatenate((diag, sup, sub)).conj()
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.norm(m - (adj if tridiagonal else dagger(m))) / max(1.0, np.linalg.norm(m))
+        return np.linalg.norm(g - adj) / max(1.0, np.linalg.norm(g))
 
 
 def require_hermitian(m, *, what: str = "matrix") -> np.ndarray:
@@ -95,28 +101,30 @@ def require_hermitian(m, *, what: str = "matrix") -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def eigh(m: np.ndarray, bands=None):
-    """Eigenvalues w and eigenvectors u of the Hermitian part H = (m + m^dag)/2.
+def eigh(g):
+    """Eigenvalues w and eigenvectors u of the Hermitian part H = (G + G^dag)/2.
 
-    Structure is read off exact-zero counts: bands, the _bands of m, read
-    here unless a caller that holds them passes them. An exactly diagonal m
-    gives the diagonal of H, diag.real, in its own order, and u None: the
-    identity, which callers neither form nor multiply. Otherwise w ascends.
-    A tridiagonal m is gauged to the real symmetric T = Phi^dag H Phi, where
-    the diagonal unitary Phi takes its phases from the sub-diagonal
+    g is a matrix, or the (diagonal, sub-, super-diagonal) triple of a
+    tridiagonal one as a Segment holds it; a matrix's structure is read off
+    its exact zeros by _bands. Bands with both off-diagonals zero give the
+    diagonal of H, diag.real, in its own order, and u None: the identity,
+    which callers neither form nor multiply. Otherwise w ascends. Other
+    bands are gauged to the real symmetric T = Phi^dag H Phi, where the
+    diagonal unitary Phi takes its phases from the sub-diagonal
     s = (sub + conj(sup))/2 of H (phase 1 where |s| is 0 or subnormal, whose
     reciprocal overflows: a change below 5e-308); T = Q diag(w) Q^T is solved
     in real arithmetic (one dsyevd), with no d x d H formed, and u is the
-    pair (phi, Q) of U = diag(phi) Q, which rotate applies with no complex U
-    formed. Any other m takes the dense complex solve of H, and u
-    is the complex U. Unlike diag.real, these sums overflow silently past
-    half the float range: LinAlgError, or w not finite.
+    pair (phi, Q) of U = diag(phi) Q. A matrix with no bands takes the dense
+    complex solve of H, and u is the complex U. linalg.rotate applies any u.
+    Unlike diag.real, these sums overflow silently past half the float
+    range: LinAlgError, or w not finite.
     """
-    diag, sub, sup, diagonal, tridiagonal = _bands(m) if bands is None else bands
-    if diagonal:
+    bands = g if isinstance(g, tuple) else _bands(g)
+    if bands is None:
+        return np.linalg.eigh((g + dagger(g)) / 2)
+    diag, sub, sup = bands
+    if not (sub.any() or sup.any()):
         return diag.real, None
-    if not tridiagonal:
-        return np.linalg.eigh((m + dagger(m)) / 2)
     sub = (sub + sup.conj()) / 2
     off = np.abs(sub)
     t = _tridiagonal(diag.real, off, off)
@@ -151,13 +159,10 @@ def rotate(u, y: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
     return z
 
 
-def _psd_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _psd_eigh(arr: np.ndarray):
     """eigh of a require_hermitian array with no eigenvalue below -PSD_CLAMP.
 
-    As eigh, except that a gauged pair (phi, Q) is formed into U = diag(phi) Q:
-    u None with w in the diagonal's own order, or the complex U with w
-    ascending. Raises NotPSDError, or ConvergenceFailure when LAPACK does
-    not converge.
+    Raises NotPSDError, or ConvergenceFailure when LAPACK does not converge.
     """
     try:
         w, u = eigh(arr)  # NaN w or LinAlgError if the Hermitian part overflows
@@ -166,9 +171,6 @@ def _psd_eigh(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     lowest = w.min()
     if not lowest >= -PSD_CLAMP:  # a NaN spectrum must fail too
         raise NotPSDError(f"matrix has eigenvalue {lowest:.3e} below -{PSD_CLAMP:.1e}")
-    if isinstance(u, tuple):
-        phi, q = u
-        u = phi[:, None] * q
     return w, u
 
 
@@ -185,27 +187,24 @@ def psd_factor(m) -> np.ndarray:
 def _factor(arr: np.ndarray) -> np.ndarray:
     """psd_factor of an array that already passed require_hermitian."""
     w, u = _psd_eigh(arr)
-    if u is not None:
-        keep = w > RANK_CUT * w[-1]
-        return u[:, keep] * np.sqrt(w[keep])
-    # diagonal: in stable ascending order, the kept w sit on unit columns e_row
+    # the kept sqrt(w), in stable ascending order (eigh's own unless diagonal), sit on
+    # unit columns e_k, which rotate takes to U e_k
     order = np.argsort(w, kind="stable")
     rows = order[w[order] > RANK_CUT * w[order[-1]]]
     a = np.zeros((len(w), len(rows)), dtype=complex)
     a[rows, np.arange(len(rows))] = np.sqrt(w[rows])
-    return a
+    return rotate(u, a)
 
 
 def sqrtm_psd(m) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
+    """Hermitian PSD square root U sqrt(W) U^dag via eigendecomposition.
 
     Eigenvalues in [-PSD_CLAMP, 0) are treated as roundoff and clamped to
     zero; anything below -PSD_CLAMP raises NotPSDError.
     """
     w, u = _psd_eigh(require_hermitian(m))
-    if u is None:  # diagonal: w in its own order, on the columns of the identity
-        u = np.eye(len(w), dtype=complex)
-    s = (u * np.sqrt(np.clip(w, 0.0, None))) @ dagger(u)
+    half = rotate(u, np.diag(np.sqrt(np.clip(w, 0.0, None)).astype(complex)))  # U sqrt(W)
+    s = rotate(u, dagger(half))
     return (s + dagger(s)) / 2
 
 

@@ -154,11 +154,12 @@ def _build_environment(cfg: RunConfig, cutoff: int) -> EnvDensity:
 
 def _resolve(cfg: RunConfig, cutoff: int | None):
     """(schedule, R(0), amplitudes) at the resolved cutoff of a qubit_boson model; None for a file."""
-    if isinstance(cfg.model, QubitBosonModel):
-        params = QubitBosonParams(beta=cfg.model.beta, segments=cfg.model.segments, cutoff=cutoff)
-        schedule = build_schedule(params)
-    else:
-        schedule = load_schedule_file(cfg.model.path)
+    try:  # SegmentSchedule's one rule across segments: durations with a finite sum
+        schedule = (load_schedule_file(cfg.model.path) if cutoff is None else
+                    build_schedule(QubitBosonParams(cfg.model.beta, cfg.model.segments, cutoff)))
+    except InvalidArgument as exc:
+        raise ValidationError("model", str(exc)) from exc
+    if cutoff is None:
         cutoff = schedule.env_dim
         if cfg.cutoff != AUTO_CUTOFF and int(cfg.cutoff) != cutoff:
             raise ValidationError(

@@ -341,6 +341,33 @@ class TestRunCommand:
             " the first at (2, 2)\n"
         )
 
+    @pytest.mark.parametrize("model", ["qubit_boson", "schedule_file"])
+    def test_durations_summing_past_the_float_range_are_validation_errors(
+        self, tmp_path, capsys, model
+    ):
+        # a qubit_boson run printed numpy's "overflow encountered in accumulate"
+        # and exited 0; under -W error::RuntimeWarning it died with a traceback
+        cfg = json.loads(write_config(tmp_path).read_text())
+        if model == "qubit_boson":
+            cfg["model"]["qubit_boson"]["segments"] = [{"duration": 1e308, "alpha": [0, 0]}] * 2
+        else:
+            zero = [[[0.0, 0.0]] * 8] * 8
+            segment = {"duration": 1e308, "generators": [zero, zero]}
+            schedule = {"system_dim": 2, "env_dim": 8, "segments": [segment] * 2}
+            (tmp_path / "s.json").write_text(json.dumps(schedule))
+            cfg["model"] = {"schedule_file": "s.json"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(path), "--out", str(out)])
+        assert (code, caught) == (1, [])
+        assert capsys.readouterr().err == (
+            "error: model: segment durations sum to inf, past the float range\n"
+        )
+        assert not out.exists()
+
     def test_integer_past_the_float_range_is_validation_error(self, tmp_path, capsys):
         # math.isfinite raised OverflowError out of main
         text = json.dumps(preset_config("fig2a")).replace('"beta": 1.0', '"beta": 1' + "0" * 400)

@@ -22,6 +22,7 @@ from dephasim.errors import (
     ConvergenceFailure,
     DimensionMismatch,
     EmptySchedule,
+    InvalidArgument,
     NonFiniteError,
     NotHermitianGenerator,
     NotNormalizedError,
@@ -97,9 +98,11 @@ class TestValidateSchedule:
 
     def test_negated_generator_has_the_residual_bit_for_bit(self, monkeypatch):
         # the residual of -g0 is that of g0 bit for bit; every generator's is computed,
-        # from the bands its Segment read once, when it was built
-        calls, scans, bands = [], [], dephasing._bands
+        # from what its Segment read once, when it was built: these dense generators are
+        # held as matrices, which linalg reads again only to their nonzero corners
+        calls, scans, rereads, bands = [], [], [], dephasing._bands
         monkeypatch.setattr(dephasing, "_bands", lambda g: scans.append(g) or bands(g))
+        monkeypatch.setattr(linalg, "_bands", lambda g: rereads.append(g) or bands(g))
         rng = np.random.default_rng(3)
         segments = []
         for _ in range(2):
@@ -110,14 +113,15 @@ class TestValidateSchedule:
         assert len(scans) == 6
         expected = np.array([[hermiticity_residual(g) for g in seg.generators] for seg in segments])
         monkeypatch.setattr(
-            dephasing, "hermiticity_residual",
-            lambda g, b: calls.append(g) or hermiticity_residual(g, b),
+            dephasing, "hermiticity_residual", lambda g: calls.append(g) or hermiticity_residual(g)
         )
+        rereads.clear()
         got = validate_schedule(s)
         assert got.tobytes() == expected.tobytes() and expected.min() > 0
         assert got[:, 0].tobytes() == got[:, 1].tobytes()
         assert len(calls) == 6
         assert len(s._eigensystems) == 2 and len(scans) == 6  # validation and eigh read no more
+        assert len(rereads) == 10 and all(g[0, -1] != 0 for g in rereads)  # 6 residuals, 4 eighs
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_generator_is_named(self, bad):
@@ -155,7 +159,7 @@ class TestValidateSchedule:
         schedules = [build_schedule(QubitBosonParams(beta, (AlphaSegment(1.0, alpha),), 4))]
         for g in (v0, v0 + corner):
             schedules.append(SegmentSchedule(2, 4, (Segment(1.0, (g, -g)),)))
-        assert [m is None for m, _ in schedules[2].segments[0]._held] == [False, False]
+        assert [isinstance(h, tuple) for h in schedules[2].segments[0]._held] == [False, False]
         for schedule in schedules:
             with pytest.raises(NonFiniteError) as err:
                 validate_schedule(schedule)
@@ -165,6 +169,22 @@ class TestValidateSchedule:
         # a schedule has a segment by construction, so no consumer checks again
         with pytest.raises(EmptySchedule, match="^schedule has no segments$"):
             SegmentSchedule(system_dim=2, env_dim=4, segments=())
+
+    @pytest.mark.parametrize("durations", [(1e308, 1e308), (np.inf,)])
+    def test_durations_summing_past_the_float_range_are_rejected(self, durations):
+        # the boundaries overflowed with numpy's warning, and a slack of inf
+        # snapped a time of -5 to t = 0 instead of raising TimeOutOfRange
+        gens = (np.eye(3), -np.eye(3))
+        with pytest.raises(InvalidArgument, match="^segment durations sum to inf, past the"):
+            SegmentSchedule(2, 3, tuple(Segment(d, gens) for d in durations))
+
+    def test_zero_size_inputs_are_rejected(self):
+        # both divided by zero in segment_chunks' chunk size
+        with pytest.raises(InvalidArgument, match=r"^generator has shape \(0, 0\)"):
+            Segment(1.0, (np.zeros((0, 0)), np.zeros((0, 0))))
+        s = SegmentSchedule(2, 3, (Segment(1.0, (np.eye(3), -np.eye(3))),))
+        with pytest.raises(DimensionMismatch, match=r"^factor has shape \(3, 0\)"):
+            next(segment_chunks(s, np.zeros((3, 0), dtype=complex), [0.1]))
 
     def test_structural_checks_at_construction(self):
         rng = np.random.default_rng(2)
@@ -191,11 +211,11 @@ class TestGaugedSchedule:
         ), 256)
 
         def key(bands):
-            return b"".join(x.tobytes() for x in bands[:3])
+            return b"".join(x.tobytes() for x in bands)
 
         held = [h for seg in build_schedule(params).segments for h in seg._held]
-        solves = {key(b): eigh(m, b) for m, b in held}
-        monkeypatch.setattr(dephasing, "eigh", lambda m, b: solves[key(b)])
+        solves = {key(b): eigh(b) for b in held}
+        monkeypatch.setattr(dephasing, "eigh", lambda b: solves[key(b)])
         tracemalloc.start()
         try:
             schedule = build_schedule(params)
@@ -218,12 +238,12 @@ class TestGaugedSchedule:
         validate_schedule(schedule)
         assert scans == []  # built from bands: no matrix is formed, so none is read
         held = [h for seg in schedule.segments for h in seg._held]
-        assert [m for m, _ in held] == [None] * 6
+        assert all(isinstance(h, tuple) and len(h) == 3 for h in held)
         # the solves are keyed on bands, never on a d x d matrix: with eigh stubbed, the
         # cache allocates less than a real d x d matrix (a dense +/-g pair takes 4 MiB)
-        solves = {id(b): eigh(m, b) for m, b in held}
+        solves = {id(b): eigh(b) for b in held}
         solved = []
-        monkeypatch.setattr(dephasing, "eigh", lambda m, b: solved.append(b) or solves[id(b)])
+        monkeypatch.setattr(dephasing, "eigh", lambda b: solved.append(b) or solves[id(b)])
         tracemalloc.start()
         try:
             systems = schedule._eigensystems
@@ -232,7 +252,7 @@ class TestGaugedSchedule:
             tracemalloc.stop()
         assert peak < 8 * 256 * 256
         # one solve per distinct generator: the last undriven step reuses the first
-        assert [id(b) for b in solved] == [id(held[0][1]), id(held[2][1])]
+        assert [id(b) for b in solved] == [id(held[0]), id(held[2])]
         assert all(x is y for x, y in zip(systems[2], systems[0]))
         assert [u for _, u in systems[0] + systems[2]] == [None] * 4
         (w0, u0), (w1, u1) = systems[1]
@@ -262,10 +282,11 @@ class TestGaugedSchedule:
         dense = random_hermitian(np.random.default_rng(11), 256)
         schedule = SegmentSchedule(4, 256, (Segment(1.0, (v0, -v0, near, dense)),))
         solved = []
-        monkeypatch.setattr(dephasing, "eigh", lambda m, b: solved.append(b) or eigh(m, b))
+        monkeypatch.setattr(dephasing, "eigh", lambda g: solved.append(g) or eigh(g))
         systems = schedule._eigensystems[0]
         held = schedule.segments[0]._held
-        assert [id(b) for b in solved] == [id(held[0][1]), id(held[2][1]), id(held[3][1])]
+        assert [id(g) for g in solved] == [id(held[0]), id(held[2]), id(held[3])]
+        assert [isinstance(g, tuple) for g in solved] == [True, True, False]
         (w0, u0), (w1, u1), (_, u2), (_, u3) = systems
         assert u1 is u0 and w1.tobytes() == (-w0).tobytes()
         assert isinstance(u2, tuple) and u2 is not u0

@@ -14,7 +14,6 @@ from dephasim.errors import (
 )
 from dephasim.fock import (
     FockSpace,
-    coherent_amplitudes,
     coherent_state,
     env_from_matrix,
     fock_state,
@@ -214,7 +213,7 @@ class TestFidelity:
     @pytest.mark.parametrize("theta", [0.5, 2.0])
     def test_pure_vs_mixed_is_expectation(self, theta):
         space = FockSpace(64)
-        amps = coherent_amplitudes(0.4 - 0.3j, space)
+        amps = coherent_state(0.4 - 0.3j, space).factor[:, 0]
         sigma = thermal_state(theta, space).matrix
         expected = float(np.vdot(amps, sigma @ amps).real)
         psi = np.outer(amps, amps.conj())
@@ -392,6 +391,48 @@ class TestTridiagonalEigh:
         assert np.abs(w - np.linalg.eigvalsh(h)).max() <= 1e-14 * scale
         assert np.linalg.norm(dagger(u) @ u - np.eye(16)) <= 1e-13
         assert np.abs((u * w) @ dagger(u) - h).max() <= 1e-14 * scale
+
+
+PSD_FLOOR = 32  # |psd_factor Gram, sqrtm_psd - dense LAPACK| in eps ||.||_2; 13.3 measured
+
+
+def bidiagonal_state(seed, d):
+    """B B^dag / Tr for a random lower-bidiagonal B, |diagonal| in [2, 3] above |sub| <= 1.
+
+    Tridiagonal and not diagonal, with eigenvalues bounded away from 0, so
+    that its square root is as well conditioned as the state itself.
+    """
+    rng = np.random.default_rng(seed)
+    phases = np.exp(2j * np.pi * rng.uniform(size=2 * d - 1))
+    diag, sub = rng.uniform(2, 3, d) * phases[:d], rng.uniform(0, 1, d - 1) * phases[d:]
+    b = np.diag(diag) + np.diag(sub, -1)
+    m = b @ dagger(b)
+    return m / np.trace(m).real
+
+
+class TestTridiagonalState:
+    """A tridiagonal R(0), which no preset reaches, takes the gauged real solve and rotate."""
+
+    @pytest.mark.parametrize("d", [8, 64, 256])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_factor_and_square_root_match_dense_lapack(self, seed, d, monkeypatch):
+        m = bidiagonal_state(seed, d)
+        w_ref, u_ref = np.linalg.eigh(m)
+        keep = w_ref > RANK_CUT * w_ref[-1]
+        a_ref = u_ref[:, keep] * np.sqrt(w_ref[keep])
+        s_ref = (u_ref * np.sqrt(w_ref)) @ dagger(u_ref)
+        solved, solve = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.dtype) or solve(a))
+        monkeypatch.setattr(np, "eye", None)  # no identity is formed
+        a, s = psd_factor(m), sqrtm_psd(m)
+        env = env_from_matrix(m)
+        assert solved == [np.float64] * 3  # real solves only: no complex U is formed
+        assert env.factor.tobytes() == a.tobytes() and a.shape == a_ref.shape
+        eps = np.finfo(float).eps
+        gram = np.abs(a @ dagger(a) - a_ref @ dagger(a_ref)).max()
+        assert gram <= PSD_FLOOR * eps * np.linalg.norm(m, 2)
+        assert np.abs(s - s_ref).max() <= PSD_FLOOR * eps * np.linalg.norm(s_ref, 2)
+        assert np.array_equal(s, dagger(s))
 
 
 ROTATE_FLOOR = 4  # |rotate - formed product| in eps ||y_k||, per column k; 1.36 measured

@@ -1293,6 +1293,41 @@ class TestEmitCsv:
         assert written == len(buf.getvalue())
 
 
+# worst violation over the 9 presets (rows of E, D = type1_max, coherence and N), in
+# eps (eps^2 for the squared lower bound): 4.5 (fig3b), 20 (fig2c), 3 (fig3a), 14.5 (fig3a)
+IDENTITY_UNITS = {"upper": 16, "lower": 64, "coherence": 16, "negativity": 64}
+RANK_ONE_PRESETS = ("fig2a", "fig3a", "fig3b", "fig3c")  # vacuum and coherent R(0)
+
+
+class TestColumnIdentities:
+    """Relations between columns from different kernels, in forms squared against roundoff.
+
+    With F = 1 - E/(4|c_0 c_1|^2) and D = type1_max: D^2 <= 1 - F and
+    (1 - sqrt F)^2 <= D^2 (Fuchs and van de Graaf), coherence^2 <= F, since
+    |Tr(Y_1^dag Y_0)| <= ||Y_1^dag Y_0||_1, and 4 N^2 = E for a rank-one R(0)
+    (the negativity of a pure 2 x d state).
+    """
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_columns_obey_the_identities_on_every_preset(self, name):
+        cfg = preset_config(name)
+        if name in RANK_ONE_PRESETS:
+            cfg["outputs"] = {"negativity": True}
+        cfg = config_from_dict(cfg)
+        c = np.asarray(cfg.amplitudes or equal_superposition(2))
+        rows = run_sweep(cfg)
+        e, d, coherence = (np.array([getattr(r, k) for r in rows]) for k in (
+            "entanglement", "type1_max", "coherence_norm"))
+        f = 1 - e / (4 * abs(c[0] * c[1]) ** 2)
+        eps = np.finfo(float).eps
+        assert np.max(d**2 - (1 - f)) <= IDENTITY_UNITS["upper"] * eps
+        assert np.max((1 - np.sqrt(f)) ** 2 - d**2) <= IDENTITY_UNITS["lower"] * eps**2
+        assert np.max(coherence**2 - f) <= IDENTITY_UNITS["coherence"] * eps
+        if name in RANK_ONE_PRESETS:
+            n = np.array([r.negativity for r in rows])
+            assert np.max(np.abs(4 * n**2 - e)) <= IDENTITY_UNITS["negativity"] * eps
+
+
 class TestSweepRow:
     def test_fields_in_csv_order(self):
         assert SweepRow._fields == tuple(CSV_HEADER.split(","))
