@@ -5,11 +5,13 @@ Example:
     python scripts/compare_presets.py --out-dir new/
     python scripts/compare_presets.py --out-dir new/ --against old/
 
-With --against, each preset's CSV is read back from that directory (as
-written by this script from another checkout) and every column is
+The runs are the 9 presets (<name>.csv) and, with outputs.negativity = true,
+the presets of NEGATIVITY_ON (<name>-negativity.csv), which every preset
+leaves off. With --against, each run's CSV is read back from that directory
+(as written by this script from another checkout) and every column is
 compared: the largest |change| and the number of rows it moved in. An empty
 cell (an output that was not computed) only matches an empty cell. The exit
-status is 1 if the bytes of any preset differ from that directory's, else 0.
+status is 1 if the bytes of any run differ from that directory's, else 0.
 """
 
 import argparse
@@ -22,6 +24,8 @@ import numpy as np
 from dephasim.config import config_from_dict
 from dephasim.presets import PRESET_NAMES, preset_config
 from dephasim.sweep import emit_csv, run_sweep
+
+NEGATIVITY_ON = ("fig2a", "fig2b", "fig3a")  # also run with the negativity on
 
 
 def read_columns(path: Path) -> tuple[list[str], np.ndarray]:
@@ -46,6 +50,14 @@ def compare(new: Path, old: Path) -> list[str]:
     ]
 
 
+def runs():
+    """(label, config) of each run: every preset, then NEGATIVITY_ON with the negativity on."""
+    for name in PRESET_NAMES:
+        yield name, preset_config(name)
+    for name in NEGATIVITY_ON:
+        yield f"{name}-negativity", {**preset_config(name), "outputs": {"negativity": True}}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", required=True, help="directory for the CSV files")
@@ -55,12 +67,12 @@ def main(argv=None) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     identical = True
-    for name in PRESET_NAMES:
-        path = out_dir / f"{name}.csv"
-        emit_csv(run_sweep(config_from_dict(preset_config(name))), path)
-        print(f"{name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+    for label, cfg in runs():
+        path = out_dir / f"{label}.csv"
+        emit_csv(run_sweep(config_from_dict(cfg)), path)
+        print(f"{label} {hashlib.sha256(path.read_bytes()).hexdigest()}")
         if args.against is not None:
-            old = Path(args.against) / f"{name}.csv"
+            old = Path(args.against) / f"{label}.csv"
             identical &= path.read_bytes() == old.read_bytes()
             print("\n".join(compare(path, old)))
     return 0 if identical else 1

@@ -93,9 +93,10 @@ def equal_superposition(n: int) -> np.ndarray:
 class Segment:
     """One piecewise-constant interval: a duration plus one generator per pointer state.
 
-    Each generator's structure is read once, here: _held has copies of the
-    linalg._bands triple of a tridiagonal one (diagonal included), no d x d
-    matrix, and the matrix of any other. generators forms the matrices on each access.
+    A generator is a matrix or the (diagonal, sub-, super-diagonal) tuple of
+    a tridiagonal one. _held has read-only complex copies, never the caller's
+    arrays, of the triple of each tridiagonal generator (no d x d matrix) and
+    of any other matrix. generators forms the matrices on each access.
     """
 
     duration: float
@@ -103,19 +104,9 @@ class Segment:
     _held: tuple
 
     def __init__(self, duration: float, generators):
-        self._hold(duration, (_as_held(np.ascontiguousarray(g, dtype=complex)) for g in generators))
-
-    @classmethod
-    def _from_bands(cls, duration: float, held) -> Segment:
-        """A Segment of tridiagonal generators, each held as its complex (diagonal, sub, super)."""
-        seg = object.__new__(cls)
-        seg._hold(duration, held)
-        return seg
-
-    def _hold(self, duration: float, held):
         if not duration > 0:
             raise InvalidArgument(f"segment duration must be > 0, got {duration}")
-        held = tuple(held)  # after the duration check
+        held = tuple(map(_as_held, generators))
         dims = {len(h[0]) if isinstance(h, tuple) else len(h) for h in held}
         if len(dims) != 1:
             raise (DimensionMismatch("generators within a segment differ in dimension") if dims
@@ -130,12 +121,20 @@ class Segment:
         return tuple(_tridiagonal(*h) if isinstance(h, tuple) else h for h in self._held)
 
 
-def _as_held(g: np.ndarray):
-    """Copies of the _bands of g when g is tridiagonal, else g."""
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or not len(g):
-        raise InvalidArgument(f"generator has shape {g.shape}, expected square and nonempty")
-    bands = _bands(g)
-    return g if bands is None else tuple(map(np.copy, bands))
+def _as_held(g):
+    """Complex copies of the bands of g, a triple or a tridiagonal matrix, else of the matrix g."""
+    if not isinstance(g, tuple):
+        m = np.asarray(g, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not len(m):
+            raise InvalidArgument(f"generator has shape {m.shape}, expected square and nonempty")
+        g = _bands(m)
+        if g is None:
+            return np.array(m, order="C")
+    bands = tuple(np.array(x, dtype=complex) for x in g)
+    shapes, d = [x.shape for x in bands], bands[0].size if bands else 0
+    if shapes != [(d,), (d - 1,), (d - 1,)]:
+        raise InvalidArgument(f"generator bands have shapes {shapes}, expected d, d - 1, d - 1")
+    return bands
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +174,7 @@ class SegmentSchedule:
 
     @property
     def boundary_slack(self) -> float:
-        """1e-12 max(1, total duration): how far past a boundary or an end a time snaps to it."""
+        """1e-12 max(1, total duration): how far past an inner boundary or the end a time snaps."""
         return 1e-12 * max(1.0, self.total_duration)
 
     @cached_property
@@ -259,7 +258,7 @@ def _locate(schedule: SegmentSchedule, t: np.ndarray) -> tuple[np.ndarray, np.nd
     bounds = schedule.boundaries
     total = bounds[-1]
     snap = schedule.boundary_slack
-    outside = ~((t >= -snap) & (t <= total + snap))  # NaN is outside too
+    outside = ~((t >= 0.0) & (t <= total + snap))  # NaN is outside too; -0.0 is not
     if outside.any():
         raise TimeOutOfRange(f"t = {t[outside][0]} outside the schedule range [0, {total}]")
     t = np.clip(t, 0.0, total)

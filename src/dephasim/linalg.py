@@ -224,16 +224,31 @@ def _half_trace_norm(h: np.ndarray):
     return 0.5 * np.sum(np.abs(diag.real if diagonal else np.linalg.eigvalsh(h)), axis=-1)
 
 
+def _residual(a: np.ndarray, b: np.ndarray):
+    """|a|^2 and b_perp = b - a (a^dag b)/|a|^2, one Gram-Schmidt step against a one-column a.
+
+    b_perp = b where 1/|a|^2 overflows (|a|^2 is 0 or subnormal), and 0 for b = a.
+    """
+    ah = dagger(a)
+    aa, ab = (ah @ a).real, ah @ b
+    coef = np.divide(ab, aa, out=np.zeros_like(ab), where=aa >= np.finfo(float).tiny)
+    return aa, b - a * coef
+
+
 def fidelity_of_factors(a: np.ndarray, b: np.ndarray):
-    """Fidelity of a a^dag and b b^dag: (sum of singular values of a^dag b)^2.
+    """Fidelity of the states a a^dag and b b^dag: (sum of singular values of a^dag b)^2.
 
     An r1 x r2 SVD, with no square roots of roundoff-level eigenvalues; none
-    if r1 or r2 is 1 or every overlap is exactly diagonal: F = (sum |diag|)^2.
-    For (T, d, r) stacks of factors it returns the T fidelities as an array.
+    if every overlap is exactly diagonal: F = (sum |diag|)^2, or if a (else b)
+    is one column: F = 1 - |v_perp|^2 / |v|^2 for v = b (else a) and its
+    _residual v_perp, the fidelity of the normalized states, exactly 1 for
+    b = a (0 for v = 0). For (T, d, r) stacks it returns the T fidelities.
     """
+    if 1 in (a.shape[-1], b.shape[-1]):
+        u, v = (a, b) if a.shape[-1] == 1 else (b, a)
+        perp, norm = (np.sum(np.abs(x) ** 2, axis=(-2, -1)) for x in (_residual(u, v)[1], v))
+        return 1.0 - np.divide(perp, norm, out=np.ones_like(norm), where=norm > 0)
     m = dagger(a) @ b
-    if 1 in m.shape[-2:]:  # a row or column: its 2-norm is its one singular value
-        return np.sum(np.abs(m) ** 2, axis=(-2, -1))
     diag = np.diagonal(m, axis1=-2, axis2=-1)
     if np.count_nonzero(m) == np.count_nonzero(diag):  # the singular values are |diag|
         return np.sum(np.abs(diag), axis=-1) ** 2
@@ -275,9 +290,8 @@ def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
     - r1 = r2 = 1: the closed form of the rank-2 difference, with no LAPACK
       call. Its eigenvalues are (|a|^2 - |b|^2)/2 +/- D, of product
       -|a|^2 |b_perp|^2 <= 0, so the distance is
-      D = sqrt(((|a|^2 - |b|^2)/2)^2 + |a|^2 |b_perp|^2), where
-      b_perp = b - a (a^dag b)/|a|^2 is one Gram-Schmidt step (b_perp = b
-      where 1/|a|^2 overflows: |a|^2 is 0 or subnormal). It is within about
+      D = sqrt(((|a|^2 - |b|^2)/2)^2 + |a|^2 |b_perp|^2), with b_perp the
+      Gram-Schmidt step of _residual, as for the fidelity. It is within about
       eps max(1, |a|^2, |b|^2) at any D; the equal form ((|a|^2 + |b|^2)/2)^2
       - |a^dag b|^2 under the root cancels, to an error of about eps / D.
     - r1 + r2 < d otherwise: a and b are replaced by the column blocks of R
@@ -289,12 +303,9 @@ def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
     """
     r1 = a.shape[-1]
     if r1 == b.shape[-1] == 1:
-        ah = dagger(a)
-        aa, ab = (ah @ a)[..., 0, 0].real, (ah @ b)[..., 0, 0]
-        bb = (dagger(b) @ b)[..., 0, 0].real
-        coef = np.divide(ab, aa, out=np.zeros_like(ab), where=aa >= np.finfo(float).tiny)
-        perp = b - a * coef[..., None, None]
-        return np.sqrt(((aa - bb) / 2) ** 2 + aa * (dagger(perp) @ perp)[..., 0, 0].real)
+        aa, perp = _residual(a, b)
+        bb = (dagger(b) @ b).real
+        return np.sqrt(((aa - bb) / 2) ** 2 + aa * (dagger(perp) @ perp).real)[..., 0, 0]
     if not _direct_path(r1, b.shape[-1], a.shape[-2]):
         r = np.linalg.qr(np.concatenate((a, b), axis=-1), mode="r")
         a, b = r[..., :r1], r[..., r1:]

@@ -76,11 +76,10 @@ def branch_generator(alpha: complex, beta: float, gamma: float, space: FockSpace
 
 
 def build_schedule(params: QubitBosonParams) -> SegmentSchedule:
-    """Two-pointer schedule of +/-V_0 per step, as bands; a repeated step shares its arrays."""
+    """Two-pointer schedule of +/-V_0 per step, as bands; a repeated step shares its Segment."""
     dim = FockSpace(params.cutoff).dim
-    held, segments = {}, []
-    for step in params.segments:
+    shared = {}
+    for step in dict.fromkeys(params.segments):  # each distinct step once
         v0 = _branch_bands(step.alpha, params.beta, step.gamma, dim)
-        pair = held.setdefault(b"".join(x.tobytes() for x in v0), (v0, tuple(-x for x in v0)))
-        segments.append(Segment._from_bands(step.duration, pair))
-    return SegmentSchedule(system_dim=2, env_dim=dim, segments=tuple(segments))
+        shared[step] = Segment(step.duration, (v0, tuple(-x for x in v0)))
+    return SegmentSchedule(2, dim, tuple(shared[step] for step in params.segments))

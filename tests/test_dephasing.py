@@ -20,6 +20,7 @@ from dephasim.dephasing import (
 from dephasim import dephasing, linalg
 from dephasim.errors import (
     ConvergenceFailure,
+    DephasimError,
     DimensionMismatch,
     EmptySchedule,
     InvalidArgument,
@@ -198,6 +199,69 @@ class TestValidateSchedule:
             )
 
 
+class TestSegmentConstructor:
+    """Segment takes matrices or (diagonal, sub, super) triples and holds its own copies."""
+
+    def test_a_dense_generator_is_copied_not_frozen(self):
+        g = random_hermitian(np.random.default_rng(29), 4)
+        reference = SegmentSchedule(2, 4, (Segment(1.0, (g.copy(), -g)),))
+        seg = Segment(1.0, (g, -g))
+        assert g.flags.writeable and seg._held[0] is not g
+        schedule = SegmentSchedule(2, 4, (seg,))
+        g[0, 0] = 5.0  # written before the eigensystems are cached, and again after
+        generators = [x.copy() for x in seg.generators]
+        assert generators[0].tobytes() == reference.segments[0].generators[0].tobytes()
+        systems = schedule._eigensystems
+        g[1, 1] = 7.0
+        for got, expected in zip(systems[0], reference._eigensystems[0]):
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+        assert [x.tobytes() for x in seg.generators] == [x.tobytes() for x in generators]
+        with pytest.raises(ValueError, match="read-only"):
+            seg.generators[0][0, 0] = 1.0  # the held copy is the Segment's own
+
+    def test_a_triple_is_the_matrix_it_describes(self):
+        v0 = branch_generator(0.5 - 0.25j, 1.3, 0.2, FockSpace(6))
+        bands = (np.diagonal(v0).copy(), np.diagonal(v0, -1).copy(), np.diagonal(v0, 1).copy())
+        before = [x.copy() for x in bands]
+        from_bands = Segment(1.0, (bands, tuple(-x for x in bands)))
+        from_matrix = Segment(1.0, (v0, -v0))
+        for x, y in zip(from_bands._held, from_matrix._held):
+            assert [a.tobytes() for a in x] == [b.tobytes() for b in y]
+            assert all(a.dtype == complex and not a.flags.writeable for a in x)
+        assert not any(a is b for a in from_bands._held[0] for b in bands)
+        assert all(x.flags.writeable and np.array_equal(x, y) for x, y in zip(bands, before))
+        one = Segment(2.0, ((np.array([3.0]), np.zeros(0), np.zeros(0)),))
+        assert one.dim == 1 and one.generators[0].tolist() == [[3.0]]
+
+    @pytest.mark.parametrize("triple", [
+        (),
+        (np.ones(3), np.ones(2)),
+        (np.ones(3), np.ones(2), np.ones(2), np.ones(2)),
+        (np.ones(3), np.ones(3), np.ones(3)),
+        (np.ones(3), np.ones(2), np.ones(1)),
+        (np.ones((3, 3)), np.ones(2), np.ones(2)),
+        (np.ones((2, 1)), np.ones(1), np.ones(1)),
+        (np.zeros(0), np.zeros(0), np.zeros(0)),
+        (1.0, np.zeros(0), np.zeros(0)),
+    ], ids=lambda t: "x".join(str(np.shape(x)) for x in t) or "empty")
+    def test_a_malformed_triple_is_rejected(self, triple):
+        with pytest.raises(InvalidArgument, match=r"^generator bands have shapes "):
+            Segment(1.0, (triple,))
+
+    def test_a_repeated_drive_value_shares_its_segment(self, monkeypatch):
+        # equal (duration, alpha, gamma) share one Segment; the same drive for another
+        # duration holds its own bands, and _solve still solves it once
+        steps = [AlphaSegment(1.0, 0.5j), AlphaSegment(1.0, 0.0), AlphaSegment(1.0, 0.5j),
+                 AlphaSegment(2.0, 0.5j), AlphaSegment(1.0, 0.5j, 0.1)]
+        schedule = build_schedule(QubitBosonParams(1.0, steps, 8))
+        seg = schedule.segments
+        assert seg[2] is seg[0] and len({id(s) for s in seg}) == 4
+        solved = []
+        monkeypatch.setattr(dephasing, "eigh", lambda g: solved.append(g) or eigh(g))
+        systems = schedule._eigensystems
+        assert len(solved) == 3 and systems[3][0] is systems[0][0]
+
+
 class TestGaugedSchedule:
     """Each generator's bands are read once per schedule; a driven step holds its gauged pair."""
 
@@ -347,6 +411,26 @@ class TestPropagators:
             propagators_at(s, -0.5)
         with pytest.raises(TimeOutOfRange):
             propagators_at(s, 2.5)
+
+    def test_no_slack_below_time_zero(self):
+        # t = 0 is exact, so a negative time is out of range however long the schedule:
+        # a slack of 1e-12 of the duration let -500 read as t = 0 at a duration of 1e15
+        g = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        s = SegmentSchedule(2, 3, (Segment(1e15, (g, -g)),))
+        for t in (-500.0, -1e-300):
+            with pytest.raises(TimeOutOfRange, match=f"^t = {t} outside the schedule range"):
+                propagators_at(s, t)
+        for t in (0.0, -0.0):
+            assert all(np.array_equal(w, np.eye(3)) for w in propagators_at(s, t))
+        # the slack at an inner boundary and at the end is unchanged
+        two = SegmentSchedule(2, 3, (Segment(3.0, (g, -g)), Segment(3.0, (-g, g))))
+        assert two.boundary_slack == 6e-12
+        for got, expected in zip(propagators_at(two, 6.0 + 5e-12), propagators_at(two, 6.0)):
+            assert np.array_equal(got, expected)
+        for got, expected in zip(propagators_at(two, 3.0 + 5e-12), propagators_at(two, 3.0)):
+            assert np.array_equal(got, expected)
+        with pytest.raises(TimeOutOfRange):
+            propagators_at(two, 6.0 + 7e-12)
 
     @given(seed=seeds, frac=st.floats(0.0, 1.0))
     @settings(max_examples=30, deadline=None)
@@ -658,3 +742,95 @@ def test_blocks_from_propagators_matches_blocks_at():
 
 def test_pauli_constants_available():
     assert np.linalg.norm(PAULI_X @ PAULI_Z + PAULI_Z @ PAULI_X) == 0.0
+
+
+MAGNITUDES = [0.0, 1e-300, 1.0, 1e150, 1e300, 1e308]
+
+
+@st.composite
+def caller_generator(draw, d):
+    """(generator, the caller's arrays in it): a matrix or a triple of bands, often malformed.
+
+    Diagonal, tridiagonal and dense matrices and triples, Hermitian or not, with
+    entries up to 1e308 (the largest magnitude drawn) and sometimes a NaN or inf;
+    float or complex, C- or Fortran-ordered; or a triple or matrix of the wrong shape.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from(MAGNITUDES))
+    if draw(st.integers(0, 15)) == 7:  # about one in 16, as one fails the whole schedule
+        kind = draw(st.sampled_from(["bad shape", "bad triple", "bad triple"]))
+    else:
+        kind = draw(st.sampled_from(["diagonal", "tridiagonal", "dense", "triple"]))
+    unit = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+    if draw(st.booleans()):  # Hermitian, its entries still within scale
+        unit = (unit + unit.conj().T) / 2
+    m = scale * unit
+    if draw(st.integers(0, 7)) == 0:
+        m[rng.integers(d), rng.integers(d)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    bands = [np.diagonal(m).copy(), np.diagonal(m, -1).copy(), np.diagonal(m, 1).copy()]
+    if draw(st.booleans()):
+        bands = [x.real.copy() for x in bands]
+    if kind == "diagonal":
+        g = np.diag(bands[0])
+    elif kind == "tridiagonal":
+        g = np.diag(bands[0]) + np.diag(bands[1], -1) + np.diag(bands[2], 1)
+    elif kind == "dense":
+        g = m.real.copy() if draw(st.booleans()) else m
+    elif kind == "bad shape":
+        g = draw(st.sampled_from([m[:, :-1], m[0], m[None], np.zeros((0, 0))]))
+    else:
+        if kind == "bad triple":
+            bands = draw(st.sampled_from([
+                bands[:2], bands + [bands[1]], [bands[0], bands[0], bands[0]], [m, *bands[1:]],
+                [bands[0], bands[1], bands[2][:-1]], [np.zeros(0)] * 3,
+            ]))
+        return tuple(bands), list(bands)
+    if draw(st.booleans()):
+        g = np.asfortranarray(g)
+    return g, [g]
+
+
+@st.composite
+def schedules(draw):
+    """(system_dim, env_dim, [(duration, generators)], the caller's arrays, t)."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    segments, arrays = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        gens = []
+        for _ in range(n):
+            g, owned = draw(caller_generator(d))
+            gens.append(g)
+            arrays.extend(owned)
+        duration = draw(st.sampled_from([1e-3, 0.5, 2.0, 1e300, 1e308]))
+        segments.append((duration, tuple(gens)))
+    total = sum(min(s[0], 1e300) for s in segments)
+    t = draw(st.sampled_from([0.0, -0.0, -1e-12, 0.3, total / 2, total, total * (1 + 1e-13)]))
+    return n, d, segments, arrays, t
+
+
+class TestScheduleFuzz:
+    @given(case=schedules())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_finite_arrays_or_a_package_error(self, case):
+        # building, validating and stepping: finite results or a DephasimError, no
+        # RuntimeWarning, and every caller array unchanged and writable afterwards
+        n, d, segments, arrays, t = case
+        before = [x.copy() for x in arrays]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                schedule = SegmentSchedule(n, d, tuple(Segment(*s) for s in segments))
+            except DephasimError:
+                schedule = None
+            if schedule is not None:
+                try:
+                    assert np.all(validate_schedule(schedule) <= linalg.HERM_TOL)
+                except DephasimError:
+                    pass
+                try:
+                    props = propagators_at(schedule, t)
+                    assert len(props) == n and all(np.isfinite(w).all() for w in props)
+                except DephasimError:
+                    pass
+        for x, y in zip(arrays, before):
+            assert x.flags.writeable and np.array_equal(x, y, equal_nan=True)

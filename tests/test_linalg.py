@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dephasim.entanglement import measure_from_fidelity
 from dephasim.errors import (
     ConvergenceFailure,
     DephasimError,
@@ -542,22 +543,37 @@ class TestFactors:
         "z", [0.75, -3.0, 1e-150j, (3 + 4j) * 2.0**-40, (5 - 12j) * 2.0**500]
     )
     def test_one_by_one_fidelity_is_the_svd_exactly(self, z, monkeypatch):
-        # with both |z| exact (real or Pythagorean entries) the two paths agree bit for bit
-        a, b = np.array([[1.0 + 0j], [0.0]]), np.array([[np.conj(z)], [2.0]])
-        svd = np.sum(np.linalg.svd(dagger(a) @ b, compute_uv=False)) ** 2
+        # a column and z times it, at any scale and phase, are one state: F is 1
+        # exactly, the one singular value of their normalized overlap, in either
+        # order and with no SVD (1 - |a^dag b|^2 read 1 - |z|^2)
+        a, b = np.array([[1.0 + 0j], [0.0]]), np.array([[z], [0.0]])
         monkeypatch.setattr(np.linalg, "svd", None)  # the one-column path makes no SVD
-        assert fidelity_of_factors(a, b) == svd == abs(z) ** 2
+        assert fidelity_of_factors(a, b) == fidelity_of_factors(b, a) == 1.0
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 7), (2, 1), (7, 1)])
     def test_one_column_fidelity_matches_the_svd(self, shape):
-        # F = sum |a^dag b|^2 against the SVD path on (T, d, r) stacks; a 1 x 1 has
-        # its |z| from hypot here and from LAPACK's dlapy3 there, which differ by a
-        # few ulp (at most 4 eps relative over 1e5 random draws)
+        # F = 1 - |v_perp|^2/|v|^2, the fidelity of the normalized states, against the
+        # SVD path over |a|^2 |b|^2 on (T, d, r) stacks: within 1e-15 absolute (at most
+        # 3.4 eps measured), as 1 - F is formed; relative to an F near 0, up to 1e-12
         rng = np.random.default_rng(sum(shape))
         a = random_complex(rng, (200, 9, shape[0])) * 10.0 ** rng.uniform(-3, 3, (200, 1, 1))
         b = random_complex(rng, (200, 9, shape[1]))
         svd = np.sum(np.linalg.svd(dagger(a) @ b, compute_uv=False), axis=-1) ** 2
-        assert np.max(np.abs(fidelity_of_factors(a, b) - svd) / svd) <= 1e-15
+        svd /= np.sum(np.abs(a) ** 2, axis=(1, 2)) * np.sum(np.abs(b) ** 2, axis=(1, 2))
+        assert np.max(np.abs(fidelity_of_factors(a, b) - svd)) <= 1e-15
+
+    def test_a_product_state_has_fidelity_one_and_measure_zero(self):
+        # D11: a unit column normalized to roundoff (|a|^2 = 1 - eps) gave F = |a|^4 and
+        # E = 2.2e-16; b_perp of b = a is exactly 0, and so is E (+0.0)
+        a = random_complex(np.random.default_rng(30), (3, 1))
+        a /= np.linalg.norm(a)
+        assert np.sum(np.abs(dagger(a) @ a) ** 2) < 1.0  # 1 - 6.7e-16
+        f = fidelity_of_factors(np.stack([a, a]), np.stack([a, a * np.exp(0.3j)]))
+        assert f.tolist() == [1.0, 1.0]
+        e = measure_from_fidelity(np.array([0.6, 0.8]), f)
+        assert e.tolist() == [0.0, 0.0] and not np.signbit(e).any()
+        zero = np.zeros_like(a)  # a state of norm 0 has fidelity 0, as from the SVD
+        assert fidelity_of_factors(zero, a) == fidelity_of_factors(a, zero) == 0.0
 
     @given(seed=seeds, rank=st.integers(1, 4))
     @settings(max_examples=25, deadline=None)

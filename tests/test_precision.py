@@ -44,6 +44,13 @@ frame stacks of a rank-3 R(0) on 6 levels (measured 1.0 at t = 0.9 and 1.8,
 diagonal difference (0.07) and fidelity_of_factors of a diagonal 5 x 4
 overlap, against 40-digit singular values, in units of
 eps max(1, |a|^2) max(1, |b|^2) (0.57).
+
+fidelity_of_factors is pinned on its one-column path (the fidelity of the
+normalized states, exactly 1 for b = a) and its SVD path, for unit factors
+b near a, a phase times a and a itself, on a tail factor whose R(0) has
+eigenvalues 1 : 1e-14, and on the long case's stacks of one and two columns.
+FID_FLOOR_UNITS = 8 sits 4x (svd, tail) to 99x (long, one column) above the floors
+measured in test_fidelity_within_its_floor.
 """
 
 from functools import cache
@@ -72,8 +79,8 @@ def unit_factor(rng, d, zero_rows=0, rank=2):
 
 
 @cache
-def case(name):
-    """(schedule, A, times) of one precision case."""
+def case(name, rank=2):
+    """(schedule, A, times) of one precision case, A of unit norm with rank columns."""
     rng = np.random.default_rng(5)
     if name == "shared":
         # +/-V on 6 levels; R(0) lives on the lowest 4, so the undriven first
@@ -81,13 +88,13 @@ def case(name):
         params = QubitBosonParams(
             beta=1.0, segments=(AlphaSegment(0.7, 0.0), AlphaSegment(1.1, -0.3 + 0.4j)), cutoff=6
         )
-        return build_schedule(params), unit_factor(rng, 6, zero_rows=2), (0.3, 1.8)
+        return build_schedule(params), unit_factor(rng, 6, zero_rows=2, rank=rank), (0.3, 1.8)
     if name == "unshared":
         segments = tuple(
             Segment(dur, tuple(3 * random_hermitian(rng, 5) for _ in range(3)))
             for dur in (0.7, 1.1)
         )
-        return SegmentSchedule(3, 5, segments), unit_factor(rng, 5), (0.4, 1.8)
+        return SegmentSchedule(3, 5, segments), unit_factor(rng, 5, rank=rank), (0.4, 1.8)
     if name == "gauged":
         # a complex alpha between two undriven steps at cutoff 24: the driven
         # step is the gauged real tridiagonal solve, the others carry no u
@@ -98,21 +105,21 @@ def case(name):
             ),
             cutoff=24,
         )
-        return build_schedule(params), unit_factor(rng, 24), (0.3, 1.0, 1.7)
+        return build_schedule(params), unit_factor(rng, 24, rank=rank), (0.3, 1.0, 1.7)
     # long phase: beta n reaches 1000 at n = 5, so |w| t ~ 1e3
     params = QubitBosonParams(beta=200.0, segments=(AlphaSegment(1.0, 30.0),), cutoff=6)
-    return build_schedule(params), unit_factor(rng, 6), (1.0,)
+    return build_schedule(params), unit_factor(rng, 6, rank=rank), (1.0,)
 
 
 @cache
-def oracle(name):
+def oracle(name, rank=2):
     """Per time, the 40-digit Y_i = w_i A as mpmath matrices.
 
     Each segment exponential is Q diag(exp(-i lam tau)) Q^dag from a 40-digit
     mp.eighe of the generator (Hermitian to the last bit in every case), one
     per generator, shared by all times.
     """
-    schedule, a, times = case(name)
+    schedule, a, times = case(name, rank)
     out = []
     with mp.workdps(40):
         systems = [[mp.eighe(mp.matrix(g.tolist())) for g in seg.generators]
@@ -261,3 +268,75 @@ def test_diagonal_read_offs_within_their_floor(kernel, monkeypatch):
                  for x, y in zip(a, b)]
     for g, e, unit in zip(got, exact, units):
         assert abs(g - e) <= TD_FLOOR_UNITS * EPS * unit, (g, e)
+
+
+# (d, r) of the factors that take each path of fidelity_of_factors; the tail's
+# R(0) = a a^dag has eigenvalues in the ratio 1 : 1e-14
+FID_SHAPES = {"one-column": (6, 1), "svd": (6, 2), "tail": (6, 2)}
+FID_FLOOR_UNITS = 8
+
+
+def normalized(a):
+    return a / np.linalg.norm(a)
+
+
+@cache
+def fid_pairs(path):
+    """{case: (a, b)} of unit factors: b = a + delta noise normalized, a phase times a, and a."""
+    d, r = FID_SHAPES[path]
+    rng = np.random.default_rng(13)
+    a, noise = unit_factor(rng, d, rank=r), unit_factor(rng, d, rank=r)
+    if path == "tail":  # columns mixed by a rotation, which keeps a a^dag
+        a = normalized(a * [1.0, 1e-7]) @ np.array([[0.6, 0.8], [-0.8, 0.6]])
+    pairs = {f"delta={delta:g}": (a, normalized(a + delta * noise)) for delta in DELTAS}
+    pairs["phase"] = (a, np.exp(0.3j) * a)
+    pairs["equal"] = (a, a)
+    return pairs
+
+
+def exact_state_fidelity(a, b):
+    """The fidelity of a a^dag / |a|^2 and b b^dag / |b|^2 for 40-digit matrices a and b."""
+    with mp.workdps(40):
+        f = mp.fsum(mp.svd_c(a.H * b, compute_uv=False)) ** 2
+        return float(f / (mp.mnorm(a, "f") ** 2 * mp.mnorm(b, "f") ** 2))
+
+
+def long_phase_fidelities():
+    """{case: ([F], exact, 1 + t ||V||)} on the long case's stacks for A of one and two columns."""
+    cases = {}
+    for rank in (1, 2):  # the one-column path and the SVD path
+        schedule, a, times = case("long", rank)
+        norm = max(np.linalg.norm(g, 2) for seg in schedule.segments for g in seg.generators)
+        assert norm * times[-1] >= 1e3
+        stacks = [ys for _, s in chunk_stacks(schedule, a, times) for ys in zip(*s)]
+        for t, ys, exact in zip(times, stacks, oracle("long", rank)):
+            f = fidelity_of_factors(ys[0], ys[1])
+            cases[f"rank={rank} t={t:g}"] = ([f], exact_state_fidelity(*exact[:2]), 1 + t * norm)
+    return cases
+
+
+@pytest.mark.parametrize("path", [*FID_SHAPES, "long"])
+def test_fidelity_within_its_floor(path):
+    # against the 40-digit fidelity, of the normalized states on the one-column path,
+    # in units of eps times 1 + t ||V|| on the long case's stacks, whose oracle is the
+    # 40-digit Y_0, Y_1 at a phase |w| t of 1e3. Floors measured: 0.5 (one-column),
+    # 2.0 (svd), 2.0 (tail), 0.08 and 0.096 (long, one and two columns); over 40 seeds
+    # of the pairs at most 0.75, 3.0 and 5.0. Y_0^dag Y_1 Y_1^dag Y_0's eigvalsh (an
+    # earlier route) is off by 6.7e7 on the tail, through square roots of roundoff.
+    if path == "long":
+        cases = long_phase_fidelities()
+    else:
+        pairs = fid_pairs(path)
+        stacked = fidelity_of_factors(*(np.stack(x) for x in zip(*pairs.values())))
+        cases = {}
+        for (name, (a, b)), batched in zip(pairs.items(), stacked):
+            if path == "one-column":
+                exact = exact_state_fidelity(*(mp.matrix(x.tolist()) for x in (a, b)))
+            else:
+                exact = exact_fidelity(a, b)
+            cases[name] = ([fidelity_of_factors(a, b), batched], exact, 1.0)
+        if path == "one-column":  # b = a is one state: exactly 1
+            assert cases["equal"][0] == [1.0, 1.0]
+    for name, (fidelities, exact, unit) in cases.items():
+        for got in fidelities:
+            assert abs(got - exact) <= FID_FLOOR_UNITS * EPS * unit, (name, got, exact)

@@ -1159,23 +1159,23 @@ CSV_ROWS = st.tuples(*[_CELL] * 6, st.integers(2, 512))
 
 # sha256 of each preset's CSV; a deliberate roundoff change updates these
 PRESET_SHA256 = {
-    "fig2a": "e6e2c09d59a0d9e70704e508c6959abf2aec5236edc00f90d60b8a86a79bf933",
+    "fig2a": "8d07782f133cfbbefef188016fd418d8f9d1f32c42071e6118cf6915b6169a0c",
     "fig2b": "a6bd27caf70325f7f1efcd4c94c814e39c841ef4a8d1466be5ab39edb0f809c3",
     "fig2c": "d7aedbe08536fc35c84c949746d18012af5fe7af9852a052cf6fe0fe2f27878f",
     "fig2d": "d8d8c41c922bb890b57472812a2ed7418997e9bdb861a45bf67e93580cce1408",
     "fig2e": "7980031a0e08992474a6efd14be7e9d4c9a50a96abbc981f3f8c3f4f7448c410",
     "fig2f": "a59c0e14365feb7dd946218c4a2ab887c9330a49ca4d84e498514f644f5d057f",
-    "fig3a": "69e126f98bad22f5dbc8955c9ad52eb04b767360af43acea46bced82c19a7774",
-    "fig3b": "b7e7a188144a7d2c080a8349e1ae253d7abe5a43e1c12500b060ff3fe7e9dd13",
-    "fig3c": "32243aa7d7af62d8c1eaca49e9aa366e1f14c3a247642bf1f0111214d24cd382",
+    "fig3a": "0c4abba648b511092a4150ada7bac1e814d06bee33256a6997c888881ea43584",
+    "fig3b": "db555208f94f274d0082432e9551bd6182d2914f61ac00dc83ec97cf3a6b0682",
+    "fig3c": "2ab876a7582a1e75667616bb74e19c4c51c1555a52a1ba96b2c95c7154f533fe",
 }
 
 
 # sha256 of three presets' CSVs with outputs.negativity = true, which every preset leaves off
 NEGATIVITY_SHA256 = {
-    "fig2a": "9a851f38a3f9ca6ab3024345a86198cfa1ee090ac747eb445e2e04f46484aa44",
+    "fig2a": "8d0194e56cd430be99f5d19ebbb3cf66d9f3f5ffb4f8898a7a7c6cada887dab6",
     "fig2b": "ba1b99e1137a9fbf44d7889f1421902fc59578b4cca25e0429d8571f56acbb46",
-    "fig3a": "224707b710f83576aa6f96d9aee14153088039e953c4c162271ba000072253a4",
+    "fig3a": "5187c7556a14c03b6b9b52cf17e5a6cdde101b5c7c51e6343e52c09f119333b2",
 }
 
 
@@ -1326,6 +1326,14 @@ class TestColumnIdentities:
         if name in RANK_ONE_PRESETS:
             n = np.array([r.negativity for r in rows])
             assert np.max(np.abs(4 * n**2 - e)) <= IDENTITY_UNITS["negativity"] * eps
+
+    @pytest.mark.parametrize("name", RANK_ONE_PRESETS)
+    def test_a_product_state_reads_e_zero(self, name):
+        # t = 0 is a product state, and type1_max reads exactly 0 there; E read 2.2e-16
+        # (fig3a) and 6.7e-16 (fig3c) while 1 - F was formed from |Y_0^dag Y_1|^2
+        row = run_sweep(config_from_dict(preset_config(name)))[0]
+        assert row.t == row.type1_max == 0.0
+        assert row.entanglement == 0.0 and not np.signbit(row.entanglement)
 
 
 class TestSweepRow:
