@@ -74,7 +74,6 @@ from .presets import PRESET_NAMES, preset_config
 from .qubit_boson import (
     AlphaSegment,
     QubitBosonParams,
-    branch_generator,
     build_schedule,
 )
 from .sweep import (

@@ -96,7 +96,7 @@ class Segment:
     A generator is a matrix or the (diagonal, sub-, super-diagonal) tuple of
     a tridiagonal one. _held has read-only complex copies, never the caller's
     arrays, of the triple of each tridiagonal generator (no d x d matrix) and
-    of any other matrix. generators forms the matrices on each access.
+    of any other matrix.
     """
 
     duration: float
@@ -114,11 +114,6 @@ class Segment:
         for x in (x for h in held for x in (h if isinstance(h, tuple) else (h,))):
             x.setflags(write=False)
         vars(self).update(duration=duration, dim=dims.pop(), _held=held)  # frozen: no setattr
-
-    @property
-    def generators(self) -> tuple[np.ndarray, ...]:
-        """The d x d generator matrices, a tridiagonal one formed from its bands on each access."""
-        return tuple(_tridiagonal(*h) if isinstance(h, tuple) else h for h in self._held)
 
 
 def _as_held(g):
@@ -141,9 +136,8 @@ def _as_held(g):
 class SegmentSchedule:
     """Ordered piecewise-constant schedule for an N-pointer system.
 
-    Structure (a segment at least, dimensions, positive durations) is enforced
-    here; Hermiticity of the generators is checked by validate_schedule so that
-    deliberately broken schedules can still be constructed for diagnostics.
+    Built only if valid, so any that exists may be evolved: a segment at least,
+    matching dimensions, durations with a finite sum, validate_schedule passed.
     """
 
     system_dim: int
@@ -167,6 +161,7 @@ class SegmentSchedule:
             total = self.total_duration
         if not np.isfinite(total):
             raise InvalidArgument(f"segment durations sum to {total}, past the float range")
+        validate_schedule(self)
 
     @property
     def total_duration(self) -> float:
@@ -230,17 +225,18 @@ def _stacks(step, tau: np.ndarray) -> list[np.ndarray]:
 
 
 def validate_schedule(schedule: SegmentSchedule) -> np.ndarray:
-    """Check the pure-dephasing form of a schedule; return its (segments, N) residuals.
+    """The (segments, N) residuals of a schedule's generators, each at most HERM_TOL.
 
-    The factorized structure (fixed pointer basis, generators acting only on
-    the environment) holds by construction; what remains to verify is that
-    every generator is Hermitian, so that each conditional propagator is
-    unitary. Entry [k, i] is hermiticity_residual of generator i of segment k.
+    SegmentSchedule runs this check when it is built: NonFiniteError or
+    NotHermitianGenerator unless every generator is finite and Hermitian, so
+    that each conditional propagator is unitary. Entry [k, i] is
+    hermiticity_residual of generator i of segment k.
     """
     residuals = np.array([[hermiticity_residual(g) for g in s._held] for s in schedule.segments])
     worst = np.unravel_index(np.argmax(residuals), residuals.shape)  # the first NaN if any
     if not residuals[worst] <= HERM_TOL:  # a NaN residual must fail too
-        bad = np.argwhere(~np.isfinite(schedule.segments[worst[0]].generators[worst[1]]))
+        held = schedule.segments[worst[0]]._held[worst[1]]
+        bad = np.argwhere(~np.isfinite(_tridiagonal(*held) if isinstance(held, tuple) else held))
         if len(bad):
             raise NonFiniteError(
                 f"generator {worst[1]} of segment {worst[0]} has {len(bad)} non-finite "

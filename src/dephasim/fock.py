@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffCapExceeded, InvalidArgument, NonFiniteError, NotNormalizedError
-from .linalg import TRACE_TOL, _factor, require_hermitian
+from .errors import CutoffCapExceeded, InvalidArgument, NonFiniteError
+from .linalg import _factor, _unit_trace, require_hermitian
 
 __all__ = [
     "FockSpace",
@@ -69,9 +69,7 @@ class EnvDensity:
             raise InvalidArgument(
                 f"state has shape {arr.shape}, expected {(self.space.dim,) * 2}"
             )
-        tr = float(np.trace(arr).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise NotNormalizedError(f"state has trace {tr!r}, expected 1 within {TRACE_TOL}")
+        _unit_trace(arr, "state")
         factor = self.__dict__.get("factor")  # preset by _pure_state only
         if factor is None:
             factor = _factor(arr)
@@ -111,8 +109,7 @@ def thermal_state(theta: float, space: FockSpace) -> EnvDensity:
     Populations are p_n proportional to exp(-n/theta), renormalized over the
     truncated basis. theta = 0 returns the exact vacuum.
     """
-    if theta < 0:
-        raise InvalidArgument(f"temperature must be >= 0, got {theta}")
+    _check_theta(theta)
     if theta == 0:
         return fock_state(0, space)
     q = math.exp(-1.0 / theta)
@@ -120,6 +117,12 @@ def thermal_state(theta: float, space: FockSpace) -> EnvDensity:
     probs = weights / weights.sum()
     # untruncated geometric tail sum_{n >= M} (1-q) q^n = q^M
     return EnvDensity(space, np.diag(probs).astype(complex), truncated_mass=q**space.dim)
+
+
+def _check_theta(theta: float) -> None:
+    """InvalidArgument, naming theta, unless 0 <= theta < inf."""
+    if not 0 <= theta < math.inf:  # a NaN theta must fail too
+        raise InvalidArgument(f"theta must be finite and >= 0, got {theta!r}")
 
 
 def coherent_state(zeta: complex, space: FockSpace) -> EnvDensity:
@@ -204,15 +207,16 @@ def suggest_cutoff(
     any initial number state sits in the lower half of the basis. A run that
     needs a tighter tail passes an explicit cutoff.
     """
+    _check_theta(theta)
     reach = abs(max_displacement)
+    if not reach < math.inf:  # a NaN reach must fail too
+        raise InvalidArgument(f"max_displacement must be finite, got {max_displacement!r}")
+    if fock_level < 0:
+        raise InvalidArgument(f"fock_level must be >= 0, got {fock_level!r}")
     for m in CUTOFF_LADDER:
-        if theta > 0 and math.exp(-m / theta) >= CUTOFF_TAIL:
-            continue
-        if _beyond_reach(reach, m):
-            continue
-        if fock_level + 1 > m // 2:
-            continue
-        return m
+        thin = theta == 0 or math.exp(-m / theta) < CUTOFF_TAIL
+        if thin and not _beyond_reach(reach, m) and fock_level + 1 <= m // 2:
+            return m
     raise CutoffCapExceeded(
         f"no cutoff <= {CUTOFF_LADDER[-1]} satisfies tail tolerance {CUTOFF_TAIL} and "
         f"displacement reach {reach * reach:.3g}"

@@ -159,6 +159,14 @@ def rotate(u, y: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
     return z
 
 
+def _unit_trace(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr, a require_hermitian array, checked to have unit trace within TRACE_TOL."""
+    tr = float(np.trace(arr).real)
+    if not abs(tr - 1.0) <= TRACE_TOL:
+        raise NotNormalizedError(f"{what} has trace {tr!r}, expected 1 within {TRACE_TOL}")
+    return arr
+
+
 def _psd_eigh(arr: np.ndarray):
     """eigh of a require_hermitian array with no eigenvalue below -PSD_CLAMP.
 
@@ -211,10 +219,12 @@ def sqrtm_psd(m) -> np.ndarray:
 def fidelity_given_sqrt(sqrt_rho1: np.ndarray, rho2) -> float:
     """Fidelity where the PSD square root of the first state is already known.
 
-    fidelity_of_factors of sqrt_rho1, a factor of rho1, and psd_factor(rho2), which
-    validates rho2; sqrt_rho1 should come from sqrtm_psd (or an exact equivalent).
+    fidelity_of_factors of sqrt_rho1, a factor of rho1, and psd_factor(rho2), with
+    rho2 checked as fidelity checks it; sqrt_rho1 should come from sqrtm_psd (or an
+    exact equivalent) of a unit-trace rho1.
     """
-    return float(fidelity_of_factors(sqrt_rho1, psd_factor(rho2)))
+    r2 = _unit_trace(require_hermitian(rho2, what="rho2"), "rho2")
+    return float(fidelity_of_factors(sqrt_rho1, _factor(r2)))
 
 
 def _half_trace_norm(h: np.ndarray):
@@ -238,11 +248,12 @@ def _residual(a: np.ndarray, b: np.ndarray):
 def fidelity_of_factors(a: np.ndarray, b: np.ndarray):
     """Fidelity of the states a a^dag and b b^dag: (sum of singular values of a^dag b)^2.
 
-    An r1 x r2 SVD, with no square roots of roundoff-level eigenvalues; none
-    if every overlap is exactly diagonal: F = (sum |diag|)^2, or if a (else b)
-    is one column: F = 1 - |v_perp|^2 / |v|^2 for v = b (else a) and its
-    _residual v_perp, the fidelity of the normalized states, exactly 1 for
-    b = a (0 for v = 0). For (T, d, r) stacks it returns the T fidelities.
+    a and b are factors of unit-trace states. An r1 x r2 SVD, with no square
+    roots of roundoff-level eigenvalues; none if every overlap is exactly
+    diagonal: F = (sum |diag|)^2, or if a (else b) is one column, a path that
+    normalizes both: F = 1 - |v_perp|^2 / |v|^2 for v = b (else a) and its
+    _residual v_perp, exactly 1 for b = a (0 for v = 0). For (T, d, r) stacks
+    it returns the T fidelities.
     """
     if 1 in (a.shape[-1], b.shape[-1]):
         u, v = (a, b) if a.shape[-1] == 1 else (b, a)
@@ -270,11 +281,7 @@ def fidelity(rho1, rho2) -> float:
     Both inputs must be Hermitian, PSD within PSD_CLAMP, and have unit trace
     within TRACE_TOL. Evaluated as fidelity_of_factors of their psd_factor.
     """
-    r1, r2 = _state_pair(rho1, rho2)
-    for name, r in (("rho1", r1), ("rho2", r2)):
-        tr = float(np.trace(r).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise NotNormalizedError(f"{name} has trace {tr!r}, expected 1 within {TRACE_TOL}")
+    r1, r2 = (_unit_trace(r, name) for r, name in zip(_state_pair(rho1, rho2), ("rho1", "rho2")))
     return fidelity_of_factors(_factor(r1), _factor(r2))
 
 

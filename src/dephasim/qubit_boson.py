@@ -23,13 +23,11 @@ import numpy as np
 from .dephasing import Segment, SegmentSchedule
 from .errors import InvalidArgument
 from .fock import FockSpace
-from .linalg import _tridiagonal
 
 __all__ = [
     "AlphaSegment",
     "QubitBosonParams",
     "build_schedule",
-    "branch_generator",
 ]
 
 
@@ -65,14 +63,9 @@ class QubitBosonParams:
 def _branch_bands(alpha: complex, beta: float, gamma: float, dim: int):
     """(diagonal, sub-, super-diagonal) of V_0 = alpha a^dag + alpha* a + beta n + gamma."""
     n, root = np.arange(dim), np.sqrt(np.arange(1, dim))
-    with np.errstate(over="ignore"):  # validate_schedule names an overflowed entry
+    with np.errstate(over="ignore"):  # SegmentSchedule names an overflowed entry
         bands = beta * n + gamma, alpha * root, np.conj(alpha) * root
     return tuple(x.astype(complex) for x in bands)
-
-
-def branch_generator(alpha: complex, beta: float, gamma: float, space: FockSpace) -> np.ndarray:
-    """Environment generator V_0 = alpha a^dag + alpha* a + beta n + gamma; V_1 is -V_0."""
-    return _tridiagonal(*_branch_bands(alpha, beta, gamma, space.dim))
 
 
 def build_schedule(params: QubitBosonParams) -> SegmentSchedule:

@@ -52,7 +52,7 @@ from .config import (
     load_schedule_file,
 )
 from . import dephasing
-from .dephasing import SegmentSchedule, equal_superposition, segment_chunks, validate_schedule
+from .dephasing import SegmentSchedule, equal_superposition, segment_chunks
 from .entanglement import measure_from_fidelity, type2_norms
 from .errors import (
     CutoffCapExceeded,
@@ -75,6 +75,7 @@ from .linalg import _direct_path, _half_trace_norm, dagger, fidelity_of_factors
 from .linalg import negativity_of_factors, trace_distance_of_factors
 # Unused here, but perfbench/spans.py wraps these names in this module.
 from .dephasing import blocks_from_propagators, joint_state, propagators_at  # noqa: F401
+from .dephasing import validate_schedule  # noqa: F401
 from .linalg import fidelity_given_sqrt, negativity, sqrtm_psd  # noqa: F401
 from .qubit_boson import QubitBosonParams, build_schedule
 
@@ -154,11 +155,13 @@ def _build_environment(cfg: RunConfig, cutoff: int) -> EnvDensity:
 
 def _resolve(cfg: RunConfig, cutoff: int | None):
     """(schedule, R(0), amplitudes) at the resolved cutoff of a qubit_boson model; None for a file."""
-    try:  # SegmentSchedule's one rule across segments: durations with a finite sum
+    try:  # SegmentSchedule's rules: durations with a finite sum, Hermitian generators
         schedule = (load_schedule_file(cfg.model.path) if cutoff is None else
                     build_schedule(QubitBosonParams(cfg.model.beta, cfg.model.segments, cutoff)))
     except InvalidArgument as exc:
         raise ValidationError("model", str(exc)) from exc
+    except NotHermitianGenerator as exc:  # a qubit_boson generator is Hermitian by construction
+        raise ValidationError("model.schedule_file", str(exc)) from exc
     if cutoff is None:
         cutoff = schedule.env_dim
         if cfg.cutoff != AUTO_CUTOFF and int(cfg.cutoff) != cutoff:
@@ -166,10 +169,6 @@ def _resolve(cfg: RunConfig, cutoff: int | None):
                 "cutoff",
                 f"schedule file fixes the environment dimension to {cutoff}",
             )
-    try:  # a qubit_boson generator is Hermitian by construction: only a file's can fail here
-        validate_schedule(schedule)
-    except NotHermitianGenerator as exc:
-        raise ValidationError("model.schedule_file", str(exc)) from exc
     env0 = _build_environment(cfg, cutoff)
 
     if cfg.amplitudes is None:

@@ -32,12 +32,13 @@ from dephasim.fock import (
 )
 from dephasim.linalg import dagger, fidelity, negativity, trace_distance
 from dephasim.presets import PRESET_NAMES, preset_config
-from dephasim.qubit_boson import branch_generator, build_schedule, QubitBosonParams
+from dephasim.qubit_boson import build_schedule, QubitBosonParams
 from dephasim.sweep import emit_csv, convergence_report, evaluate, run_sweep
 from util import (
     PAULI_X,
     PAULI_Z,
     analytic_propagator_piece,
+    branch_generator,
     displacement_safe_dim,
     expm,
     normalized_coherence,

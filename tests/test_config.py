@@ -18,7 +18,7 @@ from dephasim.config import (
     parse_complex_matrix,
     parse_config,
 )
-from dephasim.errors import ParseError, ValidationError
+from dephasim.errors import NotHermitianGenerator, ParseError, ValidationError
 from dephasim.presets import PRESET_NAMES, preset_config
 
 FIG2D_JSON = """
@@ -388,6 +388,16 @@ class TestValidationFields:
         schedule = load_schedule_file(str(tmp_path / "s.json"))
         assert (schedule.system_dim, schedule.env_dim, len(schedule.segments)) == (2, 2, 1)
         assert load_matrix_file(str(tmp_path / "m.json"))[0, 0] == 1.0
+
+    def test_a_non_hermitian_document_is_not_loaded(self, tmp_path):
+        # the schedule checks its generators when built: no schedule of this document exists
+        raising = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(edited(SCHEDULE, (("segments", 0, "generators", 0), raising))))
+        with pytest.raises(NotHermitianGenerator, match=(
+            "^generator 0 of segment 0 has relative anti-Hermitian residual 1.414e\\+00$"
+        )):
+            load_schedule_file(str(path))
 
 
 _NUMBERS = st.integers(-(10**20), 10**20) | st.floats(allow_nan=False, allow_infinity=False)

@@ -18,7 +18,14 @@ from dephasim.fock import env_from_matrix, thermal_state, FockSpace
 from dephasim.linalg import fidelity, negativity, trace_distance
 from dephasim.presets import preset_config
 from dephasim.sweep import evaluate, run_sweep
-from util import PAULI_X, PAULI_Z, random_density, random_hermitian, random_unitary
+from util import (
+    PAULI_X,
+    PAULI_Z,
+    generator_matrices,
+    random_density,
+    random_hermitian,
+    random_unitary,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 EQUAL = equal_superposition(2)
@@ -147,7 +154,7 @@ class TestType1Residuals:
         # w_0 = I and w_1 = X at t = 1 map |0><0| to orthogonal states
         s = mixed_env_unitary_schedule()
         two = SegmentSchedule(system_dim=2, env_dim=2, segments=(
-            Segment(duration=1.0, generators=s.segments[0].generators[:2]),
+            Segment(duration=1.0, generators=generator_matrices(s.segments[0])[:2]),
         ))
         env = env_from_matrix(np.diag([1.0, 0.0]).astype(complex))
         (row,) = evaluate(two, env, EQUAL, [1.0])

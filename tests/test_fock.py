@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dephasim import linalg
-from dephasim.errors import CutoffCapExceeded, NonFiniteError, NotHermitianError
+from dephasim.errors import CutoffCapExceeded, InvalidArgument, NonFiniteError, NotHermitianError
 from dephasim.fock import (
     EnvDensity,
     FockSpace,
@@ -255,6 +255,25 @@ class TestSuggestCutoff:
         # a coherent R(0) at |zeta| = 1 driven a further 2 out
         m = suggest_cutoff(theta=0.0, max_displacement=1.0 + 2.0)
         assert (1.0 + 2.0) ** 2 <= m / 4
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: suggest_cutoff(theta=math.nan), "theta"),
+        (lambda: suggest_cutoff(theta=math.inf), "theta"),
+        (lambda: suggest_cutoff(theta=-1.0), "theta"),
+        (lambda: suggest_cutoff(max_displacement=math.nan), "max_displacement"),
+        (lambda: suggest_cutoff(max_displacement=-math.inf), "max_displacement"),
+        (lambda: suggest_cutoff(fock_level=-5), "fock_level"),
+        (lambda: thermal_state(math.inf, FockSpace(4)), "theta"),
+        (lambda: thermal_state(math.nan, FockSpace(4)), "theta"),
+        (lambda: thermal_state(-0.1, FockSpace(4)), "theta"),
+    ], ids=["suggest-theta-nan", "suggest-theta-inf", "suggest-theta-negative",
+            "suggest-displacement-nan", "suggest-displacement-inf", "suggest-level-negative",
+            "thermal-inf", "thermal-nan", "thermal-negative"])
+    def test_inputs_out_of_range_name_the_argument(self, call, name):
+        # the suggestions returned 16, thermal_state(inf) the uniform state with a
+        # truncated mass of 1, and thermal_state(nan) a NonFiniteError naming no argument
+        with pytest.raises(InvalidArgument, match=f"^{name} must be "):
+            call()
 
     def test_reach_boundary_within_roundoff(self):
         # one ulp above 2 squares to 4 + 1.8e-15, on the cutoff-16 rung up to

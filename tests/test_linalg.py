@@ -37,9 +37,9 @@ from dephasim.linalg import (
     trace_distance,
     trace_distance_of_factors,
 )
-from dephasim.qubit_boson import branch_generator
 from util import (
     PAULI_X,
+    branch_generator,
     expm,
     hermitian_eig,
     random_complex,
@@ -195,6 +195,16 @@ class TestFidelity:
         direct = fidelity(rho1, rho2)
         via_sqrt = fidelity_given_sqrt(sqrtm_psd(rho1), rho2)
         assert abs(direct - via_sqrt) <= 1e-13
+
+    def test_given_sqrt_checks_the_trace_of_rho2(self):
+        # a full-rank rho2 of trace 2 gave F = 1.978, above 1; the check is fidelity's
+        root = sqrtm_psd(np.diag([0.7, 0.3]))
+        with pytest.raises(NotNormalizedError, match=r"^rho2 has trace 2\.0, expected 1 within"):
+            fidelity_given_sqrt(root, np.diag([1.2, 0.8]))
+        with pytest.raises(NotNormalizedError) as err:
+            fidelity(np.diag([0.7, 0.3]), np.diag([1.2, 0.8]))
+        assert str(err.value) == "rho2 has trace 2.0, expected 1 within 1e-08"
+        assert fidelity_given_sqrt(root, np.diag([0.6, 0.4])) <= 1.0
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):

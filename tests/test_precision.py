@@ -65,7 +65,7 @@ from dephasim.dephasing import Segment, SegmentSchedule, equal_superposition
 from dephasim.fock import env_from_matrix
 from dephasim.linalg import fidelity_of_factors, trace_distance_of_factors
 from dephasim.qubit_boson import AlphaSegment, QubitBosonParams, build_schedule
-from util import chunk_stacks, random_complex, random_hermitian
+from util import chunk_stacks, generator_matrices, random_complex, random_hermitian
 
 EPS = np.finfo(float).eps
 FLOOR_UNITS = 10
@@ -122,7 +122,7 @@ def oracle(name, rank=2):
     schedule, a, times = case(name, rank)
     out = []
     with mp.workdps(40):
-        systems = [[mp.eighe(mp.matrix(g.tolist())) for g in seg.generators]
+        systems = [[mp.eighe(mp.matrix(g.tolist())) for g in generator_matrices(seg)]
                    for seg in schedule.segments]
         for t in times:
             ys = []
@@ -149,7 +149,7 @@ def max_abs(x, y):
 @pytest.mark.parametrize("name", ["shared", "unshared", "long", "gauged"])
 def test_segment_chunks_within_its_floor(name, frame):
     schedule, a, times = case(name)
-    norm = max(np.linalg.norm(g, 2) for seg in schedule.segments for g in seg.generators)
+    norm = max(np.linalg.norm(g, 2) for seg in schedule.segments for g in generator_matrices(seg))
     chunks = chunk_stacks(schedule, a, times, frame=frame)
     got = [ys for _, stacks in chunks for ys in zip(*stacks)]
     assert len(got) == len(times)
@@ -306,7 +306,9 @@ def long_phase_fidelities():
     cases = {}
     for rank in (1, 2):  # the one-column path and the SVD path
         schedule, a, times = case("long", rank)
-        norm = max(np.linalg.norm(g, 2) for seg in schedule.segments for g in seg.generators)
+        norm = max(
+            np.linalg.norm(g, 2) for seg in schedule.segments for g in generator_matrices(seg)
+        )
         assert norm * times[-1] >= 1e3
         stacks = [ys for _, s in chunk_stacks(schedule, a, times) for ys in zip(*s)]
         for t, ys, exact in zip(times, stacks, oracle("long", rank)):

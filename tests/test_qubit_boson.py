@@ -21,17 +21,19 @@ from dephasim.presets import preset_config
 from dephasim.qubit_boson import (
     AlphaSegment,
     QubitBosonParams,
-    branch_generator,
     build_schedule,
 )
 from dephasim.sweep import evaluate, run_sweep
 from util import (
     analytic_propagator_piece,
+    branch_generator,
     coherent_oracle,
     displacement_safe_dim,
     expm,
+    generator_matrices,
     normalized_coherence,
     phase1_coherence_oracle,
+    thermal_oracle,
 )
 
 EQUAL = equal_superposition(2)
@@ -67,14 +69,14 @@ class TestBuildSchedule:
         assert s.system_dim == 2
         assert [seg.duration for seg in s.segments] == [2.0, 2.0, 2.0]
         assert np.allclose(s.boundaries, [0.0, 2.0, 4.0, 6.0])
-        mid = s.segments[1].generators[0]
+        mid = generator_matrices(s.segments[1])[0]
         space = FockSpace(32)
         assert np.linalg.norm(mid - branch_generator(ALPHA_FIG, 1.0, 0.0, space)) == 0.0
 
     def test_branches_differ_only_by_sign(self):
         s = build_schedule(stepped_params())
         for seg in s.segments:
-            assert np.array_equal(seg.generators[1], -seg.generators[0])
+            assert np.array_equal(generator_matrices(seg)[1], -generator_matrices(seg)[0])
 
     @pytest.mark.parametrize("cutoff", [16, 256])
     @pytest.mark.parametrize("drive", ["fig2d", "random-phase"])
@@ -98,7 +100,7 @@ class TestBuildSchedule:
             Segment(s.duration, (v0, -v0)) for s, v0 in zip(steps, v)
         ))
         for seg, v0 in zip(banded.segments, v):
-            g0, g1 = seg.generators
+            g0, g1 = generator_matrices(seg)
             assert np.array_equal(g0, v0) and np.array_equal(g1, -v0)
         for seg in dense.segments:  # read off the matrices once, held as copies of the bands
             assert all(isinstance(h, tuple) and all(x.base is None for x in h) for h in seg._held)
@@ -319,6 +321,40 @@ class TestCoherentOracle:
         e, coh = coherent_oracle(cfg.initial_env.zeta, beta, segments, cfg.amplitudes, times)
         assert np.abs(np.array([row.entanglement for row in rows]) - e).max() <= 5e-14
         assert np.abs(np.array([row.coherence_norm for row in rows]) - coh).max() <= 5e-14
+
+
+class TestThermalOracle:
+    """E and the coherence of the thermal presets against the displaced-thermal closed form.
+
+    Measured max errors (E, coherence): fig2b 5.2e-13, 6.1e-16; fig2c 1.75e-12,
+    7.8e-16; fig2d 9.5e-11, 2.1e-13 at cutoff 64 (its truncation error) and
+    5.6e-13, 8.9e-16 at 128; fig2e 0, 2.4e-14; fig2f 1.25e-10, 1.28e-10 at 64
+    (truncation) and 5.6e-14, 3.2e-15 at 128. Each bound is at most 10x its
+    error. With ROW_TAIL = 1e-6 the coherence errors but fig2f's at 64 move to
+    about 7e-13, and fig2f's E error at 128 to 1.75e-12: 6 of the 7 cases fail.
+    """
+
+    @pytest.mark.parametrize("name, cutoff, e_bound, coherence_bound", [
+        ("fig2b", 64, 2e-12, 3e-15),
+        ("fig2c", 64, 5e-12, 3e-15),
+        ("fig2d", 64, 3e-10, 5e-13),
+        ("fig2d", 128, 2e-12, 3e-15),
+        ("fig2e", 64, 0.0, 1e-13),
+        ("fig2f", 64, 4e-10, 4e-10),
+        ("fig2f", 128, 2e-13, 1e-14),
+    ])
+    def test_presets_match_closed_form(self, name, cutoff, e_bound, coherence_bound):
+        cfg = preset_config(name)
+        cfg["cutoff"] = cutoff
+        cfg["outputs"] = {"type1": False, "type2": False}  # E and the coherence do not need them
+        cfg = config_from_dict(cfg)
+        rows = run_sweep(cfg)
+        model = cfg.model
+        segments = [(s.duration, s.alpha) for s in model.segments]
+        times = [row.t - cfg.time.t_start for row in rows]
+        e, coh = thermal_oracle(cfg.initial_env.theta, model.beta, segments, EQUAL, times)
+        assert np.abs(np.array([row.entanglement for row in rows]) - e).max() <= e_bound
+        assert np.abs(np.array([row.coherence_norm for row in rows]) - coh).max() <= coherence_bound
 
 
 class TestEntanglementBehavior:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dephasim.sweep
 from dephasim import dephasing, linalg
 from dephasim.config import (
     OutputFlags,
@@ -58,7 +59,7 @@ from dephasim.linalg import (
     trace_distance,
 )
 from dephasim.presets import PRESET_NAMES, preset_config
-from dephasim.qubit_boson import AlphaSegment, QubitBosonParams, branch_generator, build_schedule
+from dephasim.qubit_boson import AlphaSegment, QubitBosonParams, build_schedule
 from dephasim.sweep import (
     CSV_HEADER,
     SweepRow,
@@ -67,7 +68,15 @@ from dephasim.sweep import (
     evaluate,
     run_sweep,
 )
-from util import chunk_stacks, expm, normalized_coherence, random_density, random_hermitian
+from util import (
+    branch_generator,
+    chunk_stacks,
+    expm,
+    generator_matrices,
+    normalized_coherence,
+    random_density,
+    random_hermitian,
+)
 
 EQUAL = equal_superposition(2)
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -448,7 +457,7 @@ def oracle_propagators(schedule, t):
     for i in range(schedule.system_dim):
         w = np.eye(schedule.env_dim, dtype=complex)
         for start, seg in zip(schedule.boundaries, schedule.segments):
-            w = expm(-1j * seg.generators[i] * min(max(t - start, 0.0), seg.duration)) @ w
+            w = expm(-1j * generator_matrices(seg)[i] * min(max(t - start, 0.0), seg.duration)) @ w
         ws.append(w)
     return ws
 
@@ -1056,6 +1065,23 @@ def test_perfbench_span_targets_exist():
     assert len(imported) >= 10
     for module, attr in imported:
         assert hasattr(importlib.import_module(module), attr), (module, attr)
+
+
+def test_sweep_imports_only_for_spans_what_spans_wraps():
+    # the names sweep.py imports and never reads are kept for perfbench/spans.py alone:
+    # exactly its dephasim.sweep targets that sweep.py does not call, so a stale import fails
+    tree = ast.parse(Path(dephasim.sweep.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    wrapped = {attr for module, attr in perfbench_module("spans").WRAPPED
+               if module is dephasim.sweep}
+    assert imported - read == wrapped - read
+    assert imported - read  # the check is not vacuous
 
 
 class TestGenericSchedule:

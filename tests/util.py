@@ -6,10 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from dephasim.dephasing import segment_chunks
+from dephasim.dephasing import Segment, segment_chunks
 from dephasim.errors import ConvergenceFailure, NonFiniteError
 from dephasim.fock import FockSpace
-from dephasim.linalg import dagger, require_hermitian
+from dephasim.linalg import _tridiagonal, dagger, require_hermitian
+from dephasim.qubit_boson import _branch_bands
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -26,6 +27,16 @@ def chunk_stacks(schedule, a, times, *, frame=False):
         ((first, stacks) for first, *_, stacks in segment_chunks(schedule, a, times, frame=frame)),
         key=lambda chunk: chunk[0],
     )
+
+
+def generator_matrices(segment):
+    """The d x d generator matrices of a Segment: each held triple of bands formed, else as held."""
+    return tuple(_tridiagonal(*h) if isinstance(h, tuple) else h for h in segment._held)
+
+
+def branch_generator(alpha, beta, gamma, space: FockSpace) -> np.ndarray:
+    """qubit_boson's V_0 = alpha a^dag + alpha* a + beta n + gamma (V_1 = -V_0) as a matrix."""
+    return generator_matrices(Segment(1.0, (_branch_bands(alpha, beta, gamma, space.dim),)))[0]
 
 
 def random_complex(rng, shape):
@@ -214,29 +225,62 @@ def analytic_propagator_piece(
     return piece
 
 
+def _displacements(zeta: complex, beta: float, segments, t: float) -> list[complex]:
+    """The coherent amplitudes (mu_0, mu_1) of the two branches at schedule time t, from zeta.
+
+    Within a segment of drive alpha and duration tau, pointer i's amplitude moves as
+        mu_i <- (mu_i + alpha/beta) e^{-/+ i beta tau} - alpha/beta
+    (- for pointer 0, + for pointer 1). segments holds (duration, alpha) pairs.
+    """
+    mu = [complex(zeta), complex(zeta)]
+    start = 0.0
+    for duration, alpha in segments:
+        tau = min(max(t - start, 0.0), duration)
+        shift = alpha / beta
+        mu = [(m + shift) * np.exp(-1j * s * beta * tau) - shift for m, s in zip(mu, (1, -1))]
+        start += duration
+    return mu
+
+
 def coherent_oracle(zeta: complex, beta: float, segments, c, times):
     """Closed-form (E, coherence) of a qubit_boson schedule from a coherent R(0) = |zeta><zeta|.
 
-    Each branch keeps the mode coherent: within a segment of drive alpha and
-    duration tau, pointer i's amplitude moves as
-        mu_i <- (mu_i + alpha/beta) e^{-/+ i beta tau} - alpha/beta
-    (- for pointer 0, + for pointer 1), from mu_i = zeta. With the overlap
-    |<mu_0|mu_1>| = e^{-|mu_0 - mu_1|^2 / 2}, the measure is
-    E = 4 |c_0 c_1|^2 (1 - e^{-|mu_0 - mu_1|^2}) and the coherence
+    Each branch keeps the mode coherent, at the amplitude mu_i of _displacements
+    from mu_i = zeta. With the overlap |<mu_0|mu_1>| = e^{-|mu_0 - mu_1|^2 / 2},
+    the measure is E = 4 |c_0 c_1|^2 (1 - e^{-|mu_0 - mu_1|^2}) and the coherence
     |Tr R_01| = e^{-|mu_0 - mu_1|^2 / 2}. Untruncated: no cutoff enters.
     segments holds (duration, alpha) pairs; returns two arrays over times.
     """
     weight = 4 * abs(c[0] * c[1]) ** 2
     es, cohs = [], []
     for t in times:
-        mu = [complex(zeta), complex(zeta)]
-        start = 0.0
-        for duration, alpha in segments:
-            tau = min(max(t - start, 0.0), duration)
-            shift = alpha / beta
-            mu = [(m + shift) * np.exp(-1j * s * beta * tau) - shift for m, s in zip(mu, (1, -1))]
-            start += duration
+        mu = _displacements(zeta, beta, segments, t)
         gap = abs(mu[0] - mu[1]) ** 2
         es.append(weight * -math.expm1(-gap))
         cohs.append(math.exp(-gap / 2))
+    return np.array(es), np.array(cohs)
+
+
+def thermal_oracle(theta: float, beta: float, segments, c, times):
+    """Closed-form (E, coherence) of a qubit_boson schedule from a thermal R(0) at theta > 0.
+
+    Branch i takes R(0) to a thermal state displaced by the mu_i of
+    _displacements from 0 (the free rotations commute with R(0)). With
+    q = e^{-1/theta}, nbar = q / (1 - q), |D| = |mu_0 - mu_1| and
+    z = q e^{-2 i beta t}, the fidelity of two displaced thermal states gives
+    E = 4 |c_0 c_1|^2 (1 - e^{-|D|^2 / (2 nbar + 1)}), and the thermal
+    average of a displacement times e^{-2 i beta t n} gives the coherence
+    |Tr R_01| = |e^{-|D|^2/2} (1 - q)/(1 - z) e^{-|D|^2 z/(1 - z)}|.
+    Untruncated: no cutoff enters. times are schedule times (without t_start).
+    """
+    weight = 4 * abs(c[0] * c[1]) ** 2
+    q = math.exp(-1.0 / theta)
+    width = 2 * q / (1 - q) + 1
+    es, cohs = [], []
+    for t in times:
+        mu = _displacements(0.0, beta, segments, t)
+        gap = abs(mu[0] - mu[1]) ** 2
+        z = q * np.exp(-2j * beta * t)
+        es.append(weight * -math.expm1(-gap / width))
+        cohs.append(abs(math.exp(-gap / 2) * (1 - q) / (1 - z) * np.exp(-gap * z / (1 - z))))
     return np.array(es), np.array(cohs)
