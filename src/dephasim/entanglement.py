@@ -38,7 +38,7 @@ __all__ = [
 
 
 def measure_from_fidelity(c, f):
-    """4|c_0|^2|c_1|^2 (1 - F), clamped to [0, 1] to absorb ~1e-12 roundoff.
+    """4|c_0|^2|c_1|^2 (1 - F), clamped to [0, 1] to absorb the fidelity's roundoff of a few eps.
 
     f is one fidelity, or an array of them for an array of measures. A zero
     prefactor times F - 1 > 0 is -0.0, which the clamp keeps; it returns +0.0.

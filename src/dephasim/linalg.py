@@ -234,15 +234,27 @@ def _half_trace_norm(h: np.ndarray):
     return 0.5 * np.sum(np.abs(diag.real if diagonal else np.linalg.eigvalsh(h)), axis=-1)
 
 
-def _residual(a: np.ndarray, b: np.ndarray):
-    """|a|^2 and b_perp = b - a (a^dag b)/|a|^2, one Gram-Schmidt step against a one-column a.
+def _rank_one_pair(a: np.ndarray, b: np.ndarray):
+    """|a|^2, |b|^2, a^dag b and |b_perp|^2, b_perp = b - a (a^dag b)/|a|^2, for a one-column a.
 
-    b_perp = b where 1/|a|^2 overflows (|a|^2 is 0 or subnormal), and 0 for b = a.
+    b_perp = b where 1/|a|^2 overflows (|a|^2 is 0 or subnormal). Each norm is formed as
+    a^dag b is, whose parts the step divides by |a|^2: b = a gives |b|^2 = |a|^2, b_perp = 0.
     """
-    ah = dagger(a)
-    aa, ab = (ah @ a).real, ah @ b
-    coef = np.divide(ab, aa, out=np.zeros_like(ab), where=aa >= np.finfo(float).tiny)
-    return aa, b - a * coef
+    def norm(x):  # x^dag x of x's entries (all of b's columns) as one column
+        x = x.reshape(*x.shape[:-2], -1, 1)
+        return (dagger(x) @ x).real[..., 0, 0]
+    aa, ab = norm(a), dagger(a) @ b
+    parts, sq = np.asarray(ab, dtype=complex).view(float), aa[..., None, None]
+    coef = np.divide(parts, sq, out=np.zeros_like(parts), where=sq >= np.finfo(float).tiny)
+    return aa, norm(b), ab, norm(b - a * coef.view(complex))
+
+
+def _rank_one_fidelity(aa, bb, ab, pp):  # of _rank_one_pair: 1 for b = a, 0 for b = 0
+    return 1.0 - np.divide(pp, bb, out=np.ones_like(bb), where=bb > 0)
+
+
+def _rank_one_distance(aa, bb, ab, pp):  # of _rank_one_pair: 0 for b = a
+    return np.sqrt(((aa - bb) / 2) ** 2 + aa * pp)
 
 
 def fidelity_of_factors(a: np.ndarray, b: np.ndarray):
@@ -251,14 +263,11 @@ def fidelity_of_factors(a: np.ndarray, b: np.ndarray):
     a and b are factors of unit-trace states. An r1 x r2 SVD, with no square
     roots of roundoff-level eigenvalues; none if every overlap is exactly
     diagonal: F = (sum |diag|)^2, or if a (else b) is one column, a path that
-    normalizes both: F = 1 - |v_perp|^2 / |v|^2 for v = b (else a) and its
-    _residual v_perp, exactly 1 for b = a (0 for v = 0). For (T, d, r) stacks
-    it returns the T fidelities.
+    normalizes both: F = 1 - |b_perp|^2/|b|^2 (_rank_one_fidelity) of the
+    _rank_one_pair of (a, b), else (b, a). For (T, d, r) stacks, the T fidelities.
     """
     if 1 in (a.shape[-1], b.shape[-1]):
-        u, v = (a, b) if a.shape[-1] == 1 else (b, a)
-        perp, norm = (np.sum(np.abs(x) ** 2, axis=(-2, -1)) for x in (_residual(u, v)[1], v))
-        return 1.0 - np.divide(perp, norm, out=np.ones_like(norm), where=norm > 0)
+        return _rank_one_fidelity(*_rank_one_pair(*((a, b) if a.shape[-1] == 1 else (b, a))))
     m = dagger(a) @ b
     diag = np.diagonal(m, axis1=-2, axis2=-1)
     if np.count_nonzero(m) == np.count_nonzero(diag):  # the singular values are |diag|
@@ -294,13 +303,11 @@ def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
     """Trace distance (1/2)||a a^dag - b b^dag||_1 of factored states.
 
     Three paths, by the ranks r1, r2 (columns) of a and b and the dimension d:
-    - r1 = r2 = 1: the closed form of the rank-2 difference, with no LAPACK
-      call. Its eigenvalues are (|a|^2 - |b|^2)/2 +/- D, of product
-      -|a|^2 |b_perp|^2 <= 0, so the distance is
-      D = sqrt(((|a|^2 - |b|^2)/2)^2 + |a|^2 |b_perp|^2), with b_perp the
-      Gram-Schmidt step of _residual, as for the fidelity. It is within about
-      eps max(1, |a|^2, |b|^2) at any D; the equal form ((|a|^2 + |b|^2)/2)^2
-      - |a^dag b|^2 under the root cancels, to an error of about eps / D.
+    - r1 = r2 = 1: _rank_one_distance of _rank_one_pair, with no LAPACK call.
+      The rank-2 difference has eigenvalues (|a|^2 - |b|^2)/2 +/- D, of product
+      -|a|^2 |b_perp|^2 <= 0, so D = sqrt(((|a|^2 - |b|^2)/2)^2 + |a|^2 |b_perp|^2),
+      within about eps max(1, |a|^2, |b|^2) at any D; the equal form
+      ((|a|^2 + |b|^2)/2)^2 - |a^dag b|^2 under the root cancels, to about eps / D.
     - r1 + r2 < d otherwise: a and b are replaced by the column blocks of R
       in the reduced QR [a | b] = Q R, which leaves the spectrum of the
       difference unchanged and shrinks the eigenproblem to (r1 + r2) square.
@@ -310,9 +317,7 @@ def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
     """
     r1 = a.shape[-1]
     if r1 == b.shape[-1] == 1:
-        aa, perp = _residual(a, b)
-        bb = (dagger(b) @ b).real
-        return np.sqrt(((aa - bb) / 2) ** 2 + aa * (dagger(perp) @ perp).real)[..., 0, 0]
+        return _rank_one_distance(*_rank_one_pair(a, b))
     if not _direct_path(r1, b.shape[-1], a.shape[-2]):
         r = np.linalg.qr(np.concatenate((a, b), axis=-1), mode="r")
         a, b = r[..., :r1], r[..., r1:]

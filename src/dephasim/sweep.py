@@ -6,9 +6,8 @@ SweepRow per time with the entanglement measure, the coherence, the type-1
 and type-2 criterion residuals and the negativity. The state at t is
 entangled iff row.type1_max > tol or row.type2_max > tol. run_sweep resolves
 a configuration into those inputs (an explicit cutoff past the drive's reach
-warns at the caller of run_sweep), builds the uniform time grid (always
-including segment switch times so sharp features are never aliased) and
-calls evaluate.
+warns at the caller of run_sweep), builds the uniform time grid (with the
+segment switch times, so sharp features are never aliased) and calls evaluate.
 
 R(0) = A A^dag is factored once, by EnvDensity (A is d x r, r its rank; a
 pure R(0) carries its amplitude column as A), and segment_chunks yields each
@@ -19,12 +18,13 @@ qubit_boson, where the rows holding at most ROW_TAIL^2 of the weight are
 left out, so d_k stops growing with the cutoff). Batched numpy calls give
 the coherence |Tr(Y_0^dag Y_1)|, the fidelity from r x r SVDs of
 Y_0^dag Y_1, each trace distance from a QR of [Y_i | Y_j] and an eigensolve
-of dimension at most 2r (closed forms when r = 1), or, when 2r >= d_k in a
-shared frame, from Phi_i G_i Phi_i^dag - Phi_j G_j Phi_j^dag with
-G_i = B_i B_i^dag formed once per segment, and the negativity from the
-partial transposes of Z Z^dag, Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}], of
-dimension at most N (N r), in runs sized by negativity_of_factors. The type-2
-commutator norms of P_a = w_a w_r^dag need the propagators: when they are on
+of dimension at most 2r, or, when 2r >= d_k in a shared frame, from
+Phi_i G_i Phi_i^dag - Phi_j G_j Phi_j^dag with G_i = B_i B_i^dag formed once
+per segment, and the negativity from the partial transposes of Z Z^dag,
+Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}], of dimension at most N (N r), in runs
+sized by negativity_of_factors. A qubit with r = 1 reads E and type-1 off
+one Gram-Schmidt step per chunk, linalg._rank_one_pair, with no LAPACK call.
+The type-2 commutators of P_a = w_a w_r^dag need the propagators: when on
 (N >= 3), the identity is stepped instead of A and Y_i = (V^dag w_i) A.
 The criteria and the negativity run over the pointers with c_i != 0 only.
 """
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -51,7 +51,7 @@ from .config import (
     load_matrix_file,
     load_schedule_file,
 )
-from . import dephasing
+from . import dephasing, linalg
 from .dephasing import SegmentSchedule, equal_superposition, segment_chunks
 from .entanglement import measure_from_fidelity, type2_norms
 from .errors import (
@@ -123,6 +123,8 @@ def _resolve_cutoff(cfg: RunConfig) -> int:
         return cutoff
     if isinstance(env, MatrixFileEnv):
         raise ValidationError("cutoff", "'auto' cannot be used with a matrix-file environment")
+    if not np.isfinite(reach):  # no cutoff holds the drive
+        raise ValidationError("model.qubit_boson", f"the drive's reach {reach} overflows")
     return suggest_cutoff(
         theta=getattr(env, "theta", 0.0),
         fock_level=getattr(env, "n", 0),
@@ -223,8 +225,10 @@ def evaluate(
         ts = times[first : first + len(tau)]
         ys = [s @ a for s in stacks] if type2 else stacks
         measure = coherence_norm = type1_max = type2_max = neg = [None] * len(ts)
+        pure = linalg._rank_one_pair(*ys) if n == r + 1 == 2 else None  # one step: E and type-1
         if outputs.entanglement and n == 2:
-            measure = measure_from_fidelity(c, fidelity_of_factors(ys[0], ys[1])).tolist()
+            f = fidelity_of_factors(*ys) if pure is None else linalg._rank_one_fidelity(*pure)
+            measure = measure_from_fidelity(c, f).tolist()
         if outputs.coherence and n >= 2 and c[0] * c[1] != 0:
             # |Tr R_01| = |Tr(Y_0 Y_1^dag)|
             coherence_norm = np.abs(np.sum(ys[1].conj() * ys[0], axis=(1, 2))).tolist()
@@ -240,6 +244,8 @@ def evaluate(
                 held = [g if p is None else p[:, :, None] * g * p[:, None, :].conj()
                         for p, g in zip(phases, grams)]
                 distances = [_half_trace_norm(held[i] - held[j]) for i, j in pairs]
+            elif pure is not None:
+                distances = [linalg._rank_one_distance(*pure) for _ in pairs]
             else:
                 distances = [trace_distance_of_factors(ys[i], ys[j]) for i, j in pairs]
             type1_max = np.max(distances, axis=0).tolist() if pairs else [0.0] * len(ts)
@@ -284,10 +290,14 @@ def emit_csv(rows: list[SweepRow], destination) -> int:
     if not rows:
         raise InvalidArgument("no rows to emit")
     *floats, cutoffs = zip(*rows)
-    # "%.12g" % v is format(v, ".12g") byte for byte, with no call per value
-    columns = [["" if v is None else "%.12g" % v for v in col] for col in floats]
-    lines = [CSV_HEADER, *map(",".join, zip(*columns, map(str, cutoffs)))]
-    data = ("\n".join(lines) + "\n").encode("ascii")
+    specs, columns = [], []
+    for col in floats:  # "%.12g" % v is format(v, ".12g") byte for byte
+        cells = col if None not in col else ["" if v is None else "%.12g" % v for v in col]
+        specs.append("%.12g" if cells is col else "%s" if any(cells) else "")
+        columns += [cells] if specs[-1] else []  # a column of None only is empty
+    template = ",".join([*specs, "%s"]) + "\n"  # one % formats every row
+    values = tuple(chain.from_iterable(zip(*columns, cutoffs)))
+    data = (CSV_HEADER + "\n" + template * len(rows) % values).encode("ascii")
     if hasattr(destination, "write"):
         destination.write(data)
     else:

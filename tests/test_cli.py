@@ -301,6 +301,23 @@ class TestRunCommand:
         assert [w.category for w in caught] == [UserWarning]
         assert str(caught[0].message).startswith("drive displacement reach")
 
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    def test_auto_cutoff_past_the_float_range_is_a_config_error(self, tmp_path, capsys, command):
+        # beta 1e-10 and alpha 1e308: the reach 2 |alpha| / |beta| overflows to inf, and
+        # no cutoff holds the drive. It reached suggest_cutoff, whose argument error
+        # printed "numerical failure: max_displacement must be finite" with exit 2
+        path = write_config(tmp_path, cutoff="auto")
+        cfg = json.loads(path.read_text())
+        cfg["model"]["qubit_boson"]["beta"] = 1e-10
+        cfg["model"]["qubit_boson"]["segments"][0]["alpha"] = [1e308, 0.0]
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: model.qubit_boson: ")
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize(
         "command, call",
         [("run", "run_sweep("), ("converge", "convergence_report(")],

@@ -559,6 +559,7 @@ class TestFactors:
         a, b = np.array([[1.0 + 0j], [0.0]]), np.array([[z], [0.0]])
         monkeypatch.setattr(np.linalg, "svd", None)  # the one-column path makes no SVD
         assert fidelity_of_factors(a, b) == fidelity_of_factors(b, a) == 1.0
+        assert fidelity_of_factors(a.real, z.real * a.real) == float(z.real != 0)  # real factors
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 7), (2, 1), (7, 1)])
     def test_one_column_fidelity_matches_the_svd(self, shape):
@@ -584,6 +585,20 @@ class TestFactors:
         assert e.tolist() == [0.0, 0.0] and not np.signbit(e).any()
         zero = np.zeros_like(a)  # a state of norm 0 has fidelity 0, as from the SVD
         assert fidelity_of_factors(zero, a) == fidelity_of_factors(a, zero) == 0.0
+
+    @given(seed=seeds, d=st.integers(1, 70), scale=st.floats(1e-100, 1e100))
+    @settings(max_examples=50, deadline=None)
+    def test_one_state_twice_is_one_state_bit_for_bit(self, seed, d, scale):
+        # |a|^2 and |b|^2 come from one reduction, which also gives a^dag b, and the
+        # step divides its parts by the real |a|^2: b = a (a copy) gives equal norms and
+        # b_perp = 0 exactly, so F = 1 and D = 0. As a complex division the coefficient
+        # rounded off 1 in about 1 of 7 such draws, and D read up to eps |a|^2
+        a = scale * random_complex(np.random.default_rng(seed), (3, d, 1))
+        aa, bb, ab, pp = linalg._rank_one_pair(a, a.copy())
+        assert np.array_equal(aa, bb) and np.array_equal(ab[:, 0, 0], aa + 0j)
+        assert not pp.any()
+        assert fidelity_of_factors(a, a.copy()).tolist() == [1.0] * 3
+        assert trace_distance_of_factors(a, a.copy()).tolist() == [0.0] * 3
 
     @given(seed=seeds, rank=st.integers(1, 4))
     @settings(max_examples=25, deadline=None)

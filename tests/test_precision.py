@@ -187,6 +187,8 @@ def td_pairs(path):
     pairs["zero-a"] = (np.zeros_like(a), a + noise)
     pairs["zero-b"] = (a + noise, np.zeros_like(a))
     pairs["subnormal-a"] = (1e-160 * a, a + noise)  # |a|^2 = 1e-320, whose reciprocal overflows
+    # one state twice, at a norm where a^dag a / |a|^2 rounded off 1 as a complex division
+    pairs["equal"] = (0.3 * a, 0.3 * a)
     return pairs
 
 
@@ -235,6 +237,8 @@ def test_trace_distance_within_its_floor(path, monkeypatch):
             case: (a, b, [trace_distance_of_factors(a, b), batched])
             for (case, (a, b)), batched in zip(pairs.items(), stacked)
         }
+    if path == "rank-1":  # one state twice: exactly 0, single and batched
+        assert cases["equal"][2] == [0.0, 0.0]
     for case, (a, b, distances) in cases.items():
         exact = exact_distance(a, b)
         unit = EPS * max(1.0, np.linalg.norm(a) ** 2, np.linalg.norm(b) ** 2)

@@ -30,6 +30,7 @@ from util import (
     coherent_oracle,
     displacement_safe_dim,
     expm,
+    fock_oracle,
     generator_matrices,
     normalized_coherence,
     phase1_coherence_oracle,
@@ -355,6 +356,32 @@ class TestThermalOracle:
         e, coh = thermal_oracle(cfg.initial_env.theta, model.beta, segments, EQUAL, times)
         assert np.abs(np.array([row.entanglement for row in rows]) - e).max() <= e_bound
         assert np.abs(np.array([row.coherence_norm for row in rows]) - coh).max() <= coherence_bound
+
+
+class TestFockOracle:
+    """E, the coherence and type-1 of Fock-R(0) sweeps against the closed form of fock_oracle.
+
+    A Fock R(0) is rank one, so the sweep takes the one Gram-Schmidt step of
+    linalg._rank_one_pair for E and type-1. On fig3a's drive at cutoff 64 the
+    largest errors (E, coherence, type-1) were 4.4e-16, 7.8e-16, 6.7e-16 for
+    n = 0; 9.4e-16, 1.2e-15, 1.4e-15 for n = 1; 2.1e-15, 1.8e-15, 2.1e-15 for
+    n = 3. Each bound is at most 10x the smallest of its three errors.
+    """
+
+    @pytest.mark.parametrize("n, bound", [(0, 4e-15), (1, 9e-15), (3, 1.5e-14)])
+    def test_sweep_matches_closed_form(self, n, bound):
+        cfg = preset_config("fig3a")
+        cfg["initial_env"] = {"fock": {"n": n}}
+        cfg["cutoff"] = 64
+        cfg = config_from_dict(cfg)
+        rows = run_sweep(cfg)
+        segments = [(s.duration, s.alpha) for s in cfg.model.segments]
+        times = [row.t - cfg.time.t_start for row in rows]
+        expected = fock_oracle(n, cfg.model.beta, segments, EQUAL, times)
+        assert max(expected[0]) > 0.9  # the drive entangles: the check is not vacuous
+        for column, exact in zip(("entanglement", "coherence_norm", "type1_max"), expected):
+            got = np.array([getattr(row, column) for row in rows])
+            assert np.abs(got - exact).max() <= bound, column
 
 
 class TestEntanglementBehavior:

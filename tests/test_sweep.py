@@ -910,6 +910,30 @@ class TestEvaluate:
         permuted = evaluate(schedule, env, draw.amplitudes, times[order], outputs)
         assert repr(permuted) == repr([rows[i] for i in order])
 
+    def test_a_pure_pair_takes_one_gram_schmidt_step_per_chunk(self, monkeypatch):
+        # a pure-c64 draw: E and type-1 of the one pair read the numbers of one
+        # linalg._rank_one_pair call per segment_chunks chunk (the kernels call it too)
+        draw = perfbench_module("workloads").WORKLOADS["pure-c64"](np.random.default_rng(1))
+        schedule, env = draw.reference()
+        assert env.factor.shape[1] == 1
+        chunks, steps = [], []
+        chunked, step = dephasim.sweep.segment_chunks, linalg._rank_one_pair
+
+        def counted_chunks(*args, **kwargs):
+            for chunk in chunked(*args, **kwargs):
+                chunks.append(len(chunk[2]))  # the chunk's points
+                yield chunk
+
+        def counted_step(a, b):
+            steps.append(len(a))  # the stack's points
+            return step(a, b)
+
+        monkeypatch.setattr(dephasim.sweep, "segment_chunks", counted_chunks)
+        monkeypatch.setattr(linalg, "_rank_one_pair", counted_step)
+        rows = evaluate(schedule, env, draw.amplitudes, np.linspace(0.0, draw.t_max, draw.points))
+        assert len(chunks) >= 3 and steps == chunks and sum(chunks) == len(rows) == 601
+        assert all(row.entanglement is not None and row.type1_max is not None for row in rows)
+
     def test_memory_and_eigensolves_do_not_grow_with_the_segments(self, monkeypatch):
         # thermal R(0) at cutoff 256 under n alternating off/on steps over a total of 6,
         # built and evaluated: one step is held at a time, the generators are held as

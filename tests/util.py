@@ -284,3 +284,29 @@ def thermal_oracle(theta: float, beta: float, segments, c, times):
         es.append(weight * -math.expm1(-gap / width))
         cohs.append(abs(math.exp(-gap / 2) * (1 - q) / (1 - z) * np.exp(-gap * z / (1 - z))))
     return np.array(es), np.array(cohs)
+
+
+def fock_oracle(n: int, beta: float, segments, c, times):
+    """Closed-form (E, coherence, type-1) of a qubit_boson schedule from a Fock R(0) = |n><n|.
+
+    Branch i takes |n> to D(mu_i)|n>, up to a phase, with the mu_i of
+    _displacements from 0 (the free rotations only phase |n>). With
+    x = |mu_0 - mu_1|^2 and L_n(x) = 1 + s, s = sum_{k=1..n} C(n, k) (-x)^k / k!,
+    the overlap |<n|D(mu_0 - mu_1)|n>| = e^{-x/2} |L_n(x)| is the coherence
+    |Tr R_01|, the fidelity is F = e^{-x} L_n(x)^2, E = 4 |c_0 c_1|^2 (1 - F) and
+    the pure-state trace distance is D = sqrt(1 - F). 1 - F is formed as
+    (1 - e^{-x}) - e^{-x} s (2 + s), two terms of one sign where F is near 1
+    (small x, s <= 0), so it does not cancel. Untruncated: no cutoff enters.
+    segments holds (duration, alpha) pairs; returns three arrays over times.
+    """
+    weight = 4 * abs(c[0] * c[1]) ** 2
+    es, cohs, distances = [], [], []
+    for t in times:
+        mu = _displacements(0.0, beta, segments, t)
+        x = abs(mu[0] - mu[1]) ** 2
+        s = sum(math.comb(n, k) * (-x) ** k / math.factorial(k) for k in range(1, n + 1))
+        infidelity = -math.expm1(-x) - math.exp(-x) * s * (2 + s)
+        es.append(weight * infidelity)
+        cohs.append(math.exp(-x / 2) * abs(1 + s))
+        distances.append(math.sqrt(infidelity))
+    return np.array(es), np.array(cohs), np.array(distances)
