@@ -270,12 +270,16 @@ def propagators_at(schedule: SegmentSchedule, t: float) -> tuple[np.ndarray, ...
     return tuple(y[0] for y in stacks)
 
 
-def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bool = False):
+def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bool = False,
+                   values: int = 0):
     """Yield (index of the first time, step, tau, stacks) for each chunk of times.
 
     A chunk is a run of consecutive times inside one segment holding at most
     CHUNK_BYTES of stacks, and tau their elapsed times; chunks come by ascending
-    segment, by index within one (nondecreasing times: in order). step, the
+    segment, by index within one (nondecreasing times: in order). values > 0
+    splits a segment's run evenly instead, in chunks of at least ceil(values /
+    min(d_k, r)) points and a CHUNK_BYTES chunk's (one if the run is shorter),
+    so a call giving min(d_k, r) values a point gives at least values. step, the
     segment's (w_ki, U_ki, B_i) per pointer, is built from the previous step at
     its first chunk, the only step held, and yielded as one object with each
     chunk of a run of times. stacks = _stacks(step, tau): stacks[i] is the
@@ -321,8 +325,12 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
                 # a phase that is not finite on a dropped row still makes the stacks NaN
                 taus[lo:hi] = np.where(np.isfinite(spread * taus[lo:hi]), taus[lo:hi], np.nan)
             held = [(None, None, b0[rows])] + [(s[rows], None, b[rows]) for s, b in shifted]
-        for first in range(lo, hi, chunk):
-            tau = taus[first : min(first + chunk, hi)]
+        cuts = [*range(lo, hi, chunk), hi]
+        if values:  # even parts, each of at least chunk and ceil(values / min(d_k, r))
+            parts = max(1, (hi - lo) // max(chunk, -(-values // min(held[0][2].shape))))
+            cuts = [lo + (hi - lo) * j // parts for j in range(parts + 1)]
+        for first, last in zip(cuts, cuts[1:]):
+            tau = taus[first:last]
             stacks = _stacks(held, tau)
             finite = np.logical_and.reduce([np.isfinite(s).all(axis=(1, 2)) for s in stacks])
             if not finite.all():

@@ -257,7 +257,7 @@ def _rank_one_distance(aa, bb, ab, pp):  # of _rank_one_pair: 0 for b = a
     return np.sqrt(((aa - bb) / 2) ** 2 + aa * pp)
 
 
-def fidelity_of_factors(a: np.ndarray, b: np.ndarray):
+def fidelity_of_factors(a: np.ndarray, b: np.ndarray, *, out=None):
     """Fidelity of the states a a^dag and b b^dag: (sum of singular values of a^dag b)^2.
 
     a and b are factors of unit-trace states. An r1 x r2 SVD, with no square
@@ -265,10 +265,11 @@ def fidelity_of_factors(a: np.ndarray, b: np.ndarray):
     diagonal: F = (sum |diag|)^2, or if a (else b) is one column, a path that
     normalizes both: F = 1 - |b_perp|^2/|b|^2 (_rank_one_fidelity) of the
     _rank_one_pair of (a, b), else (b, a). For (T, d, r) stacks, the T fidelities.
+    out, if given, receives the overlaps a^dag b of the SVD path.
     """
     if 1 in (a.shape[-1], b.shape[-1]):
         return _rank_one_fidelity(*_rank_one_pair(*((a, b) if a.shape[-1] == 1 else (b, a))))
-    m = dagger(a) @ b
+    m = np.matmul(dagger(a), b, out=out)
     diag = np.diagonal(m, axis1=-2, axis2=-1)
     if np.count_nonzero(m) == np.count_nonzero(diag):  # the singular values are |diag|
         return np.sum(np.abs(diag), axis=-1) ** 2

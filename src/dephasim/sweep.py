@@ -14,24 +14,25 @@ pure R(0) carries its amplitude column as A), and segment_chunks yields each
 chunk of a segment's grid points with the segment's step and the finite
 (T, d_k, r) stacks of V^dag Y_i, Y_i = w_i A, in a frame V shared by the
 pointers, which no output sees (V = I unless they share eigenvectors, as in
-qubit_boson, where the rows holding at most ROW_TAIL^2 of the weight are
-left out, so d_k stops growing with the cutoff). Batched numpy calls give
-the coherence |Tr(Y_0^dag Y_1)|, the fidelity from r x r SVDs of
-Y_0^dag Y_1, each trace distance from a QR of [Y_i | Y_j] and an eigensolve
-of dimension at most 2r, or, when 2r >= d_k in a shared frame, from
-Phi_i G_i Phi_i^dag - Phi_j G_j Phi_j^dag with G_i = B_i B_i^dag formed once
-per segment, and the negativity from the partial transposes of Z Z^dag,
-Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}], of dimension at most N (N r), in runs
-sized by negativity_of_factors. A qubit with r = 1 reads E and type-1 off
-one Gram-Schmidt step per chunk, linalg._rank_one_pair, with no LAPACK call.
-The type-2 commutators of P_a = w_a w_r^dag need the propagators: when on
-(N >= 3), the identity is stepped instead of A and Y_i = (V^dag w_i) A.
+qubit_boson, where the rows holding at most ROW_TAIL^2 of the weight are left
+out, so d_k stops growing with the cutoff). Batched numpy calls give the
+coherence |Tr(Y_0^dag Y_1)|, the fidelity from r x r SVDs of Y_0^dag Y_1 (on
+a worker thread, beside type-1), each trace distance from a QR of [Y_i | Y_j]
+and an eigensolve of dimension at most 2r, or, when 2r >= d_k in a shared
+frame, from Phi_i G_i Phi_i^dag - Phi_j G_j Phi_j^dag with G_i = B_i B_i^dag
+formed once per segment, and the negativity from the partial transposes of
+Z Z^dag, Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}], of dimension at most N (N r),
+in runs sized by negativity_of_factors. A qubit with r = 1 reads E and type-1
+off one Gram-Schmidt step per chunk, linalg._rank_one_pair, with no LAPACK
+call. The type-2 commutators of P_a = w_a w_r^dag need the propagators: when
+on (N >= 3), the identity is stepped instead of A and Y_i = (V^dag w_i) A.
 The criteria and the negativity run over the pointers with c_i != 0 only.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from pathlib import Path
@@ -201,6 +202,21 @@ def _time_grid(cfg: RunConfig, schedule: SegmentSchedule) -> np.ndarray:
     return np.unique(np.concatenate([base, interior])) if interior else base
 
 
+def _gram_difference(step, grams, tau, i: int, j: int) -> np.ndarray:
+    """held_i - held_j at tau: held_k = Phi_k G_k Phi_k^dag, Phi_k = exp(-i w_k tau), I for no w_k.
+
+    A held_k with a phase is formed in one new (T, d_k, d_k) buffer; held_j's takes the difference.
+    """
+    held = []
+    for w, g in ((step[k][0], grams[k]) for k in (i, j)):
+        if w is not None:
+            p = np.exp(-1j * w * tau[:, None])
+            g = np.multiply(p[:, :, None], g)
+            g *= p[:, None, :].conj()
+        held.append(g)
+    return np.subtract(*held, out=None if step[j][0] is None else held[1])
+
+
 def evaluate(
     schedule: SegmentSchedule, env0: EnvDensity, c, times, outputs: OutputFlags = OutputFlags(),
     *, t_start: float = 0.0,
@@ -210,6 +226,7 @@ def evaluate(
     The times of each segment are evaluated together. The rows, and so the
     CSV bytes, are fixed for fixed inputs, numpy and BLAS build and BLAS
     thread count: an SVD can round differently on another thread count.
+    A mixed qubit's fidelity SVDs may run on a worker thread, alive only in this call.
     """
     n, dim, a, r = schedule.system_dim, env0.dim, env0.factor, env0.factor.shape[1]
     c = dephasing._checked_amplitudes(c, n)
@@ -220,45 +237,59 @@ def evaluate(
     type2 = outputs.type2 and len(on) >= 3
     stepped = np.eye(dim, dtype=complex) if type2 else a
     rows, gram_step = [None] * len(times), None
+    # a chunk's fidelity SVD runs on a worker thread beside type-1, each call returning over
+    # 500 values, past which numpy releases the GIL (README, "Numerical notes")
+    overlap = n == 2 and r > 1 and outputs.entanglement and outputs.type1 and bool(pairs)
+    if overlap:  # imported here, so that import dephasim loads no concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+    chunks = segment_chunks(schedule, stepped, times, frame=True, values=501 if overlap else 0)
     # every output is invariant under the frame V shared by the pointers
-    for first, step, tau, stacks in segment_chunks(schedule, stepped, times, frame=True):
-        ts = times[first : first + len(tau)]
-        ys = [s @ a for s in stacks] if type2 else stacks
-        measure = coherence_norm = type1_max = type2_max = neg = [None] * len(ts)
-        pure = linalg._rank_one_pair(*ys) if n == r + 1 == 2 else None  # one step: E and type-1
-        if outputs.entanglement and n == 2:
-            f = fidelity_of_factors(*ys) if pure is None else linalg._rank_one_fidelity(*pure)
-            measure = measure_from_fidelity(c, f).tolist()
-        if outputs.coherence and n >= 2 and c[0] * c[1] != 0:
-            # |Tr R_01| = |Tr(Y_0 Y_1^dag)|
-            coherence_norm = np.abs(np.sum(ys[1].conj() * ys[0], axis=(1, 2))).tolist()
-        # a criterion with no condition left (no pair, fewer than 3 pointers for type-2) reads 0
-        if outputs.type1:
-            # trace_distance_of_factors' direct path with no U: Y_i Y_i^dag = Phi_i G_i Phi_i^dag
-            no_u = all(u is None for _, u, _ in step)
-            gram = no_u and not type2 and _direct_path(r, r, len(step[0][2]))
-            if gram and step is not gram_step:  # the segment's first chunk: G_i = B_i B_i^dag
-                gram_step, grams = step, [b @ dagger(b) for _, _, b in step]
-            if gram:
-                phases = [None if w is None else np.exp(-1j * w * tau[:, None]) for w, *_ in step]
-                held = [g if p is None else p[:, :, None] * g * p[:, None, :].conj()
-                        for p, g in zip(phases, grams)]
-                distances = [_half_trace_norm(held[i] - held[j]) for i, j in pairs]
-            elif pure is not None:
-                distances = [linalg._rank_one_distance(*pure) for _ in pairs]
-            else:
-                distances = [trace_distance_of_factors(ys[i], ys[j]) for i, j in pairs]
-            type1_max = np.max(distances, axis=0).tolist() if pairs else [0.0] * len(ts)
-        if outputs.type2:
-            norms = list(type2_norms(stacks, on).values())
-            type2_max = np.max(norms, axis=0).tolist() if norms else [0.0] * len(ts)
-        if outputs.negativity:
-            z = np.concatenate([c[i] * ys[i] for i in on], axis=1)
-            neg = negativity_of_factors(z, len(on)).tolist()
-        rows[first : first + len(ts)] = map(
-            SweepRow, [t + t_start for t in ts], measure, coherence_norm,
-            type1_max, type2_max, neg, repeat(dim),
-        )
+    with ThreadPoolExecutor(1) if overlap else nullcontext() as worker:
+        for first, step, tau, stacks in chunks:
+            ts = times[first : first + len(tau)]
+            ys = [s @ a for s in stacks] if type2 else stacks
+            y0 = ys[0][:1] if step[0][0] is None else ys[0]  # B_0 at every t: read it once
+            measure = coherence_norm = type1_max = type2_max = neg = f = [None] * len(ts)
+            pure = linalg._rank_one_pair(*ys) if n == r + 1 == 2 else None  # one step: E, type-1
+            if outputs.entanglement and n == 2:
+                # a^dag b is allocated here: memory a thread frees stays in its malloc arena
+                m = None if pure is not None else np.empty((len(ts), r, r), complex)
+                f = (linalg._rank_one_fidelity(*pure) if pure is not None else
+                     worker.submit(fidelity_of_factors, y0, ys[1], out=m) if overlap else
+                     fidelity_of_factors(y0, ys[1], out=m))
+            try:
+                if outputs.coherence and n >= 2 and c[0] * c[1] != 0:
+                    # |Tr R_01| = |Tr(Y_0 Y_1^dag)|
+                    coherence_norm = np.abs(np.sum(ys[1].conj() * y0, axis=(1, 2))).tolist()
+                # a criterion with no condition left (no pair, fewer than 3 pointers) reads 0
+                if outputs.type1:
+                    # trace_distance_of_factors' direct path with no U: Phi_i G_i Phi_i^dag
+                    no_u = all(u is None for _, u, _ in step)
+                    gram = no_u and not type2 and _direct_path(r, r, len(step[0][2]))
+                    if gram and step is not gram_step:  # the segment's first chunk: B_i B_i^dag
+                        gram_step, grams = step, [b @ dagger(b) for _, _, b in step]
+                    if gram:
+                        distances = [_half_trace_norm(_gram_difference(step, grams, tau, i, j))
+                                     for i, j in pairs]
+                    elif pure is not None:
+                        distances = [linalg._rank_one_distance(*pure) for _ in pairs]
+                    else:
+                        distances = [trace_distance_of_factors(ys[i], ys[j]) for i, j in pairs]
+                    type1_max = np.max(distances, axis=0).tolist() if pairs else [0.0] * len(ts)
+            finally:  # the worker's error first, as the serial order raises it
+                f = f.result() if overlap else f
+            if outputs.entanglement and n == 2:
+                measure = measure_from_fidelity(c, f).tolist()
+            if outputs.type2:
+                norms = list(type2_norms(stacks, on).values())
+                type2_max = np.max(norms, axis=0).tolist() if norms else [0.0] * len(ts)
+            if outputs.negativity:
+                z = np.concatenate([c[i] * ys[i] for i in on], axis=1)
+                neg = negativity_of_factors(z, len(on)).tolist()
+            rows[first : first + len(ts)] = map(
+                SweepRow, [t + t_start for t in ts], measure, coherence_norm,
+                type1_max, type2_max, neg, repeat(dim),
+            )
     return rows
 
 

@@ -51,9 +51,17 @@ b near a, a phase times a and a itself, on a tail factor whose R(0) has
 eigenvalues 1 : 1e-14, and on the long case's stacks of one and two columns.
 FID_FLOOR_UNITS = 8 sits 4x (svd, tail) to 99x (long, one column) above the floors
 measured in test_fidelity_within_its_floor.
+
+The coherence |Tr(Y_0^dag Y_1)| is pinned as sweep.evaluate forms it, on
+the stacks of the four segment_chunks cases (and the long case's one-column
+A), against the 40-digit Y_0 and Y_1 of the oracle. In units of
+eps (1 + t ||V||) |A|^2 the floors measured are 0.03 to 0.35 (the largest
+on the unshared case at t = 1.8; the long case 0.09, and 0.15 for one
+column), so COH_FLOOR_UNITS = 8 sits 23x above the largest.
 """
 
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -346,3 +354,26 @@ def test_fidelity_within_its_floor(path):
     for name, (fidelities, exact, unit) in cases.items():
         for got in fidelities:
             assert abs(got - exact) <= FID_FLOOR_UNITS * EPS * unit, (name, got, exact)
+
+
+COH_FLOOR_UNITS = 8
+
+
+@pytest.mark.parametrize(
+    "name, rank", [("shared", 2), ("unshared", 2), ("long", 2), ("long", 1), ("gauged", 2)]
+)
+def test_coherence_within_its_floor(name, rank):
+    # evaluate reads R(0) through its dim and factor alone: carrying A itself keeps
+    # psd_factor's roundoff out, so the error is that of the stacks and the trace
+    schedule, a, times = case(name, rank)
+    norm = max(np.linalg.norm(g, 2) for seg in schedule.segments for g in generator_matrices(seg))
+    flags = OutputFlags(entanglement=False, type1=False, type2=False)
+    env0 = SimpleNamespace(dim=len(a), factor=a)
+    rows = sweep.evaluate(schedule, env0, equal_superposition(schedule.system_dim), times, flags)
+    if name == "long":
+        assert norm * times[-1] >= 1e3
+    for t, row, (y0, y1, *_) in zip(times, rows, oracle(name, rank), strict=True):
+        with mp.workdps(40):
+            exact = float(abs(mp.fsum(mp.conj(x) * y for x, y in zip(y0, y1))))
+        unit = EPS * (1 + t * norm) * np.linalg.norm(a) ** 2
+        assert abs(row.coherence_norm - exact) <= COH_FLOOR_UNITS * unit, (t, row, exact)

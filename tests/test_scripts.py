@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from dephasim.sweep import CSV_HEADER
 from test_sweep import NEGATIVITY_SHA256, PRESET_SHA256
 
@@ -56,3 +58,20 @@ def test_compare_presets_prints_sha256_and_column_changes(tmp_path, capsys, monk
     assert out[22] == "  negativity      max |change| 1.00e-04 in 1 rows"
     assert out[9:10] + out[11:16] == unmoved[:1] + unmoved[2:]
     assert out[17:22] + out[23:] == unmoved[:5] + unmoved[6:]
+
+
+def test_compare_presets_times_each_run(tmp_path, capsys, monkeypatch):
+    script = load_script("compare_presets")
+    monkeypatch.setattr(script, "PRESET_NAMES", ("fig3a",))
+    monkeypatch.setattr(script, "NEGATIVITY_ON", ("fig3a",))
+    calls, run_sweep = [], script.run_sweep
+    monkeypatch.setattr(script, "run_sweep", lambda cfg: calls.append(cfg) or run_sweep(cfg))
+    assert script.main(["--out-dir", str(tmp_path), "--time", "--repeat", "3"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[:2] for line in lines] == [
+        ["fig3a", PRESET_SHA256["fig3a"]], ["fig3a-negativity", NEGATIVITY_SHA256["fig3a"]]
+    ]
+    assert all(len(line) == 4 and float(line[2]) > 0 and line[3] == "ms" for line in lines)
+    assert len(calls) == 6  # best of 3 for each run
+    with pytest.raises(SystemExit):
+        script.main(["--out-dir", str(tmp_path), "--time", "--repeat", "0"])

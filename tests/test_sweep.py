@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import dataclasses
 import hashlib
 import importlib
@@ -6,9 +7,12 @@ import importlib.util
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from itertools import combinations
@@ -19,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dephasim.cli
 import dephasim.sweep
 from dephasim import dephasing, linalg
 from dephasim.config import (
@@ -1473,3 +1478,220 @@ class TestConvergence:
         text = convergence_report(config_from_dict(cfg_dict)).render()
         assert "8 vs 16" in text
         assert "max |dE|" in text
+
+
+class InlineExecutor:
+    """ThreadPoolExecutor's stand-in: submit calls at once on the calling thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+def worker_case(name):
+    """(schedule, R(0), amplitudes, times, outputs, t_start) of a run that takes the worker thread.
+
+    fig2b-f as run_sweep resolves them, fig2b with the negativity on, and one
+    thermal-c256 draw of the benchmark (cutoff 256, 31 points).
+    """
+    if name == "thermal-c256":
+        draw = perfbench_module("workloads").WORKLOADS[name](np.random.default_rng(1))
+        schedule, env = draw.reference()
+        times = np.linspace(0.0, draw.t_max, draw.points)
+        return schedule, env, draw.amplitudes, times, OutputFlags(), 0.0
+    cfg = preset_config(name.removesuffix("-negativity"))
+    if name.endswith("-negativity"):
+        cfg["outputs"] = {"negativity": True}
+    cfg = config_from_dict(cfg)
+    schedule, env, c = dephasim.sweep._resolve(cfg, dephasim.sweep._resolve_cutoff(cfg))
+    times = dephasim.sweep._time_grid(cfg, schedule)
+    return schedule, env, c, times, cfg.outputs, cfg.time.t_start
+
+
+def fidelity_threads(monkeypatch):
+    """The list that receives, per fidelity_of_factors call of evaluate, whether it ran off main."""
+    threads, fidelity = [], dephasim.sweep.fidelity_of_factors
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.current_thread() is not threading.main_thread())
+        return fidelity(*args, **kwargs)
+
+    monkeypatch.setattr(dephasim.sweep, "fidelity_of_factors", recorded)
+    return threads
+
+
+WORKER_CASES = ["fig2b", "fig2c", "fig2d", "fig2e", "fig2f", "fig2b-negativity", "thermal-c256"]
+
+
+class TestWorkerThread:
+    """A qubit with a mixed R(0), E and type-1 on: the fidelity SVD runs on a worker thread."""
+
+    @pytest.mark.parametrize("name", WORKER_CASES)
+    def test_rows_are_those_of_an_inline_call(self, name, monkeypatch):
+        schedule, env, c, times, outputs, t_start = worker_case(name)
+        threads, interval = fidelity_threads(monkeypatch), sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the threads trade the GIL often, so a race would show
+        try:
+            rows = evaluate(schedule, env, c, times, outputs, t_start=t_start)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threads and all(threads)  # every chunk's fidelity ran on the worker
+        with monkeypatch.context() as inline:
+            inline.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
+            threads.clear()
+            assert repr(evaluate(schedule, env, c, times, outputs, t_start=t_start)) == repr(rows)
+            assert threads and not any(threads)
+        # and those of runs that take no worker: the pinned bytes of the presets; for
+        # the draw, E alone and type-1 alone
+        if name != "thermal-c256":
+            buf = io.BytesIO()
+            emit_csv(rows, buf)
+            pinned = NEGATIVITY_SHA256 if name.endswith("-negativity") else PRESET_SHA256
+            assert hashlib.sha256(buf.getvalue()).hexdigest() == pinned[name.split("-")[0]]
+            return
+        alone = [dataclasses.replace(outputs, type1=False),
+                 dataclasses.replace(outputs, entanglement=False)]
+        e_rows, t1_rows = (evaluate(schedule, env, c, times, flags) for flags in alone)
+        assert [row.entanglement for row in rows] == [row.entanglement for row in e_rows]
+        assert [row.type1_max for row in rows] == [row.type1_max for row in t1_rows]
+
+    @pytest.mark.parametrize("name", ["fig2d", "thermal-c256"])
+    def test_each_batch_returns_over_500_values(self, name, monkeypatch):
+        # per chunk, the SVD and type-1 eigvalsh batches return more than 500 values,
+        # past which numpy releases the GIL, unless the segment has fewer points than that
+        schedule, env, c, times, outputs, _ = worker_case(name)
+        chunks, calls = [], []
+        chunked = dephasim.sweep.segment_chunks
+
+        def recorded_chunks(*args, **kwargs):
+            for chunk in chunked(*args, **kwargs):
+                chunks.append((chunk[1], *chunk[3][0].shape))  # (step, T, d_k, r), steps kept
+                yield chunk
+
+        def recorded(solver, solve):
+            def call(*args, **kwargs):
+                out = solve(*args, **kwargs)
+                calls.append((len(chunks) - 1, solver, out.size))
+                return out
+            return call
+
+        monkeypatch.setattr(dephasim.sweep, "segment_chunks", recorded_chunks)
+        for solver in ("svd", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, solver, recorded(solver, getattr(np.linalg, solver)))
+        evaluate(schedule, env, c, times, outputs)
+        run_points = {}
+        for step, points, *_ in chunks:  # a segment's chunks share its step
+            run_points[id(step)] = run_points.get(id(step), 0) + points
+        solved = [{k for k, solver, _ in calls if solver == s} for s in ("svd", "eigvalsh")]
+        assert len(set.intersection(*solved)) >= 2  # chunks with both calls
+        for k, _, size in calls:
+            step, points, d_k, r = chunks[k]
+            run = run_points[id(step)]
+            assert size > 500 or (run < math.ceil(501 / min(d_k, r)) and points == run), (k, size)
+
+    def test_no_thread_outlives_the_sweep(self, monkeypatch):
+        threads = fidelity_threads(monkeypatch)
+        before = threading.active_count()
+        run_sweep(small_fig2d())
+        assert threads and all(threads)
+        assert threading.active_count() == before
+
+    def test_import_starts_no_thread_and_loads_no_executor(self):
+        code = (
+            "import sys, threading\n"
+            "count = threading.active_count()\n"
+            "import dephasim, dephasim.cli\n"
+            "print(threading.active_count() - count, 'concurrent.futures' in sys.modules)\n"
+        )
+        src = str(Path(dephasing.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=60, check=True).stdout
+        assert out.split() == ["0", "False"]
+
+    def test_a_forked_child_sweeps_after_its_parent(self):
+        cfg = small_fig2d()
+        rows = run_sweep(cfg)
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(repr(run_sweep(cfg))))
+        child.start()
+        try:
+            assert receive.poll(60), "the forked child's sweep did not finish"
+            assert receive.recv() == repr(rows)
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["worker", "inline"])
+    def test_a_worker_svd_error_reaches_the_caller(self, inline, monkeypatch, tmp_path):
+        if inline:
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
+        error, raised_off_main = np.linalg.LinAlgError("SVD did not converge"), []
+
+        def failing(*args, **kwargs):
+            raised_off_main.append(threading.current_thread() is not threading.main_thread())
+            raise error
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            run_sweep(small_fig2d())
+        assert info.value is error and raised_off_main[0] is not inline
+        assert threading.active_count() == before
+        # through the CLI: main does not catch it, and the interpreter exits with 1
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            cli_run(tmp_path)
+        assert info.value is error
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["worker", "inline"])
+    def test_a_main_thread_error_reaches_the_caller(self, inline, monkeypatch, tmp_path, capsys):
+        # NonFiniteError from type-1's eigensolve while the worker is inside its SVD
+        if inline:
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
+        error, svd, running = NonFiniteError("not finite"), np.linalg.svd, []
+        started, finished = threading.Event(), threading.Event()
+
+        def slow(*args, **kwargs):
+            started.set()
+            time.sleep(0.05)
+            finished.set()
+            return svd(*args, **kwargs)
+
+        def failing(*args, **kwargs):
+            assert started.wait(10)
+            running.append(not finished.is_set())
+            raise error
+
+        monkeypatch.setattr(np.linalg, "svd", slow)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        before = threading.active_count()
+        with pytest.raises(NonFiniteError) as info:
+            run_sweep(small_fig2d())
+        assert info.value is error and running == [not inline]
+        assert threading.active_count() == before
+        assert cli_run(tmp_path) == 2
+        assert "numerical failure: not finite" in capsys.readouterr().err
+
+
+def cli_run(tmp_path) -> int:
+    """dephasim run on small_fig2d's configuration."""
+    cfg = preset_config("fig2d")
+    cfg["time"]["steps"], cfg["cutoff"] = 31, 16
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return dephasim.cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")])
