@@ -4,7 +4,7 @@
 Example:
     python scripts/compare_presets.py --out-dir new/
     python scripts/compare_presets.py --out-dir new/ --against old/
-    python scripts/compare_presets.py --out-dir new/ --time --repeat 5
+    python scripts/compare_presets.py --out-dir new/ --time
 
 The runs are the 9 presets (<name>.csv) and, with outputs.negativity = true,
 the presets of NEGATIVITY_ON (<name>-negativity.csv), which every preset
@@ -13,7 +13,7 @@ leaves off. With --against, each run's CSV is read back from that directory
 compared: the largest |change| and the number of rows it moved in. An empty
 cell (an output that was not computed) only matches an empty cell. The exit
 status is 1 if the bytes of any run differ from that directory's, else 0.
-With --time, each run is repeated (--repeat N, default 5) and its best
+With --time, each sweep runs TIMED_RUNS (5) times and its best
 in-process wall time of run_sweep follows its digest, in ms.
 """
 
@@ -30,6 +30,7 @@ from dephasim.presets import PRESET_NAMES, preset_config
 from dephasim.sweep import emit_csv, run_sweep
 
 NEGATIVITY_ON = ("fig2a", "fig2b", "fig3a")  # also run with the negativity on
+TIMED_RUNS = 5  # with --time, the best of these
 
 
 def read_columns(path: Path) -> tuple[list[str], np.ndarray]:
@@ -67,17 +68,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", required=True, help="directory for the CSV files")
     parser.add_argument("--against", help="directory of earlier CSVs to compare with")
     parser.add_argument("--time", action="store_true", help="print each run's best wall time")
-    parser.add_argument("--repeat", type=int, default=5, metavar="N", help="runs timed (5)")
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     identical = True
     for label, cfg in runs():
         path, config, seconds = out_dir / f"{label}.csv", config_from_dict(cfg), []
-        for _ in range(args.repeat if args.time else 1):
+        for _ in range(TIMED_RUNS if args.time else 1):
             start = time.perf_counter()
             rows = run_sweep(config)
             seconds.append(time.perf_counter() - start)

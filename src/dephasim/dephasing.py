@@ -277,9 +277,8 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
     A chunk is a run of consecutive times inside one segment holding at most
     CHUNK_BYTES of stacks, and tau their elapsed times; chunks come by ascending
     segment, by index within one (nondecreasing times: in order). values > 0
-    splits a segment's run evenly instead, in chunks of at least ceil(values /
-    min(d_k, r)) points and a CHUNK_BYTES chunk's (one if the run is shorter),
-    so a call giving min(d_k, r) values a point gives at least values. step, the
+    splits each run evenly instead, in chunks of at least a CHUNK_BYTES chunk's
+    and ceil(values / min(d_k, r)) points (one if the run is shorter). step, the
     segment's (w_ki, U_ki, B_i) per pointer, is built from the previous step at
     its first chunk, the only step held, and yielded as one object with each
     chunk of a run of times. stacks = _stacks(step, tau): stacks[i] is the

@@ -16,8 +16,8 @@ chunk of a segment's grid points with the segment's step and the finite
 pointers, which no output sees (V = I unless they share eigenvectors, as in
 qubit_boson, where the rows holding at most ROW_TAIL^2 of the weight are left
 out, so d_k stops growing with the cutoff). Batched numpy calls give the
-coherence |Tr(Y_0^dag Y_1)|, the fidelity from r x r SVDs of Y_0^dag Y_1 (on
-a worker thread, beside type-1), each trace distance from a QR of [Y_i | Y_j]
+coherence |Tr(Y_0^dag Y_1)|, the fidelity from r x r SVDs of Y_0^dag Y_1 (at one
+BLAS thread on a worker, beside type-1), each trace distance from a QR of [Y_i | Y_j]
 and an eigensolve of dimension at most 2r, or, when 2r >= d_k in a shared
 frame, from Phi_i G_i Phi_i^dag - Phi_j G_j Phi_j^dag with G_i = B_i B_i^dag
 formed once per segment, and the negativity from the partial transposes of
@@ -31,6 +31,7 @@ The criteria and the negativity run over the pointers with c_i != 0 only.
 
 from __future__ import annotations
 
+import os
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -203,10 +204,7 @@ def _time_grid(cfg: RunConfig, schedule: SegmentSchedule) -> np.ndarray:
 
 
 def _gram_difference(step, grams, tau, i: int, j: int) -> np.ndarray:
-    """held_i - held_j at tau: held_k = Phi_k G_k Phi_k^dag, Phi_k = exp(-i w_k tau), I for no w_k.
-
-    A held_k with a phase is formed in one new (T, d_k, d_k) buffer; held_j's takes the difference.
-    """
+    """held_i - held_j at tau (held_k = Phi_k G_k Phi_k^dag), a phased held_k in one new buffer."""
     held = []
     for w, g in ((step[k][0], grams[k]) for k in (i, j)):
         if w is not None:
@@ -226,7 +224,7 @@ def evaluate(
     The times of each segment are evaluated together. The rows, and so the
     CSV bytes, are fixed for fixed inputs, numpy and BLAS build and BLAS
     thread count: an SVD can round differently on another thread count.
-    A mixed qubit's fidelity SVDs may run on a worker thread, alive only in this call.
+    With one BLAS thread, a mixed qubit's fidelity SVDs run on a worker alive only in this call.
     """
     n, dim, a, r = schedule.system_dim, env0.dim, env0.factor, env0.factor.shape[1]
     c = dephasing._checked_amplitudes(c, n)
@@ -237,9 +235,12 @@ def evaluate(
     type2 = outputs.type2 and len(on) >= 3
     stepped = np.eye(dim, dtype=complex) if type2 else a
     rows, gram_step = [None] * len(times), None
-    # a chunk's fidelity SVD runs on a worker thread beside type-1, each call returning over
+    # with one BLAS thread, as the environment sets it for every thread (read in OpenBLAS's
+    # order), a chunk's fidelity SVD runs on a worker beside type-1, each call returning over
     # 500 values, past which numpy releases the GIL (README, "Numerical notes")
+    blas = map(os.environ.get, ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
     overlap = n == 2 and r > 1 and outputs.entanglement and outputs.type1 and bool(pairs)
+    overlap &= next(filter(None, blas), None) == os.environ.get("MKL_NUM_THREADS", "1") == "1"
     if overlap:  # imported here, so that import dephasim loads no concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
     chunks = segment_chunks(schedule, stepped, times, frame=True, values=501 if overlap else 0)

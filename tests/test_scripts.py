@@ -3,8 +3,6 @@
 import importlib.util
 from pathlib import Path
 
-import pytest
-
 from dephasim.sweep import CSV_HEADER
 from test_sweep import NEGATIVITY_SHA256, PRESET_SHA256
 
@@ -64,14 +62,13 @@ def test_compare_presets_times_each_run(tmp_path, capsys, monkeypatch):
     script = load_script("compare_presets")
     monkeypatch.setattr(script, "PRESET_NAMES", ("fig3a",))
     monkeypatch.setattr(script, "NEGATIVITY_ON", ("fig3a",))
+    monkeypatch.setattr(script, "TIMED_RUNS", 3)
     calls, run_sweep = [], script.run_sweep
     monkeypatch.setattr(script, "run_sweep", lambda cfg: calls.append(cfg) or run_sweep(cfg))
-    assert script.main(["--out-dir", str(tmp_path), "--time", "--repeat", "3"]) == 0
+    assert script.main(["--out-dir", str(tmp_path), "--time"]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [line[:2] for line in lines] == [
         ["fig3a", PRESET_SHA256["fig3a"]], ["fig3a-negativity", NEGATIVITY_SHA256["fig3a"]]
     ]
     assert all(len(line) == 4 and float(line[2]) > 0 and line[3] == "ms" for line in lines)
     assert len(calls) == 6  # best of 3 for each run
-    with pytest.raises(SystemExit):
-        script.main(["--out-dir", str(tmp_path), "--time", "--repeat", "0"])

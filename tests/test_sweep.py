@@ -12,7 +12,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 from itertools import combinations
@@ -1533,11 +1532,48 @@ def fidelity_threads(monkeypatch):
     return threads
 
 
+def blas_env(monkeypatch, **values):
+    """Set the BLAS thread variables of the environment to values only."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in values.items():
+        monkeypatch.setenv(var, value)
+
+
 WORKER_CASES = ["fig2b", "fig2c", "fig2d", "fig2e", "fig2f", "fig2b-negativity", "thermal-c256"]
 
 
 class TestWorkerThread:
-    """A qubit with a mixed R(0), E and type-1 on: the fidelity SVD runs on a worker thread."""
+    """A qubit with a mixed R(0), E and type-1 on, one BLAS thread: the fidelity SVD on a worker."""
+
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self, monkeypatch):
+        blas_env(monkeypatch, OPENBLAS_NUM_THREADS="1")  # as perfbench/run.py sets it
+
+    @pytest.mark.parametrize("env, worker", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({}, False),  # BLAS's default, a thread per core
+        ({"OPENBLAS_NUM_THREADS": "2"}, False),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),  # OpenBLAS reads its own
+        ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, False),
+    ])
+    def test_only_one_blas_thread_takes_the_worker(self, env, worker, monkeypatch):
+        # with more BLAS threads each LAPACK call keeps the cores busy: no worker, and the
+        # CHUNK_BYTES chunks; the rows are the same
+        cfg, chunks, chunked = small_fig2d(), [], dephasim.sweep.segment_chunks
+        expected = repr(run_sweep(cfg))
+        blas_env(monkeypatch, **env)
+        threads = fidelity_threads(monkeypatch)
+
+        def recorded(*args, values, **kwargs):
+            chunks.append(values)
+            return chunked(*args, values=values, **kwargs)
+
+        monkeypatch.setattr(dephasim.sweep, "segment_chunks", recorded)
+        assert repr(run_sweep(cfg)) == expected
+        assert threads and set(threads) == {worker}
+        assert chunks == [501 if worker else 0]
 
     @pytest.mark.parametrize("name", WORKER_CASES)
     def test_rows_are_those_of_an_inline_call(self, name, monkeypatch):
@@ -1664,20 +1700,22 @@ class TestWorkerThread:
         if inline:
             monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlineExecutor)
         error, svd, running = NonFiniteError("not finite"), np.linalg.svd, []
-        started, finished = threading.Event(), threading.Event()
+        started, seen, finished = threading.Event(), threading.Event(), threading.Event()
 
-        def slow(*args, **kwargs):
+        def held(*args, **kwargs):  # off the main thread, until the eigensolve has looked
             started.set()
-            time.sleep(0.05)
+            if threading.current_thread() is not threading.main_thread():
+                assert seen.wait(60)
             finished.set()
             return svd(*args, **kwargs)
 
         def failing(*args, **kwargs):
-            assert started.wait(10)
+            assert started.wait(60)
             running.append(not finished.is_set())
+            seen.set()
             raise error
 
-        monkeypatch.setattr(np.linalg, "svd", slow)
+        monkeypatch.setattr(np.linalg, "svd", held)
         monkeypatch.setattr(np.linalg, "eigvalsh", failing)
         before = threading.active_count()
         with pytest.raises(NonFiniteError) as info:
