@@ -32,20 +32,21 @@ quantities are assembled on demand. With R(0) = A A^dag factored (A is d x r),
 every block is R_ij = Y_i Y_j^dag with Y_i = w_i A.
 
 segment_chunks is the only routine that steps through the segments, and
-propagators_at reads its stacks of A = I. It holds one step, that of
-segment k: the (w_ki, U_ki, B_i) of every pointer, B_i = U_ki^dag w_i(start
-of k) A, built from step k - 1 and yielded with each chunk of k's times (by
-segment, then by index) and the chunk's stacks, all finite and within
-linalg.CHUNK_BYTES: Y_i = U_ki exp(-i w_ki tau) B_i (_stacks), each
-product with U_ki or U_ki^dag taken by linalg.rotate. In the
-frame of pointer 0, when all pointers share its eigenvectors (every
-qubit-boson segment; diagonal generators share U = I whatever the order of
-their eigenvalues), the step is swapped for one over the d_k rows that hold
-weight: the lightest, at most ROW_TAIL^2 of sum_i ||B_i||^2, are cut, which
-moves outputs by O(ROW_TAIL); fig2d carries 70/102/115 at cutoff 256. A
-segment whose pointers do not share those eigenvectors takes the unframed
-stacks over all d rows. Schedules are immutable and may be shared across
-workers; the eigensystems are computed on first use, one per distinct generator.
+propagators_at reads its stacks of A = I. It holds one step, that of segment
+k: the (w_ki, U_ki, B_i) of every pointer, B_i = U_ki^dag w_i(start of k) A,
+built from step k - 1, and yields each chunk of k's times (by segment, then
+by index) with its stacks, all finite and within linalg.CHUNK_BYTES:
+Y_i = U_ki exp(-i w_ki tau) B_i (_stacks), each product with U_ki or U_ki^dag
+taken by linalg.rotate, the only reader of an eigenbasis. In the frame of
+pointer 0, when all pointers share its eigenvectors (every qubit-boson
+segment; diagonal generators share U = I whatever the order of their
+eigenvalues), the stacks drop U and the chunk comes with that frame: the
+phases w_ki - w_k0 and the B_i over the d_k rows that hold weight (the
+lightest, at most ROW_TAIL^2 of sum_i ||B_i||^2, are cut, which moves outputs
+by O(ROW_TAIL); fig2d carries 70/102/115 at cutoff 256). A segment whose
+pointers do not share those eigenvectors takes the unframed stacks over all
+d rows. Schedules are immutable and may be shared across workers; the
+eigensystems are computed on first use, one per distinct generator.
 """
 
 from __future__ import annotations
@@ -271,37 +272,35 @@ def propagators_at(schedule: SegmentSchedule, t: float) -> tuple[np.ndarray, ...
 
 
 def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bool = False,
-                   values: int = 0):
-    """Yield (index of the first time, step, tau, stacks) for each chunk of times.
+                   points: int = 0):
+    """Yield (index of the first time, frame, tau, stacks) for each chunk of times.
 
-    A chunk is a run of consecutive times inside one segment holding at most
-    CHUNK_BYTES of stacks, and tau their elapsed times; chunks come by ascending
-    segment, by index within one (nondecreasing times: in order). values > 0
-    splits each run evenly instead, in chunks of at least a CHUNK_BYTES chunk's
-    and ceil(values / min(d_k, r)) points (one if the run is shorter). step, the
-    segment's (w_ki, U_ki, B_i) per pointer, is built from the previous step at
-    its first chunk, the only step held, and yielded as one object with each
-    chunk of a run of times. stacks = _stacks(step, tau): stacks[i] is the
-    (T, d, r) stack of w_i(t) A, finite, or NonFiniteError names the first time
-    where one is not. With frame=True it is V^dag w_i A for a unitary V shared
-    by all pointers, which keeps Gram matrices and spectra. In a segment whose
-    pointers all share the eigenvectors of pointer 0 (U_ki is U_k0, or every
-    generator is diagonal and U_ki = I), V = U_k0 exp(-i w_k0 tau), and the
-    step drops its U: stacks[0] is B_0, the others cost only the phase
-    exp(-i (w_i - w_0) tau), and the stacks are (T, d_k, r): the lightest rows
-    by sum_i ||B_i[k, :]||^2, constant over the segment, drop while they hold
-    at most ROW_TAIL^2 of the total (none if it is not finite), so Y_i^dag Y_j
-    moves by at most ROW_TAIL^2, and a a^dag - b b^dag and Z Z^dag by about
-    2 ROW_TAIL in trace norm. A phase that is not finite on a dropped row
-    still raises NonFiniteError at that time, as if the row were kept. Any
-    other segment takes V = I, the unframed stacks of frame=False.
+    The times inside one segment form a run, split into even chunks of at most
+    CHUNK_BYTES of stacks, fewer and longer where points asks for at least
+    min(points, run) times each; chunks come by ascending segment, by index
+    within one (nondecreasing times: in order), and tau holds their elapsed
+    times. stacks[i] is the (T, d, r) stack of w_i(t) A, finite, or
+    NonFiniteError names the first time where one is not. With frame=True it
+    is V^dag w_i A for a unitary V shared by all pointers, which keeps Gram
+    matrices and spectra. In a segment whose pointers all share the
+    eigenvectors of pointer 0 (U_ki is U_k0, or every generator is diagonal
+    and U_ki = I), V = U_k0 exp(-i w_k0 tau) and stacks[i] = exp(-i w tau) B
+    for the (w, B) of frame[i], one frame object for every chunk of the run:
+    w = w_ki - w_k0 (None for pointer 0, whose stack is B_0 at every time)
+    and B = B_i on the d_k rows kept. The lightest rows by sum_i ||B_i[k, :]||^2,
+    constant over the segment, drop while they hold at most ROW_TAIL^2 of the
+    total (none if it is not finite), so Y_i^dag Y_j moves by at most
+    ROW_TAIL^2, and a a^dag - b b^dag and Z Z^dag by about 2 ROW_TAIL in trace
+    norm. A phase that is not finite on a dropped row still raises
+    NonFiniteError at that time, as if the row were kept. Any other segment
+    takes V = I, the unframed stacks of frame=False, and frame is None.
     """
     if a.shape[0] != schedule.env_dim or not a.shape[1]:
         raise DimensionMismatch(f"factor has shape {a.shape}, expected ({schedule.env_dim}, r > 0)")
     ts = np.asarray(times, dtype=float).reshape(-1)
     ks, taus = _locate(schedule, ts)
     systems = schedule._eigensystems
-    chunk = max(1, CHUNK_BYTES // (16 * a.size * schedule.system_dim))
+    count = max(1, CHUNK_BYTES // (16 * a.size * schedule.system_dim))  # points in CHUNK_BYTES
     starts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()  # of each run of equal k
     runs = zip(ks[starts].tolist(), starts, [*starts[1:], len(ks)])
     built, step = -1, [(None, None, a)] * schedule.system_dim  # before segment 0: w_i = I
@@ -310,7 +309,7 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
             end = np.array([schedule.segments[m - 1].duration])  # for m = 0, a tau of no phase
             start = [y[0] for y in _stacks(step, end)]  # w_i(start of segment m) A
             step = [(w, u, rotate(u, y, adjoint=True)) for (w, u), y in zip(systems[m], start)]
-        built, held = k, step
+        built, held, shared = k, step, None
         (w0, u0, b0), *rest = step
         if frame and all(u is u0 for _, u, _ in rest):  # the shared frame V
             weight = np.sum(np.abs(np.concatenate([b for _, _, b in step], axis=1)) ** 2, axis=1)
@@ -323,11 +322,10 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
                 spread = max((np.abs(s).max() for s, _ in shifted), default=0.0)
                 # a phase that is not finite on a dropped row still makes the stacks NaN
                 taus[lo:hi] = np.where(np.isfinite(spread * taus[lo:hi]), taus[lo:hi], np.nan)
-            held = [(None, None, b0[rows])] + [(s[rows], None, b[rows]) for s, b in shifted]
-        cuts = [*range(lo, hi, chunk), hi]
-        if values:  # even parts, each of at least chunk and ceil(values / min(d_k, r))
-            parts = max(1, (hi - lo) // max(chunk, -(-values // min(held[0][2].shape))))
-            cuts = [lo + (hi - lo) * j // parts for j in range(parts + 1)]
+            shared = [(None, b0[rows])] + [(s[rows], b[rows]) for s, b in shifted]
+            held = [(w, None, b) for w, b in shared]
+        parts = max(1, min(-(-(hi - lo) // count), (hi - lo) // max(points, 1)))
+        cuts = [lo + (hi - lo) * j // parts for j in range(parts + 1)]
         for first, last in zip(cuts, cuts[1:]):
             tau = taus[first:last]
             stacks = _stacks(held, tau)
@@ -335,7 +333,7 @@ def segment_chunks(schedule: SegmentSchedule, a: np.ndarray, times, *, frame: bo
             if not finite.all():
                 bad = float(ts[first + np.argmin(finite)])
                 raise NonFiniteError(f"evolved state is not finite at t = {bad!r}")
-            yield first, held, tau, stacks
+            yield first, shared, tau, stacks
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,23 +10,24 @@ warns at the caller of run_sweep), builds the uniform time grid (with the
 segment switch times, so sharp features are never aliased) and calls evaluate.
 
 R(0) = A A^dag is factored once, by EnvDensity (A is d x r, r its rank; a
-pure R(0) carries its amplitude column as A), and segment_chunks yields each
-chunk of a segment's grid points with the segment's step and the finite
-(T, d_k, r) stacks of V^dag Y_i, Y_i = w_i A, in a frame V shared by the
-pointers, which no output sees (V = I unless they share eigenvectors, as in
-qubit_boson, where the rows holding at most ROW_TAIL^2 of the weight are left
-out, so d_k stops growing with the cutoff). Batched numpy calls give the
-coherence |Tr(Y_0^dag Y_1)|, the fidelity from r x r SVDs of Y_0^dag Y_1 (at one
-BLAS thread on a worker, beside type-1), each trace distance from a QR of [Y_i | Y_j]
-and an eigensolve of dimension at most 2r, or, when 2r >= d_k in a shared
-frame, from Phi_i G_i Phi_i^dag - Phi_j G_j Phi_j^dag with G_i = B_i B_i^dag
-formed once per segment, and the negativity from the partial transposes of
-Z Z^dag, Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}], of dimension at most N (N r),
-in runs sized by negativity_of_factors. A qubit with r = 1 reads E and type-1
-off one Gram-Schmidt step per chunk, linalg._rank_one_pair, with no LAPACK
-call. The type-2 commutators of P_a = w_a w_r^dag need the propagators: when
-on (N >= 3), the identity is stepped instead of A and Y_i = (V^dag w_i) A.
-The criteria and the negativity run over the pointers with c_i != 0 only.
+pure R(0) carries its amplitude column as A). segment_chunks yields each
+chunk of a segment's grid points with the finite (T, d_k, r) stacks of
+V^dag Y_i, Y_i = w_i A, in a frame V shared by the pointers, which no output
+sees, and the frame: None unless they share eigenvectors (as in qubit_boson),
+else its phases and B_i over the rows that hold weight, so d_k stops growing
+with the cutoff. Batched numpy calls give the coherence |Tr(Y_0^dag Y_1)|,
+the fidelity from r x r SVDs of Y_0^dag Y_1 (at one BLAS thread on a worker,
+beside type-1), each trace distance from a QR of [Y_i | Y_j] and an
+eigensolve of dimension at most 2r, or, when 2r >= d_k in a shared frame,
+from Phi_i G_i Phi_i^dag - Phi_j G_j Phi_j^dag with G_i = B_i B_i^dag formed
+once per segment, and the negativity from the partial transposes of Z Z^dag,
+Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}], of dimension at most N (N r), in runs
+sized by negativity_of_factors. A qubit with r = 1 reads E and type-1, when
+on, off one Gram-Schmidt step per chunk, linalg._rank_one_pair, with no
+LAPACK call. The type-2 commutators of P_a = w_a w_r^dag need the
+propagators: when on (N >= 3), the identity is stepped instead of A and
+Y_i = (V^dag w_i) A. The criteria and the negativity run over the pointers
+with c_i != 0 only.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .dephasing import SegmentSchedule, equal_superposition, segment_chunks
 from .entanglement import measure_from_fidelity, type2_norms
 from .errors import (
     CutoffCapExceeded,
+    DephasimError,
     InvalidArgument,
     NotHermitianGenerator,
     ValidationError,
@@ -151,9 +153,9 @@ def _build_environment(cfg: RunConfig, cutoff: int) -> EnvDensity:
             "initial_env.matrix_file",
             f"matrix dimension {matrix.shape[0]} does not match cutoff {cutoff}",
         )
-    try:
+    try:  # every failure of EnvDensity's checks is a DephasimError
         return env_from_matrix(matrix)
-    except Exception as exc:
+    except DephasimError as exc:
         raise ValidationError("initial_env.matrix_file", str(exc)) from exc
 
 
@@ -203,16 +205,16 @@ def _time_grid(cfg: RunConfig, schedule: SegmentSchedule) -> np.ndarray:
     return np.unique(np.concatenate([base, interior])) if interior else base
 
 
-def _gram_difference(step, grams, tau, i: int, j: int) -> np.ndarray:
+def _gram_difference(frame, grams, tau, i: int, j: int) -> np.ndarray:
     """held_i - held_j at tau (held_k = Phi_k G_k Phi_k^dag), a phased held_k in one new buffer."""
     held = []
-    for w, g in ((step[k][0], grams[k]) for k in (i, j)):
+    for w, g in ((frame[k][0], grams[k]) for k in (i, j)):
         if w is not None:
             p = np.exp(-1j * w * tau[:, None])
             g = np.multiply(p[:, :, None], g)
             g *= p[:, None, :].conj()
         held.append(g)
-    return np.subtract(*held, out=None if step[j][0] is None else held[1])
+    return np.subtract(*held, out=None if frame[j][0] is None else held[1])
 
 
 def evaluate(
@@ -234,24 +236,25 @@ def evaluate(
     # the type-2 products w_a w_r^dag need w_i itself: step the identity instead of A
     type2 = outputs.type2 and len(on) >= 3
     stepped = np.eye(dim, dtype=complex) if type2 else a
-    rows, gram_step = [None] * len(times), None
+    rank_one = n == r + 1 == 2 and (outputs.entanglement or outputs.type1)  # one step: E, type-1
+    rows, gram_frame = [None] * len(times), None
     # with one BLAS thread, as the environment sets it for every thread (read in OpenBLAS's
-    # order), a chunk's fidelity SVD runs on a worker beside type-1, each call returning over
-    # 500 values, past which numpy releases the GIL (README, "Numerical notes")
+    # order), a chunk's fidelity SVD runs on a worker beside type-1; at ceil(501 / r) points
+    # (r <= d_k) each call returns over 500 values, past which numpy releases the GIL (README)
     blas = map(os.environ.get, ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
     overlap = n == 2 and r > 1 and outputs.entanglement and outputs.type1 and bool(pairs)
     overlap &= next(filter(None, blas), None) == os.environ.get("MKL_NUM_THREADS", "1") == "1"
     if overlap:  # imported here, so that import dephasim loads no concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
-    chunks = segment_chunks(schedule, stepped, times, frame=True, values=501 if overlap else 0)
+    chunks = segment_chunks(schedule, stepped, times, frame=True, points=-(-501 // r) * overlap)
     # every output is invariant under the frame V shared by the pointers
     with ThreadPoolExecutor(1) if overlap else nullcontext() as worker:
-        for first, step, tau, stacks in chunks:
+        for first, frame, tau, stacks in chunks:
             ts = times[first : first + len(tau)]
             ys = [s @ a for s in stacks] if type2 else stacks
-            y0 = ys[0][:1] if step[0][0] is None else ys[0]  # B_0 at every t: read it once
+            y0 = ys[0][:1] if frame else ys[0]  # B_0 at every t in a shared frame: read it once
             measure = coherence_norm = type1_max = type2_max = neg = f = [None] * len(ts)
-            pure = linalg._rank_one_pair(*ys) if n == r + 1 == 2 else None  # one step: E, type-1
+            pure = linalg._rank_one_pair(*ys) if rank_one else None
             if outputs.entanglement and n == 2:
                 # a^dag b is allocated here: memory a thread frees stays in its malloc arena
                 m = None if pure is not None else np.empty((len(ts), r, r), complex)
@@ -264,13 +267,12 @@ def evaluate(
                     coherence_norm = np.abs(np.sum(ys[1].conj() * y0, axis=(1, 2))).tolist()
                 # a criterion with no condition left (no pair, fewer than 3 pointers) reads 0
                 if outputs.type1:
-                    # trace_distance_of_factors' direct path with no U: Phi_i G_i Phi_i^dag
-                    no_u = all(u is None for _, u, _ in step)
-                    gram = no_u and not type2 and _direct_path(r, r, len(step[0][2]))
-                    if gram and step is not gram_step:  # the segment's first chunk: B_i B_i^dag
-                        gram_step, grams = step, [b @ dagger(b) for _, _, b in step]
+                    # trace_distance_of_factors' direct path in a shared frame: Phi_i G_i Phi_i^dag
+                    gram = frame and not type2 and _direct_path(r, r, len(frame[0][1]))
+                    if gram and frame is not gram_frame:  # the run's first chunk: B_i B_i^dag
+                        gram_frame, grams = frame, [b @ dagger(b) for _, b in frame]
                     if gram:
-                        distances = [_half_trace_norm(_gram_difference(step, grams, tau, i, j))
+                        distances = [_half_trace_norm(_gram_difference(frame, grams, tau, i, j))
                                      for i, j in pairs]
                     elif pure is not None:
                         distances = [linalg._rank_one_distance(*pure) for _ in pairs]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import dephasim.sweep
 from dephasim.cli import main
 from dephasim.linalg import HERM_TOL
 from dephasim.presets import preset_config
@@ -97,6 +98,20 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_defect_building_a_matrix_file_state_propagates(self, tmp_path, monkeypatch):
+        # only the package's own errors are named for the matrix file (exit 1); a
+        # TypeError out of env_from_matrix is a defect, not a bad input
+        env = {"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+        (tmp_path / "env.json").write_text(json.dumps(env))
+        path = write_config(tmp_path, cutoff=2, initial_env={"matrix_file": "env.json"})
+
+        def broken(matrix):
+            raise TypeError("a defect")
+
+        monkeypatch.setattr(dephasim.sweep, "env_from_matrix", broken)
+        with pytest.raises(TypeError, match="^a defect$"):
+            main(["run", "--config", str(path), "--out", str(tmp_path / "o.csv")])
 
     @pytest.mark.parametrize(
         "key, value, message",

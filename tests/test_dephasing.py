@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -550,6 +551,27 @@ class TestEvolveFactor:
     def test_no_times(self):
         sched = make_schedule(np.random.default_rng(0))
         assert list(segment_chunks(sched, np.ones((4, 1), dtype=complex), [])) == []
+
+
+class TestCutRule:
+    """A segment's run of times splits into even chunks of at most the CHUNK_BYTES count."""
+
+    @given(run=st.integers(1, 300), count=st.integers(1, 400), points=st.integers(0, 400))
+    @settings(max_examples=150, deadline=None)
+    def test_even_chunks_within_the_count_or_at_least_points(self, run, count, points):
+        # one pointer on one level and a 1 x 1 factor: count points hold 16 count bytes
+        schedule = SegmentSchedule(1, 1, (Segment(1.0, (np.zeros((1, 1)),)),))
+        a, times = np.ones((1, 1), dtype=complex), np.linspace(0.0, 1.0, run)
+        with mock.patch.object(dephasing, "CHUNK_BYTES", 16 * count):
+            chunks = [(first, len(tau)) for first, _, tau, _ in
+                      segment_chunks(schedule, a, times, points=points)]
+        firsts, lengths = zip(*chunks)
+        assert list(firsts) == np.cumsum([0, *lengths[:-1]]).tolist()
+        assert sum(lengths) == run and max(lengths) - min(lengths) <= 1
+        if points:
+            assert min(lengths) >= min(points, run)
+        else:
+            assert max(lengths) <= count and len(lengths) == -(-run // count)
 
 
 class TestBlocks:

@@ -1,4 +1,4 @@
-"""Precision floors of segment_chunks and the type-1 and fidelity kernels against 40-digit oracles.
+"""Precision floors of segment_chunks and every sweep kernel against 40-digit oracles.
 
 The oracle is the chronological product of the segment exponentials, each
 from a 40-digit mpmath eigendecomposition of the same double-precision
@@ -58,6 +58,22 @@ A), against the 40-digit Y_0 and Y_1 of the oracle. In units of
 eps (1 + t ||V||) |A|^2 the floors measured are 0.03 to 0.35 (the largest
 on the unshared case at t = 1.8; the long case 0.09, and 0.15 for one
 column), so COH_FLOOR_UNITS = 8 sits 23x above the largest.
+
+The negativity and type-2 are pinned the same way, as sweep.evaluate forms
+them, against the 40-digit eigenvalues of the partial transpose of Z Z^dag
+and the Frobenius norm of [P_1, P_2], P_a = w_a w_0^dag, of the oracle.
+long3 adds 3 pointers on 4 levels at ||V|| t = 1139. In units of
+eps (1 + t ||V||) |A|^2 (negativity) and eps (1 + t ||V||) d (type-2, the
+norms of P_1 and P_2) the floors measured are:
+
+    case      negativity  path             type-2
+    shared    0.18, 0.04  direct, QR       -
+    unshared  0.16, 0.08  direct           0.07, 0.20
+    long      0.03, 0.02  QR (r = 2, 1)    -
+    long3     0.05        direct           0.08
+
+and at most 0.69 and 0.70 over 12 other seeds of the draws, so
+NEG_FLOOR_UNITS = TYPE2_FLOOR_UNITS = 8 sit 44x and 40x above the floors.
 """
 
 from functools import cache
@@ -114,14 +130,18 @@ def case(name, rank=2):
             cutoff=24,
         )
         return build_schedule(params), unit_factor(rng, 24, rank=rank), (0.3, 1.0, 1.7)
+    if name == "long3":
+        # 3 pointers with ||V|| t ~ 1e3 on 4 levels: N r >= d, the direct negativity
+        segments = (Segment(1.0, tuple(300 * random_hermitian(rng, 4) for _ in range(3))),)
+        return SegmentSchedule(3, 4, segments), unit_factor(rng, 4, rank=rank), (1.0,)
     # long phase: beta n reaches 1000 at n = 5, so |w| t ~ 1e3
     params = QubitBosonParams(beta=200.0, segments=(AlphaSegment(1.0, 30.0),), cutoff=6)
     return build_schedule(params), unit_factor(rng, 6, rank=rank), (1.0,)
 
 
 @cache
-def oracle(name, rank=2):
-    """Per time, the 40-digit Y_i = w_i A as mpmath matrices.
+def oracle(name, rank=2, propagators=False):
+    """Per time, the 40-digit Y_i = w_i A (w_i itself if propagators) as mpmath matrices.
 
     Each segment exponential is Q diag(exp(-i lam tau)) Q^dag from a 40-digit
     mp.eighe of the generator (Hermitian to the last bit in every case), one
@@ -135,7 +155,7 @@ def oracle(name, rank=2):
         for t in times:
             ys = []
             for i in range(schedule.system_dim):
-                y = mp.matrix(a.tolist())
+                y = mp.eye(len(a)) if propagators else mp.matrix(a.tolist())
                 for start, seg, eig in zip(schedule.boundaries, schedule.segments, systems):
                     tau = min(max(t - start, 0.0), seg.duration)
                     if tau > 0:
@@ -153,11 +173,16 @@ def max_abs(x, y):
         return float(max(abs(e) for e in (mp.matrix(x.tolist()) - y)))
 
 
+def schedule_norm(schedule):
+    """||V||: the largest 2-norm of the schedule's generators."""
+    return max(np.linalg.norm(g, 2) for seg in schedule.segments for g in generator_matrices(seg))
+
+
 @pytest.mark.parametrize("frame", [False, True])
 @pytest.mark.parametrize("name", ["shared", "unshared", "long", "gauged"])
 def test_segment_chunks_within_its_floor(name, frame):
     schedule, a, times = case(name)
-    norm = max(np.linalg.norm(g, 2) for seg in schedule.segments for g in generator_matrices(seg))
+    norm = schedule_norm(schedule)
     chunks = chunk_stacks(schedule, a, times, frame=frame)
     got = [ys for _, stacks in chunks for ys in zip(*stacks)]
     assert len(got) == len(times)
@@ -318,9 +343,7 @@ def long_phase_fidelities():
     cases = {}
     for rank in (1, 2):  # the one-column path and the SVD path
         schedule, a, times = case("long", rank)
-        norm = max(
-            np.linalg.norm(g, 2) for seg in schedule.segments for g in generator_matrices(seg)
-        )
+        norm = schedule_norm(schedule)
         assert norm * times[-1] >= 1e3
         stacks = [ys for _, s in chunk_stacks(schedule, a, times) for ys in zip(*s)]
         for t, ys, exact in zip(times, stacks, oracle("long", rank)):
@@ -366,7 +389,7 @@ def test_coherence_within_its_floor(name, rank):
     # evaluate reads R(0) through its dim and factor alone: carrying A itself keeps
     # psd_factor's roundoff out, so the error is that of the stacks and the trace
     schedule, a, times = case(name, rank)
-    norm = max(np.linalg.norm(g, 2) for seg in schedule.segments for g in generator_matrices(seg))
+    norm = schedule_norm(schedule)
     flags = OutputFlags(entanglement=False, type1=False, type2=False)
     env0 = SimpleNamespace(dim=len(a), factor=a)
     rows = sweep.evaluate(schedule, env0, equal_superposition(schedule.system_dim), times, flags)
@@ -377,3 +400,67 @@ def test_coherence_within_its_floor(name, rank):
             exact = float(abs(mp.fsum(mp.conj(x) * y for x, y in zip(y0, y1))))
         unit = EPS * (1 + t * norm) * np.linalg.norm(a) ** 2
         assert abs(row.coherence_norm - exact) <= COH_FLOOR_UNITS * unit, (t, row, exact)
+
+
+def exact_negativity(ys, c):
+    """Sum of |negative eigenvalues| of the 40-digit partial transpose of Z Z^dag."""
+    n, d = len(ys), ys[0].rows
+    with mp.workdps(40):
+        pt = mp.matrix(n * d, n * d)
+        for i in range(n):
+            for j in range(n):
+                block = mp.mpc(c[j]) * mp.conj(mp.mpc(c[i])) * ys[j] * ys[i].H  # sigma_ji
+                for k in range(d):
+                    for m in range(d):
+                        pt[i * d + k, j * d + m] = block[k, m]
+        w = mp.eighe(pt, eigvals_only=True)
+        return float(mp.fsum(-x for x in w if x < 0))
+
+
+NEG_FLOOR_UNITS = 8
+
+
+@pytest.mark.parametrize(
+    "name, rank", [("shared", 2), ("unshared", 2), ("long", 2), ("long", 1), ("long3", 2)]
+)
+def test_negativity_within_its_floor(name, rank):
+    # negativity_of_factors as evaluate calls it: the QR path where N r < d_k (long,
+    # shared's driven segment), the direct path elsewhere (unshared and long3, N r >= d;
+    # shared's undriven segment, whose frame keeps d_k = 4 rows)
+    schedule, a, times = case(name, rank)
+    norm, n = schedule_norm(schedule), schedule.system_dim
+    if name.startswith("long"):
+        assert norm * times[-1] >= 1e3
+    c = equal_superposition(n)
+    flags = OutputFlags(entanglement=False, coherence=False, type1=False, type2=False,
+                        negativity=True)
+    rows = sweep.evaluate(schedule, SimpleNamespace(dim=len(a), factor=a), c, times, flags)
+    for t, row, ys in zip(times, rows, oracle(name, rank), strict=True):
+        exact = exact_negativity(ys, c)
+        unit = EPS * (1 + t * norm) * np.linalg.norm(a) ** 2
+        assert abs(row.negativity - exact) <= NEG_FLOOR_UNITS * unit, (t, row, exact)
+
+
+def exact_type2(ws):
+    """||[P_1, P_2]||_F of the 40-digit P_a = w_a w_0^dag."""
+    with mp.workdps(40):
+        p1, p2 = (w * ws[0].H for w in ws[1:])
+        return float(mp.mnorm(p1 * p2 - p2 * p1, "f"))
+
+
+TYPE2_FLOOR_UNITS = 8
+
+
+@pytest.mark.parametrize("name", ["unshared", "long3"])
+def test_type2_within_its_floor(name):
+    # type2_norms as evaluate calls it, on the stepped propagators: the one condition
+    # of 3 pointers in units of eps (1 + t ||V||) ||P_1||_F ||P_2||_F = eps (1 + t ||V||) d
+    schedule, a, times = case(name)
+    norm, d = schedule_norm(schedule), schedule.env_dim
+    flags = OutputFlags(entanglement=False, coherence=False, type1=False)
+    rows = sweep.evaluate(schedule, SimpleNamespace(dim=d, factor=a),
+                          equal_superposition(3), times, flags)
+    for t, row, ws in zip(times, rows, oracle(name, propagators=True), strict=True):
+        exact = exact_type2(ws)
+        unit = EPS * (1 + t * norm) * d
+        assert abs(row.type2_max - exact) <= TYPE2_FLOOR_UNITS * unit, (t, row, exact)

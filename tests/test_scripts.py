@@ -1,8 +1,14 @@
 """Smoke runs of the scripts/ entry points, so a renamed library name fails here."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from dephasim.config import load_matrix_file, load_schedule_file
+from dephasim.dephasing import segment_chunks
+from dephasim.fock import env_from_matrix
 from dephasim.sweep import CSV_HEADER
 from test_sweep import NEGATIVITY_SHA256, PRESET_SHA256
 
@@ -28,6 +34,7 @@ def test_compare_presets_prints_sha256_and_column_changes(tmp_path, capsys, monk
     assert script.NEGATIVITY_ON == tuple(sorted(NEGATIVITY_SHA256))  # every pinned run
     monkeypatch.setattr(script, "PRESET_NAMES", ("fig2a", "fig3a"))  # two of the nine, for time
     monkeypatch.setattr(script, "NEGATIVITY_ON", ("fig3a",))  # one of the three
+    monkeypatch.setattr(script, "ENGINE_RUNS", ())
     old, new = tmp_path / "old", tmp_path / "new"
     assert script.main(["--out-dir", str(old)]) == 0
     first = capsys.readouterr().out.splitlines()
@@ -62,6 +69,7 @@ def test_compare_presets_times_each_run(tmp_path, capsys, monkeypatch):
     script = load_script("compare_presets")
     monkeypatch.setattr(script, "PRESET_NAMES", ("fig3a",))
     monkeypatch.setattr(script, "NEGATIVITY_ON", ("fig3a",))
+    monkeypatch.setattr(script, "ENGINE_RUNS", ())
     monkeypatch.setattr(script, "TIMED_RUNS", 3)
     calls, run_sweep = [], script.run_sweep
     monkeypatch.setattr(script, "run_sweep", lambda cfg: calls.append(cfg) or run_sweep(cfg))
@@ -72,3 +80,27 @@ def test_compare_presets_times_each_run(tmp_path, capsys, monkeypatch):
     ]
     assert all(len(line) == 4 and float(line[2]) > 0 and line[3] == "ms" for line in lines)
     assert len(calls) == 6  # best of 3 for each run
+
+
+def test_compare_presets_digests_the_engine_runs(tmp_path, capsys, monkeypatch):
+    # fig2d at cutoff 256 and a 3-pointer schedule-file run with a full-rank matrix-file
+    # R(0) and every output on: unframed segments, type-2 and the direct-path negativity
+    script = load_script("compare_presets")
+    monkeypatch.setattr(script, "PRESET_NAMES", ())
+    monkeypatch.setattr(script, "NEGATIVITY_ON", ())
+    assert script.main(["--out-dir", str(tmp_path)]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [label for label, _ in lines] == list(script.ENGINE_RUNS)
+    for label, digest in lines:
+        assert hashlib.sha256((tmp_path / f"{label}.csv").read_bytes()).hexdigest() == digest
+    fig2d = (tmp_path / "fig2d-c256.csv").read_text().splitlines()
+    assert len(fig2d) == 602 and all(line.endswith(",256") for line in fig2d[1:])
+    schedule = load_schedule_file(tmp_path / "schedule-file-schedule.json")
+    factor = env_from_matrix(load_matrix_file(tmp_path / "schedule-file-env.json")).factor
+    assert schedule.system_dim * factor.shape[1] >= factor.shape[0] == factor.shape[1] == 6
+    chunks = segment_chunks(schedule, factor, np.linspace(0.0, 1.8, 9), frame=True)
+    assert all(frame is None for _, frame, *_ in chunks)  # the pointers share no eigenvectors
+    rows = [line.split(",") for line in (tmp_path / "schedule-file.csv").read_text().splitlines()]
+    assert rows[0] == CSV_HEADER.split(",") and len(rows) == 1 + 41 + 1  # and the switch at 0.7
+    for t, e, *values, cutoff in rows[1:]:
+        assert e == "" and cutoff == "6" and all(float(v) > 0 for v in values[1:] if float(t))

@@ -914,9 +914,11 @@ class TestEvaluate:
         permuted = evaluate(schedule, env, draw.amplitudes, times[order], outputs)
         assert repr(permuted) == repr([rows[i] for i in order])
 
-    def test_a_pure_pair_takes_one_gram_schmidt_step_per_chunk(self, monkeypatch):
+    @pytest.mark.parametrize("coherence_only", [False, True])
+    def test_a_pure_pair_takes_one_gram_schmidt_step_per_chunk(self, coherence_only, monkeypatch):
         # a pure-c64 draw: E and type-1 of the one pair read the numbers of one
-        # linalg._rank_one_pair call per segment_chunks chunk (the kernels call it too)
+        # linalg._rank_one_pair call per segment_chunks chunk (the kernels call it too),
+        # and with both off there is no call
         draw = perfbench_module("workloads").WORKLOADS["pure-c64"](np.random.default_rng(1))
         schedule, env = draw.reference()
         assert env.factor.shape[1] == 1
@@ -934,9 +936,13 @@ class TestEvaluate:
 
         monkeypatch.setattr(dephasim.sweep, "segment_chunks", counted_chunks)
         monkeypatch.setattr(linalg, "_rank_one_pair", counted_step)
-        rows = evaluate(schedule, env, draw.amplitudes, np.linspace(0.0, draw.t_max, draw.points))
-        assert len(chunks) >= 3 and steps == chunks and sum(chunks) == len(rows) == 601
-        assert all(row.entanglement is not None and row.type1_max is not None for row in rows)
+        flags = OutputFlags(entanglement=not coherence_only, type1=not coherence_only)
+        times = np.linspace(0.0, draw.t_max, draw.points)
+        rows = evaluate(schedule, env, draw.amplitudes, times, flags)
+        assert len(chunks) >= 3 and sum(chunks) == len(rows) == 601
+        assert steps == ([] if coherence_only else chunks)
+        assert all((row.entanglement is None) == (row.type1_max is None) == coherence_only
+                   for row in rows)
 
     def test_memory_and_eigensolves_do_not_grow_with_the_segments(self, monkeypatch):
         # thermal R(0) at cutoff 256 under n alternating off/on steps over a total of 6,
@@ -1560,20 +1566,22 @@ class TestWorkerThread:
     ])
     def test_only_one_blas_thread_takes_the_worker(self, env, worker, monkeypatch):
         # with more BLAS threads each LAPACK call keeps the cores busy: no worker, and the
-        # CHUNK_BYTES chunks; the rows are the same
+        # CHUNK_BYTES chunks; the rows are the same. With it, each chunk has at least
+        # ceil(501 / r) points, so that an r x r SVD batch returns over 500 values
         cfg, chunks, chunked = small_fig2d(), [], dephasim.sweep.segment_chunks
+        r = dephasim.sweep._resolve(cfg, 16)[1].factor.shape[1]
         expected = repr(run_sweep(cfg))
         blas_env(monkeypatch, **env)
         threads = fidelity_threads(monkeypatch)
 
-        def recorded(*args, values, **kwargs):
-            chunks.append(values)
-            return chunked(*args, values=values, **kwargs)
+        def recorded(*args, points, **kwargs):
+            chunks.append(points)
+            return chunked(*args, points=points, **kwargs)
 
         monkeypatch.setattr(dephasim.sweep, "segment_chunks", recorded)
         assert repr(run_sweep(cfg)) == expected
         assert threads and set(threads) == {worker}
-        assert chunks == [501 if worker else 0]
+        assert r > 1 and chunks == [math.ceil(501 / r) if worker else 0]
 
     @pytest.mark.parametrize("name", WORKER_CASES)
     def test_rows_are_those_of_an_inline_call(self, name, monkeypatch):
