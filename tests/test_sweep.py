@@ -914,8 +914,7 @@ class TestEvaluate:
         permuted = evaluate(schedule, env, draw.amplitudes, times[order], outputs)
         assert repr(permuted) == repr([rows[i] for i in order])
 
-    @pytest.mark.parametrize("coherence_only", [False, True])
-    def test_a_pure_pair_takes_one_gram_schmidt_step_per_chunk(self, coherence_only, monkeypatch):
+    def test_a_pure_pair_takes_one_gram_schmidt_step_per_chunk(self, monkeypatch):
         # a pure-c64 draw: E and type-1 of the one pair read the numbers of one
         # linalg._rank_one_pair call per segment_chunks chunk (the kernels call it too),
         # and with both off there is no call
@@ -936,13 +935,16 @@ class TestEvaluate:
 
         monkeypatch.setattr(dephasim.sweep, "segment_chunks", counted_chunks)
         monkeypatch.setattr(linalg, "_rank_one_pair", counted_step)
-        flags = OutputFlags(entanglement=not coherence_only, type1=not coherence_only)
         times = np.linspace(0.0, draw.t_max, draw.points)
-        rows = evaluate(schedule, env, draw.amplitudes, times, flags)
-        assert len(chunks) >= 3 and sum(chunks) == len(rows) == 601
-        assert steps == ([] if coherence_only else chunks)
-        assert all((row.entanglement is None) == (row.type1_max is None) == coherence_only
-                   for row in rows)
+        for coherence_only in (False, True):
+            chunks.clear()
+            steps.clear()
+            flags = OutputFlags(entanglement=not coherence_only, type1=not coherence_only)
+            rows = evaluate(schedule, env, draw.amplitudes, times, flags)
+            assert len(chunks) >= 3 and sum(chunks) == len(rows) == 601
+            assert steps == ([] if coherence_only else chunks)
+            assert all((row.entanglement is None) == (row.type1_max is None) == coherence_only
+                       for row in rows)
 
     def test_memory_and_eigensolves_do_not_grow_with_the_segments(self, monkeypatch):
         # thermal R(0) at cutoff 256 under n alternating off/on steps over a total of 6,
