@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, combinations, repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -93,9 +93,6 @@ __all__ = [
     "convergence_report",
 ]
 
-CSV_HEADER = "t,entanglement,coherence_norm,type1_max,type2_max,negativity,cutoff"
-
-
 class SweepRow(NamedTuple):
     """One time point of a sweep; None marks outputs that were not computed."""
 
@@ -106,6 +103,9 @@ class SweepRow(NamedTuple):
     type2_max: float | None
     negativity: float | None
     cutoff: int
+
+
+CSV_HEADER = ",".join(SweepRow._fields)
 
 
 def _resolve_cutoff(cfg: RunConfig) -> int:
@@ -254,7 +254,7 @@ def evaluate(
             ys = [s @ a for s in stacks] if type2 else stacks
             y0 = ys[0][:1] if frame else ys[0]  # B_0 at every t in a shared frame: read it once
             measure = coherence_norm = type1_max = type2_max = neg = f = [None] * len(ts)
-            pure = linalg._rank_one_pair(*ys) if rank_one else None
+            pure = linalg._rank_one_pair(y0, ys[1]) if rank_one else None
             if outputs.entanglement and n == 2:
                 # a^dag b is allocated here: memory a thread frees stays in its malloc arena
                 m = None if pure is not None else np.empty((len(ts), r, r), complex)
@@ -366,13 +366,11 @@ def convergence_report(cfg: RunConfig) -> ConvergenceReport:
 
     Reports the largest pointwise change of the entanglement measure and of
     the normalized coherence over the grid, and the time where each occurs.
+    Both sweeps evaluate E and the coherence only: cfg.outputs is not read.
     """
     if not isinstance(cfg.model, QubitBosonModel):
         raise ValidationError("model", "convergence reports require the qubit_boson model")
-    if not (cfg.outputs.entanglement and cfg.outputs.coherence):
-        raise ValidationError(
-            "outputs", "convergence reports need entanglement and coherence enabled"
-        )
+    cfg = replace(cfg, outputs=OutputFlags(type1=False, type2=False))  # E and the coherence
     cutoff = _resolve_cutoff(cfg)
     doubled = 2 * cutoff
     if doubled > CUTOFF_LADDER[-1]:

@@ -74,9 +74,21 @@ norms of P_1 and P_2) the floors measured are:
 
 and at most 0.69 and 0.70 over 12 other seeds of the draws, so
 NEG_FLOOR_UNITS = TYPE2_FLOOR_UNITS = 8 sit 44x and 40x above the floors.
+
+One sweep pins every column at once: a single sweep.evaluate call with
+every output on, for the 3-pointer unshared case with a full-rank A (5 x 5,
+so type-2 steps the propagators and type-1 and the negativity take their
+direct paths) and for the qubit shared case (E, and type-2 reading 0),
+against the same oracle. Each column is held in its kernel's units times
+1 + t ||V||, E in FID_FLOOR_UNITS. The floors measured, in those units:
+
+    case      coherence  type-1  type-2  negativity  E
+    unshared  0.54       0.17    0.20    0.05        -
+    shared    0.18       0.18    -       0.18        0.22
 """
 
 from functools import cache
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -86,6 +98,7 @@ from mpmath import mp
 from dephasim import sweep
 from dephasim.config import OutputFlags
 from dephasim.dephasing import Segment, SegmentSchedule, equal_superposition
+from dephasim.entanglement import measure_from_fidelity
 from dephasim.fock import env_from_matrix
 from dephasim.linalg import fidelity_of_factors, trace_distance_of_factors
 from dephasim.qubit_boson import AlphaSegment, QubitBosonParams, build_schedule
@@ -464,3 +477,33 @@ def test_type2_within_its_floor(name):
         exact = exact_type2(ws)
         unit = EPS * (1 + t * norm) * d
         assert abs(row.type2_max - exact) <= TYPE2_FLOOR_UNITS * unit, (t, row, exact)
+
+
+@pytest.mark.parametrize("name, rank", [("unshared", 5), ("shared", 2)])
+def test_one_sweep_within_every_floor(name, rank):
+    # one evaluate call with every output on, each column against the 40-digit oracle
+    schedule, a, times = case(name, rank)
+    norm, n, d = schedule_norm(schedule), schedule.system_dim, schedule.env_dim
+    c = equal_superposition(n)
+    rows = sweep.evaluate(schedule, SimpleNamespace(dim=d, factor=a), c, times,
+                          OutputFlags(negativity=True))
+    ws = oracle(name, rank, propagators=True) if n >= 3 else [None] * len(times)
+    for t, row, ys, w in zip(times, rows, oracle(name, rank), ws, strict=True):
+        unit, a2 = EPS * (1 + t * norm), np.linalg.norm(a) ** 2
+        with mp.workdps(40):
+            coherence = float(abs(mp.fsum(mp.conj(x) * y for x, y in zip(ys[0], ys[1]))))
+        distance = max(exact_distance(ys[i], ys[j]) for i, j in combinations(range(n), 2))
+        errors = {
+            "coherence": (row.coherence_norm - coherence, COH_FLOOR_UNITS * unit * a2),
+            "type-1": (row.type1_max - distance, TD_FLOOR_UNITS * unit * max(1.0, a2)),
+            "negativity": (row.negativity - exact_negativity(ys, c), NEG_FLOOR_UNITS * unit * a2),
+        }
+        if n >= 3:
+            assert row.entanglement is None
+            errors["type-2"] = (row.type2_max - exact_type2(w), TYPE2_FLOOR_UNITS * unit * d)
+        else:  # no condition of 2 pointers: type-2 reads 0
+            assert row.type2_max == 0.0
+            e = measure_from_fidelity(c, exact_fidelity(ys[0], ys[1]))
+            errors["E"] = (row.entanglement - e, FID_FLOOR_UNITS * unit)
+        for column, (err, bound) in errors.items():
+            assert abs(err) <= bound, (column, t, err, bound)
