@@ -295,9 +295,9 @@ def fidelity(rho1, rho2) -> float:
     return fidelity_of_factors(_factor(r1), _factor(r2))
 
 
-def _direct_path(r1: int, r2: int, d: int) -> bool:
-    """Whether trace_distance_of_factors of ranks r1, r2 in dimension d takes its last path."""
-    return not r1 == r2 == 1 and r1 + r2 >= d
+def _direct_path(columns: int, d: int) -> bool:
+    """Whether a factor kernel skips the QR of its columns in dimension d: it would not shrink."""
+    return columns >= d
 
 
 def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
@@ -312,14 +312,13 @@ def trace_distance_of_factors(a: np.ndarray, b: np.ndarray):
     - r1 + r2 < d otherwise: a and b are replaced by the column blocks of R
       in the reduced QR [a | b] = Q R, which leaves the spectrum of the
       difference unchanged and shrinks the eigenproblem to (r1 + r2) square.
-    - else (_direct_path): _half_trace_norm of the d x d difference, which
-      sweep.evaluate forms from per-segment Gram blocks in a shared frame.
+    - else (_direct_path): _half_trace_norm of the d x d difference (sweep.Route).
     For (T, d, r) stacks of factors it returns the T distances as an array.
     """
     r1 = a.shape[-1]
     if r1 == b.shape[-1] == 1:
         return _rank_one_distance(*_rank_one_pair(a, b))
-    if not _direct_path(r1, b.shape[-1], a.shape[-2]):
+    if not _direct_path(r1 + b.shape[-1], a.shape[-2]):
         r = np.linalg.qr(np.concatenate((a, b), axis=-1), mode="r")
         a, b = r[..., :r1], r[..., r1:]
     return _half_trace_norm(a @ dagger(a) - b @ dagger(b))
@@ -355,7 +354,7 @@ def negativity_of_factors(z: np.ndarray, dim_sys: int):
     shape, r = z.shape[:-2], z.shape[-1]
     z = z.reshape(-1, *z.shape[-2:])  # one Z is a stack of one
     d = z.shape[-2] // dim_sys
-    if dim_sys * r < d:
+    if not _direct_path(dim_sys * r, d):
         r_blocks = np.linalg.qr(np.concatenate(np.split(z, dim_sys, axis=-2), axis=-1), mode="r")
         z = np.concatenate(np.split(r_blocks, dim_sys, axis=-1), axis=-2)
         d = dim_sys * r

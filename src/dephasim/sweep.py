@@ -1,33 +1,12 @@
 """Time sweeps, CSV emission and cutoff-convergence reports.
 
-evaluate is the one evaluator of the per-time quantities: from a schedule,
-R(0), the pointer amplitudes and times inside the schedule it returns a
-SweepRow per time with the entanglement measure, the coherence, the type-1
-and type-2 criterion residuals and the negativity. The state at t is
-entangled iff row.type1_max > tol or row.type2_max > tol. run_sweep resolves
-a configuration into those inputs (an explicit cutoff past the drive's reach
-warns at the caller of run_sweep), builds the uniform time grid (with the
-segment switch times, so sharp features are never aliased) and calls evaluate.
-
-R(0) = A A^dag is factored once, by EnvDensity (A is d x r, r its rank; a
-pure R(0) carries its amplitude column as A). segment_chunks yields each
-chunk of a segment's grid points with the finite (T, d_k, r) stacks of
-V^dag Y_i, Y_i = w_i A, in a frame V shared by the pointers, which no output
-sees, and the frame: None unless they share eigenvectors (as in qubit_boson),
-else its phases and B_i over the rows that hold weight, so d_k stops growing
-with the cutoff. Batched numpy calls give the coherence |Tr(Y_0^dag Y_1)|,
-the fidelity from r x r SVDs of Y_0^dag Y_1 (at one BLAS thread on a worker,
-beside type-1), each trace distance from a QR of [Y_i | Y_j] and an
-eigensolve of dimension at most 2r, or, when 2r >= d_k in a shared frame,
-from Phi_i G_i Phi_i^dag - Phi_j G_j Phi_j^dag with G_i = B_i B_i^dag formed
-once per segment, and the negativity from the partial transposes of Z Z^dag,
-Z = [c_0 Y_0; ...; c_{N-1} Y_{N-1}], of dimension at most N (N r), in runs
-sized by negativity_of_factors. A qubit with r = 1 reads E and type-1, when
-on, off one Gram-Schmidt step per chunk, linalg._rank_one_pair, with no
-LAPACK call. The type-2 commutators of P_a = w_a w_r^dag need the
-propagators: when on (N >= 3), the identity is stepped instead of A and
-Y_i = (V^dag w_i) A. The criteria and the negativity run over the pointers
-with c_i != 0 only.
+evaluate is the one evaluator of the per-time quantities: the SweepRow of each time, with
+the entanglement measure, the coherence, the type-1 and type-2 criterion residuals and the
+negativity (entangled iff row.type1_max > tol or row.type2_max > tol). It forms each column
+from the stacks of segment_chunks, in a frame shared by the pointers that no output sees,
+by the Route that route chooses; the criteria and the negativity skip pointers with c_i = 0.
+run_sweep resolves a configuration into evaluate's inputs (an explicit cutoff past the
+drive's reach warns at its caller) on a uniform time grid that holds the segment switches.
 """
 
 from __future__ import annotations
@@ -217,76 +196,97 @@ def _gram_difference(frame, grams, tau, i: int, j: int) -> np.ndarray:
     return np.subtract(*held, out=None if frame[j][0] is None else held[1])
 
 
+class Route(NamedTuple):
+    """The kernel that forms each column of a segment (route); None where the column is off."""
+
+    fidelity: str | None  # a qubit's E: "rank_one", "worker" or "svd"
+    type1: str | None  # "rank_one", "qr", "gram" or "direct"
+    type2: str | None  # "identity"
+    negativity: str | None  # "qr" or "direct"
+
+
+def route(n, r, on, d_k, framed, outputs, one_blas_thread) -> Route:
+    """The Route of n pointers, on those with c_i != 0, an R(0) of rank r and d_k rows.
+
+    "rank_one" is linalg._rank_one_pair, one step per qubit chunk; "worker" puts the SVDs on
+    a thread beside type-1, alive only in evaluate, in chunks of ceil(501 / r) points or more
+    (numpy releases the GIL past 500 values, README); "qr" and "direct" are the factor
+    kernels' paths (linalg._direct_path); "gram" phases G_i = B_i B_i^dag, formed once per
+    frame; "identity" steps the identity instead of A, for type-2's w_a w_r^dag.
+    """
+    type2 = "identity" if outputs.type2 and len(on) >= 3 else None
+    fidelity = ("rank_one" if r == 1 else "worker"
+                if outputs.type1 and len(on) >= 2 and one_blas_thread else "svd")
+    type1 = ("rank_one" if r == 1 else "qr" if not _direct_path(2 * r, d_k) else
+             "gram" if framed and type2 is None else "direct")
+    neg = "direct" if _direct_path(len(on) * r, d_k) else "qr"
+    return Route(fidelity if outputs.entanglement and n == 2 else None,
+                 type1 if outputs.type1 else None, type2, neg if outputs.negativity else None)
+
+
 def evaluate(
     schedule: SegmentSchedule, env0: EnvDensity, c, times, outputs: OutputFlags = OutputFlags(),
     *, t_start: float = 0.0,
 ) -> list[SweepRow]:
     """The SweepRow at each t of times, in order, reported at t_start + t with cutoff env0.dim.
 
-    The times of each segment are evaluated together. The rows, and so the
-    CSV bytes, are fixed for fixed inputs, numpy and BLAS build and BLAS
-    thread count: an SVD can round differently on another thread count.
-    With one BLAS thread, a mixed qubit's fidelity SVDs run on a worker alive only in this call.
+    The times of each segment are evaluated together, each column by its Route. The rows,
+    and so the CSV bytes, are fixed for fixed inputs, numpy and BLAS build and BLAS thread
+    count: an SVD can round differently on another thread count.
     """
     n, dim, a, r = schedule.system_dim, env0.dim, env0.factor, env0.factor.shape[1]
     c = dephasing._checked_amplitudes(c, n)
     times = np.asarray(times, dtype=float).reshape(-1).tolist()
     on = [i for i, ci in enumerate(c) if ci != 0]  # the criteria and the negativity skip c_i = 0
     pairs = list(combinations(on, 2))
-    # the type-2 products w_a w_r^dag need w_i itself: step the identity instead of A
-    type2 = outputs.type2 and len(on) >= 3
-    stepped = np.eye(dim, dtype=complex) if type2 else a
-    rank_one = n == r + 1 == 2 and (outputs.entanglement or outputs.type1)  # one step: E, type-1
-    rows, gram_frame = [None] * len(times), None
-    # with one BLAS thread, as the environment sets it for every thread (read in OpenBLAS's
-    # order), a chunk's fidelity SVD runs on a worker beside type-1; at ceil(501 / r) points
-    # (r <= d_k) each call returns over 500 values, past which numpy releases the GIL (README)
+    # one BLAS thread, as the environment sets it for every thread (read in OpenBLAS's order)
     blas = map(os.environ.get, ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
-    overlap = n == 2 and r > 1 and outputs.entanglement and outputs.type1 and bool(pairs)
-    overlap &= next(filter(None, blas), None) == os.environ.get("MKL_NUM_THREADS", "1") == "1"
-    if overlap:  # imported here, so that import dephasim loads no concurrent.futures
+    one = next(filter(None, blas), None) == os.environ.get("MKL_NUM_THREADS", "1") == "1"
+    run = route(n, r, on, dim, False, outputs, one)  # the stepped factor, worker and chunks
+    worker = run.fidelity == "worker"
+    if worker:  # imported here, so that import dephasim loads no concurrent.futures
         from concurrent.futures import ThreadPoolExecutor
-    chunks = segment_chunks(schedule, stepped, times, frame=True, points=-(-501 // r) * overlap)
-    # every output is invariant under the frame V shared by the pointers
-    with ThreadPoolExecutor(1) if overlap else nullcontext() as worker:
+    stepped = np.eye(dim, dtype=complex) if run.type2 else a
+    chunks = segment_chunks(schedule, stepped, times, frame=True, points=-(-501 // r) * worker)
+    rows, segment = [None] * len(times), ()
+    with ThreadPoolExecutor(1) if worker else nullcontext() as pool:
         for first, frame, tau, stacks in chunks:
             ts = times[first : first + len(tau)]
-            ys = [s @ a for s in stacks] if type2 else stacks
+            ys = [s @ a for s in stacks] if run.type2 else stacks
+            if frame is not segment:  # a new frame, or the first unframed chunk: d_k rows
+                segment, ro = frame, route(n, r, on, ys[0].shape[-2], bool(frame), outputs, one)
+                grams = [b @ dagger(b) for _, b in frame] if ro.type1 == "gram" else None
             y0 = ys[0][:1] if frame else ys[0]  # B_0 at every t in a shared frame: read it once
             measure = coherence_norm = type1_max = type2_max = neg = f = [None] * len(ts)
-            pure = linalg._rank_one_pair(y0, ys[1]) if rank_one else None
-            if outputs.entanglement and n == 2:
+            pure = linalg._rank_one_pair(y0, ys[1]) if "rank_one" in ro[:2] and n == 2 else None
+            if ro.fidelity:
                 # a^dag b is allocated here: memory a thread frees stays in its malloc arena
                 m = None if pure is not None else np.empty((len(ts), r, r), complex)
                 f = (linalg._rank_one_fidelity(*pure) if pure is not None else
-                     worker.submit(fidelity_of_factors, y0, ys[1], out=m) if overlap else
+                     pool.submit(fidelity_of_factors, y0, ys[1], out=m) if worker else
                      fidelity_of_factors(y0, ys[1], out=m))
             try:
                 if outputs.coherence and n >= 2 and c[0] * c[1] != 0:
                     # |Tr R_01| = |Tr(Y_0 Y_1^dag)|
                     coherence_norm = np.abs(np.sum(ys[1].conj() * y0, axis=(1, 2))).tolist()
                 # a criterion with no condition left (no pair, fewer than 3 pointers) reads 0
-                if outputs.type1:
-                    # trace_distance_of_factors' direct path in a shared frame: Phi_i G_i Phi_i^dag
-                    gram = frame and not type2 and _direct_path(r, r, len(frame[0][1]))
-                    if gram and frame is not gram_frame:  # the run's first chunk: B_i B_i^dag
-                        gram_frame, grams = frame, [b @ dagger(b) for _, b in frame]
-                    if gram:
+                if ro.type1:
+                    if ro.type1 == "gram":
                         distances = [_half_trace_norm(_gram_difference(frame, grams, tau, i, j))
                                      for i, j in pairs]
                     elif pure is not None:
                         distances = [linalg._rank_one_distance(*pure) for _ in pairs]
-                    else:
+                    else:  # the route the kernel takes by the same rule
                         distances = [trace_distance_of_factors(ys[i], ys[j]) for i, j in pairs]
                     type1_max = np.max(distances, axis=0).tolist() if pairs else [0.0] * len(ts)
             finally:  # the worker's error first, as the serial order raises it
-                f = f.result() if overlap else f
-            if outputs.entanglement and n == 2:
+                f = f.result() if worker else f
+            if ro.fidelity:
                 measure = measure_from_fidelity(c, f).tolist()
             if outputs.type2:
                 norms = list(type2_norms(stacks, on).values())
                 type2_max = np.max(norms, axis=0).tolist() if norms else [0.0] * len(ts)
-            if outputs.negativity:
+            if ro.negativity:  # the route the kernel takes by the same rule
                 z = np.concatenate([c[i] * ys[i] for i in on], axis=1)
                 neg = negativity_of_factors(z, len(on)).tolist()
             rows[first : first + len(ts)] = map(

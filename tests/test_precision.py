@@ -102,7 +102,7 @@ from dephasim.entanglement import measure_from_fidelity
 from dephasim.fock import env_from_matrix
 from dephasim.linalg import fidelity_of_factors, trace_distance_of_factors
 from dephasim.qubit_boson import AlphaSegment, QubitBosonParams, build_schedule
-from util import chunk_stacks, generator_matrices, random_complex, random_hermitian
+from util import chunk_stacks, generator_matrices, random_complex, random_hermitian, recorded_routes
 
 EPS = np.finfo(float).eps
 FLOOR_UNITS = 10
@@ -264,9 +264,10 @@ def gram_distances(monkeypatch):
     """{case: (a, b, [type-1 of evaluate])}, a and b the frame stacks the sweep reads."""
     schedule, env0, times = gram_case()
     assert env0.factor.shape == (6, 3)
-    monkeypatch.setattr(sweep, "trace_distance_of_factors", None)  # the factor path is not taken
+    routes = recorded_routes(monkeypatch)
     flags = OutputFlags(entanglement=False, coherence=False, type2=False)
     rows = sweep.evaluate(schedule, env0, equal_superposition(2), times, flags)
+    assert [route.type1 for route in routes[1:]] == ["gram", "gram"]  # both segments
     chunks = chunk_stacks(schedule, env0.factor, times, frame=True)
     stacks = [ys for _, s in chunks for ys in zip(*s)]
     return {f"t={t:g}": (a, b, [row.type1_max]) for t, (a, b), row in zip(times, stacks, rows)}

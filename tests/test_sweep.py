@@ -54,7 +54,7 @@ from dephasim.errors import (
     TimeOutOfRange,
     ValidationError,
 )
-from dephasim.fock import FockSpace, coherent_state, env_from_matrix, thermal_state
+from dephasim.fock import FockSpace, coherent_state, env_from_matrix, fock_state, thermal_state
 from dephasim.linalg import (
     fidelity,
     negativity,
@@ -66,13 +66,14 @@ from dephasim.presets import PRESET_NAMES, preset_config
 from dephasim.qubit_boson import AlphaSegment, QubitBosonParams, build_schedule
 from dephasim.sweep import (
     CSV_HEADER,
+    Route,
     SweepRow,
     convergence_report,
     emit_csv,
     evaluate,
     run_sweep,
 )
-from test_precision import TD_FLOOR_UNITS
+from test_precision import NEG_FLOOR_UNITS, TD_FLOOR_UNITS
 from util import (
     branch_generator,
     chunk_stacks,
@@ -81,6 +82,7 @@ from util import (
     normalized_coherence,
     random_density,
     random_hermitian,
+    recorded_routes,
 )
 
 EQUAL = equal_superposition(2)
@@ -680,15 +682,22 @@ class TestRowSupport:
                 gram = ys[i].conj().T @ ys[j]
                 assert np.abs(gram - exact[i].conj().T @ exact[j]).max() <= 1e-15, (t, i, j)
 
-    def test_tail_cut_moves_type1_within_two_td_floors_and_the_rest_within_1e_15(
-        self, monkeypatch
+    @pytest.mark.parametrize("k", [0, 1, 6])
+    def test_tail_cut_moves_type1_and_the_negativity_within_two_floors_the_rest_within_1e_15(
+        self, k, monkeypatch
     ):
-        # fig2d at cutoff 256: the displaced populations fall far below
-        # ROW_TAIL before row 256 but are not exactly zero there. The cut run takes
-        # type-1 from the direct eigensolve over the kept rows, the uncut run from a
-        # QR over all 256: each is within TD_FLOOR_UNITS of the exact value, so the
-        # two within twice that (3.6e-15), where the cut itself moves it by O(1e-18)
+        # fig2d at cutoff 256, its drive turned by 2 pi k / 12: the displaced populations
+        # fall far below ROW_TAIL before row 256 but are not exactly zero there. The cut
+        # run takes type-1 from the direct eigensolve over the kept rows, the uncut run
+        # from a QR over all 256, and the negativity likewise. Both step the kept rows bit
+        # for bit, so only the kernel term of each floor enters: each run is within
+        # TD_FLOOR_UNITS (NEG_FLOOR_UNITS) eps |A|^2 of the exact value, and the two within
+        # twice that (3.6e-15 and 3.55e-15), where the cut itself moves them by O(1e-18).
+        # The negativity moved by 7.8e-16, 1.11e-15 and 1.05e-15 for k = 0, 1 and 6
         cfg = preset_config("fig2d")
+        for segment in cfg["model"]["qubit_boson"]["segments"]:
+            alpha = complex(*segment["alpha"]) * np.exp(2j * np.pi * k / 12)
+            segment["alpha"] = [alpha.real, alpha.imag]
         cfg.update(cutoff=256, time={"t_max": 6.0, "steps": 13}, outputs={"negativity": True})
         cfg = config_from_dict(cfg)
         schedule, a = thermal_case(cfg, 256)
@@ -698,13 +707,15 @@ class TestRowSupport:
         exact = carried_rows(schedule, a, SEGMENT_MIDPOINTS)
         exact_rows = run_sweep(cfg)
         assert tail[1.0] == exact[1.0] and tail[3.0] < exact[3.0] and tail[5.0] < exact[5.0]
-        # Y_0 and Y_1 have the norm of A
-        type1_bound = 2 * TD_FLOOR_UNITS * np.finfo(float).eps * max(1.0, np.linalg.norm(a) ** 2)
+        # Y_0 and Y_1 have the norm of A, and Z that of A times |c| = 1
+        eps, norm = np.finfo(float).eps, np.linalg.norm(a) ** 2
+        bounds = {"type1_max": 2 * TD_FLOOR_UNITS * eps * max(1.0, norm),
+                  "negativity": 2 * NEG_FLOOR_UNITS * eps * norm}
         for x, y in zip(tail_rows, exact_rows, strict=True):
             assert x.t == y.t
             for field in ("entanglement", "coherence_norm", "type1_max", "negativity"):
                 diff = abs(getattr(x, field) - getattr(y, field))
-                assert diff <= (type1_bound if field == "type1_max" else 1e-15), (field, x.t, diff)
+                assert diff <= bounds.get(field, 1e-15), (field, x.t, diff)
 
     @pytest.mark.parametrize(
         "name, cutoffs, carried",
@@ -1410,9 +1421,6 @@ class TestColumnIdentities:
 
 
 class TestSweepRow:
-    def test_fields_in_csv_order(self):
-        assert SweepRow._fields == tuple(CSV_HEADER.split(","))
-
     def test_csv_header_is_the_documented_one(self):
         # README, CSV output
         assert CSV_HEADER == "t,entanglement,coherence_norm,type1_max,type2_max,negativity,cutoff"
@@ -1632,7 +1640,7 @@ class TestWorkerThread:
         r = dephasim.sweep._resolve(cfg, 16)[1].factor.shape[1]
         expected = repr(run_sweep(cfg))
         blas_env(monkeypatch, **env)
-        threads = fidelity_threads(monkeypatch)
+        routes = recorded_routes(monkeypatch)
 
         def recorded(*args, points, **kwargs):
             chunks.append(points)
@@ -1640,7 +1648,7 @@ class TestWorkerThread:
 
         monkeypatch.setattr(dephasim.sweep, "segment_chunks", recorded)
         assert repr(run_sweep(cfg)) == expected
-        assert threads and set(threads) == {worker}
+        assert routes and {route.fidelity for route in routes} == {"worker" if worker else "svd"}
         assert r > 1 and chunks == [math.ceil(501 / r) if worker else 0]
 
     @pytest.mark.parametrize("name", WORKER_CASES)
@@ -1801,3 +1809,85 @@ def cli_run(tmp_path) -> int:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return dephasim.cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")])
+
+
+# The Route of each segment of a run, as "fidelity type1 type2 negativity" with "-" for None
+ROUTE_PINS = {
+    "fig2a": ["rank_one rank_one - -"] * 3,
+    "fig2b": ["worker gram - -", "worker qr - -", "worker qr - -"],
+    "fig2c": ["worker gram - -"] * 3,
+    "fig2d": ["worker gram - -"] * 3,
+    "fig2e": ["worker gram - -"],
+    "fig2f": ["worker gram - -"],
+    "fig3a": ["rank_one rank_one - -"] * 3,
+    "fig3b": ["rank_one rank_one - -"] * 3,
+    "fig3c": ["rank_one rank_one - -"] * 3,
+    "fig2a-negativity": ["rank_one rank_one - direct"] + ["rank_one rank_one - qr"] * 2,
+    "fig2b-negativity": ["worker gram - direct", "worker qr - qr", "worker qr - qr"],
+    "fig3a-negativity": ["rank_one rank_one - qr"] * 3,
+    "fig2d-c256": ["worker gram - -"] * 3,
+    "schedule-file": ["- direct identity direct"],  # unframed segments share one route
+    "pure-c64": ["rank_one rank_one - -"] * 3,
+    "thermal-c256": ["worker gram - -"] * 3,
+    "qutrit-neg": ["- direct identity direct"],
+    "fig2d-2-threads": ["svd gram - -"] * 3,
+    "fig2d-e-only": ["svd - - -"] * 3,
+    "qutrit-vacuum": ["- rank_one identity qr"],
+}
+
+
+def route_run(label, tmp_path):
+    """A call that sweeps the run of ROUTE_PINS named label on 13 points of its span.
+
+    The runs are the 14 of scripts/compare_presets.py, one draw of each benchmark
+    workload, fig2d at 2 BLAS threads and two that none of those takes: fig2d with E
+    alone, and the qutrit-neg draw from the vacuum (r = 1 for 3 pointers). A route
+    depends on the segment, not on its points: 13 points, some in every segment, meet
+    the routes of the full grid.
+    """
+    workloads = perfbench_module("workloads").WORKLOADS
+    if label.startswith(("pure", "thermal", "qutrit")):
+        draw = workloads[label.replace("vacuum", "neg")](np.random.default_rng(1))
+        schedule, env = draw.reference()
+        env = fock_state(0, FockSpace(draw.env_dim)) if label == "qutrit-vacuum" else env
+        times, outputs = np.linspace(0.0, draw.t_max, 13), OutputFlags(**draw.config["outputs"])
+        return lambda: evaluate(schedule, env, draw.amplitudes, times, outputs)
+    from test_scripts import load_script  # test_scripts imports this module
+
+    cfg = dict(load_script("compare_presets").runs(tmp_path)).get(label, preset_config("fig2d"))
+    if label == "fig2d-e-only":
+        cfg["outputs"] = {"coherence": False, "type1": False, "type2": False}
+    cfg["time"] = {**cfg["time"], "steps": 13}
+    return lambda: run_sweep(config_from_dict(cfg))
+
+
+class TestRoute:
+    @pytest.mark.parametrize("label", ROUTE_PINS)
+    def test_each_run_takes_its_pinned_routes(self, label, tmp_path, monkeypatch):
+        blas_env(monkeypatch, OPENBLAS_NUM_THREADS="2" if label == "fig2d-2-threads" else "1")
+        sweep = route_run(label, tmp_path)
+        routes = recorded_routes(monkeypatch)
+        sweep()
+        run, *segments = routes
+        pins = [pin.split() for pin in ROUTE_PINS[label]]
+        assert segments == [Route(*(None if name == "-" else name for name in pin)) for pin in pins]
+        # the run's route fixes the stepped factor and the worker, as each segment's does
+        assert {(s.fidelity, s.type2) for s in segments} == {(run.fidelity, run.type2)}
+
+    def test_every_route_is_taken(self):
+        pins = [pin.split() for pins in ROUTE_PINS.values() for pin in pins]
+        taken = [set(names) for names in zip(*pins)]
+        assert taken == [
+            {"rank_one", "worker", "svd", "-"},
+            {"rank_one", "qr", "gram", "direct", "-"},
+            {"identity", "-"},
+            {"qr", "direct", "-"},
+        ]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_route_reads_no_environment(self, threads, monkeypatch):
+        blas_env(monkeypatch, OPENBLAS_NUM_THREADS=threads)
+        route = dephasim.sweep.route
+        assert not {"os", "environ", "getenv"} & set(route.__code__.co_names)
+        args = (2, 18, [0, 1], 43, True, OutputFlags())
+        assert route(*args, True).fidelity == "worker" and route(*args, False).fidelity == "svd"

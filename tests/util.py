@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from dephasim import sweep
 from dephasim.dephasing import Segment, segment_chunks
 from dephasim.errors import ConvergenceFailure, NonFiniteError
 from dephasim.fock import FockSpace
@@ -27,6 +28,18 @@ def chunk_stacks(schedule, a, times, *, frame=False):
         ((first, stacks) for first, *_, stacks in segment_chunks(schedule, a, times, frame=frame)),
         key=lambda chunk: chunk[0],
     )
+
+
+def recorded_routes(monkeypatch):
+    """The list that receives each Route of sweep.route: an evaluate call's, then its segments'."""
+    routes, route = [], sweep.route
+
+    def recorded(*args):
+        routes.append(route(*args))
+        return routes[-1]
+
+    monkeypatch.setattr(sweep, "route", recorded)
+    return routes
 
 
 def generator_matrices(segment):
